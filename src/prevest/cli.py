@@ -93,7 +93,7 @@ def _json_cell(v):
 
 def _jobs(args) -> int:
     if args.jobs is not None:
-        return max(1, args.jobs)
+        return args.jobs
     return max(1, int(os.environ.get("PREVEST_JOBS", "1")))
 
 
@@ -294,6 +294,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="prevest",
@@ -306,10 +313,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
         p.add_argument("--format", choices=("csv", "jsonl"), default="csv",
                        help="output format (default csv)")
-        p.add_argument("--jobs", type=int, default=None,
+        p.add_argument("--jobs", type=_positive_int, default=None,
                        help="worker threads (default $PREVEST_JOBS or 1)")
         if with_min_stratum:
-            p.add_argument("--min-stratum-size", type=int, default=10,
+            p.add_argument("--min-stratum-size", type=_non_negative_int, default=10,
                            help="headcount fallback below this stratum size (default 10)")
 
     p_sim = sub.add_parser("simulate", help="run a scenario config and write summaries")
@@ -329,9 +336,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sc.add_argument("--out", required=True, help="output directory")
     p_sc.add_argument("--intervals", action="store_true",
                       help="also evaluate confidence-interval coverage")
-    p_sc.add_argument("--bootstrap", type=int, default=399,
+    p_sc.add_argument("--bootstrap", type=_positive_int, default=399,
                       help="bootstrap iterations when --intervals is set (default 399)")
-    p_sc.add_argument("--block-size", type=int, default=10,
+    p_sc.add_argument("--block-size", type=_positive_int, default=10,
                       help="jackknife block size for the bootstrap acceleration (default 10)")
     common(p_sc)
     p_sc.set_defaults(func=cmd_scenario)
@@ -341,8 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--policy", default=None, help="adjustment policy (JSON)")
     p_an.add_argument("--out", required=True, help="output estimate series file")
     p_an.add_argument("--intervals", action="store_true")
-    p_an.add_argument("--bootstrap", type=int, default=399)
-    p_an.add_argument("--block-size", type=int, default=10)
+    p_an.add_argument("--bootstrap", type=_positive_int, default=399)
+    p_an.add_argument("--block-size", type=_positive_int, default=10)
     common(p_an)
     p_an.set_defaults(func=cmd_analyze)
 

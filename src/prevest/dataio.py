@@ -81,12 +81,13 @@ class TestingMatrix:
 
 
 def parse_testing_matrix(path) -> TestingMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    lines = [ln for ln in lines if ln.strip() != ""]
+    with open(path, "r", encoding="utf-8-sig") as fh:  # a leading BOM is not part of the header
+        # blank lines are skipped; errors keep reporting the file's own line numbers
+        lines = [(k, ln) for k, ln in enumerate(fh.read().splitlines(), start=1) if ln.strip()]
     if not lines:
         raise ParseError("empty testing-matrix file")
-    header = [h.strip() for h in lines[0].split(",")]
+    header_line = lines[0][0]
+    header = [h.strip() for h in lines[0][1].split(",")]
     has_ids = False
     try:
         dt.date.fromisoformat(header[0])
@@ -94,28 +95,33 @@ def parse_testing_matrix(path) -> TestingMatrix:
         has_ids = True
     date_cells = header[1:] if has_ids else header
     if not date_cells:
-        raise ParseError("header contains no date columns", line=1)
+        raise ParseError("header contains no date columns", line=header_line)
     dates = []
     for j, cell in enumerate(date_cells):
         try:
             dates.append(dt.date.fromisoformat(cell))
         except ValueError:
-            raise ParseError(f"bad date {cell!r} in header", line=1, column=j + 1 + has_ids)
+            raise ParseError(f"bad date {cell!r} in header", line=header_line,
+                             column=j + 1 + has_ids)
     for j, (a, b) in enumerate(zip(dates, dates[1:])):
         if (b - a).days != 1:
             raise ParseError(
                 f"dates must be consecutive calendar days: {a} then {b}",
-                line=1,
+                line=header_line,
                 column=j + 2 + has_ids,
             )
     n_cols = len(header)
     labels: list[str] = []
+    seen: set[str] = set()
     rows = []
-    for i, line in enumerate(lines[1:], start=2):
+    for i, line in lines[1:]:
         parts = [p.strip() for p in line.split(",")]
         if len(parts) != n_cols:
             raise ParseError(f"row has {len(parts)} fields, header has {n_cols}", line=i)
         if has_ids:
+            if parts[0] in seen:
+                raise ParseError(f"duplicate row id {parts[0]!r}", line=i, column=1)
+            seen.add(parts[0])
             labels.append(parts[0])
             parts = parts[1:]
         row = np.empty(len(parts), dtype=np.int8)

@@ -500,58 +500,49 @@ class DayEvaluator:
         member = nonrem & ~assumed
         strat = panel.last_clear[:, t]  # < t by construction
         self.strata = np.unique(strat[member])
-        slot = {c: j for j, c in enumerate(self.strata)}
         s_count = len(self.strata)
+        slot_of = np.full(t + 1, -1)
+        slot_of[self.strata] = np.arange(s_count)
 
         self._nonrem = nonrem.astype(float)
         self._assumed = assumed.astype(float)
         self._n_tests_all = panel.tested[:, t] & nonrem
         self._n_pos_all = panel.positive[:, t] & nonrem
 
-        onehot = np.zeros((n, s_count))
-        tested_oh = np.zeros((n, s_count))
-        neg_oh = np.zeros((n, s_count))
-        for c, j in slot.items():
-            in_c = member & (strat == c)
-            onehot[in_c, j] = 1.0
-            t_in = in_c & panel.tested[:, t]
-            tested_oh[t_in, j] = 1.0
-            neg_oh[t_in & ~panel.positive[:, t], j] = 1.0
-        self._member_oh = onehot
-        self._tested_oh = tested_oh
-        self._neg_oh = neg_oh
+        idx = np.flatnonzero(member)
+        slot = slot_of[strat[idx]]
+        tested_t = panel.tested[idx, t]
+        neg_t = tested_t & ~panel.positive[idx, t]
+        self._member_oh = np.zeros((n, s_count))
+        self._tested_oh = np.zeros((n, s_count))
+        self._neg_oh = np.zeros((n, s_count))
+        self._member_oh[idx, slot] = 1.0
+        self._tested_oh[idx[tested_t], slot[tested_t]] = 1.0
+        self._neg_oh[idx[neg_t], slot[neg_t]] = 1.0
 
-        # Next-test contributions, coded (stratum slot, row offset, value).
+        # Next-test contributions over (individual, row day s <= t): row s of
+        # stratum c = after[i, s] <= s counts the clearance itself (s == c) or
+        # a negative test on s (s > c; a negative on a clearance day is the
+        # same cell).  Codes are (stratum slot, row offset, value), compacted
+        # to the codes actually observed.
         width = t + 2
-        rows_i: list[np.ndarray] = []
-        codes: list[np.ndarray] = []
-        for c, j in slot.items():
-            for s in range(c, t + 1):
-                if s == c:
-                    sel = panel.stratum_after(c) == c
-                else:
-                    sel = panel.tested[:, s] & ~panel.positive[:, s] & (panel.stratum_after(s) == c)
-                idx = np.flatnonzero(sel)
-                if idx.size == 0:
-                    continue
-                values = np.minimum(panel.next_test[idx, s], t + 1)
-                code = (j * width + (s - c)) * width + values
-                rows_i.append(idx)
-                codes.append(code)
-        if rows_i:
-            all_i = np.concatenate(rows_i)
-            all_code = np.concatenate(codes)
-        else:
-            all_i = np.zeros(0, dtype=int)
-            all_code = np.zeros(0, dtype=int)
-        self._n_codes = s_count * width * width
+        days = np.arange(t + 1, dtype=panel.last_clear.dtype)
+        after = np.where(panel.cleared[:, : t + 1], days, panel.last_clear[:, : t + 1])
+        negative = panel.tested[:, : t + 1] & ~panel.positive[:, : t + 1]
+        keep = ((after == days) | negative) & (slot_of >= 0)[after]
+        cell_i, cell_s = np.nonzero(keep)
+        c = after[cell_i, cell_s]
+        values = np.minimum(panel.next_test[cell_i, cell_s], t + 1)
+        codes = (slot_of[c] * width + (cell_s - c)) * width + values
+        self._codes, code_col = np.unique(codes, return_inverse=True)
+        # stratum j owns the contiguous slice _bounds[j]:_bounds[j + 1] of the codes
+        self._bounds = np.searchsorted(self._codes, np.arange(s_count + 1) * width * width)
         self._contrib = sparse.csr_matrix(
-            (np.ones(all_i.size), (all_i, all_code)), shape=(n, max(self._n_codes, 1))
+            (np.ones(cell_i.size), (cell_i, code_col)), shape=(n, self._codes.size)
         )
-        self._base = _indicator_base(t)
 
     def _stratum_probs(self, counts: np.ndarray, need: np.ndarray) -> np.ndarray:
-        """Testing probabilities per (multiplicity row, stratum) from packed row counts.
+        """Testing probabilities per (multiplicity row, stratum) from per-code counts.
 
         ``need[b, j]`` marks the pairs whose probability is actually used
         (large-enough resampled stratum with at least one test); everything
@@ -559,6 +550,8 @@ class DayEvaluator:
         the needed rows of each stratum.  The walk keeps just the stuffed
         row block (rows ``c..t``): with the remaining rows equal to the tail
         indicator, the mass a vector carries on column ``t + 1`` stays put.
+        Each stratum's observed codes are scattered back into its dense
+        ``span x width`` row block before the walk.
         """
         b = counts.shape[0]
         t = self.day
@@ -570,8 +563,10 @@ class DayEvaluator:
             if sel.size == 0:
                 continue
             span = t - c + 1  # row offsets 0..t-c correspond to matrix rows c..t
-            rows = counts[sel, j * width * width : (j + 1) * width * width]
-            rows = rows.reshape(sel.size, width, width)[:, :span, :]
+            lo, hi = self._bounds[j], self._bounds[j + 1]
+            rows = np.zeros((sel.size, span * width))
+            rows[:, self._codes[lo:hi] - j * width * width] = counts[sel, lo:hi]
+            rows = rows.reshape(sel.size, span, width)
             sums = rows.sum(axis=2, keepdims=True)
             empty = sums[..., 0] == 0
             rows = rows / np.maximum(sums, 1.0)

@@ -130,3 +130,27 @@ def testing_process_oracle(regimen, stratum, t_max, specificity, n_paths, seed,
 
 
 testing_process_oracle.__test__ = False  # helper, not a test
+
+
+def contribution_counts(panel, day, strata):
+    """Next-test contribution counts of ``DayEvaluator``, one mask per (stratum, row).
+
+    Returns ``{code: count}`` with ``code = (slot * width + (s - c)) * width +
+    value``, ``width = day + 2``, for stratum ``c`` at ``slot`` in ``strata``,
+    matrix row ``s`` and next-test value ``min(next_test, day + 1)``.  Row
+    ``c`` selects the stratum's members just after the clearance; row
+    ``s > c`` those testing negative on ``s`` while in the stratum.
+    """
+    t = day
+    width = t + 2
+    counts = {}
+    for j, c in enumerate(strata):
+        for s in range(c, t + 1):
+            if s == c:
+                sel = panel.stratum_after(c) == c
+            else:
+                sel = panel.tested[:, s] & ~panel.positive[:, s] & (panel.stratum_after(s) == c)
+            values = np.minimum(panel.next_test[sel, s], t + 1)
+            for value, count in zip(*np.unique(values, return_counts=True)):
+                counts[int((j * width + (s - c)) * width + value)] = int(count)
+    return counts

@@ -143,6 +143,26 @@ class TestAnalyzeCommand:
         bad.write_text("2020-08-31\nX\n")
         assert main(["analyze", "--matrix", str(bad), "--out", str(tmp_path / "o.csv")]) == 4
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--bootstrap", "0"),
+        ("--block-size", "0"),
+        ("--jobs", "0"),
+        ("--jobs", "-2"),
+        ("--min-stratum-size", "-5"),
+    ])
+    def test_bad_numeric_flag_is_usage_error(self, tmp_path, matrix_path, flag, value):
+        out = tmp_path / "est.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--matrix", str(matrix_path), "--out", str(out), "--intervals",
+                  flag, value])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    def test_zero_min_stratum_size_is_accepted(self, tmp_path, matrix_path):
+        assert main(["analyze", "--matrix", str(matrix_path), "--out", str(tmp_path / "e.csv"),
+                     "--policy", str(sim_policy_path(tmp_path)),
+                     "--min-stratum-size", "0"]) == 0
+
     def test_missing_file_is_runtime_error(self, tmp_path):
         assert main(["analyze", "--matrix", str(tmp_path / "none.csv"),
                      "--out", str(tmp_path / "o.csv")]) == 5

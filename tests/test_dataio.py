@@ -78,6 +78,28 @@ class TestParsing:
         with pytest.raises(ParseError, match="consecutive"):
             parse_testing_matrix(write(tmp_path, "2020-08-31,2020-09-02\nN,\n"))
 
+    @pytest.mark.parametrize("text", [
+        "2020-08-31,2020-09-01,2020-09-02\nN,,P\n,N,\n",
+        "id,2020-08-31,2020-09-01,2020-09-02\nr1,N,,P\nr2,,N,\n",
+    ], ids=["plain", "ids"])
+    def test_byte_order_mark_is_ignored(self, tmp_path, text):
+        plain = parse_testing_matrix(write(tmp_path, text, "plain.csv"))
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        marked = parse_testing_matrix(bom)
+        assert marked.dates == plain.dates and marked.n_days == 3
+        assert marked.row_labels == plain.row_labels
+        assert np.array_equal(marked.cells, plain.cells)
+
+    def test_duplicate_row_id_reports_second_line(self, tmp_path):
+        text = "id,2020-08-31,2020-09-01\na,N,\nb,,N\n\na,,P\n"
+        with pytest.raises(ParseError, match=r"duplicate row id 'a' \(line 5, column 1\)"):
+            parse_testing_matrix(write(tmp_path, text))
+
+    def test_blank_lines_keep_file_line_numbers(self, tmp_path):
+        with pytest.raises(ParseError, match="line 4, column 2"):
+            parse_testing_matrix(write(tmp_path, "2020-08-31,2020-09-01\nN,\n\nN,X\n"))
+
     def test_round_trip_file(self, tmp_path):
         sim = small_sim()
         matrix = matrix_from_simulation(sim, start_date=MONDAY)

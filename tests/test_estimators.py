@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prevest.core import EventHistory, TestCharacteristics
 from prevest.estimators import (
@@ -26,7 +28,7 @@ from prevest.estimators import (
 from prevest.regimens import RegimenConfig
 from prevest.simulate import ScenarioConfig, HazardModel, ExternalHazard, simulate
 
-from _oracles import testing_process_oracle
+from _oracles import contribution_counts, testing_process_oracle
 
 PERFECT = TestCharacteristics()
 STUDY = TestCharacteristics(0.832, 0.992)
@@ -270,6 +272,94 @@ class TestHtEstimated:
         point = float(ev.estimate()[0])
         ident = float(ev.batch(np.arange(panel.n_individuals)[None, :])[0])
         assert point == pytest.approx(ident, abs=1e-14)
+
+
+@st.composite
+def panels_and_days(draw, max_n=12, max_horizon=8):
+    """A small policy-consistent panel and a day to estimate.
+
+    Each cell is untested, negative or positive; a positive removes the
+    individual for ``isolation`` days, the last of which is its clearance day,
+    and no test lands inside the removal.
+    """
+    n = draw(st.integers(1, max_n))
+    horizon = draw(st.integers(2, max_horizon))
+    isolation = draw(st.integers(1, 3))
+    cells = draw(st.lists(st.text(" NP", min_size=horizon, max_size=horizon),
+                          min_size=n, max_size=n))
+    tested, positive, removed, cleared = (np.zeros((n, horizon + 1), bool) for _ in range(4))
+    for i, row in enumerate(cells):
+        t = 1
+        while t <= horizon:
+            tested[i, t] = row[t - 1] != " "
+            if row[t - 1] == "P":
+                positive[i, t] = True
+                end = t + isolation
+                removed[i, t + 1 : end + 1] = True
+                if end <= horizon:
+                    cleared[i, end] = True
+                t = end
+            t += 1
+    day = draw(st.integers(1, horizon))
+    return Panel._derived(horizon, tested, positive, removed, cleared), day
+
+
+class TestDayEvaluatorMatchesReference:
+    """The vectorised evaluator pinned to the per-(stratum, row) and matrix paths."""
+
+    @staticmethod
+    def observed_counts(ev):
+        counts = np.asarray(ev._contrib.sum(axis=0)).ravel()
+        return dict(zip(ev._codes.tolist(), counts.astype(int).tolist()))
+
+    def test_contribution_counts_on_simulation(self):
+        panel = small_simulation(seed=13).panel()
+        for day in range(1, panel.horizon + 1):
+            ev = DayEvaluator(panel, day, STUDY)
+            assert self.observed_counts(ev) == contribution_counts(panel, day, ev.strata), day
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=panels_and_days())
+    def test_contribution_counts(self, case):
+        panel, day = case
+        ev = DayEvaluator(panel, day, STUDY)
+        assert self.observed_counts(ev) == contribution_counts(panel, day, ev.strata)
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=panels_and_days(), specificity=st.sampled_from([1.0, 0.992, 0.9]))
+    def test_weights_match_matrix_formula(self, case, specificity):
+        panel, day = case
+        tests = TestCharacteristics(0.832, specificity)
+        _, table = ht_estimated(panel, day, tests, min_stratum_size=1)
+        for c, entry in table.entries.items():
+            if entry.provenance == "estimated":
+                m = estimate_schedule_matrix(panel, c, day)
+                prob = testing_probability_from_matrix(m, specificity)
+                assert entry.weight == pytest.approx(max(1.0 / prob, 1.0), rel=1e-9), c
+
+    @settings(max_examples=50, deadline=None)
+    @given(case=panels_and_days(), copies=st.integers(1, 4))
+    def test_all_ones_multiplicity_equals_point(self, case, copies):
+        panel, day = case
+        ev = DayEvaluator(panel, day, STUDY, min_stratum_size=2)
+        point = ev.estimate()
+        point_fallback = ev._last_fallback.copy()
+        batch = ev.estimate(np.ones((copies, panel.n_individuals)))
+        np.testing.assert_allclose(batch, np.repeat(point, copies), rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(ev._last_fallback, np.repeat(point_fallback, copies))
+
+    @settings(max_examples=50, deadline=None)
+    @given(case=panels_and_days(), data=st.data())
+    def test_row_permutation_leaves_estimate_unchanged(self, case, data):
+        panel, day = case
+        order = np.array(data.draw(st.permutations(range(panel.n_individuals))))
+        permuted = Panel._derived(panel.horizon, panel.tested[order], panel.positive[order],
+                                  panel.removed[order], panel.cleared[order])
+        est, _ = ht_estimated(panel, day, STUDY, min_stratum_size=2)
+        est_perm, _ = ht_estimated(permuted, day, STUDY, min_stratum_size=2)
+        assert est_perm.unclipped == pytest.approx(est.unclipped, abs=1e-12, nan_ok=True)
+        assert (est_perm.n_tests, est_perm.n_positive, est_perm.n_fallback_strata) == (
+            est.n_tests, est.n_positive, est.n_fallback_strata)
 
 
 class TestHtKnown:
