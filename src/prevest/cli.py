@@ -64,6 +64,14 @@ def _digest(payload) -> str:
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
+def _file_digest(path) -> str | None:
+    """Content hash of an input file, so a moved copy keeps it and an edit changes it."""
+    if path is None:
+        return None
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
 def _write_rows(path, rows: list[dict], fmt: str) -> None:
     if fmt == "jsonl":
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -91,12 +99,6 @@ def _json_cell(v):
     return v
 
 
-def _jobs(args) -> int:
-    if args.jobs is not None:
-        return args.jobs
-    return max(1, int(os.environ.get("PREVEST_JOBS", "1")))
-
-
 # ---------------------------------------------------------------------------
 # Commands
 
@@ -107,7 +109,7 @@ def cmd_simulate(args) -> RunReport:
     os.makedirs(args.out, exist_ok=True)
     report = RunReport(
         command="simulate",
-        config_digest=_digest({"path": os.path.abspath(args.config), "seed": args.seed,
+        config_digest=_digest({"config": _file_digest(args.config), "seed": args.seed,
                                "replicates": args.replicates}),
         seed=args.seed,
     )
@@ -177,7 +179,7 @@ def cmd_scenario(args) -> RunReport:
         report.warnings.append(
             "known-weight estimator is not defined under contact tracing; omitting ht-k columns"
         )
-    jobs = _jobs(args)
+    jobs = args.jobs
     if jobs == 1 or args.replicates < 2 * jobs:
         result = run_scenario(
             bundle, args.replicates, seed=args.seed, interval_spec=interval_spec,
@@ -240,9 +242,8 @@ def cmd_analyze(args) -> RunReport:
     )
     report = RunReport(
         command="analyze",
-        config_digest=_digest({"matrix": os.path.abspath(args.matrix),
-                               "policy": args.policy and os.path.abspath(args.policy),
-                               "seed": args.seed}),
+        config_digest=_digest({"matrix": _file_digest(args.matrix),
+                               "policy": _file_digest(args.policy), "seed": args.seed}),
         seed=args.seed,
     )
     n_excluded = int(adjusted.excluded_days[1:].sum())
@@ -274,7 +275,8 @@ def cmd_anonymize(args) -> RunReport:
     write_testing_matrix(shuffled, args.out)
     report = RunReport(
         command="anonymize",
-        config_digest=_digest({"matrix": os.path.abspath(args.matrix), "seed": args.seed}),
+        config_digest=_digest({"matrix": _file_digest(args.matrix),
+                               "policy": _file_digest(args.policy), "seed": args.seed}),
         seed=args.seed,
         outputs=[args.out],
         wall_time_s=time.monotonic() - t0,
@@ -366,6 +368,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.jobs is None:
+        raw = os.environ.get("PREVEST_JOBS", "1")
+        try:
+            args.jobs = _positive_int(raw)
+        except (ValueError, argparse.ArgumentTypeError):
+            parser.error(f"PREVEST_JOBS must be a positive integer, got {raw!r}")
     try:
         report = args.func(args)
     except ConfigError as exc:

@@ -637,19 +637,7 @@ class DayEvaluator:
         self._last_unclipped = unclipped
         return np.clip(unclipped, 0.0, 1.0)
 
-    # -- resampling adapters (bootstrap over individuals)
-
-    def __call__(self, indices: np.ndarray) -> float:
-        return float(self.batch(indices[None, :])[0])
-
-    def _multiplicity(self, index_matrix: np.ndarray) -> np.ndarray:
-        n = self.panel.n_individuals
-        b = index_matrix.shape[0]
-        flat = (np.arange(b)[:, None] * n + index_matrix).ravel()
-        return np.bincount(flat, minlength=b * n).reshape(b, n).astype(float)
-
-    def batch(self, index_matrix: np.ndarray) -> np.ndarray:
-        return self.estimate(self._multiplicity(index_matrix))
+    # -- resampling adapter (bootstrap over individuals)
 
     def resampler(self) -> "_UnclippedResampler":
         """Adapter for interval construction: re-estimates on the unclipped scale.
@@ -665,12 +653,10 @@ class _UnclippedResampler:
     def __init__(self, evaluator: DayEvaluator):
         self._evaluator = evaluator
 
-    def __call__(self, indices: np.ndarray) -> float:
-        return float(self.batch(indices[None, :])[0])
-
-    def batch(self, index_matrix: np.ndarray) -> np.ndarray:
+    def batch(self, counts: np.ndarray) -> np.ndarray:
+        """Unclipped estimates for each row of a rows x individuals multiplicity matrix."""
         ev = self._evaluator
-        ev.estimate(ev._multiplicity(index_matrix))
+        ev.estimate(counts)
         return ev._last_unclipped.copy()
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy import stats
@@ -116,23 +116,16 @@ def _jackknife_blocks(n: int, spec: IntervalSpec, order: np.ndarray) -> list[np.
     return [order[i : i + size] for i in range(0, n, size)]
 
 
-def _evaluate(estimator: Callable, index_rows: list[np.ndarray]) -> np.ndarray:
-    """Run the estimator on index sets, batching equal-length rows when supported."""
-    batch = getattr(estimator, "batch", None)
-    if batch is None:
-        return np.array([float(estimator(idx)) for idx in index_rows])
-    out = np.empty(len(index_rows))
-    by_len: dict[int, list[int]] = {}
-    for pos, idx in enumerate(index_rows):
-        by_len.setdefault(idx.size, []).append(pos)
-    for size, positions in by_len.items():
-        stacked = np.stack([index_rows[p] for p in positions])
-        out[positions] = batch(stacked)
-    return out
+def _resample_counts(rng: np.random.Generator, b_iter: int, n_units: int) -> np.ndarray:
+    """Multiplicity matrix of ``b_iter`` resamples, each a row of one seeded index draw."""
+    draws = rng.integers(0, n_units, size=(b_iter, n_units))
+    draws += np.arange(0, b_iter * n_units, n_units)[:, None]  # row b counts into b * n_units + i
+    flat = np.bincount(draws.ravel(), minlength=b_iter * n_units)
+    return flat.reshape(b_iter, n_units).astype(float)
 
 
 def bca_bootstrap(
-    estimator: Callable[[np.ndarray], float],
+    estimator,
     n_units: int,
     spec: IntervalSpec,
     seed: int,
@@ -141,20 +134,21 @@ def bca_bootstrap(
 ) -> BcaInterval:
     """BCa interval for a statistic of resampled units (whole individual histories).
 
-    ``estimator`` maps an index array to a statistic; an optional
-    ``estimator.batch`` accepting a stacked index matrix is used when
-    present.  The bias-correction constant comes from the fraction of the
-    bootstrap distribution below the point estimate, the acceleration from a
-    block jackknife (blocks over a seeded shuffle of the units, remainder in
-    a final short block).  Reproducible bit-for-bit for a given seed: the
-    b-th resample is row b of a single seeded draw.
+    ``estimator.batch`` maps a rows x units multiplicity matrix (how many
+    times each unit enters each resample) to one statistic per row; the
+    all-ones row is the original sample.  The bias-correction constant
+    comes from the fraction of the bootstrap distribution below the point
+    estimate, the acceleration from a block jackknife (blocks over a seeded
+    shuffle of the units, remainder in a final short block), whose rows are
+    ones with zeros on the left-out block.  Reproducible bit-for-bit for a
+    given seed: the b-th resample counts row b of a single seeded draw.
     """
+    batch = estimator.batch
     if point is None:
-        point = float(estimator(np.arange(n_units)))
+        point = float(batch(np.ones((1, n_units)))[0])
     b_iter = spec.bootstrap_iterations
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(0,))))
-    index_matrix = rng.integers(0, n_units, size=(b_iter, n_units))
-    thetas = _evaluate(estimator, list(index_matrix))
+    thetas = batch(_resample_counts(rng, b_iter, n_units))
 
     if np.ptp(thetas) == 0.0:
         value = float(thetas[0])
@@ -169,8 +163,10 @@ def bca_bootstrap(
     )
     order = jack_rng.permutation(n_units)
     blocks = _jackknife_blocks(n_units, spec, order)
-    keep_rows = [np.setdiff1d(order, block, assume_unique=True) for block in blocks]
-    jack = _evaluate(estimator, keep_rows)
+    keep = np.ones((len(blocks), n_units))
+    for row, block in zip(keep, blocks):
+        row[block] = 0.0
+    jack = batch(keep)
     centered = jack.mean() - jack
     denom = (centered**2).sum() ** 1.5
     accel = float((centered**3).sum() / (6.0 * denom)) if denom > 0 else 0.0

@@ -154,3 +154,63 @@ def contribution_counts(panel, day, strata):
             for value, count in zip(*np.unique(values, return_counts=True)):
                 counts[int((j * width + (s - c)) * width + value)] = int(count)
     return counts
+
+
+def index_bca_bootstrap(ev, n_units, spec, seed, point=None, clip=(0.0, 1.0)):
+    """BCa bootstrap over index sets, the route the count-space version replaced.
+
+    Resamples and jackknife keep-sets are index rows (``setdiff1d`` of the
+    shuffled order minus each block); equal-length rows are stacked, turned
+    into multiplicities by a per-row ``bincount`` and re-estimated with
+    ``ev.estimate`` on the unclipped scale.
+    """
+    import math
+
+    from scipy import stats
+
+    from prevest.uncertainty import BcaInterval, _jackknife_blocks
+
+    def evaluate(index_rows):
+        out = np.empty(len(index_rows))
+        by_len = {}
+        for pos, idx in enumerate(index_rows):
+            by_len.setdefault(idx.size, []).append(pos)
+        for positions in by_len.values():
+            counts = np.array([np.bincount(index_rows[p], minlength=n_units)
+                               for p in positions], dtype=float)
+            ev.estimate(counts)
+            out[positions] = ev._last_unclipped
+        return out
+
+    if point is None:
+        point = float(evaluate([np.arange(n_units)])[0])
+    b_iter = spec.bootstrap_iterations
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(0,))))
+    thetas = evaluate(list(rng.integers(0, n_units, size=(b_iter, n_units))))
+    if np.ptp(thetas) == 0.0:
+        value = float(thetas[0])
+        return BcaInterval(lo=value, hi=value, point=point, degenerate=True)
+    frac = float(np.mean(thetas < point))
+    frac = min(max(frac, 0.5 / b_iter), 1.0 - 0.5 / b_iter)
+    z0 = float(stats.norm.ppf(frac))
+    jack_rng = np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(1,))))
+    order = jack_rng.permutation(n_units)
+    blocks = _jackknife_blocks(n_units, spec, order)
+    jack = evaluate([np.setdiff1d(order, block, assume_unique=True) for block in blocks])
+    centered = jack.mean() - jack
+    denom = (centered**2).sum() ** 1.5
+    accel = float((centered**3).sum() / (6.0 * denom)) if denom > 0 else 0.0
+    alpha = 1.0 - spec.level
+    out = []
+    for z_tail in (stats.norm.ppf(alpha / 2), stats.norm.ppf(1 - alpha / 2)):
+        shifted = z0 + float(z_tail)
+        scale = 1.0 - accel * shifted
+        adjusted = z0 + shifted / scale if scale > 0 else (math.inf if shifted > 0 else -math.inf)
+        out.append(float(stats.norm.cdf(adjusted)))
+    levels = tuple(float(a) for a in np.clip(out, 0.0, 1.0))
+    lo, hi = np.quantile(thetas, levels)
+    if clip is not None:
+        lo, hi = max(lo, clip[0]), min(hi, clip[1])
+    return BcaInterval(lo=float(lo), hi=float(hi), point=point,
+                       bias_correction=z0, acceleration=accel, quantile_levels=levels)

@@ -1,4 +1,6 @@
 import json
+import re
+import shutil
 
 import pytest
 
@@ -237,3 +239,64 @@ class TestDeskScaleTimings:
         main(["scenario", "--name", "simple-random", "--replicates", "4",
               "--population", "120", "--seed", "5", "--out", str(ref)])
         assert (out / "simple-random.csv").read_bytes() == (ref / "simple-random.csv").read_bytes()
+
+    @pytest.mark.parametrize("value", ["0", "-3", "two", "1.5"])
+    def test_bad_jobs_env_var_is_usage_error(self, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.setenv("PREVEST_JOBS", value)
+        out = tmp_path / "env"
+        with pytest.raises(SystemExit) as exc:
+            main(["scenario", "--name", "simple-random", "--replicates", "2",
+                  "--population", "40", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "PREVEST_JOBS" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_jobs_flag_overrides_env_var(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("PREVEST_JOBS", "0")
+        assert main(["scenario", "--name", "simple-random", "--replicates", "2",
+                     "--population", "40", "--jobs", "1", "--out", str(tmp_path)]) == 0
+
+
+def reported_digest(capsys) -> str:
+    return re.search(r"config ([0-9a-f]{12})\)", capsys.readouterr().out).group(1)
+
+
+class TestConfigDigest:
+    """The run digest hashes input contents and the seed, not input paths."""
+
+    @pytest.mark.parametrize("command", ["analyze", "anonymize"])
+    def test_matrix_content_not_path(self, tmp_path, matrix_path, capsys, command):
+        def digest(matrix, seed="0", policy=None):
+            argv = [command, "--matrix", str(matrix), "--out", str(tmp_path / "out.csv"),
+                    "--seed", seed]
+            if policy is not None:
+                argv += ["--policy", str(policy)]
+            assert main(argv) == 0
+            return reported_digest(capsys)
+
+        base = digest(matrix_path)
+        moved = tmp_path / "elsewhere" / "renamed.csv"
+        moved.parent.mkdir()
+        shutil.copyfile(matrix_path, moved)
+        assert digest(moved) == base
+        lines = moved.read_text().splitlines()
+        cells = lines[1].split(",")
+        cells[1] = "N" if cells[1] != "N" else ""
+        lines[1] = ",".join(cells)
+        moved.write_text("\n".join(lines) + "\n")
+        assert digest(moved) != base
+        assert digest(matrix_path, seed="1") != base
+        assert digest(matrix_path, policy=sim_policy_path(tmp_path)) != base
+
+    def test_simulate_hashes_config_content(self, tmp_path, config_path, capsys):
+        def digest(config):
+            assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
+            return reported_digest(capsys)
+
+        base = digest(config_path)
+        copy = tmp_path / "copy" / "other.json"
+        copy.parent.mkdir()
+        shutil.copyfile(config_path, copy)
+        assert digest(copy) == base
+        copy.write_text(json.dumps(dict(SCENARIO_JSON, seed=4)))
+        assert digest(copy) != base

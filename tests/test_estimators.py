@@ -27,8 +27,9 @@ from prevest.estimators import (
 )
 from prevest.regimens import RegimenConfig
 from prevest.simulate import ScenarioConfig, HazardModel, ExternalHazard, simulate
+from prevest.uncertainty import IntervalSpec, bca_bootstrap
 
-from _oracles import contribution_counts, testing_process_oracle
+from _oracles import contribution_counts, index_bca_bootstrap, testing_process_oracle
 
 PERFECT = TestCharacteristics()
 STUDY = TestCharacteristics(0.832, 0.992)
@@ -251,7 +252,8 @@ class TestHtEstimated:
         rng = np.random.default_rng(7)
         idx = rng.integers(0, panel.n_individuals, panel.n_individuals)
         ev = DayEvaluator(panel, day, STUDY, min_stratum_size=5)
-        via_batch = float(ev.batch(idx[None, :])[0])
+        counts = np.bincount(idx, minlength=panel.n_individuals)[None, :].astype(float)
+        via_batch = float(ev.estimate(counts)[0])
         resampled = Panel(
             horizon=panel.horizon,
             tested=panel.tested[idx],
@@ -270,7 +272,8 @@ class TestHtEstimated:
         panel = sim.panel()
         ev = DayEvaluator(panel, 8, STUDY)
         point = float(ev.estimate()[0])
-        ident = float(ev.batch(np.arange(panel.n_individuals)[None, :])[0])
+        n = panel.n_individuals
+        ident = float(ev.estimate(np.bincount(np.arange(n), minlength=n)[None, :].astype(float))[0])
         assert point == pytest.approx(ident, abs=1e-14)
 
 
@@ -360,6 +363,46 @@ class TestDayEvaluatorMatchesReference:
         assert est_perm.unclipped == pytest.approx(est.unclipped, abs=1e-12, nan_ok=True)
         assert (est_perm.n_tests, est_perm.n_positive, est_perm.n_fallback_strata) == (
             est.n_tests, est.n_positive, est.n_fallback_strata)
+
+
+def assert_same_interval(got, want):
+    """Every ``BcaInterval`` field equal, NaN matching NaN."""
+    for name in ("lo", "hi", "point", "degenerate", "bias_correction", "acceleration",
+                 "quantile_levels"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+
+
+class TestCountSpaceBootstrapMatchesIndexRoute:
+    """``bca_bootstrap`` on multiplicity rows pinned to the index-set route."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=panels_and_days(max_n=25), data=st.data())
+    def test_random_panels(self, case, data):
+        panel, day = case
+        n = panel.n_individuals
+        if data.draw(st.booleans(), label="block count mode"):
+            spec = IntervalSpec(bootstrap_iterations=data.draw(st.integers(2, 40)),
+                                jackknife_block_count=data.draw(st.integers(2, 6)))
+        else:
+            spec = IntervalSpec(bootstrap_iterations=data.draw(st.integers(2, 40)),
+                                jackknife_block_size=data.draw(st.integers(1, n + 1)))
+        seed = data.draw(st.integers(0, 2**16))
+        ev = DayEvaluator(panel, day, STUDY, min_stratum_size=data.draw(st.integers(1, 3)))
+        assert_same_interval(bca_bootstrap(ev.resampler(), n, spec, seed),
+                             index_bca_bootstrap(ev, n, spec, seed))
+
+    @pytest.mark.parametrize("spec", [
+        IntervalSpec(bootstrap_iterations=99, jackknife_block_size=7),  # 200 = 28 x 7 + 4
+        IntervalSpec(bootstrap_iterations=99, jackknife_block_count=9),
+    ])
+    def test_simulated_panel_with_short_block(self, spec):
+        panel = small_simulation(seed=17).panel()
+        ev = DayEvaluator(panel, 9, STUDY, min_stratum_size=5)
+        point = float(ev.resampler().batch(np.ones((1, panel.n_individuals)))[0])
+        got = bca_bootstrap(ev.resampler(), panel.n_individuals, spec, seed=(3, 9), point=point)
+        want = index_bca_bootstrap(ev, panel.n_individuals, spec, seed=(3, 9), point=point)
+        assert not got.degenerate and got.acceleration != 0.0
+        assert_same_interval(got, want)
 
 
 class TestHtKnown:

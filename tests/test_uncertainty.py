@@ -99,17 +99,28 @@ class MeanEstimator:
     def __init__(self, values):
         self.values = np.asarray(values, dtype=float)
 
-    def __call__(self, idx):
-        return float(self.values[idx].mean())
+    def batch(self, counts):
+        return counts @ self.values / counts.sum(axis=1)
 
-    def batch(self, idx_matrix):
-        return self.values[idx_matrix].mean(axis=1)
+
+class ConstantEstimator:
+    """The same value for every multiplicity row.
+
+    A count-space mean of constant data is not exactly constant: ``counts @
+    values`` rounds differently from row to row.
+    """
+
+    def __init__(self, value):
+        self.value = value
+
+    def batch(self, counts):
+        return np.full(counts.shape[0], self.value)
 
 
 class TestBcaBootstrap:
     def test_constant_estimator_degenerates_to_point(self):
         spec = IntervalSpec(bootstrap_iterations=99)
-        out = bca_bootstrap(MeanEstimator(np.full(30, 0.4)), 30, spec, seed=1)
+        out = bca_bootstrap(ConstantEstimator(0.4), 30, spec, seed=1)
         assert out.degenerate
         assert out.lo == out.hi == pytest.approx(0.4)
 
@@ -122,7 +133,8 @@ class TestBcaBootstrap:
         out = bca_bootstrap(est, values.size, spec, seed=9, clip=None)
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=9, spawn_key=(0,))))
         idx = rng.integers(0, values.size, size=(199, values.size))
-        thetas = est.batch(idx)
+        thetas = est.batch(np.array([np.bincount(row, minlength=values.size) for row in idx],
+                                    dtype=float))
         lo, hi = np.quantile(thetas, out.quantile_levels)
         assert out.lo == pytest.approx(float(lo))
         assert out.hi == pytest.approx(float(hi))
