@@ -8,6 +8,7 @@ Every command is deterministic given its config and ``--seed``.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -24,6 +25,7 @@ from .dataio import AdjustmentPolicy, ParseError, parse_testing_matrix, write_te
 from .regimens import ConfigError
 from .scenarios import (
     SCENARIO_NAMES,
+    ScenarioRunResult,
     build_scenario,
     estimate_panel_series,
     run_scenario,
@@ -59,17 +61,24 @@ class RunReport:
             f"(seed {self.seed}, config {self.config_digest})")
 
 
-def _digest(payload) -> str:
-    blob = json.dumps(payload, sort_keys=True, default=str).encode()
+# Options that never change what a run writes: where it goes, and how many threads.
+_UNHASHED = ("func", "out", "jobs")
+_INPUT_FILES = ("config", "matrix", "policy")
+
+
+def _config_digest(args) -> str:
+    """Digest of every option that shapes a run's output.
+
+    Input files enter by content, so a moved copy keeps the digest and an
+    edit changes it; ``--out`` and ``--jobs`` are left out.
+    """
+    payload = {k: v for k, v in vars(args).items() if k not in _UNHASHED}
+    for name in _INPUT_FILES:
+        if payload.get(name) is not None:
+            with open(payload[name], "rb") as fh:
+                payload[name] = hashlib.sha256(fh.read()).hexdigest()
+    blob = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:12]
-
-
-def _file_digest(path) -> str | None:
-    """Content hash of an input file, so a moved copy keeps it and an edit changes it."""
-    if path is None:
-        return None
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def _write_rows(path, rows: list[dict], fmt: str) -> None:
@@ -109,8 +118,7 @@ def cmd_simulate(args) -> RunReport:
     os.makedirs(args.out, exist_ok=True)
     report = RunReport(
         command="simulate",
-        config_digest=_digest({"config": _file_digest(args.config), "seed": args.seed,
-                               "replicates": args.replicates}),
+        config_digest=_config_digest(args),
         seed=args.seed,
     )
     horizon = config.horizon_days
@@ -152,10 +160,6 @@ def cmd_simulate(args) -> RunReport:
 def cmd_scenario(args) -> RunReport:
     t0 = time.monotonic()
     bundle = build_scenario(args.name)
-    if args.population is not None:
-        from dataclasses import replace
-
-        bundle = replace(bundle, config=replace(bundle.config, population_size=args.population))
     interval_spec = None
     if args.intervals:
         interval_spec = IntervalSpec(
@@ -165,9 +169,7 @@ def cmd_scenario(args) -> RunReport:
         )
     report = RunReport(
         command="scenario",
-        config_digest=_digest({"name": args.name, "replicates": args.replicates,
-                               "population": args.population, "seed": args.seed,
-                               "intervals": args.intervals, "bootstrap": args.bootstrap}),
+        config_digest=_config_digest(args),
         seed=args.seed,
     )
     if bundle.ht_known_available and args.replicates < HT_K_REFERENCE_REPLICATES:
@@ -179,37 +181,21 @@ def cmd_scenario(args) -> RunReport:
         report.warnings.append(
             "known-weight estimator is not defined under contact tracing; omitting ht-k columns"
         )
+    run = functools.partial(
+        run_scenario, bundle, seed=args.seed, interval_spec=interval_spec,
+        min_stratum_size=args.min_stratum_size, population_size=args.population,
+    )
     jobs = args.jobs
     if jobs == 1 or args.replicates < 2 * jobs:
-        result = run_scenario(
-            bundle, args.replicates, seed=args.seed, interval_spec=interval_spec,
-            min_stratum_size=args.min_stratum_size,
-        )
+        result = run(args.replicates)
     else:
         # Replicate seeds are keyed by absolute index, so any partition of the
         # replicate range yields identical results.
         bounds = np.linspace(0, args.replicates, jobs + 1).astype(int)
         spans = [(int(a), int(b - a)) for a, b in zip(bounds, bounds[1:]) if b > a]
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            parts = list(
-                pool.map(
-                    lambda span: run_scenario(
-                        bundle, span[1], seed=args.seed, interval_spec=interval_spec,
-                        min_stratum_size=args.min_stratum_size, first_replicate=span[0],
-                    ),
-                    spans,
-                )
-            )
-        result = parts[0]
-        for part in parts[1:]:
-            result.truth = np.vstack([result.truth, part.truth])
-            for kind in result.estimators:
-                result.estimates[kind] = np.vstack([result.estimates[kind],
-                                                    part.estimates[kind]])
-                result.unclipped[kind] = np.vstack([result.unclipped[kind],
-                                                    part.unclipped[kind]])
-                result.covered[kind] = np.vstack([result.covered[kind], part.covered[kind]])
-        result.replicates = args.replicates
+            parts = list(pool.map(lambda span: run(span[1], first_replicate=span[0]), spans))
+        result = ScenarioRunResult.concat(parts)
     os.makedirs(args.out, exist_ok=True)
     out = os.path.join(args.out, f"{args.name}.{args.format}")
     _write_rows(out, list(result.rows()), args.format)
@@ -242,8 +228,7 @@ def cmd_analyze(args) -> RunReport:
     )
     report = RunReport(
         command="analyze",
-        config_digest=_digest({"matrix": _file_digest(args.matrix),
-                               "policy": _file_digest(args.policy), "seed": args.seed}),
+        config_digest=_config_digest(args),
         seed=args.seed,
     )
     n_excluded = int(adjusted.excluded_days[1:].sum())
@@ -275,8 +260,7 @@ def cmd_anonymize(args) -> RunReport:
     write_testing_matrix(shuffled, args.out)
     report = RunReport(
         command="anonymize",
-        config_digest=_digest({"matrix": _file_digest(args.matrix),
-                               "policy": _file_digest(args.policy), "seed": args.seed}),
+        config_digest=_config_digest(args),
         seed=args.seed,
         outputs=[args.out],
         wall_time_s=time.monotonic() - t0,

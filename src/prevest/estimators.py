@@ -36,6 +36,7 @@ from scipy import sparse
 
 from .core import EventHistory, TestCharacteristics
 from .regimens import RegimenConfig, next_test_pmf
+from .uncertainty import wald_ht_variance
 
 _EPS = 1e-12
 
@@ -243,23 +244,29 @@ def estimate_schedule_matrix(panel: Panel, stratum: int, t: int) -> ScheduleMatr
     return matrix
 
 
-def _ratio_terms(mats: np.ndarray, nu: float, c: int, t: int) -> tuple[np.ndarray, np.ndarray]:
+def _row_block_walk(rows: np.ndarray, c: int, nu: float) -> tuple[np.ndarray, np.ndarray]:
     """Numerator and denominator of the testing-probability ratio, batched.
 
-    For each matrix P: numerator = sum_{k=1}^{t-c} nu^(k-1) (P^k)[c, t];
-    denominator = sum_k nu^(k-1) ((P^k - P^(k-1))[c, t] + (P^k - P^(k-1))[c, t+1]).
-    Only row ``c`` of the powers is needed, so powers are taken as
-    vector-matrix products.
+    ``rows[b]`` holds rows ``c..t`` of schedule matrix b, shape
+    ``(t - c + 1, t + 2)``.  For each matrix P: numerator = sum_{k=1}^{t-c}
+    nu^(k-1) (P^k)[c, t]; denominator = sum_k nu^(k-1) ((P^k - P^(k-1))[c, t]
+    + (P^k - P^(k-1))[c, t+1]).  Only row ``c`` of the powers is needed, so
+    powers are taken as vector-matrix products; with the remaining rows equal
+    to the tail indicator, the walk never leaves columns ``c..t`` except into
+    column ``t + 1``, whose mass stays put.
     """
-    b, size, _ = mats.shape
-    v = np.zeros((b, size))
+    b, _, width = rows.shape
+    t = width - 2
+    v = np.zeros((b, width))
     v[:, c] = 1.0
     prev_tail = v[:, t] + v[:, t + 1]
     num = np.zeros(b)
     den = np.zeros(b)
     coef = 1.0
     for _ in range(t - c):
-        v = np.matmul(v[:, None, :], mats)[:, 0, :]
+        inner = np.matmul(v[:, None, c : t + 1], rows)[:, 0, :]
+        inner[:, t + 1] += v[:, t + 1]  # absorbing tail column
+        v = inner
         tail = v[:, t] + v[:, t + 1]
         num += coef * v[:, t]
         den += coef * (tail - prev_tail)
@@ -268,9 +275,12 @@ def _ratio_terms(mats: np.ndarray, nu: float, c: int, t: int) -> tuple[np.ndarra
     return num, den
 
 
-def testing_probability_from_matrix(
-    matrix: ScheduleMatrix, specificity: float, stratum: int | None = None, t: int | None = None
-) -> float:
+def _ratio_terms(mats: np.ndarray, nu: float, c: int, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_row_block_walk` over whole ``(t + 2) x (t + 2)`` schedule matrices."""
+    return _row_block_walk(mats[:, c : t + 1], c, nu)
+
+
+def testing_probability_from_matrix(matrix: ScheduleMatrix, specificity: float) -> float:
     """P[tested on day t | well on day t, last clearance = stratum] from the matrix.
 
     Under perfect specificity the denominator is exactly 1 (asserted to
@@ -279,8 +289,7 @@ def testing_probability_from_matrix(
     deterministic schedule with no test due at ``t``) returns 0.0; callers
     treat that as a positivity failure.
     """
-    c = matrix.stratum if stratum is None else stratum
-    horizon = matrix.horizon if t is None else t
+    c, horizon = matrix.stratum, matrix.horizon
     num, den = _ratio_terms(matrix.entries[None, :, :], specificity, c, horizon)
     num_v, den_v = float(num[0]), float(den[0])
     if specificity == 1.0 and abs(den_v - 1.0) > 1e-12:
@@ -547,11 +556,9 @@ class DayEvaluator:
         ``need[b, j]`` marks the pairs whose probability is actually used
         (large-enough resampled stratum with at least one test); everything
         else falls back to a headcount, so the matrix walk is only run on
-        the needed rows of each stratum.  The walk keeps just the stuffed
-        row block (rows ``c..t``): with the remaining rows equal to the tail
-        indicator, the mass a vector carries on column ``t + 1`` stays put.
-        Each stratum's observed codes are scattered back into its dense
-        ``span x width`` row block before the walk.
+        the needed rows of each stratum.  Each stratum's observed codes are
+        scattered back into its dense ``span x width`` row block (rows
+        ``c..t``), which is all :func:`_row_block_walk` reads.
         """
         b = counts.shape[0]
         t = self.day
@@ -573,21 +580,7 @@ class DayEvaluator:
             if np.any(empty):
                 rows[empty] = 0.0
                 rows[empty, t + 1] = 1.0  # unobserved row: tail indicator
-            v = np.zeros((sel.size, width))
-            v[:, c] = 1.0
-            num = np.zeros(sel.size)
-            den = np.zeros(sel.size)
-            prev_tail = v[:, t] + v[:, t + 1]
-            coef = 1.0
-            for _ in range(t - c):
-                inner = np.matmul(v[:, None, c : t + 1], rows)[:, 0, :]
-                inner[:, t + 1] += v[:, t + 1]  # absorbing tail column
-                v = inner
-                tail = v[:, t] + v[:, t + 1]
-                num += coef * v[:, t]
-                den += coef * (tail - prev_tail)
-                prev_tail = tail
-                coef *= nu
+            num, den = _row_block_walk(rows, c, nu)
             with np.errstate(invalid="ignore", divide="ignore"):
                 probs[sel, j] = np.where(den > _EPS, num / np.maximum(den, _EPS), 0.0)
         return np.minimum(probs, 1.0)
@@ -696,28 +689,22 @@ def ht_known(
     strata with no tests contribute zero to the well count, which is what
     keeps the estimator unbiased and occasionally high-variance.
     """
-    tests.require_informative()
     t = day
     nonrem = ~panel.removed[:, t]
     assumed = panel.assumed_well[:, t] & nonrem
     member = nonrem & ~assumed
     strat = panel.last_clear[:, t]
-    eta, youden = tests.sensitivity, tests.youden
-    w_hat = float(assumed.sum())
-    variance = 0.0
     table = WeightTable(day=day)
+    by_stratum = np.ones(t + 1)
     for c in np.unique(strat[member]):
-        in_c = member & (strat == c)
         weight = float(weight_for(int(c), t))
         table.add(int(c), weight, "known")
-        tested_c = int((in_c & panel.tested[:, t]).sum())
-        pos_c = int((in_c & panel.tested[:, t] & panel.positive[:, t]).sum())
-        neg_c = tested_c - pos_c
-        w_hat += weight * (neg_c - (1.0 - eta) * tested_c) / youden
-        pi = 1.0 / weight
-        variance += (
-            ((eta - 1.0) ** 2 * pos_c + eta**2 * neg_c) * (1.0 - pi) / pi**2 / youden**2
-        )
+        by_stratum[c] = weight
+    weights = by_stratum[strat]
+    tested = member & panel.tested[:, t]
+    positive = panel.positive[:, t]
+    w_hat = float(assumed.sum()) + ht_estimate_w(tested, positive, weights, tests)
+    variance = wald_ht_variance(weights[tested], positive[tested], tests)
     clipped, unclipped = prevalence_from_w(w_hat, panel.n_individuals, int((~nonrem).sum()))
     est = DayEstimate(
         day=day,

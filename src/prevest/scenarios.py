@@ -223,14 +223,16 @@ def estimate_panel_series(
     known_weights: Optional[Callable[[int, int], float]] = None,
     min_stratum_size: int = 10,
     excluded_days: Optional[np.ndarray] = None,
-    seed: int = 0,
+    seed: int | tuple[int, ...] = 0,
 ) -> EstimateSeries:
     """Per-day estimates (and optional intervals) for every requested estimator.
 
     Excluded days yield undefined-marker records so that the day indexing
     stays dense.  ``known_weights`` must be supplied for the ``ht-k``
-    estimator.
+    estimator.  ``seed`` is a prefix: day ``t``'s bootstrap is seeded with
+    ``(*seed, t)``, so an int ``s`` gives ``(s, t)``.
     """
+    prefix = (seed,) if isinstance(seed, int) else tuple(seed)
     series = EstimateSeries()
     level = interval_spec.level if interval_spec is not None else 0.95
     for day in range(1, panel.horizon + 1):
@@ -275,7 +277,7 @@ def estimate_panel_series(
                 if interval_spec is not None:
                     interval = bca_bootstrap(
                         evaluator.resampler(), panel.n_individuals, interval_spec,
-                        seed=(seed, day), point=record.unclipped,
+                        seed=(*prefix, day), point=record.unclipped,
                     )
                     record.lo, record.hi = interval.lo, interval.hi
             else:
@@ -304,6 +306,23 @@ class ScenarioRunResult:
     unclipped: dict[str, np.ndarray]       # kind -> same shape, no [0, 1] restriction
     covered: dict[str, np.ndarray]         # kind -> bool/nan array, same shape
     with_intervals: bool
+
+    @classmethod
+    def concat(cls, parts: Sequence["ScenarioRunResult"]) -> "ScenarioRunResult":
+        """One result from runs over consecutive replicate ranges, in replicate order."""
+
+        def stack(field: str) -> dict[str, np.ndarray]:
+            return {k: np.vstack([getattr(p, field)[k] for p in parts])
+                    for k in parts[0].estimators}
+
+        return replace(
+            parts[0],
+            replicates=sum(p.replicates for p in parts),
+            truth=np.vstack([p.truth for p in parts]),
+            estimates=stack("estimates"),
+            unclipped=stack("unclipped"),
+            covered=stack("covered"),
+        )
 
     @property
     def horizon(self) -> int:
@@ -393,11 +412,8 @@ def run_scenario(
         raise ConfigError(f"known-weight estimator is not available for {bundle.name!r}")
     config = bundle.config
     horizon = config.horizon_days
-    n = config.population_size
-    tests = bundle.assumed_tests
     weights = KnownWeights(bundle) if "ht-k" in estimators else None
     with_intervals = interval_spec is not None
-    level = interval_spec.level if with_intervals else 0.95
 
     truth = np.full((replicates, horizon + 1), np.nan)
     estimates = {k: np.full((replicates, horizon + 1), np.nan) for k in estimators}
@@ -407,46 +423,19 @@ def run_scenario(
     for r in range(replicates):
         abs_r = first_replicate + r
         sim = simulate(config, seed=(seed, abs_r))
-        panel = sim.panel()
-        truth_r = sim.true_prevalence()
-        truth[r] = truth_r
-        for day in range(1, horizon + 1):
-            nonrem = ~panel.removed[:, day]
-            n_tests = int((panel.tested[:, day] & nonrem).sum())
-            n_pos = int((panel.positive[:, day] & nonrem).sum())
-            for kind in estimators:
-                if n_tests == 0:
-                    continue
-                lo = hi = math.nan
-                if kind == "tpr":
-                    value, raw = tpr_prevalence(n_pos, n_tests, tests)
-                    if with_intervals:
-                        lo, hi = clopper_pearson(n_pos, n_tests, level)
-                        lo = max((lo - (1.0 - tests.specificity)) / tests.youden, 0.0)
-                        hi = min((hi - (1.0 - tests.specificity)) / tests.youden, 1.0)
-                elif kind == "ht-k":
-                    record, _, variance = ht_known(panel, day, tests, weights)
-                    value, raw = record.estimate, record.unclipped
-                    if with_intervals:
-                        nonrem_n = int(nonrem.sum())
-                        w_hat = nonrem_n - record.unclipped * nonrem_n
-                        lo, hi = wald_prevalence_interval(
-                            w_hat, variance, n, n - nonrem_n, level
-                        )
-                else:
-                    evaluator = DayEvaluator(panel, day, tests, min_stratum_size)
-                    value = float(evaluator.estimate()[0])
-                    raw = float(evaluator._last_unclipped[0])
-                    if with_intervals:
-                        interval = bca_bootstrap(
-                            evaluator.resampler(), n, interval_spec, seed=(seed, abs_r, day),
-                            point=raw,
-                        )
-                        lo, hi = interval.lo, interval.hi
-                estimates[kind][r, day] = value
-                unclipped[kind][r, day] = raw
-                if with_intervals:
-                    covered[kind][r, day] = float(lo <= truth_r[day] <= hi)
+        truth[r] = sim.true_prevalence()
+        series = estimate_panel_series(
+            sim.panel(), bundle.assumed_tests, estimators, interval_spec, weights,
+            min_stratum_size, seed=(seed, abs_r),
+        )
+        for record in series.records:
+            if not record.defined:
+                continue
+            day, kind = record.day, record.kind
+            estimates[kind][r, day] = record.estimate
+            unclipped[kind][r, day] = record.unclipped
+            if with_intervals:
+                covered[kind][r, day] = float(record.lo <= truth[r, day] <= record.hi)
         if log is not None and (r + 1) % max(1, replicates // 10) == 0:
             log(f"{bundle.name}: replicate {r + 1}/{replicates}")
     return ScenarioRunResult(

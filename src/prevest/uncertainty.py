@@ -142,6 +142,8 @@ def bca_bootstrap(
     shuffle of the units, remainder in a final short block), whose rows are
     ones with zeros on the left-out block.  Reproducible bit-for-bit for a
     given seed: the b-th resample counts row b of a single seeded draw.
+    A bootstrap distribution whose spread is within 1e-12 of its largest
+    magnitude (or of 1) is degenerate and collapses to its first value.
     """
     batch = estimator.batch
     if point is None:
@@ -150,7 +152,7 @@ def bca_bootstrap(
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(0,))))
     thetas = batch(_resample_counts(rng, b_iter, n_units))
 
-    if np.ptp(thetas) == 0.0:
+    if np.ptp(thetas) <= 1e-12 * max(1.0, float(np.max(np.abs(thetas)))):
         value = float(thetas[0])
         return BcaInterval(lo=value, hi=value, point=point, degenerate=True)
 

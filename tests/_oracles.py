@@ -187,7 +187,7 @@ def index_bca_bootstrap(ev, n_units, spec, seed, point=None, clip=(0.0, 1.0)):
     b_iter = spec.bootstrap_iterations
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(0,))))
     thetas = evaluate(list(rng.integers(0, n_units, size=(b_iter, n_units))))
-    if np.ptp(thetas) == 0.0:
+    if np.ptp(thetas) <= 1e-12 * max(1.0, float(np.max(np.abs(thetas)))):
         value = float(thetas[0])
         return BcaInterval(lo=value, hi=value, point=point, degenerate=True)
     frac = float(np.mean(thetas < point))
@@ -214,3 +214,54 @@ def index_bca_bootstrap(ev, n_units, spec, seed, point=None, clip=(0.0, 1.0)):
         lo, hi = max(lo, clip[0]), min(hi, clip[1])
     return BcaInterval(lo=float(lo), hi=float(hi), point=point,
                        bias_correction=z0, acceleration=accel, quantile_levels=levels)
+
+
+def full_matrix_ratio_terms(mats, nu, c, t):
+    """Testing-probability ratio terms by powers of the whole schedule matrix.
+
+    For each matrix P: numerator = sum_{k=1}^{t-c} nu^(k-1) (P^k)[c, t];
+    denominator = sum_k nu^(k-1) ((P^k - P^(k-1))[c, t] + (P^k - P^(k-1))[c, t+1]),
+    with row ``c`` of each power taken as a vector times all of P.
+    """
+    b, size, _ = mats.shape
+    v = np.zeros((b, size))
+    v[:, c] = 1.0
+    prev_tail = v[:, t] + v[:, t + 1]
+    num = np.zeros(b)
+    den = np.zeros(b)
+    coef = 1.0
+    for _ in range(t - c):
+        v = np.matmul(v[:, None, :], mats)[:, 0, :]
+        tail = v[:, t] + v[:, t + 1]
+        num += coef * v[:, t]
+        den += coef * (tail - prev_tail)
+        prev_tail = tail
+        coef *= nu
+    return num, den
+
+
+def per_stratum_ht_known(panel, day, tests, weight_for):
+    """Known-weight well count and its variance, accumulated stratum by stratum.
+
+    Each stratum ``c`` adds ``w_c (neg_c - (1 - eta) tested_c) / youden`` to
+    the by-fiat well count, and ``((eta - 1)^2 pos_c + eta^2 neg_c)
+    (1 - pi_c) / pi_c^2 / youden^2`` to the variance.
+    """
+    t = day
+    nonrem = ~panel.removed[:, t]
+    assumed = panel.assumed_well[:, t] & nonrem
+    member = nonrem & ~assumed
+    strat = panel.last_clear[:, t]
+    eta, youden = tests.sensitivity, tests.youden
+    w_hat = float(assumed.sum())
+    variance = 0.0
+    for c in np.unique(strat[member]):
+        in_c = member & (strat == c)
+        weight = float(weight_for(int(c), t))
+        tested_c = int((in_c & panel.tested[:, t]).sum())
+        pos_c = int((in_c & panel.tested[:, t] & panel.positive[:, t]).sum())
+        neg_c = tested_c - pos_c
+        w_hat += weight * (neg_c - (1.0 - eta) * tested_c) / youden
+        pi = 1.0 / weight
+        variance += ((eta - 1.0) ** 2 * pos_c + eta**2 * neg_c) * (1.0 - pi) / pi**2 / youden**2
+    return w_hat, variance

@@ -300,3 +300,27 @@ class TestConfigDigest:
         assert digest(copy) == base
         copy.write_text(json.dumps(dict(SCENARIO_JSON, seed=4)))
         assert digest(copy) != base
+
+    def test_every_output_option_is_hashed(self, tmp_path, matrix_path, capsys):
+        def digest(*argv):
+            assert main(list(argv)) == 0
+            return reported_digest(capsys)
+
+        analyze = ["analyze", "--matrix", str(matrix_path), "--out", str(tmp_path / "a.csv")]
+        base = digest(*analyze)
+        assert digest(*analyze, "--jobs", "2") == base
+        assert digest(*analyze[:-1], str(tmp_path / "b.csv")) == base
+        variants = {digest(*analyze, *extra) for extra in (
+            ["--intervals", "--bootstrap", "19"], ["--intervals", "--bootstrap", "29"],
+            ["--intervals", "--bootstrap", "19", "--block-size", "5"],
+            ["--min-stratum-size", "3"], ["--format", "jsonl"])}
+        assert base not in variants and len(variants) == 5
+
+        scenario = ["scenario", "--name", "simple-random", "--replicates", "2",
+                    "--population", "40", "--out", str(tmp_path / "s")]
+        base = digest(*scenario)
+        assert digest(*scenario[:-1], str(tmp_path / "t"), "--jobs", "2") == base
+        variants = {digest(*scenario, *extra) for extra in (
+            ["--block-size", "5"], ["--min-stratum-size", "3"], ["--replicates", "3"],
+            ["--population", "80"], ["--intervals", "--bootstrap", "9"])}
+        assert base not in variants and len(variants) == 5

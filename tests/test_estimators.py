@@ -29,7 +29,13 @@ from prevest.regimens import RegimenConfig
 from prevest.simulate import ScenarioConfig, HazardModel, ExternalHazard, simulate
 from prevest.uncertainty import IntervalSpec, bca_bootstrap
 
-from _oracles import contribution_counts, index_bca_bootstrap, testing_process_oracle
+from _oracles import (
+    contribution_counts,
+    full_matrix_ratio_terms,
+    index_bca_bootstrap,
+    per_stratum_ht_known,
+    testing_process_oracle,
+)
 
 PERFECT = TestCharacteristics()
 STUDY = TestCharacteristics(0.832, 0.992)
@@ -187,6 +193,37 @@ class TestTestingProbabilityFromMatrix:
         formula = testing_probability_from_matrix(m, nu)
         prob, se, _ = testing_process_oracle(SIMPLE, 0, 10, nu, n_paths=100_000, seed=42)
         assert abs(formula - prob[10]) < 3 * se[10]
+
+
+@st.composite
+def schedule_matrices(draw, max_horizon=9):
+    """Valid schedule matrices: random next-test laws on rows c..t, zeros included."""
+    t = draw(st.integers(1, max_horizon))
+    c = draw(st.integers(0, t - 1))
+    entries = np.zeros((t + 2, t + 2))
+    entries[:, t + 1] = 1.0
+    mass = st.one_of(st.just(0.0), st.floats(0.01, 1.0))
+    for s in range(c, t + 1):
+        row = np.array(draw(st.lists(mass, min_size=t + 1 - s, max_size=t + 1 - s)))
+        if row.sum() > 0:
+            entries[s] = 0.0
+            entries[s, s + 1 :] = row / row.sum()
+    matrix = ScheduleMatrix(stratum=c, horizon=t, entries=entries)
+    matrix.validate()
+    return matrix
+
+
+class TestMatrixWalkMatchesFullMatrixOracle:
+    """The row-block walk against powers of the whole schedule matrix."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(matrix=schedule_matrices(), nu=st.sampled_from([1.0, 0.992, 0.9, 0.6]))
+    def test_testing_probability(self, matrix, nu):
+        num, den = full_matrix_ratio_terms(matrix.entries[None], nu, matrix.stratum,
+                                           matrix.horizon)
+        want = float(num[0] / den[0])
+        assert testing_probability_from_matrix(matrix, nu) == pytest.approx(
+            want, rel=1e-12, abs=1e-12)
 
 
 def small_simulation(seed=21, regimen=SIMPLE, n=200, tests=STUDY):
@@ -425,6 +462,21 @@ class TestHtKnown:
         panel = sim.panel()
         _, table, _ = ht_known(panel, 6, STUDY, lambda c, t: 6.0)
         assert all(e.provenance == "known" for e in table.entries.values())
+
+    @pytest.mark.parametrize("tests", [PERFECT, STUDY], ids=["perfect", "imperfect"])
+    def test_matches_per_stratum_formula(self, tests):
+        panel = small_simulation(seed=13, tests=tests).panel()
+
+        def weight_for(c, t):
+            return 1.0 + (7 * c + t) % 5 + 0.25 * c
+
+        for day in range(1, panel.horizon + 1):
+            est, _, variance = ht_known(panel, day, tests, weight_for)
+            w_hat, want_var = per_stratum_ht_known(panel, day, tests, weight_for)
+            nonremoved = int((~panel.removed[:, day]).sum())
+            assert est.unclipped == pytest.approx((nonremoved - w_hat) / nonremoved,
+                                                  rel=1e-12, abs=1e-12), day
+            assert variance == pytest.approx(want_var, rel=1e-12), day
 
 
 class TestBiasRatio:

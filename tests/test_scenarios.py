@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from prevest.regimens import ConfigError
 from prevest.scenarios import (
     SCENARIO_NAMES,
     KnownWeights,
+    ScenarioRunResult,
     _nan_aggregate,
     build_scenario,
     estimate_panel_series,
@@ -113,17 +116,57 @@ class TestSeriesAssembly:
         with pytest.raises(ValueError, match="known"):
             estimate_panel_series(sim.panel(), bundle.assumed_tests, estimators=("ht-k",))
 
+    def test_int_seed_is_a_one_element_prefix(self):
+        bundle = build_scenario("min-max", population_size=200)
+        panel = simulate(bundle.config, seed=(3, 0)).panel()
+        spec = IntervalSpec(bootstrap_iterations=19)
+        by_int, by_tuple = (
+            estimate_panel_series(panel, bundle.assumed_tests, ("tpr", "ht-k", "ht-e"), spec,
+                                  KnownWeights(bundle), seed=seed)
+            for seed in (7, (7,))
+        )
+        assert len(by_int.records) == len(by_tuple.records) == 3 * panel.horizon
+        for a, b in zip(by_int.records, by_tuple.records):
+            assert astuple(a) == pytest.approx(astuple(b), abs=0, nan_ok=True)
+        assert any(r.kind == "ht-e" and r.lo < r.hi for r in by_int.records)
+
 
 class TestRunScenario:
     def test_partitioned_replicates_reproduce_single_run(self):
+        spec = IntervalSpec(bootstrap_iterations=19)
         whole = run_scenario("simple-random", 6, seed=5, population_size=200,
-                             estimators=("tpr", "ht-e"))
-        first = run_scenario("simple-random", 3, seed=5, population_size=200,
-                             estimators=("tpr", "ht-e"))
-        second = run_scenario("simple-random", 3, seed=5, population_size=200,
-                              estimators=("tpr", "ht-e"), first_replicate=3)
-        merged = np.vstack([first.estimates["ht-e"], second.estimates["ht-e"]])
-        assert np.array_equal(whole.estimates["ht-e"], merged, equal_nan=True)
+                             interval_spec=spec)
+        parts = [run_scenario("simple-random", 2, seed=5, population_size=200,
+                              interval_spec=spec, first_replicate=start)
+                 for start in (0, 2, 4)]
+        joined = ScenarioRunResult.concat(parts)
+        assert joined.replicates == whole.replicates == 6
+        assert np.array_equal(joined.truth, whole.truth, equal_nan=True)
+        for field in ("estimates", "unclipped", "covered"):
+            got, want = getattr(joined, field), getattr(whole, field)
+            assert set(got) == set(want) == {"tpr", "ht-k", "ht-e"}
+            for kind in want:
+                assert np.array_equal(got[kind], want[kind], equal_nan=True), (field, kind)
+        assert not np.isnan(whole.covered["ht-e"][:, 1:]).all()
+
+    def test_replicates_score_the_reported_series(self):
+        """Each replicate's arrays are the records ``estimate_panel_series`` reports."""
+        spec = IntervalSpec(bootstrap_iterations=19)
+        bundle = build_scenario("min-max", population_size=200)
+        result = run_scenario(bundle, 2, seed=4, interval_spec=spec, first_replicate=3)
+        weights = KnownWeights(bundle)
+        for r in range(2):
+            sim = simulate(bundle.config, seed=(4, 3 + r))
+            series = estimate_panel_series(sim.panel(), bundle.assumed_tests,
+                                           ("tpr", "ht-k", "ht-e"), spec, weights, seed=(4, 3 + r))
+            for rec in series.records:
+                assert result.estimates[rec.kind][r, rec.day] == pytest.approx(
+                    rec.estimate, abs=0, nan_ok=True)
+                assert result.unclipped[rec.kind][r, rec.day] == pytest.approx(
+                    rec.unclipped, abs=0, nan_ok=True)
+                if rec.defined:
+                    truth = result.truth[r, rec.day]
+                    assert result.covered[rec.kind][r, rec.day] == float(rec.lo <= truth <= rec.hi)
 
     def test_ht_k_unavailable_for_contact_tracing(self):
         with pytest.raises(ConfigError):

@@ -124,6 +124,14 @@ class TestBcaBootstrap:
         assert out.degenerate
         assert out.lo == out.hi == pytest.approx(0.4)
 
+    def test_rounding_noise_on_constant_data_is_degenerate(self):
+        # counts @ values rounds per row, so the thetas spread by ~1e-16
+        spec = IntervalSpec(bootstrap_iterations=99)
+        out = bca_bootstrap(MeanEstimator(np.full(30, 0.4)), 30, spec, seed=1)
+        assert out.degenerate
+        assert out.bias_correction == 0.0 and out.acceleration == 0.0
+        assert out.lo == out.hi == pytest.approx(0.4)
+
     def test_reduces_to_percentile_without_correction(self):
         # recompute the bootstrap distribution independently and check that
         # the reported quantile levels map through numpy's linear quantiles
