@@ -24,7 +24,6 @@ from .estimators import (
     EstimateSeries,
     Panel,
     ScheduleMatrix,
-    StratumKey,
     WeightTable,
     bias_ratio,
     estimate_schedule_matrix,

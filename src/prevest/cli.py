@@ -11,7 +11,6 @@ import argparse
 import functools
 import hashlib
 import json
-import math
 import os
 import sys
 import time
@@ -81,46 +80,19 @@ def _config_digest(args) -> str:
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
-def _write_rows(path, rows: list[dict], fmt: str) -> None:
-    if fmt == "jsonl":
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for row in rows:
-                fh.write(json.dumps({k: _json_cell(v) for k, v in row.items()}) + "\n")
-        return
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if not rows:
-            return
-        cols = list(rows[0])
-        fh.write(",".join(cols) + "\n")
-        for row in rows:
-            fh.write(",".join(_csv_cell(row[c]) for c in cols) + "\n")
-
-
-def _csv_cell(v) -> str:
-    if isinstance(v, float):
-        return "nan" if math.isnan(v) else format(v, ".10g")
-    return str(v)
-
-
-def _json_cell(v):
-    if isinstance(v, float) and math.isnan(v):
+def _interval_spec(args) -> IntervalSpec | None:
+    if not args.intervals:
         return None
-    return v
+    return IntervalSpec(bootstrap_iterations=args.bootstrap, jackknife_block_size=args.block_size)
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# Commands: each does its work and records its outputs and warnings in the report
 
 
-def cmd_simulate(args) -> RunReport:
-    t0 = time.monotonic()
+def cmd_simulate(args, report: RunReport) -> None:
     config = dataio.load_scenario_config(args.config)
     os.makedirs(args.out, exist_ok=True)
-    report = RunReport(
-        command="simulate",
-        config_digest=_config_digest(args),
-        seed=args.seed,
-    )
     horizon = config.horizon_days
     totals = np.zeros((horizon + 1, 6))
     for r in range(args.replicates):
@@ -150,28 +122,12 @@ def cmd_simulate(args) -> RunReport:
         for day in range(1, horizon + 1)
     ]
     out = os.path.join(args.out, f"summary.{args.format}")
-    _write_rows(out, rows, args.format)
+    dataio.write_table(out, rows, args.format)
     report.outputs.append(out)
-    report.wall_time_s = time.monotonic() - t0
-    report.check()
-    return report
 
 
-def cmd_scenario(args) -> RunReport:
-    t0 = time.monotonic()
+def cmd_scenario(args, report: RunReport) -> None:
     bundle = build_scenario(args.name)
-    interval_spec = None
-    if args.intervals:
-        interval_spec = IntervalSpec(
-            method="bca-bootstrap",
-            bootstrap_iterations=args.bootstrap,
-            jackknife_block_size=args.block_size,
-        )
-    report = RunReport(
-        command="scenario",
-        config_digest=_config_digest(args),
-        seed=args.seed,
-    )
     if bundle.ht_known_available and args.replicates < HT_K_REFERENCE_REPLICATES:
         report.warnings.append(
             f"known-weight estimator reference runs use {HT_K_REFERENCE_REPLICATES} replicates; "
@@ -182,7 +138,7 @@ def cmd_scenario(args) -> RunReport:
             "known-weight estimator is not defined under contact tracing; omitting ht-k columns"
         )
     run = functools.partial(
-        run_scenario, bundle, seed=args.seed, interval_spec=interval_spec,
+        run_scenario, bundle, seed=args.seed, interval_spec=_interval_spec(args),
         min_stratum_size=args.min_stratum_size, population_size=args.population,
     )
     jobs = args.jobs
@@ -198,37 +154,21 @@ def cmd_scenario(args) -> RunReport:
         result = ScenarioRunResult.concat(parts)
     os.makedirs(args.out, exist_ok=True)
     out = os.path.join(args.out, f"{args.name}.{args.format}")
-    _write_rows(out, list(result.rows()), args.format)
+    dataio.write_table(out, result.rows(), args.format)
     report.outputs.append(out)
-    report.wall_time_s = time.monotonic() - t0
-    report.check()
-    return report
 
 
-def cmd_analyze(args) -> RunReport:
-    t0 = time.monotonic()
+def cmd_analyze(args, report: RunReport) -> None:
     matrix = parse_testing_matrix(args.matrix)
     policy = dataio.load_adjustment_policy(args.policy) if args.policy else AdjustmentPolicy()
     adjusted = dataio.apply_adjustments(matrix, policy)
-    interval_spec = None
-    if args.intervals:
-        interval_spec = IntervalSpec(
-            method="bca-bootstrap",
-            bootstrap_iterations=args.bootstrap,
-            jackknife_block_size=args.block_size,
-        )
     series = estimate_panel_series(
         adjusted.panel,
         policy.tests,
         estimators=("tpr", "ht-e"),
-        interval_spec=interval_spec,
+        interval_spec=_interval_spec(args),
         excluded_days=adjusted.excluded_days,
         min_stratum_size=args.min_stratum_size,
-        seed=args.seed,
-    )
-    report = RunReport(
-        command="analyze",
-        config_digest=_config_digest(args),
         seed=args.seed,
     )
     n_excluded = int(adjusted.excluded_days[1:].sum())
@@ -242,31 +182,16 @@ def cmd_analyze(args) -> RunReport:
         report.warnings.append(
             f"{adjusted.n_dropped_isolation} test(s) during isolation windows dropped"
         )
-    if args.format == "jsonl":
-        series.to_jsonl(args.out)
-    else:
-        series.to_csv(args.out)
+    dataio.write_table(args.out, series.rows(), args.format)
     report.outputs.append(args.out)
-    report.wall_time_s = time.monotonic() - t0
-    report.check()
-    return report
 
 
-def cmd_anonymize(args) -> RunReport:
-    t0 = time.monotonic()
+def cmd_anonymize(args, report: RunReport) -> None:
     matrix = parse_testing_matrix(args.matrix)
     policy = dataio.load_adjustment_policy(args.policy) if args.policy else AdjustmentPolicy()
     shuffled = dataio.anonymize_shuffle(matrix, seed=args.seed, policy=policy)
     write_testing_matrix(shuffled, args.out)
-    report = RunReport(
-        command="anonymize",
-        config_digest=_config_digest(args),
-        seed=args.seed,
-        outputs=[args.out],
-        wall_time_s=time.monotonic() - t0,
-    )
-    report.check()
-    return report
+    report.outputs.append(args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +283,13 @@ def main(argv=None) -> int:
             args.jobs = _positive_int(raw)
         except (ValueError, argparse.ArgumentTypeError):
             parser.error(f"PREVEST_JOBS must be a positive integer, got {raw!r}")
+    t0 = time.monotonic()
     try:
-        report = args.func(args)
+        report = RunReport(command=args.command, config_digest=_config_digest(args),
+                           seed=args.seed)
+        args.func(args, report)
+        report.wall_time_s = time.monotonic() - t0
+        report.check()
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return CONFIG_EXIT

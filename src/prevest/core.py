@@ -265,16 +265,6 @@ class EventHistory:
         i = m - 2
         return self.infectious_end_times[i] if i < len(self.infectious_end_times) else ONGOING
 
-    # -- convenience views used by the estimators
-
-    def last_test_before(self, t: int) -> tuple[Day, bool]:
-        k, _, _ = last_event_indices(self, t)
-        return self.test_time(k), self.test_result(k)
-
-    def last_clearance_before(self, t: int) -> Day:
-        _, l, _ = last_event_indices(self, t)
-        return self.clearance_time(l)
-
 
 def last_event_indices(history: EventHistory, t: int) -> tuple[int, int, int]:
     """Indices of the most recent test, clearance, and exposure strictly before day ``t``.

@@ -9,14 +9,19 @@ pre-surveillance baseline).
 
 Scenario, regimen, adjustment-policy and interval configs are JSON objects;
 see the README for the schema and defaults.
+
+Output tables (estimate series, scenario aggregates, simulation summaries)
+all go through :func:`write_table`.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 import json
+import math
+import numbers
 from dataclasses import dataclass, fields
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -151,6 +156,35 @@ def write_testing_matrix(matrix: TestingMatrix, path) -> None:
             fh.write(",".join(cells) + "\n")
 
 
+def write_table(path, rows: Iterable[dict], fmt: str) -> None:
+    """Write table rows as CSV (header from the first row's keys) or JSONL.
+
+    CSV floats are written as ``.10g``; a nan cell is undefined and written
+    as ``nan`` in CSV and ``null`` in JSONL.
+    """
+    if fmt not in ("csv", "jsonl"):
+        raise ValueError(f"unknown table format {fmt!r}")
+    rows = list(rows)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        if fmt == "jsonl":
+            for row in rows:
+                fh.write(json.dumps({k: None if _is_nan(v) else v for k, v in row.items()}) + "\n")
+        elif rows:
+            fh.write(",".join(rows[0]) + "\n")
+            for row in rows:
+                fh.write(",".join(_csv_cell(row[k]) for k in rows[0]) + "\n")
+
+
+def _is_nan(value) -> bool:
+    return isinstance(value, float) and math.isnan(value)
+
+
+def _csv_cell(value) -> str:
+    if isinstance(value, float):
+        return "nan" if math.isnan(value) else format(value, ".10g")
+    return str(value)
+
+
 def matrix_from_simulation(
     sim: SimulationResult, start_date: dt.date = dt.date(2020, 8, 31)
 ) -> TestingMatrix:
@@ -189,12 +223,23 @@ class AdjustmentPolicy:
     assumed_specificity: float = 1.0
 
     def __post_init__(self):
+        kinds = {"int": numbers.Integral, "bool": bool, "float": numbers.Real}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # bool is an int subclass: only the bool field may hold one
+            is_bool = isinstance(value, bool)
+            if is_bool != (f.type == "bool") or not isinstance(value, kinds[f.type]):
+                raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}")
         for name in ("result_delay_days", "isolation_days", "post_isolation_exemption_days",
                      "min_daily_tests"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} cannot be negative")
         if self.isolation_days < 1:
             raise ConfigError("isolation must last at least one day")
+        try:
+            self.tests.require_informative()
+        except ValueError as exc:
+            raise ConfigError(f"assumed_sensitivity/assumed_specificity: {exc}") from exc
 
     @property
     def tests(self) -> TestCharacteristics:
@@ -406,7 +451,10 @@ def scenario_config_from_dict(obj: dict) -> ScenarioConfig:
     kwargs["regimen"] = _regimen_from_dict(kwargs["regimen"])
     if "tests" in kwargs:
         _require_keys(kwargs["tests"], {"sensitivity", "specificity"}, "tests")
-        kwargs["tests"] = TestCharacteristics(**kwargs["tests"])
+        try:
+            kwargs["tests"] = TestCharacteristics(**kwargs["tests"])
+        except ValueError as exc:
+            raise ConfigError(f"tests: {exc}") from exc
     if kwargs.get("sensitivity_curve") is not None:
         _require_keys(kwargs["sensitivity_curve"], {"peak", "window"}, "sensitivity_curve")
         kwargs["sensitivity_curve"] = SensitivityCurve(**kwargs["sensitivity_curve"])

@@ -26,7 +26,6 @@ incidence behaviour that keeps noisy reciprocal weights from exploding.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional, Sequence
@@ -140,17 +139,6 @@ class Panel:
 
 # ---------------------------------------------------------------------------
 # Schedule matrices
-
-
-@dataclass(frozen=True)
-class StratumKey:
-    """Identifies a stratum by the shared last clearance day."""
-
-    last_clearance_day: int
-
-    def __post_init__(self):
-        if self.last_clearance_day < 0:
-            raise ValueError("clearance day cannot be negative")
 
 
 @dataclass
@@ -325,6 +313,11 @@ def tpr_prevalence(positives: int, tested: int, tests: TestCharacteristics) -> t
     rate = tpr(positives, tested)
     if math.isnan(rate):
         return math.nan, math.nan
+    return prevalence_from_rate(rate, tests)
+
+
+def prevalence_from_rate(rate: float, tests: TestCharacteristics) -> tuple[float, float]:
+    """Positive rate mapped to (clipped, unclipped) prevalence for an imperfect test."""
     tests.require_informative()
     unclipped = (rate - (1.0 - tests.specificity)) / tests.youden
     return min(max(unclipped, 0.0), 1.0), unclipped
@@ -431,10 +424,6 @@ class WeightTable:
             raise ValueError(f"weight for stratum {stratum} must be finite and >= 1, got {weight}")
         self.entries[stratum] = StratumWeight(stratum, weight, provenance)
 
-    @property
-    def n_fallback(self) -> int:
-        return sum(1 for e in self.entries.values() if e.provenance == "fallback")
-
 
 class EstimateSeries:
     """Per-day estimate records with a fixed serialisation column order."""
@@ -447,34 +436,11 @@ class EstimateSeries:
     def append(self, record: DayEstimate) -> None:
         self.records.append(record)
 
-    def for_kind(self, kind: str) -> list[DayEstimate]:
-        return [r for r in self.records if r.kind == kind]
-
-    def _rows(self):
+    def rows(self):
+        """One row per record, keyed by :attr:`COLUMNS`."""
         for r in self.records:
-            yield (r.day, r.kind, r.estimate, r.lo, r.hi, r.n_tests, r.n_positive,
-                   r.n_fallback_strata)
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(self.COLUMNS) + "\n")
-            for row in self._rows():
-                fh.write(",".join(_cell(v) for v in row) + "\n")
-
-    def to_jsonl(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for row in self._rows():
-                fh.write(json.dumps(dict(zip(self.COLUMNS, _json_safe(row)))) + "\n")
-
-
-def _cell(value) -> str:
-    if isinstance(value, float):
-        return "nan" if math.isnan(value) else format(value, ".10g")
-    return str(value)
-
-
-def _json_safe(row):
-    return [None if isinstance(v, float) and math.isnan(v) else v for v in row]
+            yield dict(zip(self.COLUMNS, (r.day, r.kind, r.estimate, r.lo, r.hi, r.n_tests,
+                                          r.n_positive, r.n_fallback_strata)))
 
 
 # ---------------------------------------------------------------------------
@@ -515,8 +481,6 @@ class DayEvaluator:
 
         self._nonrem = nonrem.astype(float)
         self._assumed = assumed.astype(float)
-        self._n_tests_all = panel.tested[:, t] & nonrem
-        self._n_pos_all = panel.positive[:, t] & nonrem
 
         idx = np.flatnonzero(member)
         slot = slot_of[strat[idx]]
@@ -624,11 +588,25 @@ class DayEvaluator:
                     elif n_c[0, j] > 0:
                         collect.add(int(c), None, "fallback")
         self._last_fallback = fallback
-        self._last_nonremoved = nonrem_n
         with np.errstate(invalid="ignore", divide="ignore"):
             unclipped = np.where(nonrem_n > 0, (nonrem_n - w_hat) / np.maximum(nonrem_n, 1.0), np.nan)
         self._last_unclipped = unclipped
         return np.clip(unclipped, 0.0, 1.0)
+
+    def day_estimate(self, collect: Optional[WeightTable] = None) -> DayEstimate:
+        """The ``ht-e`` record of the panel as observed (no resampling)."""
+        t = self.day
+        nonrem = ~self.panel.removed[:, t]
+        clipped = self.estimate(collect=collect)
+        return DayEstimate(
+            day=t,
+            kind="ht-e",
+            estimate=float(clipped[0]),
+            unclipped=float(self._last_unclipped[0]),
+            n_tests=int((self.panel.tested[:, t] & nonrem).sum()),
+            n_positive=int((self.panel.positive[:, t] & nonrem).sum()),
+            n_fallback_strata=int(self._last_fallback[0]),
+        )
 
     # -- resampling adapter (bootstrap over individuals)
 
@@ -661,18 +639,8 @@ def ht_estimated(
     weight_cap: Optional[float] = None,
 ) -> tuple[DayEstimate, WeightTable]:
     """Estimated-weight prevalence estimate for one day, with its weight table."""
-    ev = DayEvaluator(panel, day, tests, min_stratum_size, weight_cap)
     table = WeightTable(day=day)
-    clipped = ev.estimate(collect=table)
-    est = DayEstimate(
-        day=day,
-        kind="ht-e",
-        estimate=float(clipped[0]),
-        unclipped=float(ev._last_unclipped[0]),
-        n_tests=int(ev._n_tests_all.sum()),
-        n_positive=int(ev._n_pos_all.sum()),
-        n_fallback_strata=int(ev._last_fallback[0]),
-    )
+    est = DayEvaluator(panel, day, tests, min_stratum_size, weight_cap).day_estimate(table)
     return est, table
 
 

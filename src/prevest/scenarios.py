@@ -41,6 +41,7 @@ from .estimators import (
     Panel,
     exact_schedule_matrix,
     ht_known,
+    prevalence_from_rate,
     testing_probability_from_matrix,
     tpr_prevalence,
 )
@@ -251,10 +252,8 @@ def estimate_panel_series(
                                      n_tests=n_tests, n_positive=n_pos)
                 if interval_spec is not None:
                     lo, hi = clopper_pearson(n_pos, n_tests, level)
-                    lo = (lo - (1.0 - tests.specificity)) / tests.youden
-                    hi = (hi - (1.0 - tests.specificity)) / tests.youden
-                    record.lo = min(max(lo, 0.0), 1.0)
-                    record.hi = min(max(hi, 0.0), 1.0)
+                    record.lo = prevalence_from_rate(lo, tests)[0]
+                    record.hi = prevalence_from_rate(hi, tests)[0]
             elif kind == "ht-k":
                 if known_weights is None:
                     raise ValueError("ht-k requires known testing-probability weights")
@@ -267,13 +266,7 @@ def estimate_panel_series(
                     )
             elif kind == "ht-e":
                 evaluator = DayEvaluator(panel, day, tests, min_stratum_size)
-                point = float(evaluator.estimate()[0])
-                record = DayEstimate(
-                    day=day, kind="ht-e", estimate=point,
-                    unclipped=float(evaluator._last_unclipped[0]),
-                    n_tests=n_tests, n_positive=n_pos,
-                    n_fallback_strata=int(evaluator._last_fallback[0]),
-                )
+                record = evaluator.day_estimate()
                 if interval_spec is not None:
                     interval = bca_bootstrap(
                         evaluator.resampler(), panel.n_individuals, interval_spec,

@@ -206,10 +206,6 @@ class SimulationResult:
             day=t, well=self.well[t], infectious=self.infectious[t], removed=self.removed[t]
         )
 
-    @property
-    def states(self) -> list[CompartmentState]:
-        return [self.state(t) for t in range(self.horizon + 1)]
-
     def transition(self, t: int) -> DailyTransition:
         return DailyTransition(
             day=t,
@@ -219,10 +215,6 @@ class SimulationResult:
             undetected_recovered=self.undetected_recovered[t],
             cleared=self.cleared[t],
         )
-
-    @property
-    def transitions(self) -> list[DailyTransition]:
-        return [self.transition(t) for t in range(self.horizon + 1)]
 
     @cached_property
     def histories(self) -> list[EventHistory]:

@@ -18,20 +18,14 @@ from scipy import stats
 
 from .core import TestCharacteristics
 
-METHODS = ("clopper-pearson", "wald-ht", "bca-bootstrap")
-
-
 @dataclass(frozen=True)
 class IntervalSpec:
-    method: str = "bca-bootstrap"
     level: float = 0.95
     bootstrap_iterations: int = 399
     jackknife_block_size: int = 10
     jackknife_block_count: Optional[int] = None  # overrides the size when set
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"unknown interval method {self.method!r}")
         if not 0.0 < self.level < 1.0:
             raise ValueError(f"confidence level must be in (0, 1), got {self.level}")
         if self.bootstrap_iterations < 1:

@@ -84,6 +84,12 @@ class TestSimulateCommand:
         bad.write_text('{"population_size": 10}')
         assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 3
 
+    def test_invalid_test_characteristics_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(dict(SCENARIO_JSON, tests={"sensitivity": 1.5})))
+        assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 3
+        assert "tests: sensitivity" in capsys.readouterr().err
+
     def test_jsonl_format(self, tmp_path, config_path):
         out = tmp_path / "runs"
         main(["simulate", "--config", str(config_path), "--out", str(out),
@@ -144,6 +150,25 @@ class TestAnalyzeCommand:
         bad = tmp_path / "bad.csv"
         bad.write_text("2020-08-31\nX\n")
         assert main(["analyze", "--matrix", str(bad), "--out", str(tmp_path / "o.csv")]) == 4
+
+    @pytest.mark.parametrize("policy,field", [
+        ({"assumed_sensitivity": 1.5}, "assumed_sensitivity"),
+        ({"result_delay_days": 1.5}, "result_delay_days"),
+        ({"isolation_days": "10"}, "isolation_days"),
+        ({"assumed_sensitivity": 0.5, "assumed_specificity": 0.5, "min_daily_tests": 0},
+         "assumed_sensitivity"),
+        ({"keep_first_test_per_week": "no"}, "keep_first_test_per_week"),
+    ], ids=["sensitivity-above-one", "fractional-delay", "string-isolation",
+            "uninformative-test", "string-week-flag"])
+    def test_bad_policy_value_is_config_error(self, tmp_path, matrix_path, capsys, policy,
+                                              field):
+        path = tmp_path / "policy.json"
+        path.write_text(json.dumps(policy))
+        out = tmp_path / "est.csv"
+        assert main(["analyze", "--matrix", str(matrix_path), "--policy", str(path),
+                     "--out", str(out)]) == 3
+        assert field in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag,value", [
         ("--bootstrap", "0"),

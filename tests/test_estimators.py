@@ -509,25 +509,59 @@ class TestBiasRatio:
 
 
 class TestSeriesSerialisation:
+    """All three output tables go through ``dataio.write_table``."""
+
     def test_csv_and_jsonl_round_trip(self, tmp_path):
+        import json
+
+        from prevest.dataio import write_table
+        from prevest.scenarios import ScenarioRunResult
+
         series = EstimateSeries([
             DayEstimate(day=1, kind="tpr", estimate=0.05, lo=0.01, hi=0.09,
                         n_tests=100, n_positive=5),
             DayEstimate(day=2, kind="ht-e", estimate=math.nan),
         ])
+        nan = math.nan
+        aggregate = ScenarioRunResult(
+            name="min-max", replicates=2, seed=0, estimators=("tpr",),
+            truth=np.array([[nan, 0.1], [nan, 0.3]]),
+            estimates={"tpr": np.array([[nan, 0.05], [nan, 0.05]])},
+            unclipped={"tpr": np.array([[nan, 0.05], [nan, 0.05]])},
+            covered={"tpr": np.full((2, 2), nan)}, with_intervals=False,
+        )
+        summary = {"day": 1, "mean_well": 193.0, "mean_infectious": 7.0, "mean_removed": 0.0,
+                   "mean_tests": 21.0, "mean_positives": 0.0,
+                   "mean_prevalence_nonremoved": 0.035}
+
         csv_path = tmp_path / "series.csv"
-        series.to_csv(csv_path)
+        write_table(csv_path, series.rows(), "csv")
         lines = csv_path.read_text().splitlines()
         assert lines[0] == "day,kind,estimate,lo,hi,n_tests,n_pos,n_fallback_strata"
         assert lines[1].startswith("1,tpr,0.05,0.01,0.09,100,5,0")
         assert lines[2].startswith("2,ht-e,nan")
         jsonl_path = tmp_path / "series.jsonl"
-        series.to_jsonl(jsonl_path)
-        import json
-
+        write_table(jsonl_path, series.rows(), "jsonl")
         rows = [json.loads(l) for l in jsonl_path.read_text().splitlines()]
         assert rows[0]["estimate"] == 0.05
         assert rows[1]["estimate"] is None
+
+        write_table(csv_path, aggregate.rows(), "csv")
+        lines = csv_path.read_text().splitlines()
+        assert lines[0] == "scenario,estimator,day,mean_estimate,mean_truth,bias,rmse,ci_coverage"
+        assert lines[1].startswith("min-max,tpr,1,0.05,0.2,-0.15,") and lines[1].endswith(",nan")
+        write_table(jsonl_path, aggregate.rows(), "jsonl")
+        (row,) = [json.loads(l) for l in jsonl_path.read_text().splitlines()]
+        assert row["mean_estimate"] == 0.05 and row["ci_coverage"] is None
+
+        write_table(csv_path, [summary], "csv")
+        assert csv_path.read_text().splitlines() == [
+            "day,mean_well,mean_infectious,mean_removed,mean_tests,mean_positives,"
+            "mean_prevalence_nonremoved",
+            "1,193,7,0,21,0,0.035",
+        ]
+        write_table(jsonl_path, [summary], "jsonl")
+        assert json.loads(jsonl_path.read_text()) == summary
 
     def test_weight_table_rejects_sub_unit_weights(self):
         table = WeightTable(day=1)

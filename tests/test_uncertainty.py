@@ -17,8 +17,6 @@ from prevest.uncertainty import (
 class TestIntervalSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
-            IntervalSpec(method="wilson")
-        with pytest.raises(ValueError):
             IntervalSpec(level=1.0)
         with pytest.raises(ValueError):
             IntervalSpec(bootstrap_iterations=0)
