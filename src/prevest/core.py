@@ -18,11 +18,32 @@ arithmetic.
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence, Union
 
 import numpy as np
+
+
+class ConfigError(ValueError):
+    """A regimen/scenario/policy configuration is invalid."""
+
+
+_FIELD_KINDS = {"int": numbers.Integral, "bool": bool, "float": numbers.Real}
+
+
+def check_field_types(obj) -> None:
+    """Raise :class:`ConfigError` naming the first dataclass field typed int, bool or
+    float (or ``Optional`` of one, which admits None) that holds another type."""
+    for f in fields(obj):
+        kind = _FIELD_KINDS.get(f.type.removeprefix("Optional[").removesuffix("]"))
+        value = getattr(obj, f.name)
+        if kind is None or (value is None and f.type.startswith("Optional[")):
+            continue
+        # bool is an int subclass: only a bool field may hold one
+        if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+            raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}")
 
 
 class HistoryError(ValueError):
@@ -102,6 +123,7 @@ class TestCharacteristics:
     __test__ = False  # "Test" prefix is domain vocabulary, not a pytest suite
 
     def __post_init__(self):
+        check_field_types(self)
         if not (0.0 < self.sensitivity <= 1.0):
             raise ValueError(f"sensitivity must be in (0, 1], got {self.sensitivity}")
         if not (0.0 < self.specificity <= 1.0):

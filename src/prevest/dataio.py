@@ -19,13 +19,12 @@ from __future__ import annotations
 import datetime as dt
 import json
 import math
-import numbers
 from dataclasses import dataclass, fields
 from typing import Iterable, Optional
 
 import numpy as np
 
-from .core import TestCharacteristics
+from .core import TestCharacteristics, check_field_types
 from .estimators import Panel
 from .regimens import ConfigError, Overlays, RegimenConfig
 from .simulate import (
@@ -223,13 +222,7 @@ class AdjustmentPolicy:
     assumed_specificity: float = 1.0
 
     def __post_init__(self):
-        kinds = {"int": numbers.Integral, "bool": bool, "float": numbers.Real}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            # bool is an int subclass: only the bool field may hold one
-            is_bool = isinstance(value, bool)
-            if is_bool != (f.type == "bool") or not isinstance(value, kinds[f.type]):
-                raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}")
+        check_field_types(self)
         for name in ("result_delay_days", "isolation_days", "post_isolation_exemption_days",
                      "min_daily_tests"):
             if getattr(self, name) < 0:

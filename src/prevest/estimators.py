@@ -38,6 +38,8 @@ from .regimens import RegimenConfig, next_test_pmf
 from .uncertainty import wald_ht_variance
 
 _EPS = 1e-12
+# Byte budget of one (rows x (span + 1) x span) block in DayEvaluator._stratum_probs.
+_SOLVE_BLOCK_BYTES = 16 << 20
 
 
 class DegenerateStratumError(ValueError):
@@ -156,10 +158,6 @@ class ScheduleMatrix:
     horizon: int
     entries: np.ndarray
 
-    @property
-    def size(self) -> int:
-        return self.horizon + 2
-
     def validate(self) -> None:
         c, t, p = self.stratum, self.horizon, self.entries
         if not 0 <= c < t:
@@ -177,11 +175,8 @@ class ScheduleMatrix:
             raise ValueError("matrix must be upper triangular with a zero diagonal")
         if p[t + 1, t + 1] != 1.0:
             raise ValueError("bottom-right corner must be 1")
-        indicator = np.zeros(t + 2)
-        indicator[t + 1] = 1.0
-        for s in range(c):
-            if np.any(p[s] != indicator):
-                raise ValueError(f"row {s} (before the stratum day) must be the tail indicator")
+        if np.any(p[:c] != _indicator_base(t)[:c]):
+            raise ValueError(f"rows before the stratum day {c} must be the tail indicator")
 
 
 def _indicator_base(t: int) -> np.ndarray:
@@ -232,40 +227,29 @@ def estimate_schedule_matrix(panel: Panel, stratum: int, t: int) -> ScheduleMatr
     return matrix
 
 
-def _row_block_walk(rows: np.ndarray, c: int, nu: float) -> tuple[np.ndarray, np.ndarray]:
+def _solve_ratio_terms(block: np.ndarray, nu: float) -> tuple[np.ndarray, np.ndarray]:
     """Numerator and denominator of the testing-probability ratio, batched.
 
-    ``rows[b]`` holds rows ``c..t`` of schedule matrix b, shape
-    ``(t - c + 1, t + 2)``.  For each matrix P: numerator = sum_{k=1}^{t-c}
-    nu^(k-1) (P^k)[c, t]; denominator = sum_k nu^(k-1) ((P^k - P^(k-1))[c, t]
-    + (P^k - P^(k-1))[c, t+1]).  Only row ``c`` of the powers is needed, so
-    powers are taken as vector-matrix products; with the remaining rows equal
-    to the tail indicator, the walk never leaves columns ``c..t`` except into
-    column ``t + 1``, whose mass stays put.
+    ``block[b]`` holds rows ``c..t`` of schedule matrix P_b transposed, shape
+    ``(span + 1, span)``, span = t - c + 1: ``block[b, j, i] = P[c + i, c + j]``
+    is the strictly upper-triangular block Q, ``block[b, span]`` the tail
+    column r = P[c..t, t + 1].  Q is nilpotent, so the series sum_k nu^(k-1)
+    (P^k)[c, t] is finite: x = e_c (I - nu Q)^-1 by forward substitution,
+    x_j = nu y_j with y_j = sum_{i<j} x_i Q[i, j].  Numerator = y_t; the
+    denominator sum_k nu^(k-1) (P^k - P^(k-1))[c, t..t+1] = y_t + sum_{j<t} x_j r_j.
     """
-    b, _, width = rows.shape
-    t = width - 2
-    v = np.zeros((b, width))
-    v[:, c] = 1.0
-    prev_tail = v[:, t] + v[:, t + 1]
-    num = np.zeros(b)
-    den = np.zeros(b)
-    coef = 1.0
-    for _ in range(t - c):
-        inner = np.matmul(v[:, None, c : t + 1], rows)[:, 0, :]
-        inner[:, t + 1] += v[:, t + 1]  # absorbing tail column
-        v = inner
-        tail = v[:, t] + v[:, t + 1]
-        num += coef * v[:, t]
-        den += coef * (tail - prev_tail)
-        prev_tail = tail
-        coef *= nu
-    return num, den
+    span = block.shape[2]
+    x = np.zeros((block.shape[0], span))
+    x[:, 0] = 1.0
+    for j in range(1, span):
+        y = np.einsum("bi,bi->b", x[:, :j], block[:, j, :j])
+        x[:, j] = nu * y
+    return y, y + np.einsum("bi,bi->b", x[:, :-1], block[:, span, :-1])
 
 
 def _ratio_terms(mats: np.ndarray, nu: float, c: int, t: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_row_block_walk` over whole ``(t + 2) x (t + 2)`` schedule matrices."""
-    return _row_block_walk(mats[:, c : t + 1], c, nu)
+    """:func:`_solve_ratio_terms` over whole ``(t + 2) x (t + 2)`` schedule matrices."""
+    return _solve_ratio_terms(np.swapaxes(mats[:, c : t + 1, c : t + 2], 1, 2), nu)
 
 
 def testing_probability_from_matrix(matrix: ScheduleMatrix, specificity: float) -> float:
@@ -452,7 +436,7 @@ class DayEvaluator:
 
     Precomputes the stratum bookkeeping and next-test contributions once so
     that resampled re-estimation (bootstrap multiplicity vectors, jackknife
-    blocks) reduces to count aggregation plus batched matrix powers.
+    blocks) reduces to count aggregation plus batched triangular solves.
     """
 
     def __init__(self, panel: Panel, day: int, tests: TestCharacteristics,
@@ -479,19 +463,18 @@ class DayEvaluator:
         slot_of = np.full(t + 1, -1)
         slot_of[self.strata] = np.arange(s_count)
 
-        self._nonrem = nonrem.astype(float)
-        self._assumed = assumed.astype(float)
-
+        # Indicator columns: non-removed, assumed well, then stratum member,
+        # tested and tested negative, one column per stratum slot each.
         idx = np.flatnonzero(member)
-        slot = slot_of[strat[idx]]
+        slot = 2 + slot_of[strat[idx]]
         tested_t = panel.tested[idx, t]
         neg_t = tested_t & ~panel.positive[idx, t]
-        self._member_oh = np.zeros((n, s_count))
-        self._tested_oh = np.zeros((n, s_count))
-        self._neg_oh = np.zeros((n, s_count))
-        self._member_oh[idx, slot] = 1.0
-        self._tested_oh[idx[tested_t], slot[tested_t]] = 1.0
-        self._neg_oh[idx[neg_t], slot[neg_t]] = 1.0
+        self._indicators = np.zeros((n, 2 + 3 * s_count))
+        self._indicators[:, 0] = nonrem
+        self._indicators[:, 1] = assumed
+        self._indicators[idx, slot] = 1.0
+        self._indicators[idx[tested_t], s_count + slot[tested_t]] = 1.0
+        self._indicators[idx[neg_t], 2 * s_count + slot[neg_t]] = 1.0
 
         # Next-test contributions over (individual, row day s <= t): row s of
         # stratum c = after[i, s] <= s counts the clearance itself (s == c) or
@@ -519,34 +502,38 @@ class DayEvaluator:
 
         ``need[b, j]`` marks the pairs whose probability is actually used
         (large-enough resampled stratum with at least one test); everything
-        else falls back to a headcount, so the matrix walk is only run on
-        the needed rows of each stratum.  Each stratum's observed codes are
-        scattered back into its dense ``span x width`` row block (rows
-        ``c..t``), which is all :func:`_row_block_walk` reads.
+        else falls back to a headcount.  The needed rows of each stratum go
+        through in chunks under ``_SOLVE_BLOCK_BYTES`` (rows are independent):
+        the observed codes are normalised in place by their row sums and
+        scattered straight into the transposed Q and r that
+        :func:`_solve_ratio_terms` reads; an unobserved row becomes the tail
+        indicator.
         """
-        b = counts.shape[0]
         t = self.day
         nu = self.tests.specificity
         width = t + 2
-        probs = np.zeros((b, len(self.strata)))
+        probs = np.zeros((counts.shape[0], len(self.strata)))
         for j, c in enumerate(self.strata):
             sel = np.flatnonzero(need[:, j])
             if sel.size == 0:
                 continue
-            span = t - c + 1  # row offsets 0..t-c correspond to matrix rows c..t
+            span = t - int(c) + 1  # row offsets 0..t-c correspond to matrix rows c..t
             lo, hi = self._bounds[j], self._bounds[j + 1]
-            rows = np.zeros((sel.size, span * width))
-            rows[:, self._codes[lo:hi] - j * width * width] = counts[sel, lo:hi]
-            rows = rows.reshape(sel.size, span, width)
-            sums = rows.sum(axis=2, keepdims=True)
-            empty = sums[..., 0] == 0
-            rows = rows / np.maximum(sums, 1.0)
-            if np.any(empty):
-                rows[empty] = 0.0
-                rows[empty, t + 1] = 1.0  # unobserved row: tail indicator
-            num, den = _row_block_walk(rows, c, nu)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                probs[sel, j] = np.where(den > _EPS, num / np.maximum(den, _EPS), 0.0)
+            row, value = np.divmod(self._codes[lo:hi] - j * width * width, width)
+            pos = (value - c) * span + row  # Q^T[value - c, row]; value t + 1 lands in r
+            starts = np.flatnonzero(np.diff(row, prepend=-1))  # codes are sorted by row
+            step = max(1, _SOLVE_BLOCK_BYTES // (8 * (span + 1) * span))
+            for first in range(0, sel.size, step):
+                rows = sel[first : first + step]
+                part = counts[rows, lo:hi]
+                sums = np.zeros((rows.size, span))
+                sums[:, row[starts]] = np.add.reduceat(part, starts, axis=1)
+                part /= np.maximum(sums, 1.0)[:, row]
+                block = np.zeros((rows.size, span + 1, span))
+                block.reshape(rows.size, -1)[:, pos] = part
+                block[:, span][sums == 0] = 1.0  # unobserved row: tail indicator
+                num, den = _solve_ratio_terms(block, nu)
+                probs[rows, j] = np.where(den > _EPS, num / np.maximum(den, _EPS), 0.0)
         return np.minimum(probs, 1.0)
 
     def estimate(self, multiplicity: np.ndarray | None = None,
@@ -559,14 +546,12 @@ class DayEvaluator:
             multiplicity = np.ones((1, panel.n_individuals))
         b = multiplicity.shape[0]
 
-        assumed_n = multiplicity @ self._assumed
-        nonrem_n = multiplicity @ self._nonrem
-        w_hat = assumed_n.copy()
+        totals = multiplicity @ self._indicators  # integer-valued, so exact in any order
+        nonrem_n = totals[:, 0]
+        w_hat = totals[:, 1].copy()
         fallback = np.zeros(b)
         if len(self.strata):
-            n_c = multiplicity @ self._member_oh          # [b, S]
-            tested_c = multiplicity @ self._tested_oh
-            neg_c = multiplicity @ self._neg_oh
+            n_c, tested_c, neg_c = totals[:, 2:].reshape(b, 3, -1).transpose(1, 0, 2)  # [b, S] each
             counts = np.asarray(self._contrib.T.dot(multiplicity.T).T)  # [b, codes]
             need = (n_c >= self.min_stratum_size) & (tested_c > 0)
             probs = self._stratum_probs(counts, need)
@@ -588,8 +573,7 @@ class DayEvaluator:
                     elif n_c[0, j] > 0:
                         collect.add(int(c), None, "fallback")
         self._last_fallback = fallback
-        with np.errstate(invalid="ignore", divide="ignore"):
-            unclipped = np.where(nonrem_n > 0, (nonrem_n - w_hat) / np.maximum(nonrem_n, 1.0), np.nan)
+        unclipped = np.where(nonrem_n > 0, (nonrem_n - w_hat) / np.maximum(nonrem_n, 1.0), np.nan)
         self._last_unclipped = unclipped
         return np.clip(unclipped, 0.0, 1.0)
 

@@ -29,11 +29,9 @@ from typing import Optional
 
 import numpy as np
 
+from .core import ConfigError
+
 KINDS = ("simple-random", "max-gap", "once-per-period", "min-max", "rotation", "clustered")
-
-
-class ConfigError(ValueError):
-    """A regimen/scenario/policy configuration is invalid."""
 
 
 @dataclass(frozen=True)

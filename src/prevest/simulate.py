@@ -21,7 +21,13 @@ from typing import Optional
 
 import numpy as np
 
-from .core import CompartmentState, DailyTransition, EventHistory, TestCharacteristics
+from .core import (
+    CompartmentState,
+    DailyTransition,
+    EventHistory,
+    TestCharacteristics,
+    check_field_types,
+)
 from .regimens import ConfigError, RegimenConfig, probability_vector
 
 NO_EXPOSURE = np.iinfo(np.int32).min  # "never exposed" marker in internal arrays
@@ -109,9 +115,10 @@ class ScenarioConfig:
     undetected_recovery_days: Optional[int] = None
     sensitivity_curve: Optional[SensitivityCurve] = None
     baseline_exposure_window: int = 1
-    seed: int = 0
+    seed: int | tuple[int, ...] = 0  # SeedSequence entropy
 
     def __post_init__(self):
+        check_field_types(self)
         if self.population_size < 1:
             raise ConfigError("population size must be >= 1")
         if self.horizon_days < 1:

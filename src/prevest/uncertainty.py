@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import stats
+from scipy.special import betaincinv, ndtr, ndtri
 
 from .core import TestCharacteristics
 
@@ -43,12 +43,9 @@ def clopper_pearson(positives: int, tested: int, level: float = 0.95) -> tuple[f
     if not 0 <= positives <= tested:
         raise ValueError(f"positives {positives} outside 0..{tested}")
     alpha = 1.0 - level
-    lo = 0.0 if positives == 0 else float(stats.beta.ppf(alpha / 2, positives, tested - positives + 1))
-    hi = (
-        1.0
-        if positives == tested
-        else float(stats.beta.ppf(1 - alpha / 2, positives + 1, tested - positives))
-    )
+    lo = 0.0 if positives == 0 else float(betaincinv(positives, tested - positives + 1, alpha / 2))
+    hi = 1.0 if positives == tested else float(
+        betaincinv(positives + 1, tested - positives, 1 - alpha / 2))
     return lo, hi
 
 
@@ -84,7 +81,7 @@ def wald_prevalence_interval(
     nonremoved = n_population - removed
     if nonremoved <= 0:
         return math.nan, math.nan
-    z = float(stats.norm.ppf(0.5 + level / 2.0))
+    z = float(ndtri(0.5 + level / 2.0))
     half = z * math.sqrt(max(variance, 0.0))
     # prevalence = (nonremoved - w) / nonremoved is decreasing in w
     lo = (nonremoved - (w_hat + half)) / nonremoved
@@ -152,7 +149,7 @@ def bca_bootstrap(
 
     frac = float(np.mean(thetas < point))
     frac = min(max(frac, 0.5 / b_iter), 1.0 - 0.5 / b_iter)
-    z0 = float(stats.norm.ppf(frac))
+    z0 = float(ndtri(frac))
 
     jack_rng = np.random.Generator(
         np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
@@ -168,13 +165,11 @@ def bca_bootstrap(
     accel = float((centered**3).sum() / (6.0 * denom)) if denom > 0 else 0.0
 
     alpha = 1.0 - spec.level
-    out = []
-    for z_tail in (stats.norm.ppf(alpha / 2), stats.norm.ppf(1 - alpha / 2)):
-        shifted = z0 + float(z_tail)
-        scale = 1.0 - accel * shifted
-        adjusted = z0 + shifted / scale if scale > 0 else (math.inf if shifted > 0 else -math.inf)
-        out.append(float(stats.norm.cdf(adjusted)))
-    levels = tuple(float(a) for a in np.clip(out, 0.0, 1.0))
+    shifted = z0 + ndtri(np.array([alpha / 2, 1 - alpha / 2]))
+    scale = 1.0 - accel * shifted
+    with np.errstate(divide="ignore", invalid="ignore"):  # the scale <= 0 side is discarded
+        adjusted = np.where(scale > 0, z0 + shifted / scale, np.copysign(np.inf, shifted))
+    levels = tuple(float(a) for a in ndtr(adjusted))
     lo, hi = np.quantile(thetas, levels)
     if clip is not None:
         lo, hi = max(lo, clip[0]), min(hi, clip[1])

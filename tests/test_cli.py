@@ -90,6 +90,17 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 3
         assert "tests: sensitivity" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("change,field", [
+        ({"population_size": 120.0}, "population_size"),
+        ({"horizon_days": "10"}, "horizon_days"),
+        ({"tests": {"sensitivity": "0.9"}}, "tests: sensitivity"),
+    ], ids=["float-population", "string-horizon", "string-sensitivity"])
+    def test_mistyped_config_value_is_config_error(self, tmp_path, capsys, change, field):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(dict(SCENARIO_JSON, **change)))
+        assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 3
+        assert field in capsys.readouterr().err
+
     def test_jsonl_format(self, tmp_path, config_path):
         out = tmp_path / "runs"
         main(["simulate", "--config", str(config_path), "--out", str(out),

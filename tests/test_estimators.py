@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prevest import estimators
 from prevest.core import EventHistory, TestCharacteristics
 from prevest.estimators import (
     DayEvaluator,
@@ -214,7 +215,7 @@ def schedule_matrices(draw, max_horizon=9):
 
 
 class TestMatrixWalkMatchesFullMatrixOracle:
-    """The row-block walk against powers of the whole schedule matrix."""
+    """The triangular solve against powers of the whole schedule matrix."""
 
     @settings(max_examples=200, deadline=None)
     @given(matrix=schedule_matrices(), nu=st.sampled_from([1.0, 0.992, 0.9, 0.6]))
@@ -224,6 +225,36 @@ class TestMatrixWalkMatchesFullMatrixOracle:
         want = float(num[0] / den[0])
         assert testing_probability_from_matrix(matrix, nu) == pytest.approx(
             want, rel=1e-12, abs=1e-12)
+
+
+BUILTIN_REGIMENS = (
+    SIMPLE,
+    RegimenConfig.max_gap(10),
+    RegimenConfig.once_per_period(7),
+    RegimenConfig.min_max(10, 5),
+    RegimenConfig.rotation_every(7),
+)
+
+
+def test_exact_zero_and_one_probabilities_are_kept():
+    """Where the power walk gives exactly 0 or 1, so does the solve; criterion 04 needs it."""
+    n_exact = 0
+    for regimen in BUILTIN_REGIMENS:
+        for nu in (1.0, 0.992):
+            for t in range(1, 13):
+                for c in range(t):
+                    matrix = exact_schedule_matrix(regimen, c, t)
+                    num, den = full_matrix_ratio_terms(matrix.entries[None], nu, c, t)
+                    want = float(num[0] / den[0])
+                    if want not in (0.0, 1.0):
+                        continue
+                    try:
+                        got = testing_probability_from_matrix(matrix, nu)
+                    except DegenerateStratumError:
+                        got = 0.0
+                    assert got == want, (regimen.kind, nu, c, t, got)
+                    n_exact += 1
+    assert n_exact == 158
 
 
 def small_simulation(seed=21, regimen=SIMPLE, n=200, tests=STUDY):
@@ -400,6 +431,17 @@ class TestDayEvaluatorMatchesReference:
         assert est_perm.unclipped == pytest.approx(est.unclipped, abs=1e-12, nan_ok=True)
         assert (est_perm.n_tests, est_perm.n_positive, est_perm.n_fallback_strata) == (
             est.n_tests, est.n_positive, est.n_fallback_strata)
+
+    @pytest.mark.parametrize("budget", [1, 50_000])
+    def test_chunked_solve_equals_one_block(self, monkeypatch, budget):
+        panel = small_simulation(seed=17).panel()
+        rows = np.random.default_rng(4).poisson(1.0, (60, panel.n_individuals)).astype(float)
+        whole = [DayEvaluator(panel, day, STUDY, min_stratum_size=2).resampler().batch(rows)
+                 for day in range(1, panel.horizon + 1)]
+        monkeypatch.setattr(estimators, "_SOLVE_BLOCK_BYTES", budget)  # 1 byte: one row a chunk
+        for day, want in enumerate(whole, 1):
+            got = DayEvaluator(panel, day, STUDY, min_stratum_size=2).resampler().batch(rows)
+            np.testing.assert_array_equal(got, want, err_msg=str(day))
 
 
 def assert_same_interval(got, want):

@@ -18,12 +18,15 @@ To regenerate the goldens after a deliberate output change, run
 
     python tests/test_golden_outputs.py
 
-and review the diff of ``tests/golden/`` before committing it.
+It first prints, per file, every moved cell with its relative change and the
+worst relative change, then overwrites the goldens.  Review that report and
+the diff of ``tests/golden/`` before committing it.
 """
 
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import sys
@@ -112,10 +115,48 @@ def test_output_matches_golden(produced, name):
     assert produced[name] == (GOLDEN / name).read_bytes()
 
 
+def cells(name: str, data: bytes) -> dict:
+    """(row, column) -> cell of a golden: CSV by header, JSONL by key, else by line."""
+    lines = data.decode().splitlines()
+    if name.endswith(".jsonl"):
+        return {(r, k): v for r, line in enumerate(lines, 1) for k, v in json.loads(line).items()}
+    if name.endswith(".csv") and lines:
+        header = lines[0].split(",")
+        return {(r, k): v for r, line in enumerate(lines[1:], 2)
+                for k, v in zip(header, line.split(","))}
+    return {(r, ""): line for r, line in enumerate(lines, 1)}
+
+
+def relative_change(old, new) -> float:
+    """|new - old| / |old| for numeric cells; inf for any other difference."""
+    try:
+        a, b = float(old), float(new)
+    except (TypeError, ValueError):
+        return 0.0 if old == new else math.inf
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    return abs(b - a) / abs(a) if a else math.inf
+
+
+def report_moves(name: str, old: bytes, new: bytes) -> None:
+    """Print every cell of ``name`` that moved, and the worst relative change."""
+    before, after = cells(name, old), cells(name, new)
+    pairs = ((key, before.get(key), after.get(key)) for key in sorted(before.keys() | after.keys()))
+    moved = [(key, was, now, relative_change(was, now)) for key, was, now in pairs if was != now]
+    worst = max((rel for *_, rel in moved), default=0.0)
+    print(f"{name}: {len(moved)} of {len(after)} cells moved, worst relative change {worst:.3g}")
+    for (row, column), was, now, rel in moved:
+        print(f"  row {row} {column}: {was} -> {now} (relative {rel:.3g})")
+
+
 if __name__ == "__main__":
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        for name, data in run_all(Path(tmp)).items():
-            (GOLDEN / name).write_bytes(data)
-            print(f"wrote {os.path.relpath(GOLDEN / name)}")
+        produced = run_all(Path(tmp))
+    for name, data in produced.items():
+        path = GOLDEN / name
+        report_moves(name, path.read_bytes() if path.exists() else b"", data)
+    for name, data in produced.items():
+        (GOLDEN / name).write_bytes(data)
+        print(f"wrote {os.path.relpath(GOLDEN / name)}")

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import betaincinv, ndtr, ndtri
 
 from prevest.core import TestCharacteristics
 from prevest.uncertainty import (
@@ -58,6 +59,41 @@ class TestClopperPearson:
             clopper_pearson(1, 0)
         with pytest.raises(ValueError):
             clopper_pearson(5, 3)
+
+
+class TestSpecialFunctionsMatchScipyStats:
+    """The ``scipy.special`` calls equal the ``scipy.stats`` quantiles they replace, bit for bit."""
+
+    PROBS = np.array([0.0, 1e-300, 1e-12, 0.0025, 0.025, 0.3, 0.5, 0.975, 1 - 1e-12, 1.0])
+    RNG = np.random.default_rng(20)
+
+    def test_normal_quantile(self):
+        q = np.concatenate([self.PROBS, self.RNG.random(5000)])
+        np.testing.assert_array_equal(ndtri(q), stats.norm.ppf(q))
+
+    def test_normal_cdf(self):
+        z = np.concatenate([[-np.inf, -40.0, -1.96, -1e-9, 0.0, 1e-9, 1.96, 40.0, np.inf],
+                            self.RNG.normal(0.0, 3.0, 5000)])
+        np.testing.assert_array_equal(ndtr(z), stats.norm.cdf(z))
+
+    def test_beta_quantile(self):
+        # Clopper-Pearson tails are alpha / 2 >= 2**-54 away from 0 and 1; far below
+        # that (q = 1e-300, a = 2, b = 400) betaincinv returns nan where beta.ppf does not.
+        probs = np.where(self.PROBS == 1e-300, 2.0**-54, self.PROBS)
+        a, b, q = np.meshgrid([1, 2, 37, 1000], [1, 3, 400], probs)
+        np.testing.assert_array_equal(betaincinv(a, b, q), stats.beta.ppf(q, a, b))
+        a, b = self.RNG.integers(1, 2000, size=(2, 1000))
+        q = self.RNG.random(1000)
+        np.testing.assert_array_equal(betaincinv(a, b, q), stats.beta.ppf(q, a, b))
+
+    def test_clopper_pearson_endpoints(self):
+        for level in (0.5, 0.95, 1 - 2.0**-53):
+            alpha = 1.0 - level
+            for n in (1, 2, 17, 400):
+                for x in range(0, n + 1, max(1, n // 9)):
+                    lo = 0.0 if x == 0 else stats.beta.ppf(alpha / 2, x, n - x + 1)
+                    hi = 1.0 if x == n else stats.beta.ppf(1 - alpha / 2, x + 1, n - x)
+                    assert clopper_pearson(x, n, level) == (lo, hi), (x, n, level)
 
 
 class TestWaldVariance:
