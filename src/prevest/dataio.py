@@ -352,15 +352,24 @@ def anonymize_shuffle(
     invariant under the shuffle; a trailing row permutation then detaches
     rows from their input order.  The removal bookkeeping follows
     ``policy`` (isolation windows, result delay).
+
+    The suffixes are never copied: ``src[i]`` is the input row whose suffix
+    row ``i`` currently holds, so a day's exchange permutes ``src`` and
+    column ``j`` is final once day ``j + 1`` has been shuffled.  Groups take
+    their ``rng.permutation`` in order of first appearance (members
+    ascending), so the output depends only on the seed.
     """
     policy = policy or AdjustmentPolicy()
     rng = np.random.default_rng(seed)
-    cells = matrix.cells.copy()
+    cells = matrix.cells
+    out = np.empty_like(cells)
     n, horizon = cells.shape
 
+    src = np.arange(n)
     last_test = np.zeros(n, dtype=np.int64)
     last_result = np.zeros(n, dtype=np.int64)
     last_clear = np.zeros(n, dtype=np.int64)
+    neg_stratum = np.zeros(n, dtype=np.int64)  # stratum of a negative last test
     rem_start = np.zeros(n, dtype=np.int64)
     rem_end = np.zeros(n, dtype=np.int64)
 
@@ -368,27 +377,36 @@ def anonymize_shuffle(
         j = day - 1
         cleared_now = (rem_end > 0) & (rem_end == day - 1)
         last_clear[cleared_now] = rem_end[cleared_now]
-        nonremoved = (day < rem_start) | (day > rem_end)
-        keys: dict[tuple[int, int, int], list[int]] = {}
-        for i in np.flatnonzero(nonremoved):
-            keys.setdefault((last_test[i], last_result[i], last_clear[i]), []).append(i)
-        for members in keys.values():
-            if len(members) < 2:
-                continue
-            members = np.array(members)
-            perm = rng.permutation(members.size)
-            cells[members, j:] = cells[members[perm], j:]
+        rows = np.flatnonzero((day < rem_start) | (day > rem_end))
+        pending = np.where(rem_end[rows] >= day, rem_start[rows], 0)  # result not yet back
+        key = (last_test[rows] * 2 + last_result[rows]) * (horizon + 1) + last_clear[rows]
+        key = (key * (horizon + 1) + neg_stratum[rows]) * (
+            horizon + policy.result_delay_days + 2) + pending
+        order = np.argsort(key, kind="stable")
+        members = rows[order]  # grouped by key, ascending within a group
+        offsets = np.flatnonzero(np.diff(key[order], prepend=-1))
+        sizes = np.diff(offsets, append=members.size)
+        big = np.flatnonzero(sizes >= 2)
+        big = big[np.argsort(order[offsets[big]])]  # groups in order of first appearance
+        lengths = sizes[big]
+        perms = [rng.permutation(size) for size in lengths.tolist()]
+        if perms:
+            base = np.repeat(offsets[big], lengths)  # each member's group offset in members
+            at = base + np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+            src[members[at]] = src[members[base + np.concatenate(perms)]]
+        column = out[:, j] = cells[src, j]
         # apply day events from the (possibly swapped) suffixes
-        idx = np.flatnonzero(cells[:, j] >= 0)
+        idx = np.flatnonzero(column >= 0)
         last_test[idx] = day
-        last_result[idx] = (cells[idx, j] == POSITIVE).astype(np.int64)
-        pos = idx[cells[idx, j] == POSITIVE]
+        last_result[idx] = (column[idx] == POSITIVE).astype(np.int64)
+        neg_stratum[idx] = np.where(last_result[idx] == 0, last_clear[idx], 0)
+        pos = idx[column[idx] == POSITIVE]
         starts = pos[rem_end[pos] < day]  # pendency/removal blocks a nested episode
         rem_start[starts] = day + policy.result_delay_days + 1
         rem_end[starts] = day + policy.result_delay_days + policy.isolation_days
 
     order = rng.permutation(n)
-    return TestingMatrix(dates=list(matrix.dates), cells=cells[order], row_labels=None)
+    return TestingMatrix(dates=list(matrix.dates), cells=out[order], row_labels=None)
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +419,14 @@ def _require_keys(obj: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"{where}: unknown key(s) {sorted(unknown)}; allowed: {sorted(allowed)}")
 
 
+def _build(cls, kwargs: dict, where: str):
+    """``cls(**kwargs)``; a missing, mistyped or out-of-range value is a ConfigError at ``where``."""
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
 def _regimen_from_dict(obj: dict, where: str = "regimen") -> RegimenConfig:
     if not isinstance(obj, dict):
         raise ConfigError(f"{where}: expected an object")
@@ -411,13 +437,10 @@ def _regimen_from_dict(obj: dict, where: str = "regimen") -> RegimenConfig:
     if "overlays" in kwargs:
         ov = kwargs.pop("overlays")
         _require_keys(ov, {"symptomatic_probability", "contact_tracing"}, f"{where}.overlays")
-        kwargs["overlays"] = Overlays(**ov)
+        kwargs["overlays"] = _build(Overlays, ov, f"{where}.overlays")
     if "base" in kwargs and kwargs["base"] is not None:
         kwargs["base"] = _regimen_from_dict(kwargs["base"], f"{where}.base")
-    try:
-        return RegimenConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+    return _build(RegimenConfig, kwargs, where)
 
 
 def _hazard_from_dict(obj: dict) -> HazardModel:
@@ -428,8 +451,8 @@ def _hazard_from_dict(obj: dict) -> HazardModel:
         ext = kwargs.pop("external")
         _require_keys(ext, {"kind", "rate", "shape_horizon", "peak", "base", "scale"},
                       "hazard.external")
-        kwargs["external"] = ExternalHazard(**ext)
-    return HazardModel(**kwargs)
+        kwargs["external"] = _build(ExternalHazard, ext, "hazard.external")
+    return _build(HazardModel, kwargs, "hazard")
 
 
 def scenario_config_from_dict(obj: dict) -> ScenarioConfig:
@@ -444,19 +467,14 @@ def scenario_config_from_dict(obj: dict) -> ScenarioConfig:
     kwargs["regimen"] = _regimen_from_dict(kwargs["regimen"])
     if "tests" in kwargs:
         _require_keys(kwargs["tests"], {"sensitivity", "specificity"}, "tests")
-        try:
-            kwargs["tests"] = TestCharacteristics(**kwargs["tests"])
-        except ValueError as exc:
-            raise ConfigError(f"tests: {exc}") from exc
+        kwargs["tests"] = _build(TestCharacteristics, kwargs["tests"], "tests")
     if kwargs.get("sensitivity_curve") is not None:
         _require_keys(kwargs["sensitivity_curve"], {"peak", "window"}, "sensitivity_curve")
-        kwargs["sensitivity_curve"] = SensitivityCurve(**kwargs["sensitivity_curve"])
+        kwargs["sensitivity_curve"] = _build(SensitivityCurve, kwargs["sensitivity_curve"],
+                                             "sensitivity_curve")
     if "hazard" in kwargs:
         kwargs["hazard"] = _hazard_from_dict(kwargs["hazard"])
-    try:
-        return ScenarioConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"scenario: {exc}") from exc
+    return _build(ScenarioConfig, kwargs, "scenario")
 
 
 def load_scenario_config(path) -> ScenarioConfig:
@@ -472,10 +490,7 @@ def load_adjustment_policy(path) -> AdjustmentPolicy:
 def load_interval_spec(path) -> IntervalSpec:
     obj = _load_json(path)
     _require_keys(obj, {f.name for f in fields(IntervalSpec)}, "intervals")
-    try:
-        return IntervalSpec(**obj)
-    except ValueError as exc:
-        raise ConfigError(f"intervals: {exc}") from exc
+    return _build(IntervalSpec, obj, "intervals")
 
 
 def _load_json(path) -> dict:

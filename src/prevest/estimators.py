@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -78,6 +79,21 @@ class Panel:
     def stratum_after(self, s: int) -> np.ndarray:
         """Last clearance day <= s, i.e. the stratum in force on day s + 1."""
         return np.where(self.cleared[:, s], s, self.last_clear[:, s])
+
+    @cached_property
+    def contribution_index(self) -> "ContributionIndex":
+        """Every next-test cell of the panel, built on first use in one pass over
+        the n x (horizon + 1) arrays and shared by all days."""
+        days = np.arange(self.horizon + 1, dtype=self.last_clear.dtype)
+        after = np.where(self.cleared, days, self.last_clear)
+        keep = (after == days) | (self.tested & ~self.positive)
+        individual, s = np.nonzero(keep)
+        c = after[individual, s].astype(np.int64)
+        next_test = self.next_test[individual, s].astype(np.int64)
+        key = c * (self.horizon + 1) + s
+        order = np.argsort(key * (self.horizon + 3) + next_test, kind="stable")
+        return ContributionIndex(key=key[order], offset=(s - c)[order],
+                                 next_test=next_test[order], individual=individual[order])
 
     @staticmethod
     def _derived(horizon: int, tested, positive, removed, cleared, assumed_well=None) -> "Panel":
@@ -137,6 +153,23 @@ class Panel:
                 end = min(later[0], horizon) if later else horizon
                 removed[i, z + 1 : end + 1] = True
         return Panel._derived(horizon, tested, positive, removed, cleared)
+
+
+@dataclass
+class ContributionIndex:
+    """The next-test cells of a panel, sorted by (stratum, row day, next test).
+
+    A cell is an individual ``i`` and a row day ``s`` on which ``i`` enters row
+    ``s`` of the schedule matrix of stratum ``c = stratum_after(s)``: the
+    clearance itself (``s == c``) or a negative test on ``s``.  ``key`` is
+    ``c * (horizon + 1) + s``, so the cells a day ``t`` uses from stratum ``c``
+    are the contiguous run of keys ``c * (horizon + 1) + [c, t]``.
+    """
+
+    key: np.ndarray          # int64, non-decreasing
+    offset: np.ndarray       # s - c, the row within the stratum's matrix
+    next_test: np.ndarray    # first test day after s (horizon + 2 when none)
+    individual: np.ndarray   # ascending within equal (key, next_test)
 
 
 # ---------------------------------------------------------------------------
@@ -476,25 +509,26 @@ class DayEvaluator:
         self._indicators[idx[tested_t], s_count + slot[tested_t]] = 1.0
         self._indicators[idx[neg_t], 2 * s_count + slot[neg_t]] = 1.0
 
-        # Next-test contributions over (individual, row day s <= t): row s of
-        # stratum c = after[i, s] <= s counts the clearance itself (s == c) or
-        # a negative test on s (s > c; a negative on a clearance day is the
-        # same cell).  Codes are (stratum slot, row offset, value), compacted
-        # to the codes actually observed.
+        # Next-test contributions: the index cells with row day s <= t of the
+        # strata in force at t.  Codes are (stratum slot, row offset, value),
+        # value = min(next_test, t + 1); the index order makes them sorted, so
+        # compaction keeps the first code of each run, and the runs are the
+        # columns of the individuals x codes matrix in CSC form.
         width = t + 2
-        days = np.arange(t + 1, dtype=panel.last_clear.dtype)
-        after = np.where(panel.cleared[:, : t + 1], days, panel.last_clear[:, : t + 1])
-        negative = panel.tested[:, : t + 1] & ~panel.positive[:, : t + 1]
-        keep = ((after == days) | negative) & (slot_of >= 0)[after]
-        cell_i, cell_s = np.nonzero(keep)
-        c = after[cell_i, cell_s]
-        values = np.minimum(panel.next_test[cell_i, cell_s], t + 1)
-        codes = (slot_of[c] * width + (cell_s - c)) * width + values
-        self._codes, code_col = np.unique(codes, return_inverse=True)
+        index = panel.contribution_index
+        first_key = self.strata.astype(np.int64) * (panel.horizon + 1)
+        lo = np.searchsorted(index.key, first_key)
+        sizes = np.searchsorted(index.key, first_key + t, side="right") - lo
+        sel = np.repeat(lo - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
+        slot = np.repeat(np.arange(s_count), sizes)
+        codes = (slot * width + index.offset[sel]) * width + np.minimum(index.next_test[sel], t + 1)
+        runs = np.flatnonzero(np.diff(codes, prepend=-1))
+        self._codes = codes[runs]
         # stratum j owns the contiguous slice _bounds[j]:_bounds[j + 1] of the codes
         self._bounds = np.searchsorted(self._codes, np.arange(s_count + 1) * width * width)
-        self._contrib = sparse.csr_matrix(
-            (np.ones(cell_i.size), (cell_i, code_col)), shape=(n, self._codes.size)
+        self._contrib = sparse.csc_matrix(
+            (np.ones(sel.size), index.individual[sel], np.append(runs, sel.size)),
+            shape=(n, self._codes.size),
         )
 
     def _stratum_probs(self, counts: np.ndarray, need: np.ndarray) -> np.ndarray:

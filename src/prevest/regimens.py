@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ConfigError
+from .core import ConfigError, check_field_types
 
 KINDS = ("simple-random", "max-gap", "once-per-period", "min-max", "rotation", "clustered")
 
@@ -42,6 +42,7 @@ class Overlays:
     contact_tracing: bool = False         # clustermates of a positive are tested the next day
 
     def __post_init__(self):
+        check_field_types(self)
         if not (0.0 <= self.symptomatic_probability <= 1.0):
             raise ConfigError(
                 f"symptomatic probability must be in [0, 1], got {self.symptomatic_probability}"
@@ -65,6 +66,7 @@ class RegimenConfig:
     overlays: Overlays = field(default_factory=Overlays)
 
     def __post_init__(self):
+        check_field_types(self)
         if self.kind not in KINDS:
             raise ConfigError(f"unknown regimen kind {self.kind!r}; expected one of {KINDS}")
         if self.gap_clock not in ("event", "test"):

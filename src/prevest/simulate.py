@@ -50,6 +50,7 @@ class ExternalHazard:
     scale: float = 1.0 / 30.0
 
     def __post_init__(self):
+        check_field_types(self)
         if self.kind not in ("zero", "constant", "bump"):
             raise ConfigError(f"unknown external hazard kind {self.kind!r}")
         if self.kind == "constant" and not (0.0 <= self.rate <= 1.0):
@@ -76,6 +77,7 @@ class HazardModel:
     initial_prevalence: float = 0.0
 
     def __post_init__(self):
+        check_field_types(self)
         if self.within_cluster_rate < 0:
             raise ConfigError("within-cluster rate must be >= 0")
         if self.repeat_exposure_multiplier < 0:
@@ -95,6 +97,9 @@ class SensitivityCurve:
 
     peak: float = 0.832
     window: int = 10
+
+    def __post_init__(self):
+        check_field_types(self)
 
     def value(self, days_since_exposure: np.ndarray) -> np.ndarray:
         d = np.asarray(days_since_exposure, dtype=float)

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import betaincinv, ndtr, ndtri
 
-from .core import TestCharacteristics
+from .core import TestCharacteristics, check_field_types
 
 @dataclass(frozen=True)
 class IntervalSpec:
@@ -26,6 +26,7 @@ class IntervalSpec:
     jackknife_block_count: Optional[int] = None  # overrides the size when set
 
     def __post_init__(self):
+        check_field_types(self)
         if not 0.0 < self.level < 1.0:
             raise ValueError(f"confidence level must be in (0, 1), got {self.level}")
         if self.bootstrap_iterations < 1:
@@ -108,11 +109,18 @@ def _jackknife_blocks(n: int, spec: IntervalSpec, order: np.ndarray) -> list[np.
 
 
 def _resample_counts(rng: np.random.Generator, b_iter: int, n_units: int) -> np.ndarray:
-    """Multiplicity matrix of ``b_iter`` resamples, each a row of one seeded index draw."""
+    """Multiplicity matrix of ``b_iter`` resamples, each a row of one seeded index draw.
+
+    The counts are laid out unit-major (``n_units x b_iter``) and returned as
+    the ``b_iter x n_units`` transposed view, so the estimator's products over
+    units read them contiguously.
+    """
     draws = rng.integers(0, n_units, size=(b_iter, n_units))
-    draws += np.arange(0, b_iter * n_units, n_units)[:, None]  # row b counts into b * n_units + i
-    flat = np.bincount(draws.ravel(), minlength=b_iter * n_units)
-    return flat.reshape(b_iter, n_units).astype(float)
+    draws *= b_iter
+    draws += np.arange(b_iter)[:, None]  # row b counts unit i into i * b_iter + b
+    flat = np.bincount(draws.ravel(), minlength=n_units * b_iter)
+    del draws
+    return flat.reshape(n_units, b_iter).astype(float).T
 
 
 def bca_bootstrap(
@@ -156,10 +164,10 @@ def bca_bootstrap(
     )
     order = jack_rng.permutation(n_units)
     blocks = _jackknife_blocks(n_units, spec, order)
-    keep = np.ones((len(blocks), n_units))
-    for row, block in zip(keep, blocks):
-        row[block] = 0.0
-    jack = batch(keep)
+    keep = np.ones((n_units, len(blocks)))  # unit-major, like the resample counts
+    for column, block in enumerate(blocks):
+        keep[block, column] = 0.0
+    jack = batch(keep.T)
     centered = jack.mean() - jack
     denom = (centered**2).sum() ** 1.5
     accel = float((centered**3).sum() / (6.0 * denom)) if denom > 0 else 0.0

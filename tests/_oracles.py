@@ -265,3 +265,88 @@ def per_stratum_ht_known(panel, day, tests, weight_for):
         pi = 1.0 / weight
         variance += ((eta - 1.0) ** 2 * pos_c + eta**2 * neg_c) * (1.0 - pi) / pi**2 / youden**2
     return w_hat, variance
+
+
+def dense_contribution_scan(panel, day, strata):
+    """``DayEvaluator``'s ``(_codes, _bounds, _contrib)`` from a dense scan of the panel.
+
+    Scans every (individual, row day s <= day) cell of the n x (day + 1)
+    arrays for the clearance or negative-test cells of the strata in
+    ``strata``, and compacts the codes with ``np.unique``; ``_contrib`` is the
+    individuals x codes 0/1 matrix.
+    """
+    from scipy import sparse
+
+    t = day
+    n = panel.n_individuals
+    width = t + 2
+    slot_of = np.full(t + 1, -1)
+    slot_of[strata] = np.arange(len(strata))
+    days = np.arange(t + 1, dtype=panel.last_clear.dtype)
+    after = np.where(panel.cleared[:, : t + 1], days, panel.last_clear[:, : t + 1])
+    negative = panel.tested[:, : t + 1] & ~panel.positive[:, : t + 1]
+    keep = ((after == days) | negative) & (slot_of >= 0)[after]
+    cell_i, cell_s = np.nonzero(keep)
+    c = after[cell_i, cell_s]
+    values = np.minimum(panel.next_test[cell_i, cell_s], t + 1)
+    codes, code_col = np.unique((slot_of[c] * width + (cell_s - c)) * width + values,
+                                return_inverse=True)
+    bounds = np.searchsorted(codes, np.arange(len(strata) + 1) * width * width)
+    contrib = sparse.csr_matrix((np.ones(cell_i.size), (cell_i, code_col)),
+                                shape=(n, codes.size))
+    return codes, bounds, contrib
+
+
+def dict_anonymize_shuffle(
+    matrix: TestingMatrix, seed: int, policy: AdjustmentPolicy | None = None
+) -> TestingMatrix:
+    """``dataio.anonymize_shuffle`` as first written: dict grouping, suffix copies.
+
+    Each day groups the non-removed rows in a dict keyed by their schedule
+    state (last test day, last result, last clearance day, stratum of a
+    negative last test, pending removal start) and copies every group's
+    remaining columns ``cells[members, j:]`` through its permutation, which
+    is O(n T^2).
+    """
+    from prevest.dataio import POSITIVE, AdjustmentPolicy, TestingMatrix
+
+    policy = policy or AdjustmentPolicy()
+    rng = np.random.default_rng(seed)
+    cells = matrix.cells.copy()
+    n, horizon = cells.shape
+
+    last_test = np.zeros(n, dtype=np.int64)
+    last_result = np.zeros(n, dtype=np.int64)
+    last_clear = np.zeros(n, dtype=np.int64)
+    neg_stratum = np.zeros(n, dtype=np.int64)
+    rem_start = np.zeros(n, dtype=np.int64)
+    rem_end = np.zeros(n, dtype=np.int64)
+
+    for day in range(1, horizon + 1):
+        j = day - 1
+        cleared_now = (rem_end > 0) & (rem_end == day - 1)
+        last_clear[cleared_now] = rem_end[cleared_now]
+        nonremoved = (day < rem_start) | (day > rem_end)
+        keys: dict[tuple[int, ...], list[int]] = {}
+        pending = np.where(rem_end >= day, rem_start, 0)
+        for i in np.flatnonzero(nonremoved):
+            key = (last_test[i], last_result[i], last_clear[i], neg_stratum[i], pending[i])
+            keys.setdefault(key, []).append(i)
+        for members in keys.values():
+            if len(members) < 2:
+                continue
+            members = np.array(members)
+            perm = rng.permutation(members.size)
+            cells[members, j:] = cells[members[perm], j:]
+        # apply day events from the (possibly swapped) suffixes
+        idx = np.flatnonzero(cells[:, j] >= 0)
+        last_test[idx] = day
+        last_result[idx] = (cells[idx, j] == POSITIVE).astype(np.int64)
+        neg_stratum[idx] = np.where(last_result[idx] == 0, last_clear[idx], 0)
+        pos = idx[cells[idx, j] == POSITIVE]
+        starts = pos[rem_end[pos] < day]  # pendency/removal blocks a nested episode
+        rem_start[starts] = day + policy.result_delay_days + 1
+        rem_end[starts] = day + policy.result_delay_days + policy.isolation_days
+
+    order = rng.permutation(n)
+    return TestingMatrix(dates=list(matrix.dates), cells=cells[order], row_labels=None)

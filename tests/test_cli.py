@@ -94,7 +94,15 @@ class TestSimulateCommand:
         ({"population_size": 120.0}, "population_size"),
         ({"horizon_days": "10"}, "horizon_days"),
         ({"tests": {"sensitivity": "0.9"}}, "tests: sensitivity"),
-    ], ids=["float-population", "string-horizon", "string-sensitivity"])
+        ({"hazard": {"initial_prevalence": "0.05"}}, "hazard: initial_prevalence"),
+        ({"regimen": {"kind": "simple-random", "p": "0.25"}}, "regimen: p "),
+        ({"regimen": {"kind": "simple-random", "p": 0.25,
+                      "overlays": {"contact_tracing": "yes"}}},
+         "regimen.overlays: contact_tracing"),
+        ({"sensitivity_curve": {"window": 10.5}}, "sensitivity_curve: window"),
+    ], ids=["float-population", "string-horizon", "string-sensitivity",
+            "string-initial-prevalence", "string-p", "string-contact-tracing",
+            "float-window"])
     def test_mistyped_config_value_is_config_error(self, tmp_path, capsys, change, field):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(dict(SCENARIO_JSON, **change)))

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prevest.core import TestCharacteristics
 from prevest.dataio import (
@@ -23,8 +25,11 @@ from prevest.dataio import (
     write_testing_matrix,
 )
 from prevest.estimators import ht_estimated, tpr_prevalence
+from prevest.scenarios import estimate_panel_series
 from prevest.regimens import ConfigError, RegimenConfig
 from prevest.simulate import ExternalHazard, HazardModel, ScenarioConfig, simulate
+
+from _oracles import dict_anonymize_shuffle
 
 MONDAY = dt.date(2020, 8, 31)
 
@@ -213,6 +218,94 @@ class TestAnonymizer:
         b = anonymize_shuffle(m, seed=5)
         assert np.array_equal(a.cells, b.cells)
         assert a.row_labels is None
+
+
+@st.composite
+def policy_matrices(draw, max_n=30, max_days=28):
+    """A random policy and a matrix it drops no test from.
+
+    Rows are drawn as strings over " NP"; a test inside a removal window (or,
+    under the weekly rule, a second test in a Monday-to-Sunday week) is
+    blanked, mirroring ``apply_adjustments``.
+    """
+    policy = AdjustmentPolicy(
+        result_delay_days=draw(st.integers(0, 2)),
+        isolation_days=draw(st.integers(1, 4)),
+        post_isolation_exemption_days=draw(st.integers(0, 8)),
+        keep_first_test_per_week=draw(st.booleans()),
+        min_daily_tests=0,
+    )
+    n = draw(st.integers(1, max_n))
+    horizon = draw(st.integers(1, max_days))
+    start = MONDAY + dt.timedelta(days=draw(st.integers(0, 6)))
+    dates = [start + dt.timedelta(days=j) for j in range(horizon)]
+    rows = draw(st.lists(st.text(" NNP", min_size=horizon, max_size=horizon),
+                         min_size=n, max_size=n))
+    cells = np.full((n, horizon), ABSENT, dtype=np.int8)
+    for i, row in enumerate(rows):
+        rem_start = rem_end = 0
+        last_week = None
+        for j, symbol in enumerate(row):
+            day = j + 1
+            week = dates[j].isocalendar()[:2]
+            if symbol == " " or rem_start <= day <= rem_end or (
+                    policy.keep_first_test_per_week and week == last_week):
+                continue
+            last_week = week
+            cells[i, j] = POSITIVE if symbol == "P" else NEGATIVE
+            if symbol == "P" and rem_end < day:
+                rem_start = day + policy.result_delay_days + 1
+                rem_end = day + policy.result_delay_days + policy.isolation_days
+    return TestingMatrix(dates, cells), policy
+
+
+class TestAnonymizerProperties:
+    """The linear-time anonymizer pinned to the dict-grouping original."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=policy_matrices(), seed=st.integers(0, 2**16))
+    def test_equals_dict_grouping_oracle(self, case, seed):
+        matrix, policy = case
+        got = anonymize_shuffle(matrix, seed, policy)
+        want = dict_anonymize_shuffle(matrix, seed, policy)
+        assert got.cells.dtype == want.cells.dtype
+        assert got.cells.tobytes() == want.cells.tobytes()
+
+    @staticmethod
+    def series(matrix, policy, min_size):
+        panel = apply_adjustments(matrix, policy).panel
+        records = estimate_panel_series(panel, policy.tests, ("tpr", "ht-e"),
+                                        min_stratum_size=min_size).records
+        return np.array([(r.estimate, r.unclipped, r.n_tests, r.n_positive,
+                          r.n_fallback_strata) for r in records])
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=policy_matrices(), seed=st.integers(0, 2**16), min_size=st.integers(1, 3))
+    def test_series_invariant(self, case, seed, min_size):
+        matrix, policy = case
+        np.testing.assert_array_equal(
+            self.series(anonymize_shuffle(matrix, seed, policy), policy, min_size),
+            self.series(matrix, policy, min_size))
+
+    @pytest.mark.parametrize("rows,delay,isolation", [
+        # row 0 tests negative while its positive result is pending
+        (["PNN ", "NNNN", "NNNN", "NNNN"], 2, 1),
+        # row 1's negative on day 11 sits in stratum 9, row 0's in stratum 0;
+        # both are cleared on day 13
+        (["NNNNNNNNNPN  NNN", "NNNNNPN  PN   NN"] + ["N" * 16] * 4, 1, 2),
+    ], ids=["pending-result", "negative-before-clearance"])
+    def test_tests_during_result_delay_stay_in_their_group(self, rows, delay, isolation):
+        symbols = {" ": ABSENT, "N": NEGATIVE, "P": POSITIVE}
+        cells = np.array([[symbols[c] for c in row] for row in rows], dtype=np.int8)
+        matrix = TestingMatrix([MONDAY + dt.timedelta(days=j) for j in range(len(rows[0]))],
+                               cells)
+        policy = AdjustmentPolicy(result_delay_days=delay, isolation_days=isolation,
+                                  post_isolation_exemption_days=0,
+                                  keep_first_test_per_week=False, min_daily_tests=0)
+        want = self.series(matrix, policy, 1)
+        for seed in range(4):
+            got = self.series(anonymize_shuffle(matrix, seed, policy), policy, 1)
+            np.testing.assert_array_equal(got, want, err_msg=f"seed {seed}")
 
 
 class TestConfigFiles:

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -32,6 +33,7 @@ from prevest.uncertainty import IntervalSpec, bca_bootstrap
 
 from _oracles import (
     contribution_counts,
+    dense_contribution_scan,
     full_matrix_ratio_terms,
     index_bca_bootstrap,
     per_stratum_ht_known,
@@ -395,6 +397,26 @@ class TestDayEvaluatorMatchesReference:
         panel, day = case
         ev = DayEvaluator(panel, day, STUDY)
         assert self.observed_counts(ev) == contribution_counts(panel, day, ev.strata)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=panels_and_days(), min_size=st.integers(1, 3), seed=st.integers(0, 2**16))
+    def test_shared_index_equals_dense_scan(self, case, min_size, seed):
+        panel, _ = case
+        n = panel.n_individuals
+        rows = np.random.default_rng(seed).poisson(1.0, (6, n)).astype(float)
+        rows[0] = 1.0
+        for day in range(1, panel.horizon + 1):
+            ev = DayEvaluator(panel, day, STUDY, min_stratum_size=min_size)
+            ref = copy.copy(ev)
+            ref._codes, ref._bounds, ref._contrib = dense_contribution_scan(panel, day, ev.strata)
+            np.testing.assert_array_equal(ev._codes, ref._codes)
+            np.testing.assert_array_equal(ev._bounds, ref._bounds)
+            assert ev._contrib.shape == ref._contrib.shape
+            np.testing.assert_array_equal(ev._contrib.toarray(), ref._contrib.toarray())
+            for multiplicity in (None, rows):
+                np.testing.assert_array_equal(ev.estimate(multiplicity), ref.estimate(multiplicity))
+                np.testing.assert_array_equal(ev._last_unclipped, ref._last_unclipped)
+                np.testing.assert_array_equal(ev._last_fallback, ref._last_fallback)
 
     @settings(max_examples=80, deadline=None)
     @given(case=panels_and_days(), specificity=st.sampled_from([1.0, 0.992, 0.9]))

@@ -3,7 +3,8 @@
 ``perfbench/tracing.py`` patches names inside ``prevest``; a refactor that
 moves one of them would silently zero its layer metrics.  This runs a small
 traced ``analyze --intervals`` and checks that the bootstrap layers still
-record work.
+record work, and a traced ``anonymize`` then ``analyze`` that the
+anonymizer and the per-day evaluator construction are still seen.
 """
 
 import csv
@@ -29,36 +30,66 @@ def load_tracing():
     return module
 
 
-def test_traced_analyze_reports_bootstrap_layers(tmp_path):
+def write_inputs(tmp_path, seed):
+    """A simulated n=200 min-max matrix and a policy that drops none of its tests."""
     from dataclasses import replace
 
-    sim = simulate(replace(build_scenario("min-max").config, population_size=200, seed=0))
+    sim = simulate(replace(build_scenario("min-max").config, population_size=200, seed=seed))
     matrix = tmp_path / "matrix.csv"
     write_testing_matrix(matrix_from_simulation(sim), matrix)
     policy = tmp_path / "policy.json"
     policy.write_text(json.dumps({"isolation_days": 5, "result_delay_days": 0,
                                   "post_isolation_exemption_days": 0,
                                   "keep_first_test_per_week": False, "min_daily_tests": 0}))
-    out = tmp_path / "series.csv"
+    return str(matrix), str(policy)
 
+
+def traced_main(*argvs):
+    """Exit codes of ``main`` on each argv, and the layer metrics of the whole traced run."""
     tracing = load_tracing()
     tracer = tracing.Tracer()
     tracing.install(tracer)
     try:
         t0 = time.perf_counter()
-        code = main(["analyze", "--matrix", str(matrix), "--policy", str(policy),
-                     "--out", str(out), "--intervals", "--bootstrap", str(BOOTSTRAP)])
+        codes = [main(argv) for argv in argvs]
         metrics = tracer.layer_metrics(time.perf_counter() - t0)
     finally:
         tracer.uninstall()
-    assert code == 0
+    return codes, metrics
 
-    with open(out, encoding="utf-8") as fh:
-        interval_days = sum(1 for row in csv.DictReader(fh)
-                            if row["kind"] == "ht-e" and not math.isnan(float(row["lo"])))
+
+def ht_e_days(path, column):
+    """``ht-e`` rows of a series file whose ``column`` is defined."""
+    with open(path, encoding="utf-8") as fh:
+        return sum(1 for row in csv.DictReader(fh)
+                   if row["kind"] == "ht-e" and not math.isnan(float(row[column])))
+
+
+def test_traced_analyze_reports_bootstrap_layers(tmp_path):
+    matrix, policy = write_inputs(tmp_path, seed=0)
+    out = str(tmp_path / "series.csv")
+    codes, metrics = traced_main(["analyze", "--matrix", matrix, "--policy", policy, "--out", out,
+                                  "--intervals", "--bootstrap", str(BOOTSTRAP)])
+    assert codes == [0]
+
+    interval_days = ht_e_days(out, "lo")
     assert interval_days > 0
     calls = metrics["uncertainty.bca_calls"]
     assert calls == interval_days
     # a degenerate day skips its jackknife, so only the resamples are certain
     assert metrics["uncertainty.resample_rows"] >= BOOTSTRAP * calls
     assert metrics["estimators.resample_batch_self_s"] > 0
+
+
+def test_traced_release_reports_anonymizer_and_one_evaluator_per_day(tmp_path):
+    matrix, policy = write_inputs(tmp_path, seed=1)
+    anonymized, out = str(tmp_path / "anonymized.csv"), str(tmp_path / "series.csv")
+    codes, metrics = traced_main(
+        ["anonymize", "--matrix", matrix, "--policy", policy, "--seed", "2", "--out", anonymized],
+        ["analyze", "--matrix", anonymized, "--policy", policy, "--out", out])
+    assert codes == [0, 0]
+
+    estimated_days = ht_e_days(out, "estimate")
+    assert estimated_days > 0
+    assert metrics["estimators.evaluator_init_calls"] == estimated_days
+    assert metrics["dataio.anonymize_s"] > 0

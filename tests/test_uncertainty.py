@@ -5,9 +5,10 @@ import pytest
 from scipy import stats
 from scipy.special import betaincinv, ndtr, ndtri
 
-from prevest.core import TestCharacteristics
+from prevest.core import ConfigError, TestCharacteristics
 from prevest.uncertainty import (
     IntervalSpec,
+    _resample_counts,
     bca_bootstrap,
     clopper_pearson,
     wald_ht_variance,
@@ -22,6 +23,14 @@ class TestIntervalSpec:
         with pytest.raises(ValueError):
             IntervalSpec(bootstrap_iterations=0)
         IntervalSpec(jackknife_block_count=79)
+
+    @pytest.mark.parametrize("field,value", [
+        ("level", "0.9"), ("bootstrap_iterations", 99.0), ("jackknife_block_size", True),
+        ("jackknife_block_count", 2.5),
+    ])
+    def test_mistyped_field_is_named(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            IntervalSpec(**{field: value})
 
 
 class TestClopperPearson:
@@ -152,6 +161,15 @@ class ConstantEstimator:
 
 
 class TestBcaBootstrap:
+    @pytest.mark.parametrize("b_iter,n_units", [(1, 1), (7, 13), (399, 50), (40, 1000)])
+    def test_unit_major_counts_equal_row_major_route(self, b_iter, n_units):
+        counts = _resample_counts(np.random.default_rng(b_iter), b_iter, n_units)
+        draws = np.random.default_rng(b_iter).integers(0, n_units, size=(b_iter, n_units))
+        want = np.array([np.bincount(row, minlength=n_units) for row in draws], dtype=float)
+        assert counts.shape == want.shape and counts.dtype == want.dtype
+        np.testing.assert_array_equal(counts, want)
+        assert counts.T.flags.c_contiguous  # what the estimator's sparse product reads
+
     def test_constant_estimator_degenerates_to_point(self):
         spec = IntervalSpec(bootstrap_iterations=99)
         out = bca_bootstrap(ConstantEstimator(0.4), 30, spec, seed=1)
