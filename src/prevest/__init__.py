@@ -42,7 +42,6 @@ from .regimens import (
     RegimenConfig,
     SchedulingContext,
     next_test_pmf,
-    rotation_schedule,
     test_probability,
 )
 from .simulate import (

@@ -95,6 +95,7 @@ def cmd_simulate(args, report: RunReport) -> None:
     os.makedirs(args.out, exist_ok=True)
     horizon = config.horizon_days
     totals = np.zeros((horizon + 1, 6))
+    defined = np.zeros(horizon + 1)  # replicates with a non-removed population, per day
     for r in range(args.replicates):
         sim = simulate(config, seed=(args.seed, r))
         totals[:, 0] += sim.well.sum(axis=1)
@@ -102,13 +103,17 @@ def cmd_simulate(args, report: RunReport) -> None:
         totals[:, 2] += sim.removed.sum(axis=1)
         totals[:, 3] += sim.tested.sum(axis=1)
         totals[:, 4] += sim.positive.sum(axis=1)
-        totals[:, 5] += np.nan_to_num(sim.true_prevalence())
+        prevalence = sim.true_prevalence()
+        totals[:, 5] += np.nan_to_num(prevalence)
+        defined += ~np.isnan(prevalence)
         if args.matrices:
             matrix = dataio.matrix_from_simulation(sim)
             path = os.path.join(args.out, f"replicate_{r:04d}.csv")
             write_testing_matrix(matrix, path)
             report.outputs.append(path)
-    totals /= args.replicates
+    totals[:, :5] /= args.replicates
+    with np.errstate(invalid="ignore"):
+        totals[:, 5] /= defined  # 0 / 0 leaves a day with nobody non-removed undefined
     rows = [
         {
             "day": day,
@@ -242,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sc = sub.add_parser("scenario", help="run a named built-in study scenario")
     p_sc.add_argument("--name", required=True, choices=SCENARIO_NAMES)
     p_sc.add_argument("--replicates", type=_positive_int, default=1000)
-    p_sc.add_argument("--population", type=int, default=None,
+    p_sc.add_argument("--population", type=_positive_int, default=None,
                       help="override the scenario's population size")
     p_sc.add_argument("--out", required=True, help="output directory")
     p_sc.add_argument("--intervals", action="store_true",

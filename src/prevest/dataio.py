@@ -431,7 +431,7 @@ def _regimen_from_dict(obj: dict, where: str = "regimen") -> RegimenConfig:
     if not isinstance(obj, dict):
         raise ConfigError(f"{where}: expected an object")
     allowed = {"kind", "p", "gap", "min_gap", "first_test_window", "period", "rotation",
-               "base", "gap_clock", "overlays"}
+               "base", "overlays"}
     _require_keys(obj, allowed, where)
     kwargs = dict(obj)
     if "overlays" in kwargs:

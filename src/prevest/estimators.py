@@ -223,9 +223,7 @@ def exact_schedule_matrix(regimen: RegimenConfig, stratum: int, t: int) -> Sched
     if not 0 <= stratum < t:
         raise ValueError(f"need 0 <= stratum < t, got stratum={stratum}, t={t}")
     entries = _indicator_base(t)
-    entries[stratum] = next_test_pmf(regimen, stratum, "clearance", t)
-    for s in range(stratum + 1, t + 1):
-        entries[s] = next_test_pmf(regimen, s, "test", t)
+    entries[stratum : t + 1] = next_test_pmf(regimen, stratum, t)
     matrix = ScheduleMatrix(stratum=stratum, horizon=t, entries=entries)
     matrix.validate()
     return matrix

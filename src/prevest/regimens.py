@@ -3,8 +3,9 @@
 A :class:`RegimenConfig` declares *when* non-removed individuals get tested;
 the engine turns an individual's observable schedule state into a per-day
 testing probability.  It is purely declarative: randomness is injected by
-the caller, so the same config drives the simulator, the analytic
-next-test-time distributions used for schedule matrices, and tests.
+the caller.  The simulator draws tests from :func:`probability_vector`, and
+:func:`next_test_pmf` chains the same daily probabilities into the
+next-test-time laws that make up schedule matrices, so both follow one law.
 
 Built-in kinds
 --------------
@@ -59,18 +60,12 @@ class RegimenConfig:
     period: Optional[int] = None
     rotation: Optional[int] = None
     base: Optional["RegimenConfig"] = None
-    # Whether the gap clock restarts at max(last test, last clearance) or at
-    # the last test only.  The clearance-aware clock is the default because
-    # removed individuals cannot be tested at all.
-    gap_clock: str = "event"
     overlays: Overlays = field(default_factory=Overlays)
 
     def __post_init__(self):
         check_field_types(self)
         if self.kind not in KINDS:
             raise ConfigError(f"unknown regimen kind {self.kind!r}; expected one of {KINDS}")
-        if self.gap_clock not in ("event", "test"):
-            raise ConfigError(f"gap_clock must be 'event' or 'test', got {self.gap_clock!r}")
         if self.kind == "simple-random":
             if self.p is None or not (0.0 <= self.p <= 1.0):
                 raise ConfigError(f"simple-random needs p in [0, 1], got {self.p}")
@@ -226,10 +221,7 @@ def test_probability(config: RegimenConfig, ctx: SchedulingContext) -> float:
         return 1.0 if day > w else 1.0 / (w - day + 1)
     if config.min_gap and z_test is not None and day - z_test < config.min_gap:
         return 0.0
-    if config.gap_clock == "test":
-        z = z_test if z_test is not None else 0
-    else:
-        z = max(z_test if z_test is not None else 0, z_clear if z_clear is not None else 0)
+    z = max(z_test if z_test is not None else 0, z_clear if z_clear is not None else 0)
     ratio = (day - z) / config.gap
     return min(ratio * ratio, 1.0)
 
@@ -277,10 +269,7 @@ def probability_vector(
     never = ~has_tested & (last_clear == 0)
     w = config.window
     p_first = 1.0 if day > w else 1.0 / (w - day + 1)
-    if config.gap_clock == "test":
-        z = np.where(has_tested, last_test, 0)
-    else:
-        z = np.maximum(last_test, last_clear)
+    z = np.maximum(last_test, last_clear)
     ratio = (day - z) / config.gap
     probs = np.where(never, p_first, np.minimum(ratio * ratio, 1.0))
     if config.min_gap:
@@ -288,80 +277,33 @@ def probability_vector(
     return probs
 
 
-def rotation_schedule(tau: int, first_test_day: int, horizon: int) -> list[int]:
-    """Deterministic test days ``first, first + tau, ...`` up to ``horizon``."""
-    if tau < 1:
-        raise ConfigError(f"rotation period must be >= 1, got {tau}")
-    if first_test_day > horizon:
-        raise ConfigError(f"first test day {first_test_day} is beyond horizon {horizon}")
-    return list(range(first_test_day, horizon + 1, tau))
+def next_test_pmf(config: RegimenConfig, stratum: int, horizon: int) -> np.ndarray:
+    """Rows ``stratum .. horizon`` of a stratum's schedule matrix, under zero hazard.
 
+    Row 0 is the law of ``min(next test day, horizon + 1)`` after a clearance
+    on ``stratum`` (``stratum == 0`` is the start of surveillance); row ``k``
+    is that law after a negative test on ``stratum + k``.  Columns index days
+    ``0 .. horizon + 1``; the final one collects "no test by ``horizon``".
+    Every row chains the daily probabilities of :func:`probability_vector`,
+    the law the simulator draws tests from, with one call per day over all
+    rows.
 
-def next_test_pmf(
-    config: RegimenConfig, event_day: int, event: str, horizon: int
-) -> np.ndarray:
-    """Distribution of ``min(next test day, horizon + 1)`` after an event, under zero hazard.
-
-    ``event`` is ``"clearance"`` (the unit just re-entered the tested
-    population; ``event_day == 0`` means the start of surveillance) or
-    ``"test"`` (the unit tested, with a negative result, on ``event_day``).
-    The returned vector indexes days ``0 .. horizon + 1``; the final slot
-    collects "no test by ``horizon``".
-
-    For min-max regimens, clearance rows assume the re-entrant's previous
-    test is at least ``min_gap`` days old (true whenever the isolation
-    period is at least ``min_gap``).
+    For min-max regimens, the clearance row assumes the re-entrant's previous
+    test is at least ``min_gap`` days old (true whenever the isolation period
+    is at least ``min_gap``).
     """
-    if event not in ("clearance", "test"):
-        raise ValueError(f"event must be 'clearance' or 'test', got {event!r}")
-    if not 0 <= event_day <= horizon:
-        raise ValueError(f"event day {event_day} outside 0..{horizon}")
-    if event == "test" and event_day == 0:
-        raise ValueError("real tests cannot happen on day 0")
-    if config.kind == "clustered":
-        return next_test_pmf(config.base, event_day, event, horizon)
-
-    row = np.zeros(horizon + 2)
-
-    if config.kind == "simple-random":
-        p = config.p
-        surv = 1.0
-        for z in range(event_day + 1, horizon + 1):
-            row[z] = surv * p
-            surv *= 1.0 - p
-        row[horizon + 1] = surv
-        return row
-
-    if config.kind == "rotation":
-        z = event_day + config.rotation
-        row[min(z, horizon + 1)] = 1.0
-        return row
-
-    if config.kind == "once-per-period":
-        if event == "clearance":
-            first = event_day + 1
-            last = period_end(first, config.period)
-        else:
-            first = period_end(event_day, config.period) + 1
-            last = first + config.period - 1
-        width = last - first + 1
-        for z in range(first, last + 1):
-            row[min(z, horizon + 1)] += 1.0 / width
-        return row
-
-    # max-gap / min-max
-    if event == "clearance" and event_day == 0:
-        w = config.window
-        for z in range(1, w + 1):
-            row[min(z, horizon + 1)] += 1.0 / w
-        return row
-    surv = 1.0
-    for j in range(1, config.gap + 1):  # the hazard at j == gap is 1, so surv drains fully
-        z = event_day + j
-        if z > horizon:
-            break
-        q = 0.0 if (event == "test" and j < config.min_gap) else min((j / config.gap) ** 2, 1.0)
-        row[z] = surv * q
-        surv *= 1.0 - q
-    row[horizon + 1] += surv
-    return row
+    if not 0 <= stratum <= horizon:
+        raise ValueError(f"stratum {stratum} outside 0..{horizon}")
+    event = np.arange(stratum, horizon + 1)
+    has_tested = event > stratum
+    last_test = np.where(has_tested, event, 0)
+    last_clear = np.full(event.size, stratum)
+    rows = np.zeros((event.size, horizon + 2))
+    surv = np.ones(event.size)
+    for day in range(stratum + 1, horizon + 1):
+        k = day - stratum  # rows 0..k-1 follow an event before ``day``
+        q = probability_vector(config, day, last_test[:k], has_tested[:k], last_clear[:k])
+        rows[:k, day] = surv[:k] * q
+        surv[:k] *= 1.0 - q
+    rows[:, horizon + 1] = surv
+    return rows

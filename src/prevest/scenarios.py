@@ -171,12 +171,8 @@ def renewal_fire_probabilities(regimen: RegimenConfig, horizon: int) -> np.ndarr
     Used for cluster-level schedules: the cluster keeps testing on its own
     clock, so an individual's clearance does not move their next test.
     """
-    base = regimen.base if regimen.kind == "clustered" else regimen
-    first = next_test_pmf(base, 0, "clearance", horizon)
-    gap_row = next_test_pmf(base, 1, "test", horizon + 1)
-    gap = np.zeros(horizon + 1)
-    for j in range(1, min(horizon, gap_row.size - 2) + 1):
-        gap[j] = gap_row[1 + j]
+    first, gap_row = next_test_pmf(regimen, 0, horizon + 1)[:2]
+    gap = gap_row[1 : horizon + 2]  # gap[j]: next test j days after a test
     fire = np.zeros(horizon + 1)
     for d in range(1, horizon + 1):
         fire[d] = first[d] + sum(fire[s] * gap[d - s] for s in range(1, d))

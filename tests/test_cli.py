@@ -116,6 +116,23 @@ class TestSimulateCommand:
         rows = [json.loads(l) for l in (out / "summary.jsonl").read_text().splitlines()]
         assert rows[0]["day"] == 1 and len(rows) == 10
 
+    def test_prevalence_undefined_when_nobody_is_non_removed(self, tmp_path):
+        # Everyone starts infectious and tests positive on day 1, so from day 2
+        # on every replicate has nobody non-removed: prevalence is undefined, not 0.
+        config = tmp_path / "all_removed.json"
+        config.write_text(json.dumps(dict(
+            SCENARIO_JSON, population_size=2, horizon_days=6, cluster_size=1,
+            tests={"sensitivity": 1.0, "specificity": 1.0},
+            hazard={"initial_prevalence": 1.0, "within_cluster_rate": 0.0,
+                    "external": {"kind": "zero"}},
+            regimen={"kind": "simple-random", "p": 1.0})))
+        out = tmp_path / "runs"
+        assert main(["simulate", "--config", str(config), "--out", str(out),
+                     "--replicates", "2"]) == 0
+        prevalence = [line.split(",")[-1] for line in
+                      (out / "summary.csv").read_text().splitlines()[1:]]
+        assert prevalence == ["1", "nan", "nan", "nan", "nan", "nan"]
+
 
 class TestScenarioCommand:
     def test_small_run_writes_aggregates(self, tmp_path, capsys):
@@ -139,6 +156,13 @@ class TestScenarioCommand:
     def test_unknown_name_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["scenario", "--name", "weekly", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("value", ["0", "-8"])
+    def test_non_positive_population_is_usage_error(self, tmp_path, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["scenario", "--name", "simple-random", "--replicates", "1",
+                  "--population", value, "--out", str(tmp_path)])
         assert exc.value.code == 2
 
     def test_jobs_do_not_change_results(self, tmp_path):

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from prevest.estimators import exact_schedule_matrix
 from prevest.regimens import (
     ConfigError,
     Overlays,
@@ -8,7 +11,6 @@ from prevest.regimens import (
     SchedulingContext,
     next_test_pmf,
     probability_vector,
-    rotation_schedule,
     test_probability,
 )
 
@@ -18,6 +20,12 @@ MINMAX = RegimenConfig.min_max(gap=10, min_gap=5)
 WEEKLY = RegimenConfig.once_per_period(period=7)
 ROT7 = RegimenConfig.rotation_every(7)
 ALL = [SIMPLE, MAXGAP, WEEKLY, MINMAX, ROT7]
+EXTRA = [
+    pytest.param(RegimenConfig.clustered(MINMAX), id="clustered"),
+    pytest.param(RegimenConfig.max_gap(gap=6, first_test_window=3), id="first-test-window"),
+    pytest.param(RegimenConfig.once_per_period(period=3), id="short-period"),
+    pytest.param(RegimenConfig.simple_random(0.9), id="simple-random-0.9"),
+]
 
 
 class TestConfigValidation:
@@ -61,8 +69,6 @@ class TestProbabilities:
     def test_max_gap_clock_restarts_at_clearance(self):
         ctx = SchedulingContext(day=7, last_test_day=1, last_clearance_day=5)
         assert test_probability(MAXGAP, ctx) == pytest.approx((2 / 10) ** 2)
-        test_only = RegimenConfig(kind="max-gap", gap=10, gap_clock="test")
-        assert test_probability(test_only, ctx) == pytest.approx((6 / 10) ** 2)
 
     def test_min_gap_blocks_recent_tests(self):
         assert test_probability(MINMAX, SchedulingContext(day=6, last_test_day=2)) == 0.0
@@ -133,28 +139,6 @@ class TestVectorisedAgreement:
                         config.kind, day, i)
 
 
-class TestRotationSchedule:
-    def test_arithmetic_progression(self):
-        assert rotation_schedule(7, 3, 21) == [3, 10, 17]
-
-    def test_daily_degenerate(self):
-        assert rotation_schedule(1, 1, 5) == [1, 2, 3, 4, 5]
-
-    def test_staggered_starts_balance_daily_volume(self):
-        horizon = 28
-        counts = np.zeros(horizon + 1, dtype=int)
-        for first in range(1, 8):
-            for day in rotation_schedule(7, first, horizon):
-                counts[day] += 1
-        assert np.all(counts[1:] == 1)
-
-    def test_bad_arguments(self):
-        with pytest.raises(ConfigError):
-            rotation_schedule(0, 1, 5)
-        with pytest.raises(ConfigError):
-            rotation_schedule(3, 9, 5)
-
-
 def chain_pmf(config, event_day, event, horizon):
     """Next-test pmf derived by chaining per-day hazards (independent route)."""
     row = np.zeros(horizon + 2)
@@ -171,28 +155,60 @@ def chain_pmf(config, event_day, event, horizon):
 
 
 class TestNextTestPmf:
-    @pytest.mark.parametrize("config", ALL, ids=lambda c: c.kind)
+    @pytest.mark.parametrize("config", [pytest.param(c, id=c.kind) for c in ALL] + EXTRA)
     def test_matches_hazard_chain(self, config):
         for horizon in (6, 11, 14):
+            after_test = next_test_pmf(config, 0, horizon)  # row k: negative test on day k
             for event_day in range(0, horizon):
-                pmf = next_test_pmf(config, event_day, "clearance", horizon)
+                pmf = next_test_pmf(config, event_day, horizon)[0]
                 assert pmf == pytest.approx(chain_pmf(config, event_day, "clearance", horizon),
                                             abs=1e-12), (config.kind, event_day, "clearance")
                 if event_day >= 1:
-                    pmf = next_test_pmf(config, event_day, "test", horizon)
+                    pmf = after_test[event_day]
                     assert pmf == pytest.approx(chain_pmf(config, event_day, "test", horizon),
                                                 abs=1e-12), (config.kind, event_day, "test")
 
     def test_simple_random_geometric(self):
         t, p = 10, 1 / 6
-        row = next_test_pmf(SIMPLE, 3, "test", t)
+        row = next_test_pmf(SIMPLE, 0, t)[3]
         expected = [p * (1 - p) ** (z - 4) for z in range(4, t + 1)]
         assert row[4 : t + 1] == pytest.approx(expected)
         assert row[t + 1] == pytest.approx((1 - p) ** (t - 3))
 
     def test_rows_are_distributions(self):
         for config in ALL:
-            for event_day, event in ((0, "clearance"), (3, "clearance"), (3, "test")):
-                row = next_test_pmf(config, event_day, event, 12)
+            for event_day, row in ((0, next_test_pmf(config, 0, 12)[0]),
+                                   (3, next_test_pmf(config, 3, 12)[0]),
+                                   (3, next_test_pmf(config, 0, 12)[3])):
                 assert row.sum() == pytest.approx(1.0, abs=1e-12)
                 assert np.all(row[: event_day + 1] == 0.0)
+
+
+def regimens():
+    """Random regimen configs of every built-in kind, clustered ones included."""
+    simple = st.builds(RegimenConfig.simple_random, st.floats(0.0, 1.0))
+    max_gap = st.builds(RegimenConfig.max_gap, st.integers(1, 12),
+                        st.none() | st.integers(1, 12))
+    min_max = st.integers(2, 12).flatmap(lambda gap: st.builds(
+        RegimenConfig.min_max, st.just(gap), st.integers(1, gap - 1),
+        st.none() | st.integers(1, 12)))
+    weekly = st.builds(RegimenConfig.once_per_period, st.integers(1, 10))
+    rotation = st.builds(RegimenConfig.rotation_every, st.integers(1, 10))
+    base = simple | max_gap | min_max | weekly | rotation
+    return base | base.map(RegimenConfig.clustered)
+
+
+class TestExactScheduleMatrixProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(config=regimens(), t=st.integers(1, 25))
+    def test_rows_follow_the_hazard_chain(self, config, t):
+        for stratum in range(t):
+            matrix = exact_schedule_matrix(config, stratum, t)
+            matrix.validate()
+            p = matrix.entries
+            assert p[stratum] == pytest.approx(chain_pmf(config, stratum, "clearance", t),
+                                               abs=1e-12)
+            for s in range(stratum + 1, t + 1):
+                assert p[s] == pytest.approx(chain_pmf(config, s, "test", t), abs=1e-12)
+            for s in range(stratum, t + 1):
+                assert np.all(p[s, : s + 1] == 0.0), (stratum, s)
