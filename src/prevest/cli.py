@@ -41,7 +41,7 @@ HT_K_REFERENCE_REPLICATES = 10_000
 class RunReport:
     command: str
     config_digest: str
-    seed: int
+    seed: int | tuple[int, ...]
     wall_time_s: float = 0.0
     outputs: list[str] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
@@ -92,12 +92,17 @@ def _interval_spec(args) -> IntervalSpec | None:
 
 def cmd_simulate(args, report: RunReport) -> None:
     config = dataio.load_scenario_config(args.config)
+    if args.seed is None:  # no --seed: the config's seed, as the report and digest record
+        args.seed = config.seed
+        report.seed = args.seed
+        report.config_digest = _config_digest(args)
+    prefix = (args.seed,) if isinstance(args.seed, int) else tuple(args.seed)
     os.makedirs(args.out, exist_ok=True)
     horizon = config.horizon_days
     totals = np.zeros((horizon + 1, 6))
     defined = np.zeros(horizon + 1)  # replicates with a non-removed population, per day
     for r in range(args.replicates):
-        sim = simulate(config, seed=(args.seed, r))
+        sim = simulate(config, seed=(*prefix, r))
         totals[:, 0] += sim.well.sum(axis=1)
         totals[:, 1] += sim.infectious.sum(axis=1)
         totals[:, 2] += sim.removed.sum(axis=1)
@@ -225,8 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_min_stratum=True):
-        p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    def common(p, with_min_stratum=True, seed_help="RNG seed (default 0)"):
+        p.add_argument("--seed", type=int, default=0, help=seed_help)
         p.add_argument("--format", choices=("csv", "jsonl"), default="csv",
                        help="output format (default csv)")
         p.add_argument("--jobs", type=_positive_int, default=None,
@@ -241,8 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--replicates", type=_positive_int, default=1)
     p_sim.add_argument("--matrices", action="store_true",
                        help="also export one testing matrix per replicate")
-    common(p_sim, with_min_stratum=False)
-    p_sim.set_defaults(func=cmd_simulate)
+    common(p_sim, with_min_stratum=False, seed_help="RNG seed (default: the config's seed)")
+    p_sim.set_defaults(func=cmd_simulate, seed=None)
 
     p_sc = sub.add_parser("scenario", help="run a named built-in study scenario")
     p_sc.add_argument("--name", required=True, choices=SCENARIO_NAMES)

@@ -41,6 +41,9 @@ from .uncertainty import wald_ht_variance
 _EPS = 1e-12
 # Byte budget of one (rows x (span + 1) x span) block in DayEvaluator._stratum_probs.
 _SOLVE_BLOCK_BYTES = 16 << 20
+# Byte budget of one (strata x (span + 1) x span) array in _point_probability_table; the
+# table is built once per panel, so a small budget costs little time and keeps peak RSS down.
+_TABLE_BLOCK_BYTES = 1 << 20
 
 
 class DegenerateStratumError(ValueError):
@@ -71,6 +74,7 @@ class Panel:
     last_clear: np.ndarray
     next_test: np.ndarray
     assumed_well: np.ndarray
+    _point_probs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_individuals(self) -> int:
@@ -94,6 +98,14 @@ class Panel:
         order = np.argsort(key * (self.horizon + 3) + next_test, kind="stable")
         return ContributionIndex(key=key[order], offset=(s - c)[order],
                                  next_test=next_test[order], individual=individual[order])
+
+    def point_probabilities(self, specificity: float) -> np.ndarray:
+        """``probs[c, t]``: the estimated testing probability of stratum ``c`` on day
+        ``t``, for the panel as observed; built on first use per specificity."""
+        if specificity not in self._point_probs:
+            self._point_probs[specificity] = _point_probability_table(
+                self.contribution_index, self.horizon, specificity)
+        return self._point_probs[specificity]
 
     @staticmethod
     def _derived(horizon: int, tested, positive, removed, cleared, assumed_well=None) -> "Panel":
@@ -270,12 +282,69 @@ def _solve_ratio_terms(block: np.ndarray, nu: float) -> tuple[np.ndarray, np.nda
     denominator sum_k nu^(k-1) (P^k - P^(k-1))[c, t..t+1] = y_t + sum_{j<t} x_j r_j.
     """
     span = block.shape[2]
+    x, y = _forward_substitute(block, nu)
+    num = y[:, span - 1]
+    return num, num + np.einsum("bi,bi->b", x[:, :-1], block[:, span, :-1])
+
+
+def _forward_substitute(block: np.ndarray, nu: float) -> tuple[np.ndarray, np.ndarray]:
+    """x = e_0 (I - nu Q)^-1 and y = x / nu (y_0 = 0) for each transposed block
+    ``block[b, j, i] = Q[i, j]``, j < ``block.shape[2]``; rows past that are not read."""
+    span = block.shape[2]
     x = np.zeros((block.shape[0], span))
+    y = np.zeros_like(x)
     x[:, 0] = 1.0
     for j in range(1, span):
-        y = np.einsum("bi,bi->b", x[:, :j], block[:, j, :j])
-        x[:, j] = nu * y
-    return y, y + np.einsum("bi,bi->b", x[:, :-1], block[:, span, :-1])
+        y[:, j] = np.einsum("bi,bi->b", x[:, :j], block[:, j, :j])
+        x[:, j] = nu * y[:, j]
+    return x, y
+
+
+def _point_probability_table(index: ContributionIndex, horizon: int, nu: float) -> np.ndarray:
+    """Testing probability ``probs[c, t]`` of every stratum ``c`` on every day ``t > c``.
+
+    Day ``t``'s rows and columns ``c..t`` are a prefix of the stratum's rows
+    ``c..horizon``: row sums and the entries ``Q[i, j]``, ``j <= t - c``, do not
+    depend on ``t``.  So one forward substitution over the whole horizon gives
+    x and y for every day, and day ``t = c + m`` has num = y_m and den = y_m +
+    sum_{j<m} x_j r_j(t), with r_j(t) row j's share of next tests after ``t``
+    (1 for an unobserved row), as :func:`_solve_ratio_terms` computes it.
+    Strata go through in chunks padded to the chunk's widest span under
+    ``_TABLE_BLOCK_BYTES``; the padding lies past each stratum's own rows and
+    columns, which an upper-triangular solve never reads back.
+    """
+    size = horizon + 1
+    probs = np.zeros((size, size))
+    c_of = index.key // size
+    strata = np.unique(c_of)
+    strata = strata[strata < horizon]
+    first = 0
+    while first < strata.size:
+        span = horizon - int(strata[first]) + 1  # strata ascend, so the first is widest
+        step = max(1, _TABLE_BLOCK_BYTES // (8 * (span + 1) * span))
+        chunk = strata[first : first + step]
+        first += chunk.size
+        lo, hi = np.searchsorted(index.key, [chunk[0] * size, (chunk[-1] + 1) * size])
+        c = c_of[lo:hi]
+        next_test = index.next_test[lo:hi]
+        value = np.where(next_test > horizon, span, next_test - c)  # span: after the horizon
+        flat = (np.searchsorted(chunk, c) * (span + 1) + value) * span + index.offset[lo:hi]
+        counts = np.bincount(flat, minlength=chunk.size * (span + 1) * span).astype(float)
+        counts = counts.reshape(chunk.size, span + 1, span)  # [stratum, value, row]
+        sums = counts.sum(axis=1)
+        after = np.cumsum(counts[:, ::-1], axis=1)[:, ::-1]  # after[:, k, i]: values >= k
+        counts /= np.maximum(sums, 1.0)[:, None, :]
+        x, y = _forward_substitute(counts, nu)
+        for m in range(1, span):
+            rows = np.searchsorted(chunk, horizon - m, side="right")  # strata with c + m <= horizon
+            observed = sums[:rows, :m]
+            r = after[:rows, m + 1, :m] / np.maximum(observed, 1.0)
+            r[observed == 0] = 1.0
+            num = y[:rows, m]
+            den = num + np.einsum("bi,bi->b", x[:rows, :m], r)
+            probs[chunk[:rows], chunk[:rows] + m] = np.where(
+                den > _EPS, num / np.maximum(den, _EPS), 0.0)
+    return np.minimum(probs, 1.0)
 
 
 def _ratio_terms(mats: np.ndarray, nu: float, c: int, t: int) -> tuple[np.ndarray, np.ndarray]:
@@ -465,9 +534,14 @@ class EstimateSeries:
 class DayEvaluator:
     """Re-evaluates the estimated-weight estimator for one (panel, day).
 
-    Precomputes the stratum bookkeeping and next-test contributions once so
-    that resampled re-estimation (bootstrap multiplicity vectors, jackknife
-    blocks) reduces to count aggregation plus batched triangular solves.
+    Construction only finds the strata in force on the day.  The point
+    estimate takes its headcounts from ``bincount``s and each stratum's
+    testing probability from the panel's shared table
+    (:meth:`Panel.point_probabilities`): one solve per stratum per panel
+    serves every day.  Resampled re-estimation (bootstrap multiplicity
+    vectors, jackknife blocks) builds the day's indicator columns and
+    next-test contributions on first use, and then reduces to count
+    aggregation plus batched triangular solves.
     """
 
     def __init__(self, panel: Panel, day: int, tests: TestCharacteristics,
@@ -482,36 +556,47 @@ class DayEvaluator:
         self.tests = tests
         self.min_stratum_size = min_stratum_size
         self.weight_cap = weight_cap  # None preserves unbiasedness; caps trade bias for variance
-        t = day
-        n = panel.n_individuals
+        self._nonremoved = ~panel.removed[:, day]
+        self._assumed = panel.assumed_well[:, day] & self._nonremoved
+        self._members = np.flatnonzero(self._nonremoved & ~self._assumed)
+        strat = panel.last_clear[self._members, day]  # < day by construction
+        present = np.bincount(strat, minlength=day) > 0
+        self.strata = np.flatnonzero(present)
+        self._slot = (np.cumsum(present) - 1)[strat]  # each member's stratum slot
 
-        nonrem = ~panel.removed[:, t]
-        assumed = panel.assumed_well[:, t] & nonrem
-        member = nonrem & ~assumed
-        strat = panel.last_clear[:, t]  # < t by construction
-        self.strata = np.unique(strat[member])
+    def _member_tests(self) -> tuple[np.ndarray, np.ndarray]:
+        """Which members are tested on the day, and which of those test negative."""
+        tested = self.panel.tested[self._members, self.day]
+        return tested, tested & ~self.panel.positive[self._members, self.day]
+
+    @cached_property
+    def _indicators(self) -> np.ndarray:
+        """Indicator columns for multiplicity rows: non-removed, assumed well, then
+        stratum member, tested and tested negative, one column per stratum slot each."""
         s_count = len(self.strata)
-        slot_of = np.full(t + 1, -1)
-        slot_of[self.strata] = np.arange(s_count)
+        idx = self._members
+        slot = 2 + self._slot
+        tested, negative = self._member_tests()
+        indicators = np.zeros((self.panel.n_individuals, 2 + 3 * s_count))
+        indicators[:, 0] = self._nonremoved
+        indicators[:, 1] = self._assumed
+        indicators[idx, slot] = 1.0
+        indicators[idx[tested], s_count + slot[tested]] = 1.0
+        indicators[idx[negative], 2 * s_count + slot[negative]] = 1.0
+        return indicators
 
-        # Indicator columns: non-removed, assumed well, then stratum member,
-        # tested and tested negative, one column per stratum slot each.
-        idx = np.flatnonzero(member)
-        slot = 2 + slot_of[strat[idx]]
-        tested_t = panel.tested[idx, t]
-        neg_t = tested_t & ~panel.positive[idx, t]
-        self._indicators = np.zeros((n, 2 + 3 * s_count))
-        self._indicators[:, 0] = nonrem
-        self._indicators[:, 1] = assumed
-        self._indicators[idx, slot] = 1.0
-        self._indicators[idx[tested_t], s_count + slot[tested_t]] = 1.0
-        self._indicators[idx[neg_t], 2 * s_count + slot[neg_t]] = 1.0
+    @cached_property
+    def _code_space(self) -> tuple[np.ndarray, np.ndarray, sparse.csc_matrix]:
+        """``(_codes, _bounds, _contrib)``: the next-test contributions of the day.
 
-        # Next-test contributions: the index cells with row day s <= t of the
-        # strata in force at t.  Codes are (stratum slot, row offset, value),
-        # value = min(next_test, t + 1); the index order makes them sorted, so
-        # compaction keeps the first code of each run, and the runs are the
-        # columns of the individuals x codes matrix in CSC form.
+        They are the index cells with row day s <= t of the strata in force at
+        t.  Codes are (stratum slot, row offset, value), value = min(next_test,
+        t + 1); the index order makes them sorted, so compaction keeps the
+        first code of each run, and the runs are the columns of the
+        individuals x codes matrix in CSC form.
+        """
+        panel, t = self.panel, self.day
+        s_count = len(self.strata)
         width = t + 2
         index = panel.contribution_index
         first_key = self.strata.astype(np.int64) * (panel.horizon + 1)
@@ -521,13 +606,26 @@ class DayEvaluator:
         slot = np.repeat(np.arange(s_count), sizes)
         codes = (slot * width + index.offset[sel]) * width + np.minimum(index.next_test[sel], t + 1)
         runs = np.flatnonzero(np.diff(codes, prepend=-1))
-        self._codes = codes[runs]
-        # stratum j owns the contiguous slice _bounds[j]:_bounds[j + 1] of the codes
-        self._bounds = np.searchsorted(self._codes, np.arange(s_count + 1) * width * width)
-        self._contrib = sparse.csc_matrix(
+        codes = codes[runs]
+        # stratum j owns the contiguous slice bounds[j]:bounds[j + 1] of the codes
+        bounds = np.searchsorted(codes, np.arange(s_count + 1) * width * width)
+        contrib = sparse.csc_matrix(
             (np.ones(sel.size), index.individual[sel], np.append(runs, sel.size)),
-            shape=(n, self._codes.size),
+            shape=(panel.n_individuals, codes.size),
         )
+        return codes, bounds, contrib
+
+    @cached_property
+    def _codes(self) -> np.ndarray:
+        return self._code_space[0]
+
+    @cached_property
+    def _bounds(self) -> np.ndarray:
+        return self._code_space[1]
+
+    @cached_property
+    def _contrib(self) -> sparse.csc_matrix:
+        return self._code_space[2]
 
     def _stratum_probs(self, counts: np.ndarray, need: np.ndarray) -> np.ndarray:
         """Testing probabilities per (multiplicity row, stratum) from per-code counts.
@@ -570,41 +668,51 @@ class DayEvaluator:
 
     def estimate(self, multiplicity: np.ndarray | None = None,
                  collect: Optional[WeightTable] = None) -> np.ndarray:
-        """Clipped prevalence estimates for each multiplicity row (1s when None)."""
-        panel = self.panel
+        """Clipped prevalence estimates for each multiplicity row.
+
+        ``None`` is the panel as observed (one row of 1s), read from
+        ``bincount``s and the panel's probability table without building
+        the per-day resampling state.
+        """
         eta = self.tests.sensitivity
         youden = self.tests.youden
+        s_count = len(self.strata)
         if multiplicity is None:
-            multiplicity = np.ones((1, panel.n_individuals))
-        b = multiplicity.shape[0]
-
-        totals = multiplicity @ self._indicators  # integer-valued, so exact in any order
-        nonrem_n = totals[:, 0]
-        w_hat = totals[:, 1].copy()
-        fallback = np.zeros(b)
-        if len(self.strata):
-            n_c, tested_c, neg_c = totals[:, 2:].reshape(b, 3, -1).transpose(1, 0, 2)  # [b, S] each
-            counts = np.asarray(self._contrib.T.dot(multiplicity.T).T)  # [b, codes]
-            need = (n_c >= self.min_stratum_size) & (tested_c > 0)
+            tested, negative = self._member_tests()
+            n_c, tested_c, neg_c = (
+                np.bincount(self._slot[mask], minlength=s_count)[None, :].astype(float)
+                for mask in (slice(None), tested, negative))
+            nonrem_n = np.array([np.count_nonzero(self._nonremoved)], dtype=float)
+            w_hat = np.array([np.count_nonzero(self._assumed)], dtype=float)
+        else:
+            totals = multiplicity @ self._indicators  # integer-valued, so exact in any order
+            nonrem_n, w_hat = totals[:, 0], totals[:, 1].copy()
+            n_c, tested_c, neg_c = totals[:, 2:].reshape(len(totals), 3, s_count).transpose(
+                1, 0, 2)
+        need = (n_c >= self.min_stratum_size) & (tested_c > 0)  # [rows, S], like the counts
+        if multiplicity is None:
+            table = self.panel.point_probabilities(self.tests.specificity)
+            probs = np.where(need, table[self.strata, self.day], 0.0)
+        else:
+            counts = np.asarray(self._contrib.T.dot(multiplicity.T).T)  # [rows, codes]
             probs = self._stratum_probs(counts, need)
-            if self.weight_cap is not None:
-                probs = np.where(need, np.maximum(probs, 1.0 / self.weight_cap), probs)
-            active = need & (probs > _EPS)
-            weighted = (neg_c - (1.0 - eta) * tested_c) / (youden * np.maximum(probs, _EPS))
-            w_hat += np.where(active, weighted, n_c).sum(axis=1)
-            fallback += (~active & (n_c > 0)).sum(axis=1)
-            if collect is not None:
-                for j, c in enumerate(self.strata):
-                    if need[0, j] and probs[0, j] <= _EPS:
-                        # a tested individual's own path always carries mass
-                        raise AssertionError(
-                            f"stratum {c}: tested members but zero estimated probability"
-                        )
-                    if active[0, j]:
-                        collect.add(int(c), max(1.0 / probs[0, j], 1.0), "estimated")
-                    elif n_c[0, j] > 0:
-                        collect.add(int(c), None, "fallback")
-        self._last_fallback = fallback
+        if self.weight_cap is not None:
+            probs = np.where(need, np.maximum(probs, 1.0 / self.weight_cap), probs)
+        active = need & (probs > _EPS)
+        weighted = (neg_c - (1.0 - eta) * tested_c) / (youden * np.maximum(probs, _EPS))
+        w_hat += np.where(active, weighted, n_c).sum(axis=1)
+        if collect is not None:
+            for j, c in enumerate(self.strata):
+                if need[0, j] and probs[0, j] <= _EPS:
+                    # a tested individual's own path always carries mass
+                    raise AssertionError(
+                        f"stratum {c}: tested members but zero estimated probability"
+                    )
+                if active[0, j]:
+                    collect.add(int(c), max(1.0 / probs[0, j], 1.0), "estimated")
+                elif n_c[0, j] > 0:
+                    collect.add(int(c), None, "fallback")
+        self._last_fallback = (~active & (n_c > 0)).sum(axis=1).astype(float)
         unclipped = np.where(nonrem_n > 0, (nonrem_n - w_hat) / np.maximum(nonrem_n, 1.0), np.nan)
         self._last_unclipped = unclipped
         return np.clip(unclipped, 0.0, 1.0)
@@ -612,15 +720,14 @@ class DayEvaluator:
     def day_estimate(self, collect: Optional[WeightTable] = None) -> DayEstimate:
         """The ``ht-e`` record of the panel as observed (no resampling)."""
         t = self.day
-        nonrem = ~self.panel.removed[:, t]
         clipped = self.estimate(collect=collect)
         return DayEstimate(
             day=t,
             kind="ht-e",
             estimate=float(clipped[0]),
             unclipped=float(self._last_unclipped[0]),
-            n_tests=int((self.panel.tested[:, t] & nonrem).sum()),
-            n_positive=int((self.panel.positive[:, t] & nonrem).sum()),
+            n_tests=int((self.panel.tested[:, t] & self._nonremoved).sum()),
+            n_positive=int((self.panel.positive[:, t] & self._nonremoved).sum()),
             n_fallback_strata=int(self._last_fallback[0]),
         )
 

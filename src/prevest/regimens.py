@@ -289,8 +289,9 @@ def next_test_pmf(config: RegimenConfig, stratum: int, horizon: int) -> np.ndarr
     rows.
 
     For min-max regimens, the clearance row assumes the re-entrant's previous
-    test is at least ``min_gap`` days old (true whenever the isolation period
-    is at least ``min_gap``).
+    test is at least ``min_gap`` days old on the day after the clearance (true
+    whenever the removal lasts at least ``min_gap - 1`` days;
+    ``scenarios.KnownWeights`` rejects a config where it does not).
     """
     if not 0 <= stratum <= horizon:
         raise ValueError(f"stratum {stratum} outside 0..{horizon}")

@@ -191,6 +191,17 @@ class KnownWeights:
         self._fire: Optional[np.ndarray] = None
         if self.by_renewal:
             self._fire = renewal_fire_probabilities(self.regimen, self.horizon)
+        else:
+            law = self.regimen.base if self.regimen.kind == "clustered" else self.regimen
+            removal = bundle.config.removal_duration_days
+            if removal + 1 < law.min_gap:
+                # the first test day after a clearance lies removal + 1 days past the
+                # positive test, and next_test_pmf's clearance row assumes min_gap days have passed
+                raise ConfigError(
+                    f"removal_duration_days ({removal}) is below min_gap - 1 "
+                    f"({law.min_gap - 1}): the known weights would not follow the simulated "
+                    "schedule after a clearance"
+                )
 
     def __call__(self, stratum: int, day: int) -> float:
         key = (stratum, day)

@@ -141,6 +141,13 @@ class ScenarioConfig:
             raise ConfigError("undetected recovery must take >= 1 day")
         if self.baseline_exposure_window < 1:
             raise ConfigError("baseline exposure window must be >= 1 day")
+        if isinstance(self.seed, list):  # a JSON array
+            object.__setattr__(self, "seed", tuple(self.seed))
+        parts = self.seed if isinstance(self.seed, tuple) else (self.seed,)
+        if not parts or not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                                and v >= 0 for v in parts):
+            raise ConfigError(
+                f"seed must be a non-negative integer or a list of them, got {self.seed!r}")
 
     @property
     def n_clusters(self) -> int:

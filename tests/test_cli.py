@@ -67,6 +67,31 @@ class TestSimulateCommand:
         main(["simulate", "--config", str(config_path), "--out", str(out2), "--seed", "9"])
         assert (out1 / "summary.csv").read_bytes() == (out2 / "summary.csv").read_bytes()
 
+    def test_config_seed_is_the_default_seed(self, tmp_path, capsys):
+        def run(name, seed, *flags):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(dict(SCENARIO_JSON, seed=seed)))
+            out = tmp_path / name
+            assert main(["simulate", "--config", str(path), "--out", str(out), *flags]) == 0
+            return (out / "summary.csv").read_bytes(), capsys.readouterr().out.splitlines()[-1]
+
+        three, three_log = run("three", 3)
+        assert run("seven", 7)[0] != three
+        assert run("seven-flagged", 7, "--seed", "3")[0] == three
+        # the report and the digest record the resolved seed
+        flagged, flagged_log = run("three-flagged", 3, "--seed", "3")
+        assert flagged == three and flagged_log == three_log and "(seed 3, " in three_log
+        pair, pair_log = run("pair", [3, 1])
+        assert pair not in (three, run("pair-flagged", [3, 1], "--seed", "3")[0])
+        assert "(seed (3, 1), " in pair_log
+
+    @pytest.mark.parametrize("seed", ["3", -1, [], [3, 1.5], True])
+    def test_bad_config_seed_is_config_error(self, tmp_path, capsys, seed):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(dict(SCENARIO_JSON, seed=seed)))
+        assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 3
+        assert "seed must be" in capsys.readouterr().err
+
     def test_matrices_exported(self, tmp_path, config_path):
         out = tmp_path / "runs"
         main(["simulate", "--config", str(config_path), "--out", str(out),

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prevest.core import TestCharacteristics
+from prevest.core import EventHistory, TestCharacteristics
 from prevest.dataio import (
     ABSENT,
     NEGATIVE,
@@ -24,7 +24,7 @@ from prevest.dataio import (
     scenario_config_from_dict,
     write_testing_matrix,
 )
-from prevest.estimators import ht_estimated, tpr_prevalence
+from prevest.estimators import Panel, ht_estimated, tpr_prevalence
 from prevest.scenarios import estimate_panel_series
 from prevest.regimens import ConfigError, RegimenConfig
 from prevest.simulate import ExternalHazard, HazardModel, ScenarioConfig, simulate
@@ -221,20 +221,22 @@ class TestAnonymizer:
 
 
 @st.composite
-def policy_matrices(draw, max_n=30, max_days=28):
+def policy_matrices(draw, max_n=30, max_days=28, **fixed):
     """A random policy and a matrix it drops no test from.
 
     Rows are drawn as strings over " NP"; a test inside a removal window (or,
     under the weekly rule, a second test in a Monday-to-Sunday week) is
-    blanked, mirroring ``apply_adjustments``.
+    blanked, mirroring ``apply_adjustments``.  ``fixed`` policy fields replace
+    the drawn ones.
     """
-    policy = AdjustmentPolicy(
-        result_delay_days=draw(st.integers(0, 2)),
-        isolation_days=draw(st.integers(1, 4)),
-        post_isolation_exemption_days=draw(st.integers(0, 8)),
-        keep_first_test_per_week=draw(st.booleans()),
-        min_daily_tests=0,
-    )
+    policy = AdjustmentPolicy(**{
+        "result_delay_days": draw(st.integers(0, 2)),
+        "isolation_days": draw(st.integers(1, 4)),
+        "post_isolation_exemption_days": draw(st.integers(0, 8)),
+        "keep_first_test_per_week": draw(st.booleans()),
+        "min_daily_tests": 0,
+        **fixed,
+    })
     n = draw(st.integers(1, max_n))
     horizon = draw(st.integers(1, max_days))
     start = MONDAY + dt.timedelta(days=draw(st.integers(0, 6)))
@@ -257,6 +259,29 @@ def policy_matrices(draw, max_n=30, max_days=28):
                 rem_start = day + policy.result_delay_days + 1
                 rem_end = day + policy.result_delay_days + policy.isolation_days
     return TestingMatrix(dates, cells), policy
+
+
+class TestAdjustmentProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(case=policy_matrices(result_delay_days=0, post_isolation_exemption_days=0,
+                                keep_first_test_per_week=False))
+    def test_panel_equals_event_history_reconstruction(self, case):
+        """Without delay, weekly rule or exemption, each row is an event history: its
+        tests, and a clearance ``isolation_days`` after each positive."""
+        matrix, policy = case
+        horizon = matrix.n_days
+        histories = []
+        for row in matrix.cells:
+            days = np.flatnonzero(row >= 0) + 1
+            results = row[days - 1] == POSITIVE
+            clearances = [day + policy.isolation_days for day in days[results]]
+            histories.append(EventHistory(test_times=tuple(days), test_results=tuple(results),
+                                          clearance_times=tuple(clearances)))
+        want = Panel.from_histories(histories, horizon)
+        got = apply_adjustments(matrix, policy).panel
+        for name in ("tested", "positive", "removed", "cleared", "last_clear", "next_test",
+                     "assumed_well"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
 
 
 class TestAnonymizerProperties:

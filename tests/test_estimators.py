@@ -418,6 +418,34 @@ class TestDayEvaluatorMatchesReference:
                 np.testing.assert_array_equal(ev._last_unclipped, ref._last_unclipped)
                 np.testing.assert_array_equal(ev._last_fallback, ref._last_fallback)
 
+    @settings(max_examples=60, deadline=None)
+    @given(case=panels_and_days(), specificity=st.sampled_from([1.0, 0.992, 0.6]),
+           min_size=st.integers(1, 3), weight_cap=st.sampled_from([None, 5.0]))
+    def test_point_table_equals_all_ones_row(self, case, specificity, min_size, weight_cap):
+        """The point path (table lookup) is bit-equal to the multiplicity path, and the
+        table to the matrix formula on every identified (stratum, day)."""
+        panel, _ = case
+        n = panel.n_individuals
+        tests = TestCharacteristics(0.832, specificity)
+        for day in range(1, panel.horizon + 1):
+            ev = DayEvaluator(panel, day, tests, min_stratum_size=min_size, weight_cap=weight_cap)
+            got, want = WeightTable(day), WeightTable(day)
+            point = ev.estimate(None, got)
+            point_state = ev._last_unclipped, ev._last_fallback
+            np.testing.assert_array_equal(point, ev.estimate(np.ones((1, n)), want))
+            np.testing.assert_array_equal(point_state[0], ev._last_unclipped)
+            np.testing.assert_array_equal(point_state[1], ev._last_fallback)
+            assert got.entries == want.entries, day
+        probs = panel.point_probabilities(specificity)
+        for c in range(panel.horizon):
+            for day in range(c + 1, panel.horizon + 1):
+                try:
+                    want = testing_probability_from_matrix(
+                        estimate_schedule_matrix(panel, c, day), specificity)
+                except DegenerateStratumError:
+                    continue  # no stratum, or a denominator at or below _EPS
+                assert probs[c, day] == pytest.approx(min(want, 1.0), rel=1e-12, abs=1e-12)
+
     @settings(max_examples=80, deadline=None)
     @given(case=panels_and_days(), specificity=st.sampled_from([1.0, 0.992, 0.9]))
     def test_weights_match_matrix_formula(self, case, specificity):

@@ -88,6 +88,32 @@ class TestKnownWeights:
         weights = KnownWeights(build_scenario("clustered"))
         assert weights(0, 9) == weights(5, 9)
 
+    @pytest.mark.parametrize("removal", [1, 2, 3, 4, 5])
+    def test_removal_shorter_than_min_gap_is_config_error(self, removal):
+        """min-max(10, 5) after a positive test on day 8 - removal and a clearance on 8:
+        the clearance row equals the simulator's law exactly when the removal lasts at
+        least min_gap - 1 = 4 days, and KnownWeights rejects every shorter removal."""
+        from dataclasses import replace
+
+        from prevest.regimens import next_test_pmf, probability_vector
+
+        bundle = build_scenario("min-max")
+        bundle = replace(bundle, config=replace(bundle.config, removal_duration_days=removal))
+        regimen, c, horizon = bundle.config.regimen, 8, 14
+        law, survival = np.zeros(horizon + 2), 1.0
+        for day in range(c + 1, horizon + 1):
+            q = probability_vector(regimen, day, np.array([c - removal]), np.array([True]),
+                                   np.array([c]))[0]
+            law[day], survival = survival * q, survival * (1.0 - q)
+        law[horizon + 1] = survival
+        consistent = np.array_equal(law, next_test_pmf(regimen, c, horizon)[0])
+        assert consistent == (removal >= regimen.min_gap - 1)
+        if consistent:
+            KnownWeights(bundle)
+        else:
+            with pytest.raises(ConfigError, match="removal_duration_days.*min_gap"):
+                KnownWeights(bundle)
+
 
 class TestSeriesAssembly:
     def test_series_kinds_and_exclusions(self):

@@ -3,8 +3,9 @@
 ``perfbench/tracing.py`` patches names inside ``prevest``; a refactor that
 moves one of them would silently zero its layer metrics.  This runs a small
 traced ``analyze --intervals`` and checks that the bootstrap layers still
-record work, and a traced ``anonymize`` then ``analyze`` that the
-anonymizer and the per-day evaluator construction are still seen.
+record work, a traced ``anonymize`` then ``analyze`` that the anonymizer
+and the per-day evaluator construction are still seen, and a traced
+``scenario`` that its evaluators are built and estimated once per day.
 """
 
 import csv
@@ -93,3 +94,16 @@ def test_traced_release_reports_anonymizer_and_one_evaluator_per_day(tmp_path):
     assert estimated_days > 0
     assert metrics["estimators.evaluator_init_calls"] == estimated_days
     assert metrics["dataio.anonymize_s"] > 0
+
+
+def test_traced_scenario_reports_evaluator_layers(tmp_path):
+    replicates = 2
+    codes, metrics = traced_main(["scenario", "--name", "min-max", "--replicates",
+                                  str(replicates), "--population", "200", "--seed", "0",
+                                  "--out", str(tmp_path)])
+    assert codes == [0]
+
+    horizon = build_scenario("min-max").config.horizon_days
+    assert metrics["estimators.evaluator_init_calls"] == replicates * horizon
+    assert metrics["estimators.evaluator_init_s"] > 0
+    assert metrics["estimators.estimate_s"] > 0
