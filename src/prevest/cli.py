@@ -168,6 +168,24 @@ def cmd_scenario(args, report: RunReport) -> None:
     report.outputs.append(out)
 
 
+def _dropped_test_warnings(adjusted: dataio.AdjustedData) -> list[str]:
+    out = []
+    if adjusted.n_dropped_weekly:
+        out.append(f"{adjusted.n_dropped_weekly} repeat within-week test(s) dropped")
+    if adjusted.n_dropped_isolation:
+        out.append(f"{adjusted.n_dropped_isolation} test(s) during isolation windows dropped")
+    return out
+
+
+def _retained_tests(matrix: dataio.TestingMatrix, policy: AdjustmentPolicy,
+                    report: RunReport) -> dataio.TestingMatrix:
+    """The tests the analysis keeps.  The anonymizer shuffles these: a dropped
+    test would group rows by a schedule state the analysis never sees."""
+    adjusted = dataio.apply_adjustments(matrix, policy)
+    report.warnings.extend(_dropped_test_warnings(adjusted))
+    return adjusted.to_matrix()
+
+
 def cmd_analyze(args, report: RunReport) -> None:
     matrix = parse_testing_matrix(args.matrix)
     policy = dataio.load_adjustment_policy(args.policy) if args.policy else AdjustmentPolicy()
@@ -184,14 +202,7 @@ def cmd_analyze(args, report: RunReport) -> None:
     n_excluded = int(adjusted.excluded_days[1:].sum())
     if n_excluded:
         report.warnings.append(f"{n_excluded} day(s) below {policy.min_daily_tests} tests excluded")
-    if adjusted.n_dropped_weekly:
-        report.warnings.append(
-            f"{adjusted.n_dropped_weekly} repeat within-week test(s) dropped"
-        )
-    if adjusted.n_dropped_isolation:
-        report.warnings.append(
-            f"{adjusted.n_dropped_isolation} test(s) during isolation windows dropped"
-        )
+    report.warnings.extend(_dropped_test_warnings(adjusted))
     dataio.write_table(args.out, series.rows(), args.format)
     report.outputs.append(args.out)
 
@@ -199,7 +210,8 @@ def cmd_analyze(args, report: RunReport) -> None:
 def cmd_anonymize(args, report: RunReport) -> None:
     matrix = parse_testing_matrix(args.matrix)
     policy = dataio.load_adjustment_policy(args.policy) if args.policy else AdjustmentPolicy()
-    shuffled = dataio.anonymize_shuffle(matrix, seed=args.seed, policy=policy)
+    shuffled = dataio.anonymize_shuffle(_retained_tests(matrix, policy, report),
+                                        seed=args.seed, policy=policy)
     write_testing_matrix(shuffled, args.out)
     report.outputs.append(args.out)
 

@@ -37,8 +37,18 @@ from .simulate import (
 from .uncertainty import IntervalSpec
 
 ABSENT, NEGATIVE, POSITIVE = -1, 0, 1
-_CELLS = {"": ABSENT, "N": NEGATIVE, "P": POSITIVE}
-_SYMBOLS = {ABSENT: "", NEGATIVE: "N", POSITIVE: "P"}
+
+# Byte classes of a cell block: whitespace, the field separator, the two
+# result symbols (either case) and anything else.
+_BLANK, _COMMA, _NEG, _POS, _OTHER = range(5)
+_BYTE_CLASS = np.full(256, _OTHER, dtype=np.uint8)
+_BYTE_CLASS[[c for c in range(128) if chr(c).isspace()]] = _BLANK
+_BYTE_CLASS[ord(",")] = _COMMA
+_BYTE_CLASS[[ord("N"), ord("n")]] = _NEG
+_BYTE_CLASS[[ord("P"), ord("p")]] = _POS
+_CLASS_CELL = np.array([ABSENT, ABSENT, NEGATIVE, POSITIVE, ABSENT], dtype=np.int8)
+# Indexed by cell value: an absent cell (-1) takes the last entry, a NUL the writer drops.
+_SYMBOL_BYTES = np.frombuffer(b"NP\0", dtype=np.uint8)
 
 
 class ParseError(ValueError):
@@ -62,12 +72,18 @@ class TestingMatrix:
     __test__ = False  # "Testing" prefix is domain vocabulary, not a pytest suite
 
     def __post_init__(self):
-        self.cells = np.asarray(self.cells, dtype=np.int8)
-        if self.cells.ndim != 2 or self.cells.shape[1] != len(self.dates):
+        cells = np.asarray(self.cells)
+        if cells.ndim != 2 or cells.shape[1] != len(self.dates):
             raise ValueError("cell matrix shape does not match the date header")
+        if cells.size and (cells.dtype.kind not in "biu" or cells.min() < ABSENT
+                           or cells.max() > POSITIVE):
+            raise ValueError("cells must be -1 (no test), 0 (negative) or 1 (positive)")
+        self.cells = cells.astype(np.int8, copy=False)
         for a, b in zip(self.dates, self.dates[1:]):
             if (b - a).days != 1:
                 raise ValueError(f"day columns must be consecutive: {a} -> {b}")
+        if self.row_labels is not None:
+            _check_row_labels(self.row_labels, cells.shape[0])
 
     @property
     def n_individuals(self) -> int:
@@ -82,6 +98,23 @@ class TestingMatrix:
 
     def n_tests(self) -> int:
         return int((self.cells >= 0).sum())
+
+
+def _check_row_labels(labels, n_rows: int) -> None:
+    """Labels the writer can write and the parser reads back unchanged."""
+    if len(labels) != n_rows:
+        raise ValueError(f"{len(labels)} row labels for {n_rows} rows")
+    seen: set[str] = set()
+    for label in labels:
+        if not isinstance(label, str):
+            raise ValueError(f"row label {label!r} is not a string")
+        if label in seen:
+            raise ValueError(f"duplicate row label {label!r}")
+        seen.add(label)
+        if "," in label or "".join(label.splitlines()) != label:
+            raise ValueError(f"row label {label!r} contains a comma or a line break")
+        if label != label.strip():
+            raise ValueError(f"row label {label!r} has surrounding whitespace")
 
 
 def parse_testing_matrix(path) -> TestingMatrix:
@@ -117,42 +150,83 @@ def parse_testing_matrix(path) -> TestingMatrix:
     n_cols = len(header)
     labels: list[str] = []
     seen: set[str] = set()
-    rows = []
+    line_of_row: list[int] = []
+    cell_text: list[str] = []  # each row's cell fields, without the id
+    row_error = None  # a ragged row or repeated id ends the rows; earlier bad cells still win
     for i, line in lines[1:]:
-        parts = [p.strip() for p in line.split(",")]
-        if len(parts) != n_cols:
-            raise ParseError(f"row has {len(parts)} fields, header has {n_cols}", line=i)
+        n_fields = line.count(",") + 1
+        if n_fields != n_cols:
+            row_error = ParseError(f"row has {n_fields} fields, header has {n_cols}", line=i)
+            break
         if has_ids:
-            if parts[0] in seen:
-                raise ParseError(f"duplicate row id {parts[0]!r}", line=i, column=1)
-            seen.add(parts[0])
-            labels.append(parts[0])
-            parts = parts[1:]
-        row = np.empty(len(parts), dtype=np.int8)
-        for j, cell in enumerate(parts):
-            value = _CELLS.get(cell.upper())
-            if value is None:
-                raise ParseError(f"unknown cell symbol {cell!r}", line=i, column=j + 1 + has_ids)
-            row[j] = value
-        rows.append(row)
-    if not rows:
+            label, rest = line.split(",", 1)
+            label = label.strip()
+            if label in seen:
+                row_error = ParseError(f"duplicate row id {label!r}", line=i, column=1)
+                break
+            seen.add(label)
+            labels.append(label)
+        line_of_row.append(i)
+        cell_text.append(rest if has_ids else line)
+    cells, bad = _parse_cells(cell_text, len(dates))
+    if bad is not None:
+        row, j = divmod(bad, len(dates))
+        cell = cell_text[row].split(",")[j].strip()
+        raise ParseError(f"unknown cell symbol {cell!r}", line=line_of_row[row],
+                         column=j + 1 + has_ids)
+    if row_error is not None:
+        raise row_error
+    if not cell_text:
         raise ParseError("testing-matrix file has a header but no rows")
-    return TestingMatrix(
-        dates=dates, cells=np.vstack(rows), row_labels=labels if has_ids else None
-    )
+    return TestingMatrix(dates=dates, cells=cells, row_labels=labels if has_ids else None)
+
+
+def _parse_cells(rows: list[str], n_days: int) -> tuple[np.ndarray, int | None]:
+    """The cells of ``rows`` (``n_days`` comma-separated fields each) in one pass.
+
+    Returns the int8 matrix and the flat index of the first field, in file
+    order, that is not a cell symbol (None when every field is one).  A field
+    is valid when, ``str.strip`` whitespace aside, it holds nothing or one
+    of ``N n P p``.
+    """
+    text = ",".join([""] + rows + [""])  # a comma opens the first field and closes every field
+    if not text.isascii():  # one byte per character: a blank for whitespace, '?' otherwise
+        points = np.unique(np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32))
+        text = text.translate({int(p): " " if chr(p).isspace() else "?"
+                               for p in points[points > 127]})
+    kind = _BYTE_CLASS[np.frombuffer(text.encode("ascii"), dtype=np.uint8)]
+    del text
+    kind = kind[kind != _BLANK]  # commas and symbols
+    comma = kind == _COMMA
+    bad = kind == _OTHER
+    bad[1:] |= ~(comma[1:] | comma[:-1])  # a second character in one field
+    first_bad = int(np.count_nonzero(comma[: bad.argmax()])) - 1 if bad.any() else None
+    # a field's value is its last character: a symbol, or the comma before an empty field
+    cells = _CLASS_CELL[kind[:-1][comma[1:]]]
+    return cells.reshape(len(rows), n_days), first_bad
 
 
 def write_testing_matrix(matrix: TestingMatrix, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        header = [d.isoformat() for d in matrix.dates]
-        if matrix.row_labels is not None:
-            header = ["id"] + header
-        fh.write(",".join(header) + "\n")
-        for i in range(matrix.n_individuals):
-            cells = [_SYMBOLS[int(v)] for v in matrix.cells[i]]
-            if matrix.row_labels is not None:
-                cells = [matrix.row_labels[i]] + cells
-            fh.write(",".join(cells) + "\n")
+    n, n_days = matrix.cells.shape
+    if matrix.row_labels is None and n_days == 1 and (matrix.cells == ABSENT).any():
+        raise ValueError("a one-day matrix without row labels cannot hold an untested row: "
+                         "its line would be blank, and blank lines are skipped")
+    # Row bytes: symbol, comma, symbol, ..., symbol, newline.
+    rows = np.empty((n, max(2 * n_days, 1)), dtype=np.uint8)
+    rows[:, 1::2] = ord(",")
+    rows[:, 0 : 2 * n_days : 2] = _SYMBOL_BYTES[matrix.cells]
+    rows[:, -1] = ord("\n")
+    body = rows[rows != 0]  # without the NULs of absent cells
+    header = [d.isoformat() for d in matrix.dates]
+    if matrix.row_labels is not None:
+        header = ["id"] + header
+        sep = "," if n_days else ""
+        lines = body.tobytes().decode("ascii").splitlines()
+        body = "".join(f"{label}{sep}{line}\n"
+                       for label, line in zip(matrix.row_labels, lines)).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode("utf-8"))
+        fh.write(body)
 
 
 def write_table(path, rows: Iterable[dict], fmt: str) -> None:
@@ -275,51 +349,49 @@ class AdjustedData:
         return TestingMatrix(dates=list(self.dates), cells=cells, row_labels=row_labels)
 
 
-def _week_key(date: dt.date) -> tuple[int, int]:
-    iso = date.isocalendar()
-    return iso[0], iso[1]  # Monday-to-Sunday calendar weeks
-
-
 def apply_adjustments(matrix: TestingMatrix, policy: AdjustmentPolicy) -> AdjustedData:
-    """Derive per-individual event histories and per-day exclusion flags."""
-    n, horizon = matrix.n_individuals, matrix.n_days
-    tested = np.zeros((n, horizon + 1), dtype=bool)
-    positive = np.zeros((n, horizon + 1), dtype=bool)
-    removed = np.zeros((n, horizon + 1), dtype=bool)
-    cleared = np.zeros((n, horizon + 1), dtype=bool)
-    assumed = np.zeros((n, horizon + 1), dtype=bool)
-    week_of_day = [_week_key(d) for d in matrix.dates]
+    """Derive per-individual event histories and per-day exclusion flags.
 
+    One pass over the days on n-vectors.  Per individual it tracks the week
+    of the last test the weekly rule let through, the active removal episode
+    (``rem_start``..``rem_end``, its result pending before ``rem_start``) and
+    the exemption ends of that episode and the one before it: an exemption
+    runs on into the next episode's removal window.
+    """
+    n, horizon = matrix.n_individuals, matrix.n_days
+    delay, isolation = policy.result_delay_days, policy.isolation_days
+    tested, positive, removed, cleared, assumed = (
+        np.zeros((n, horizon + 1), dtype=bool) for _ in range(5))
+    first = matrix.dates[0].toordinal() if horizon else 1
+    week = (first - 1 + np.arange(horizon)) // 7  # Monday-to-Sunday weeks: ordinal 1 is a Monday
+
+    last_week = np.full(n, -1, dtype=np.int64)
+    rem_start = np.zeros(n, dtype=np.int64)
+    rem_end = np.zeros(n, dtype=np.int64)
+    exempt_end = np.zeros(n, dtype=np.int64)       # assumed well on rem_end < day <= exempt_end
+    earlier_exempt_end = np.zeros(n, dtype=np.int64)  # the previous episode's exemption
     dropped_weekly = 0
     dropped_isolation = 0
-    for i in range(n):
-        cols = np.flatnonzero(matrix.cells[i] >= 0)
-        rem_start, rem_end = 0, 0  # active removal episode (pendency precedes rem_start)
-        last_week = None
-        for j in cols:
-            day = j + 1
-            if policy.keep_first_test_per_week:
-                week = week_of_day[j]
-                if week == last_week:
-                    dropped_weekly += 1
-                    continue
-                last_week = week
-            if rem_start <= day <= rem_end:
-                dropped_isolation += 1  # a removed individual cannot be in the tested set
-                continue
-            tested[i, day] = True
-            result = matrix.cells[i, j] == POSITIVE
-            positive[i, day] = result
-            if result and rem_end < day:  # pendency blocks a nested episode
-                rem_start = day + policy.result_delay_days + 1
-                rem_end = day + policy.result_delay_days + policy.isolation_days
-                exempt_until = day + policy.post_isolation_exemption_days
-                if rem_start <= horizon:
-                    removed[i, rem_start : min(rem_end, horizon) + 1] = True
-                if rem_end <= horizon:
-                    cleared[i, rem_end] = True
-                if exempt_until > rem_end and rem_end + 1 <= horizon:
-                    assumed[i, rem_end + 1 : min(exempt_until, horizon) + 1] = True
+    for day in range(1, horizon + 1):
+        removed[:, day] = in_removal = (rem_start <= day) & (day <= rem_end)
+        cleared[:, day] = rem_end == day
+        assumed[:, day] = (day <= earlier_exempt_end) | ((rem_end < day) & (day <= exempt_end))
+        column = matrix.cells[:, day - 1]
+        test = column >= 0
+        if policy.keep_first_test_per_week:
+            repeat = test & (last_week == week[day - 1])
+            dropped_weekly += int(np.count_nonzero(repeat))
+            test &= ~repeat
+            last_week[test] = week[day - 1]
+        dropped_isolation += int(np.count_nonzero(test & in_removal))
+        # a removed individual cannot be in the tested set
+        kept = tested[:, day] = test & ~in_removal
+        result = positive[:, day] = kept & (column == POSITIVE)
+        start = result & (rem_end < day)  # pendency blocks a nested episode
+        earlier_exempt_end[start] = exempt_end[start]
+        rem_start[start] = day + delay + 1
+        rem_end[start] = day + delay + isolation
+        exempt_end[start] = day + policy.post_isolation_exemption_days
     panel = Panel._derived(horizon, tested, positive, removed, cleared, assumed)
     tests_per_day = tested.sum(axis=0)
     excluded = tests_per_day < policy.min_daily_tests

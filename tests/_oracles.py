@@ -350,3 +350,141 @@ def dict_anonymize_shuffle(
 
     order = rng.permutation(n)
     return TestingMatrix(dates=list(matrix.dates), cells=cells[order], row_labels=None)
+
+
+def per_cell_parse_testing_matrix(path):
+    """``dataio.parse_testing_matrix`` as first written: one cell at a time.
+
+    Each row is split on commas, every field stripped and looked up in a
+    symbol dict after ``str.upper``; the first bad field raises.
+    """
+    import datetime as dt
+
+    from prevest.dataio import ABSENT, NEGATIVE, POSITIVE, ParseError, TestingMatrix
+
+    symbols = {"": ABSENT, "N": NEGATIVE, "P": POSITIVE}
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        lines = [(k, ln) for k, ln in enumerate(fh.read().splitlines(), start=1) if ln.strip()]
+    if not lines:
+        raise ParseError("empty testing-matrix file")
+    header_line = lines[0][0]
+    header = [h.strip() for h in lines[0][1].split(",")]
+    has_ids = False
+    try:
+        dt.date.fromisoformat(header[0])
+    except ValueError:
+        has_ids = True
+    date_cells = header[1:] if has_ids else header
+    if not date_cells:
+        raise ParseError("header contains no date columns", line=header_line)
+    dates = []
+    for j, cell in enumerate(date_cells):
+        try:
+            dates.append(dt.date.fromisoformat(cell))
+        except ValueError:
+            raise ParseError(f"bad date {cell!r} in header", line=header_line,
+                             column=j + 1 + has_ids)
+    for j, (a, b) in enumerate(zip(dates, dates[1:])):
+        if (b - a).days != 1:
+            raise ParseError(f"dates must be consecutive calendar days: {a} then {b}",
+                             line=header_line, column=j + 2 + has_ids)
+    n_cols = len(header)
+    labels = []
+    seen = set()
+    rows = []
+    for i, line in lines[1:]:
+        parts = [p.strip() for p in line.split(",")]
+        if len(parts) != n_cols:
+            raise ParseError(f"row has {len(parts)} fields, header has {n_cols}", line=i)
+        if has_ids:
+            if parts[0] in seen:
+                raise ParseError(f"duplicate row id {parts[0]!r}", line=i, column=1)
+            seen.add(parts[0])
+            labels.append(parts[0])
+            parts = parts[1:]
+        row = np.empty(len(parts), dtype=np.int8)
+        for j, cell in enumerate(parts):
+            value = symbols.get(cell.upper())
+            if value is None:
+                raise ParseError(f"unknown cell symbol {cell!r}", line=i, column=j + 1 + has_ids)
+            row[j] = value
+        rows.append(row)
+    if not rows:
+        raise ParseError("testing-matrix file has a header but no rows")
+    return TestingMatrix(dates=dates, cells=np.vstack(rows),
+                         row_labels=labels if has_ids else None)
+
+
+def per_cell_write_testing_matrix(matrix, path):
+    """``dataio.write_testing_matrix`` as first written: one symbol lookup per cell."""
+    symbols = {-1: "", 0: "N", 1: "P"}
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        header = [d.isoformat() for d in matrix.dates]
+        if matrix.row_labels is not None:
+            header = ["id"] + header
+        fh.write(",".join(header) + "\n")
+        for i in range(matrix.n_individuals):
+            cells = [symbols[int(v)] for v in matrix.cells[i]]
+            if matrix.row_labels is not None:
+                cells = [matrix.row_labels[i]] + cells
+            fh.write(",".join(cells) + "\n")
+
+
+def row_loop_apply_adjustments(matrix, policy):
+    """``dataio.apply_adjustments`` as first written: one individual at a time.
+
+    Walks each row's tests in day order: a repeat test in a Monday-to-Sunday
+    week (under the weekly rule) or a test inside a removal window is
+    dropped; a kept positive outside a pending or active episode writes its
+    whole removal window, clearance and exemption window at once.  Marks
+    are never cleared, so an exemption window persists into a later
+    episode's removal window.
+    """
+    from prevest.dataio import POSITIVE, AdjustedData
+    from prevest.estimators import Panel
+
+    n, horizon = matrix.n_individuals, matrix.n_days
+    tested = np.zeros((n, horizon + 1), dtype=bool)
+    positive = np.zeros((n, horizon + 1), dtype=bool)
+    removed = np.zeros((n, horizon + 1), dtype=bool)
+    cleared = np.zeros((n, horizon + 1), dtype=bool)
+    assumed = np.zeros((n, horizon + 1), dtype=bool)
+    week_of_day = [d.isocalendar()[:2] for d in matrix.dates]
+
+    dropped_weekly = 0
+    dropped_isolation = 0
+    for i in range(n):
+        cols = np.flatnonzero(matrix.cells[i] >= 0)
+        rem_start, rem_end = 0, 0
+        last_week = None
+        for j in cols:
+            day = j + 1
+            if policy.keep_first_test_per_week:
+                week = week_of_day[j]
+                if week == last_week:
+                    dropped_weekly += 1
+                    continue
+                last_week = week
+            if rem_start <= day <= rem_end:
+                dropped_isolation += 1
+                continue
+            tested[i, day] = True
+            result = matrix.cells[i, j] == POSITIVE
+            positive[i, day] = result
+            if result and rem_end < day:
+                rem_start = day + policy.result_delay_days + 1
+                rem_end = day + policy.result_delay_days + policy.isolation_days
+                exempt_until = day + policy.post_isolation_exemption_days
+                if rem_start <= horizon:
+                    removed[i, rem_start : min(rem_end, horizon) + 1] = True
+                if rem_end <= horizon:
+                    cleared[i, rem_end] = True
+                if exempt_until > rem_end and rem_end + 1 <= horizon:
+                    assumed[i, rem_end + 1 : min(exempt_until, horizon) + 1] = True
+    panel = Panel._derived(horizon, tested, positive, removed, cleared, assumed)
+    tests_per_day = tested.sum(axis=0)
+    excluded = tests_per_day < policy.min_daily_tests
+    excluded[0] = True
+    return AdjustedData(panel=panel, dates=list(matrix.dates), excluded_days=excluded,
+                        tests_per_day=tests_per_day, n_dropped_weekly=dropped_weekly,
+                        n_dropped_isolation=dropped_isolation, policy=policy)

@@ -1,13 +1,20 @@
 import json
 import re
 import shutil
+import tempfile
+from dataclasses import asdict
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prevest.cli import main
 from prevest.dataio import matrix_from_simulation, write_testing_matrix
 from prevest.scenarios import build_scenario
 from prevest.simulate import simulate
+
+from test_dataio import raw_matrices
 
 SCENARIO_JSON = {
     "population_size": 120,
@@ -279,6 +286,38 @@ class TestAnonymizeCommand:
         main(["analyze", "--matrix", str(shuffled1), "--policy", str(policy),
               "--out", str(est_shuf)])
         assert est_orig.read_bytes() == est_shuf.read_bytes()
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=raw_matrices(max_n=19, max_days=19).filter(lambda case: case[0].n_days > 1),
+           seed=st.integers(0, 2), min_size=st.integers(1, 3))
+    def test_unfiltered_matrix_keeps_the_analysis(self, case, seed, min_size):
+        """A raw export, with tests the policy drops, anonymizes to the same analysis.
+
+        (A one-day matrix is left out: its untested rows have no line in the file.)
+        """
+        matrix, policy = case
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            write_testing_matrix(matrix, tmp / "raw.csv")
+            (tmp / "policy.json").write_text(json.dumps(asdict(policy)))
+            common = ["--policy", str(tmp / "policy.json"), "--min-stratum-size", str(min_size)]
+            assert main(["anonymize", "--matrix", str(tmp / "raw.csv"), "--seed", str(seed),
+                         "--policy", str(tmp / "policy.json"), "--out", str(tmp / "anon.csv")]) == 0
+            for name in ("raw", "anon"):
+                assert main(["analyze", "--matrix", str(tmp / f"{name}.csv"), *common,
+                             "--out", str(tmp / f"{name}.series.csv")]) == 0
+            assert (tmp / "anon.series.csv").read_bytes() == (tmp / "raw.series.csv").read_bytes()
+
+    def test_dropped_tests_are_reported(self, tmp_path, capsys):
+        src = tmp_path / "raw.csv"
+        dates = ",".join(f"2020-08-{d}" for d in range(24, 32))  # Monday to next Monday
+        # default policy: Tuesday repeats Monday's week; the next Monday falls in isolation
+        src.write_text(f"{dates}\nP,N,,,,,,N\nN,,,,,,,\n")
+        assert main(["anonymize", "--matrix", str(src), "--out", str(tmp_path / "a.csv")]) == 0
+        out = capsys.readouterr().out
+        assert "warning: 1 repeat within-week test(s) dropped" in out
+        assert "warning: 1 test(s) during isolation windows dropped" in out
 
 
 class TestDeskScaleTimings:

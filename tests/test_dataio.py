@@ -1,3 +1,4 @@
+import dataclasses
 import datetime as dt
 import json
 
@@ -29,7 +30,12 @@ from prevest.scenarios import estimate_panel_series
 from prevest.regimens import ConfigError, RegimenConfig
 from prevest.simulate import ExternalHazard, HazardModel, ScenarioConfig, simulate
 
-from _oracles import dict_anonymize_shuffle
+from _oracles import (
+    dict_anonymize_shuffle,
+    per_cell_parse_testing_matrix,
+    per_cell_write_testing_matrix,
+    row_loop_apply_adjustments,
+)
 
 MONDAY = dt.date(2020, 8, 31)
 
@@ -105,6 +111,22 @@ class TestParsing:
         with pytest.raises(ParseError, match="line 4, column 2"):
             parse_testing_matrix(write(tmp_path, "2020-08-31,2020-09-01\nN,\n\nN,X\n"))
 
+    def test_cell_spellings(self, tmp_path):
+        text = "id,2020-08-31,2020-09-01,2020-09-02\n r1 , n ,\xa0P\t, \n\u3000r2,,p,N\n"
+        m = parse_testing_matrix(write(tmp_path, text))
+        assert m.row_labels == ["r1", "r2"]
+        assert m.cells.tolist() == [[NEGATIVE, POSITIVE, ABSENT], [ABSENT, POSITIVE, NEGATIVE]]
+
+    @pytest.mark.parametrize("cell", ["NN", "N P", "\xd1", "x"])
+    def test_first_bad_field_in_file_order(self, tmp_path, cell):
+        text = f"2020-08-31,2020-09-01\nN,\n,{cell}\nX,\n"
+        with pytest.raises(ParseError, match=rf"unknown cell symbol '{cell}' \(line 3, column 2\)"):
+            parse_testing_matrix(write(tmp_path, text))
+
+    def test_bad_cell_before_ragged_row_wins(self, tmp_path):
+        with pytest.raises(ParseError, match="'X' \\(line 2, column 1\\)"):
+            parse_testing_matrix(write(tmp_path, "2020-08-31,2020-09-01\nX,\nN\n"))
+
     def test_round_trip_file(self, tmp_path):
         sim = small_sim()
         matrix = matrix_from_simulation(sim, start_date=MONDAY)
@@ -113,6 +135,135 @@ class TestParsing:
         back = parse_testing_matrix(path)
         assert back.dates == matrix.dates
         assert np.array_equal(back.cells, matrix.cells)
+
+
+class TestMatrixValidation:
+    """A ``TestingMatrix`` holds only what the writer can write and the parser reads back."""
+
+    DATES = [MONDAY, MONDAY + dt.timedelta(days=1)]
+
+    @pytest.mark.parametrize("cells,labels,message", [
+        ([[0, 2], [1, -1]], None, "cells must be"),
+        ([[0, -1], [1, -1]], ["x"], "1 row labels for 2 rows"),
+        ([[0, -1], [1, -1]], ["a", "a"], "duplicate row label 'a'"),
+        ([[0, -1], [1, -1]], ["a,b", "c"], "comma or a line break"),
+        ([[0, -1], [1, -1]], ["a", "b\nc"], "comma or a line break"),
+        ([[0, -1], [1, -1]], ["a", " c "], "surrounding whitespace"),
+    ], ids=["cell-value", "label-count", "duplicate-label", "comma-label", "line-break-label",
+            "padded-label"])
+    def test_rejected(self, cells, labels, message):
+        with pytest.raises(ValueError, match=message):
+            TestingMatrix(self.DATES, np.array(cells), labels)
+
+    def test_one_day_untested_row_without_labels_is_not_written(self, tmp_path):
+        matrix = TestingMatrix([MONDAY], np.array([[NEGATIVE], [ABSENT]]))
+        with pytest.raises(ValueError, match="blank"):
+            write_testing_matrix(matrix, tmp_path / "m.csv")
+        labelled = dataclasses.replace(matrix, row_labels=["a", "b"])
+        write_testing_matrix(labelled, tmp_path / "m.csv")
+        assert parse_testing_matrix(tmp_path / "m.csv").row_labels == ["a", "b"]
+
+
+# Whitespace that ``str.strip`` removes but that does not end a line.
+SPACES = " \t\x1f\xa0\u3000"
+BAD_CELLS = ["X", "NN", "N P", "\xd1", "\ufeffN", "0", "-"]
+
+
+@st.composite
+def matrix_files(draw):
+    """Bytes of a testing-matrix file.
+
+    Cells and ids are padded with whitespace, ``N``/``P`` come in either case,
+    blank lines are scattered, lines end in LF or CRLF and a BOM may lead.
+    Up to three faults are planted: a ragged row, a bad cell symbol (or a
+    bad character in an id, which is no fault) and a repeated id.
+    """
+    n = draw(st.integers(1, 6))
+    horizon = draw(st.integers(1, 6))
+    has_ids = draw(st.booleans())
+    start = MONDAY + dt.timedelta(days=draw(st.integers(0, 6)))
+    pad = st.text(SPACES, max_size=2)
+
+    def padded(text):
+        return draw(pad) + text + draw(pad)
+
+    header = [(start + dt.timedelta(days=j)).isoformat() for j in range(horizon)]
+    rows = []
+    for i in range(n):
+        cells = [padded(draw(st.sampled_from(["", "N", "n", "P", "p"]))) for _ in range(horizon)]
+        rows.append([padded(f"r{i}")] + cells if has_ids else cells)
+    for fault in draw(st.lists(st.sampled_from(["ragged", "symbol", "duplicate"]), max_size=3)):
+        i = draw(st.integers(0, n - 1))
+        row = rows[i]
+        if fault == "ragged":
+            if len(row) > 1 and draw(st.booleans()):
+                row.pop()
+            else:
+                row.append(padded(""))
+        elif fault == "symbol":
+            row[draw(st.integers(0, len(row) - 1))] = padded(draw(st.sampled_from(BAD_CELLS)))
+        elif has_ids and i > 0:
+            row[0] = padded(rows[draw(st.integers(0, i - 1))][0].strip(SPACES))
+    lines = [",".join((["id"] if has_ids else []) + header)] + [",".join(r) for r in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(pad))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(lines) + draw(st.sampled_from(["", newline]))
+    bom = b"\xef\xbb\xbf" if draw(st.booleans()) else b""
+    return bom + text.encode("utf-8")
+
+
+def parse_outcome(parse, path):
+    try:
+        m = parse(path)
+    except ParseError as exc:
+        return "error", str(exc), exc.line, exc.column
+    return "ok", m.dates, m.cells.dtype, m.cells.shape, m.cells.tobytes(), m.row_labels
+
+
+@st.composite
+def random_matrices(draw, max_n, max_days, labelled=False):
+    """Random cells from a random start weekday, and row labels when ``labelled`` draws them."""
+    n = draw(st.integers(1, max_n))
+    horizon = draw(st.integers(1, max_days))
+    start = MONDAY + dt.timedelta(days=draw(st.integers(0, 6)))
+    cells = draw(st.lists(st.lists(st.sampled_from([ABSENT, NEGATIVE, POSITIVE]),
+                                   min_size=horizon, max_size=horizon), min_size=n, max_size=n))
+    labels = None
+    if labelled and draw(st.booleans()):
+        labels = draw(st.lists(st.text("ab_1\xd1 ", max_size=4).map(str.strip),
+                               min_size=n, max_size=n, unique=True))
+    dates = [start + dt.timedelta(days=j) for j in range(horizon)]
+    return TestingMatrix(dates, np.array(cells, dtype=np.int8), labels)
+
+
+class TestMatrixFileProperties:
+    """The whole-array parser and writer pinned to the per-cell originals."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=matrix_files())
+    def test_parser_equals_per_cell_oracle(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("parse") / "m.csv"
+        path.write_bytes(data)
+        assert (parse_outcome(parse_testing_matrix, path)
+                == parse_outcome(per_cell_parse_testing_matrix, path))
+
+    @settings(max_examples=150, deadline=None)
+    @given(matrix=random_matrices(max_n=6, max_days=6, labelled=True))
+    def test_writer_equals_per_cell_oracle_and_round_trips(self, tmp_path_factory, matrix):
+        tmp = tmp_path_factory.mktemp("write")
+        got, want = tmp / "got.csv", tmp / "want.csv"
+        per_cell_write_testing_matrix(matrix, want)
+        untested = matrix.n_tests() < matrix.n_individuals
+        if matrix.row_labels is None and matrix.n_days == 1 and untested:
+            with pytest.raises(ValueError):  # an untested row would be a blank line
+                write_testing_matrix(matrix, got)
+            return
+        write_testing_matrix(matrix, got)
+        assert got.read_bytes() == want.read_bytes()
+        back = parse_testing_matrix(got)
+        assert back.dates == matrix.dates and back.row_labels == matrix.row_labels
+        assert back.cells.tobytes() == matrix.cells.tobytes()
 
 
 class TestAdjustments:
@@ -282,6 +433,55 @@ class TestAdjustmentProperties:
         for name in ("tested", "positive", "removed", "cleared", "last_clear", "next_test",
                      "assumed_well"):
             np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+
+
+@st.composite
+def raw_matrices(draw, every_rule=False, max_n=20, max_days=28):
+    """A random policy and a matrix of random cells, the tests it drops left in.
+
+    Repeat tests within a week and tests inside a removal window stay in the
+    matrix.  With ``every_rule`` the policy has a result delay, an exemption
+    and the weekly rule.
+    """
+    low = int(every_rule)
+    policy = AdjustmentPolicy(
+        result_delay_days=draw(st.integers(low, 3)),
+        isolation_days=draw(st.integers(1, 5)),
+        post_isolation_exemption_days=draw(st.integers(low, 20)),
+        keep_first_test_per_week=every_rule or draw(st.booleans()),
+        min_daily_tests=draw(st.integers(0, 3)),
+    )
+    return draw(random_matrices(max_n, max_days)), policy
+
+
+def assert_same_adjustment(got, want):
+    for f in dataclasses.fields(Panel):
+        if f.init:
+            np.testing.assert_array_equal(getattr(got.panel, f.name), getattr(want.panel, f.name),
+                                          err_msg=f.name)
+    assert (got.n_dropped_weekly, got.n_dropped_isolation) == (
+        want.n_dropped_weekly, want.n_dropped_isolation)
+    np.testing.assert_array_equal(got.excluded_days, want.excluded_days)
+    np.testing.assert_array_equal(got.tests_per_day, want.tests_per_day)
+    assert got.tests_per_day.dtype == want.tests_per_day.dtype
+
+
+class TestAdjustmentOracle:
+    """The day-loop ``apply_adjustments`` pinned to the row-loop original."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=policy_matrices())
+    def test_policy_consistent_matrices(self, case):
+        matrix, policy = case
+        assert_same_adjustment(apply_adjustments(matrix, policy),
+                               row_loop_apply_adjustments(matrix, policy))
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=raw_matrices(every_rule=True))
+    def test_unfiltered_matrices_every_rule_on(self, case):
+        matrix, policy = case
+        assert_same_adjustment(apply_adjustments(matrix, policy),
+                               row_loop_apply_adjustments(matrix, policy))
 
 
 class TestAnonymizerProperties:

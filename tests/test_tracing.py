@@ -3,9 +3,10 @@
 ``perfbench/tracing.py`` patches names inside ``prevest``; a refactor that
 moves one of them would silently zero its layer metrics.  This runs a small
 traced ``analyze --intervals`` and checks that the bootstrap layers still
-record work, a traced ``anonymize`` then ``analyze`` that the anonymizer
-and the per-day evaluator construction are still seen, and a traced
-``scenario`` that its evaluators are built and estimated once per day.
+record work, a traced ``anonymize`` then ``analyze`` that the anonymizer,
+the matrix parse, adjustment and write, and the per-day evaluator
+construction are still seen, and a traced ``scenario`` that its evaluators
+are built and estimated once per day.
 """
 
 import csv
@@ -16,7 +17,7 @@ import time
 from pathlib import Path
 
 from prevest.cli import main
-from prevest.dataio import matrix_from_simulation, write_testing_matrix
+from prevest.dataio import matrix_from_simulation, parse_testing_matrix, write_testing_matrix
 from prevest.scenarios import build_scenario
 from prevest.simulate import simulate
 
@@ -94,6 +95,12 @@ def test_traced_release_reports_anonymizer_and_one_evaluator_per_day(tmp_path):
     assert estimated_days > 0
     assert metrics["estimators.evaluator_init_calls"] == estimated_days
     assert metrics["dataio.anonymize_s"] > 0
+    # one parse per command, each of the whole matrix
+    cells = parse_testing_matrix(matrix).cells.size
+    assert cells == parse_testing_matrix(anonymized).cells.size
+    assert metrics["dataio.parse_cells"] == 2 * cells
+    for layer in ("dataio.parse_s", "dataio.adjust_s", "dataio.write_s"):
+        assert metrics[layer] > 0, layer
 
 
 def test_traced_scenario_reports_evaluator_layers(tmp_path):
