@@ -20,6 +20,7 @@ import datetime as dt
 import json
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Iterable, Optional
 
 import numpy as np
@@ -118,9 +119,17 @@ def _check_row_labels(labels, n_rows: int) -> None:
 
 
 def parse_testing_matrix(path) -> TestingMatrix:
-    with open(path, "r", encoding="utf-8-sig") as fh:  # a leading BOM is not part of the header
-        # blank lines are skipped; errors keep reporting the file's own line numbers
-        lines = [(k, ln) for k, ln in enumerate(fh.read().splitlines(), start=1) if ln.strip()]
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8-sig")  # a leading BOM is not part of the header
+    except UnicodeDecodeError as exc:
+        before = exc.object[: exc.start].decode("utf-8")  # after any BOM, like exc.start
+        raise ParseError(f"byte 0x{exc.object[exc.start]:02x} is not UTF-8 text",
+                         line=len((before + "x").splitlines())) from None
+    # blank lines are skipped; errors keep reporting the file's own line numbers
+    lines = [(k, ln) for k, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    del raw, text
     if not lines:
         raise ParseError("empty testing-matrix file")
     header_line = lines[0][0]
@@ -328,9 +337,17 @@ class AdjustmentPolicy:
 
 @dataclass
 class AdjustedData:
-    """Panel-ready view of an adjusted testing matrix."""
+    """Panel-ready view of an adjusted testing matrix.
 
-    panel: Panel
+    The event arrays are bool [individuals, day 0..horizon].  The :attr:`panel`
+    is derived from them on first use: :meth:`to_matrix` needs only the tests.
+    """
+
+    tested: np.ndarray
+    positive: np.ndarray
+    removed: np.ndarray
+    cleared: np.ndarray
+    assumed_well: np.ndarray
     dates: list[dt.date]
     excluded_days: np.ndarray      # bool per study day 0..horizon
     tests_per_day: np.ndarray      # retained tests per study day 0..horizon
@@ -340,12 +357,17 @@ class AdjustedData:
 
     @property
     def horizon(self) -> int:
-        return self.panel.horizon
+        return self.tested.shape[1] - 1
+
+    @cached_property
+    def panel(self) -> Panel:
+        return Panel._derived(self.horizon, self.tested, self.positive, self.removed,
+                              self.cleared, self.assumed_well)
 
     def to_matrix(self, row_labels=None) -> TestingMatrix:
-        cells = np.full((self.panel.n_individuals, self.horizon), ABSENT, dtype=np.int8)
-        tested = self.panel.tested[:, 1:]
-        cells[tested] = np.where(self.panel.positive[:, 1:][tested], POSITIVE, NEGATIVE)
+        tested, positive = self.tested[:, 1:], self.positive[:, 1:]
+        cells = np.full(tested.shape, ABSENT, dtype=np.int8)
+        cells[tested] = np.where(positive[tested], POSITIVE, NEGATIVE)
         return TestingMatrix(dates=list(self.dates), cells=cells, row_labels=row_labels)
 
 
@@ -392,12 +414,15 @@ def apply_adjustments(matrix: TestingMatrix, policy: AdjustmentPolicy) -> Adjust
         rem_start[start] = day + delay + 1
         rem_end[start] = day + delay + isolation
         exempt_end[start] = day + policy.post_isolation_exemption_days
-    panel = Panel._derived(horizon, tested, positive, removed, cleared, assumed)
     tests_per_day = tested.sum(axis=0)
     excluded = tests_per_day < policy.min_daily_tests
     excluded[0] = True  # day 0 is the baseline, never estimated
     return AdjustedData(
-        panel=panel,
+        tested=tested,
+        positive=positive,
+        removed=removed,
+        cleared=cleared,
+        assumed_well=assumed,
         dates=list(matrix.dates),
         excluded_days=excluded,
         tests_per_day=tests_per_day,

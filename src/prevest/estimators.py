@@ -1,27 +1,22 @@
 """Prevalence estimators for longitudinal testing data.
 
-Three estimators of prevalence in the non-removed population are provided:
+Three estimators of prevalence in the non-removed population are provided: the
+test-positive rate (TPR), adjusted for test characteristics, and inverse-probability-
+of-testing weighted estimates of the well count with *known* (``ht_known``) or
+*nonparametrically estimated* (``ht_estimated``) testing probabilities.
 
-* the test-positive rate (TPR), adjusted for test characteristics;
-* an inverse-probability-of-testing weighted estimate of the well count
-  with *known* testing probabilities (``ht_known``);
-* the same estimator with testing probabilities *estimated
-  nonparametrically* from the testing data itself (``ht_estimated``).
+The weighted estimators work stratum by stratum, where a stratum ``c``
+collects the non-removed individuals whose last clearance was on day ``c``.
+The probability ``pi_c`` that a currently-well member is tested on day ``t``
+is identified from the stratum's stochastic upper-triangular schedule matrix
+(:class:`ScheduleMatrix`).  Both estimators share one per-stratum day sum: the
+well count is the members assumed well plus
 
-The weighted estimators work stratum by stratum, where a stratum collects
-the non-removed individuals sharing a last clearance day ``c``.  Within a
-stratum the probability that a currently-well individual is tested on day
-``t`` is identified from the distribution of next-test times via a
-stochastic upper-triangular schedule matrix (:class:`ScheduleMatrix`); the
-estimated well count is
+    sum_c (neg_c - (1 - eta) tested_c) / ((eta + nu - 1) pi_c)
 
-    W_hat = (1 / (eta + nu - 1)) * sum_i w_i D_i (1 - Y_i)
-          - ((1 - eta) / (eta + nu - 1)) * sum_i w_i D_i
-
-with ``w_i`` the reciprocal testing probability, ``D_i`` the test indicator
-and ``Y_i`` the positive-result indicator.  Small or untested strata fall
-back to counting every non-removed member as well, which is the low-
-incidence behaviour that keeps noisy reciprocal weights from exploding.
+with ``neg_c`` tested negatives and ``tested_c`` tested members.  ``ht_estimated``
+counts small or untested strata whole instead, the low-incidence behaviour that
+keeps noisy reciprocal weights from exploding.
 """
 
 from __future__ import annotations
@@ -36,13 +31,12 @@ from scipy import sparse
 
 from .core import EventHistory, TestCharacteristics
 from .regimens import RegimenConfig, next_test_pmf
-from .uncertainty import wald_ht_variance
 
 _EPS = 1e-12
 # Byte budget of one (rows x (span + 1) x span) block in DayEvaluator._stratum_probs.
 _SOLVE_BLOCK_BYTES = 16 << 20
-# Byte budget of one (strata x (span + 1) x span) array in _point_probability_table; the
-# table is built once per panel, so a small budget costs little time and keeps peak RSS down.
+# Byte budget of one (strata x (span + 1) x span) array in _probability_table; a table
+# is built once per panel or run, so a small budget costs little time and keeps peak RSS down.
 _TABLE_BLOCK_BYTES = 1 << 20
 
 
@@ -103,8 +97,10 @@ class Panel:
         """``probs[c, t]``: the estimated testing probability of stratum ``c`` on day
         ``t``, for the panel as observed; built on first use per specificity."""
         if specificity not in self._point_probs:
-            self._point_probs[specificity] = _point_probability_table(
-                self.contribution_index, self.horizon, specificity)
+            index, horizon = self.contribution_index, self.horizon
+            self._point_probs[specificity] = _probability_table(
+                np.unique(index.key // (horizon + 1)), horizon, specificity,
+                lambda chunk, span: index.row_counts(chunk, span, horizon))
         return self._point_probs[specificity]
 
     @staticmethod
@@ -182,6 +178,17 @@ class ContributionIndex:
     offset: np.ndarray       # s - c, the row within the stratum's matrix
     next_test: np.ndarray    # first test day after s (horizon + 2 when none)
     individual: np.ndarray   # ascending within equal (key, next_test)
+
+    def row_counts(self, chunk: np.ndarray, span: int, horizon: int) -> np.ndarray:
+        """Cell counts ``[stratum, value, row]`` of the ascending strata ``chunk``: value
+        ``next_test - c``, or ``span`` after the horizon (rows for :func:`_probability_table`)."""
+        size = horizon + 1
+        lo, hi = np.searchsorted(self.key, [chunk[0] * size, (chunk[-1] + 1) * size])
+        c = self.key[lo:hi] // size
+        value = np.where(self.next_test[lo:hi] > horizon, span, self.next_test[lo:hi] - c)
+        flat = (np.searchsorted(chunk, c) * (span + 1) + value) * span + self.offset[lo:hi]
+        counts = np.bincount(flat, minlength=chunk.size * (span + 1) * span).astype(float)
+        return counts.reshape(chunk.size, span + 1, span)
 
 
 # ---------------------------------------------------------------------------
@@ -300,23 +307,19 @@ def _forward_substitute(block: np.ndarray, nu: float) -> tuple[np.ndarray, np.nd
     return x, y
 
 
-def _point_probability_table(index: ContributionIndex, horizon: int, nu: float) -> np.ndarray:
-    """Testing probability ``probs[c, t]`` of every stratum ``c`` on every day ``t > c``.
+def _probability_table(strata: np.ndarray, horizon: int, nu: float, rows_of) -> np.ndarray:
+    """Testing probability ``probs[c, t]`` of each stratum ``c`` in ``strata`` on every day.
 
-    Day ``t``'s rows and columns ``c..t`` are a prefix of the stratum's rows
-    ``c..horizon``: row sums and the entries ``Q[i, j]``, ``j <= t - c``, do not
-    depend on ``t``.  So one forward substitution over the whole horizon gives
-    x and y for every day, and day ``t = c + m`` has num = y_m and den = y_m +
-    sum_{j<m} x_j r_j(t), with r_j(t) row j's share of next tests after ``t``
-    (1 for an unobserved row), as :func:`_solve_ratio_terms` computes it.
-    Strata go through in chunks padded to the chunk's widest span under
-    ``_TABLE_BLOCK_BYTES``; the padding lies past each stratum's own rows and
-    columns, which an upper-triangular solve never reads back.
+    ``rows_of(chunk, span)`` weighs rows ``c..horizon`` of the strata ``chunk`` on
+    the values ``0..span`` (day ``c + value``, ``span`` past the horizon), shaped
+    ``[stratum, value, row]``; an empty row has its mass past the horizon.  Day
+    ``t = c + m`` reads a prefix of these rows, so one forward substitution serves
+    every day: num = y_m, den = y_m + sum_{j<m} x_j r_j(t), r_j(t) row j's mass after
+    ``t`` (:func:`_solve_ratio_terms`).  Chunks are padded to their widest span under
+    ``_TABLE_BLOCK_BYTES``, past each stratum's own rows, which the solve never reads.
     """
     size = horizon + 1
     probs = np.zeros((size, size))
-    c_of = index.key // size
-    strata = np.unique(c_of)
     strata = strata[strata < horizon]
     first = 0
     while first < strata.size:
@@ -324,27 +327,35 @@ def _point_probability_table(index: ContributionIndex, horizon: int, nu: float) 
         step = max(1, _TABLE_BLOCK_BYTES // (8 * (span + 1) * span))
         chunk = strata[first : first + step]
         first += chunk.size
-        lo, hi = np.searchsorted(index.key, [chunk[0] * size, (chunk[-1] + 1) * size])
-        c = c_of[lo:hi]
-        next_test = index.next_test[lo:hi]
-        value = np.where(next_test > horizon, span, next_test - c)  # span: after the horizon
-        flat = (np.searchsorted(chunk, c) * (span + 1) + value) * span + index.offset[lo:hi]
-        counts = np.bincount(flat, minlength=chunk.size * (span + 1) * span).astype(float)
-        counts = counts.reshape(chunk.size, span + 1, span)  # [stratum, value, row]
-        sums = counts.sum(axis=1)
-        after = np.cumsum(counts[:, ::-1], axis=1)[:, ::-1]  # after[:, k, i]: values >= k
-        counts /= np.maximum(sums, 1.0)[:, None, :]
-        x, y = _forward_substitute(counts, nu)
+        block = rows_of(chunk, span)
+        sums = block.sum(axis=1)[:, None, :]
+        norm = np.where(sums > 0, sums, 1.0)
+        after = np.cumsum(block[:, ::-1], axis=1)[:, ::-1] / norm
+        after = np.where(sums == 0, 1.0, after)  # after[:, k, i]: row i's mass on values >= k
+        block /= norm
+        x, y = _forward_substitute(block, nu)
         for m in range(1, span):
             rows = np.searchsorted(chunk, horizon - m, side="right")  # strata with c + m <= horizon
-            observed = sums[:rows, :m]
-            r = after[:rows, m + 1, :m] / np.maximum(observed, 1.0)
-            r[observed == 0] = 1.0
             num = y[:rows, m]
-            den = num + np.einsum("bi,bi->b", x[:rows, :m], r)
+            den = num + np.einsum("bi,bi->b", x[:rows, :m], after[:rows, m + 1, :m])
             probs[chunk[:rows], chunk[:rows] + m] = np.where(
                 den > _EPS, num / np.maximum(den, _EPS), 0.0)
     return np.minimum(probs, 1.0)
+
+
+def known_probability_table(regimen: RegimenConfig, horizon: int, nu: float) -> np.ndarray:
+    """:func:`_probability_table` of the rows ``next_test_pmf(regimen, c, horizon)``: entry
+    ``[c, t]`` is, to rounding, ``testing_probability_from_matrix(exact_schedule_matrix(
+    regimen, c, t), nu)``, with one chain per stratum instead of one per (c, t)."""
+
+    def rows_of(chunk: np.ndarray, span: int) -> np.ndarray:
+        block = np.zeros((chunk.size, span + 1, span))
+        for b, c in enumerate(chunk.tolist()):  # rows over days c..horizon + 1
+            own = horizon - c + 1
+            block[b, np.r_[:own, span], :own] = next_test_pmf(regimen, c, horizon)[:, c:].T
+        return block
+
+    return _probability_table(np.arange(horizon), horizon, nu, rows_of)
 
 
 def _ratio_terms(mats: np.ndarray, nu: float, c: int, t: int) -> tuple[np.ndarray, np.ndarray]:
@@ -443,6 +454,15 @@ def prevalence_from_w(w_hat: float, n_population: int, removed: int) -> tuple[fl
     return min(max(unclipped, 0.0), 1.0), unclipped
 
 
+def _stratum_day_sum(n_c, tested_c, neg_c, probs, active, tests: TestCharacteristics):
+    """Well count summed over strata (the last axis): an ``active`` stratum adds
+    :func:`ht_estimate_w` of its members, ``(neg_c - (1 - eta) tested_c) / (youden pi_c)``,
+    and any other stratum counts all ``n_c`` of its members as well."""
+    weighted = (neg_c - (1.0 - tests.sensitivity) * tested_c) / (
+        tests.youden * np.where(active, probs, 1.0))
+    return np.where(active, weighted, n_c).sum(axis=-1)
+
+
 def bias_ratio(
     stratum_prevalences: Mapping[int, float],
     test_share: Mapping[int, float],
@@ -535,8 +555,8 @@ class DayEvaluator:
     """Re-evaluates the estimated-weight estimator for one (panel, day).
 
     Construction only finds the strata in force on the day.  The point
-    estimate takes its headcounts from ``bincount``s and each stratum's
-    testing probability from the panel's shared table
+    estimate takes its :attr:`headcounts` (shared with :func:`ht_known`) from
+    ``bincount``s and each stratum's testing probability from the panel's shared table
     (:meth:`Panel.point_probabilities`): one solve per stratum per panel
     serves every day.  Resampled re-estimation (bootstrap multiplicity
     vectors, jackknife blocks) builds the day's indicator columns and
@@ -568,6 +588,21 @@ class DayEvaluator:
         """Which members are tested on the day, and which of those test negative."""
         tested = self.panel.tested[self._members, self.day]
         return tested, tested & ~self.panel.positive[self._members, self.day]
+
+    @cached_property
+    def headcounts(self) -> tuple[np.ndarray, ...]:
+        """Members, tested members and negative members per stratum slot, as observed."""
+        tested, negative = self._member_tests()
+        return tuple(np.bincount(self._slot[mask], minlength=len(self.strata)).astype(float)
+                     for mask in (slice(None), tested, negative))
+
+    def _day_record(self, kind: str, unclipped: float, n_fallback_strata: int = 0) -> DayEstimate:
+        """The day's record with its test counts among the non-removed."""
+        tested, positive = self.panel.tested[:, self.day], self.panel.positive[:, self.day]
+        return DayEstimate(day=self.day, kind=kind, estimate=min(max(unclipped, 0.0), 1.0),
+                           unclipped=unclipped, n_fallback_strata=n_fallback_strata,
+                           n_tests=int(np.count_nonzero(tested & self._nonremoved)),
+                           n_positive=int(np.count_nonzero(positive & self._nonremoved)))
 
     @cached_property
     def _indicators(self) -> np.ndarray:
@@ -674,21 +709,15 @@ class DayEvaluator:
         ``bincount``s and the panel's probability table without building
         the per-day resampling state.
         """
-        eta = self.tests.sensitivity
-        youden = self.tests.youden
-        s_count = len(self.strata)
         if multiplicity is None:
-            tested, negative = self._member_tests()
-            n_c, tested_c, neg_c = (
-                np.bincount(self._slot[mask], minlength=s_count)[None, :].astype(float)
-                for mask in (slice(None), tested, negative))
+            n_c, tested_c, neg_c = (count[None, :] for count in self.headcounts)
             nonrem_n = np.array([np.count_nonzero(self._nonremoved)], dtype=float)
             w_hat = np.array([np.count_nonzero(self._assumed)], dtype=float)
         else:
             totals = multiplicity @ self._indicators  # integer-valued, so exact in any order
             nonrem_n, w_hat = totals[:, 0], totals[:, 1].copy()
-            n_c, tested_c, neg_c = totals[:, 2:].reshape(len(totals), 3, s_count).transpose(
-                1, 0, 2)
+            n_c, tested_c, neg_c = totals[:, 2:].reshape(
+                len(totals), 3, len(self.strata)).transpose(1, 0, 2)
         need = (n_c >= self.min_stratum_size) & (tested_c > 0)  # [rows, S], like the counts
         if multiplicity is None:
             table = self.panel.point_probabilities(self.tests.specificity)
@@ -699,8 +728,7 @@ class DayEvaluator:
         if self.weight_cap is not None:
             probs = np.where(need, np.maximum(probs, 1.0 / self.weight_cap), probs)
         active = need & (probs > _EPS)
-        weighted = (neg_c - (1.0 - eta) * tested_c) / (youden * np.maximum(probs, _EPS))
-        w_hat += np.where(active, weighted, n_c).sum(axis=1)
+        w_hat += _stratum_day_sum(n_c, tested_c, neg_c, probs, active, self.tests)
         if collect is not None:
             for j, c in enumerate(self.strata):
                 if need[0, j] and probs[0, j] <= _EPS:
@@ -719,17 +747,9 @@ class DayEvaluator:
 
     def day_estimate(self, collect: Optional[WeightTable] = None) -> DayEstimate:
         """The ``ht-e`` record of the panel as observed (no resampling)."""
-        t = self.day
-        clipped = self.estimate(collect=collect)
-        return DayEstimate(
-            day=t,
-            kind="ht-e",
-            estimate=float(clipped[0]),
-            unclipped=float(self._last_unclipped[0]),
-            n_tests=int((self.panel.tested[:, t] & self._nonremoved).sum()),
-            n_positive=int((self.panel.positive[:, t] & self._nonremoved).sum()),
-            n_fallback_strata=int(self._last_fallback[0]),
-        )
+        self.estimate(collect=collect)
+        return self._day_record("ht-e", float(self._last_unclipped[0]),
+                                n_fallback_strata=int(self._last_fallback[0]))
 
     # -- resampling adapter (bootstrap over individuals)
 
@@ -754,55 +774,38 @@ class _UnclippedResampler:
         return ev._last_unclipped.copy()
 
 
-def ht_estimated(
-    panel: Panel,
-    day: int,
-    tests: TestCharacteristics,
-    min_stratum_size: int = 10,
-    weight_cap: Optional[float] = None,
-) -> tuple[DayEstimate, WeightTable]:
+def ht_estimated(panel: Panel, day: int, tests: TestCharacteristics, min_stratum_size: int = 10,
+                 weight_cap: Optional[float] = None) -> tuple[DayEstimate, WeightTable]:
     """Estimated-weight prevalence estimate for one day, with its weight table."""
     table = WeightTable(day=day)
     est = DayEvaluator(panel, day, tests, min_stratum_size, weight_cap).day_estimate(table)
     return est, table
 
 
-def ht_known(
-    panel: Panel,
-    day: int,
-    tests: TestCharacteristics,
-    weight_for: Callable[[int, int], float],
-) -> tuple[DayEstimate, WeightTable, float]:
+def ht_known(panel: Panel, day: int, tests: TestCharacteristics,
+             weight_for: Callable[[int, int], float], *,
+             evaluator: Optional[DayEvaluator] = None) -> tuple[DayEstimate, WeightTable, float]:
     """Known-weight prevalence estimate; also returns the variance of the well count.
 
     ``weight_for(c, t)`` supplies the reciprocal testing probability for
     stratum ``c`` on day ``t``.  Every stratum is weighted (no fallback):
     strata with no tests contribute zero to the well count, which is what
-    keeps the estimator unbiased and occasionally high-variance.
+    keeps the estimator unbiased and occasionally high-variance.  The Wald
+    variance is the per-stratum sum of ``(1 - pi_c) / pi_c^2 (eta^2 neg_c +
+    (1 - eta)^2 pos_c) / youden^2``.  ``evaluator`` (a :class:`DayEvaluator` of
+    the same panel, day and tests) shares its headcounts.
     """
-    t = day
-    nonrem = ~panel.removed[:, t]
-    assumed = panel.assumed_well[:, t] & nonrem
-    member = nonrem & ~assumed
-    strat = panel.last_clear[:, t]
+    ev = evaluator if evaluator is not None else DayEvaluator(panel, day, tests)
     table = WeightTable(day=day)
-    by_stratum = np.ones(t + 1)
-    for c in np.unique(strat[member]):
-        weight = float(weight_for(int(c), t))
-        table.add(int(c), weight, "known")
-        by_stratum[c] = weight
-    weights = by_stratum[strat]
-    tested = member & panel.tested[:, t]
-    positive = panel.positive[:, t]
-    w_hat = float(assumed.sum()) + ht_estimate_w(tested, positive, weights, tests)
-    variance = wald_ht_variance(weights[tested], positive[tested], tests)
-    clipped, unclipped = prevalence_from_w(w_hat, panel.n_individuals, int((~nonrem).sum()))
-    est = DayEstimate(
-        day=day,
-        kind="ht-k",
-        estimate=clipped,
-        unclipped=unclipped,
-        n_tests=int((panel.tested[:, t] & nonrem).sum()),
-        n_positive=int((panel.positive[:, t] & nonrem).sum()),
-    )
-    return est, table, variance
+    for c in ev.strata.tolist():
+        table.add(c, float(weight_for(c, day)), "known")
+    pi = 1.0 / np.array([table.entries[c].weight for c in ev.strata.tolist()], dtype=float)
+    n_c, tested_c, neg_c = ev.headcounts
+    eta = tests.sensitivity
+    w_hat = np.count_nonzero(ev._assumed) + float(
+        _stratum_day_sum(n_c, tested_c, neg_c, pi, np.ones(pi.shape, dtype=bool), tests))
+    variance = float(((1.0 - pi) / pi**2 * (eta**2 * neg_c + (1.0 - eta) ** 2 * (tested_c - neg_c))
+                      ).sum() / tests.youden**2)
+    removed = panel.n_individuals - np.count_nonzero(ev._nonremoved)
+    unclipped = prevalence_from_w(w_hat, panel.n_individuals, removed)[1]
+    return ev._day_record("ht-k", unclipped), table, variance

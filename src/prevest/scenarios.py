@@ -39,13 +39,15 @@ from .estimators import (
     DayEvaluator,
     EstimateSeries,
     Panel,
-    exact_schedule_matrix,
     ht_known,
+    known_probability_table,
     prevalence_from_rate,
-    testing_probability_from_matrix,
     tpr_prevalence,
 )
-from .regimens import ConfigError, Overlays, RegimenConfig, next_test_pmf
+# perfbench/tracing.py patches exact_schedule_matrix and next_test_pmf in this module; the
+# matrix formula stays importable beside them as the oracle of the known weights.
+from .estimators import exact_schedule_matrix, testing_probability_from_matrix  # noqa: F401
+from .regimens import ConfigError, Overlays, RegimenConfig, next_test_pmf  # noqa: F401
 from .simulate import (
     ExternalHazard,
     HazardModel,
@@ -169,54 +171,46 @@ def renewal_fire_probabilities(regimen: RegimenConfig, horizon: int) -> np.ndarr
     """P[schedule fires on day d] for a renewal schedule that never resets.
 
     Used for cluster-level schedules: the cluster keeps testing on its own
-    clock, so an individual's clearance does not move their next test.
+    clock, so an individual's clearance does not move their next test.  That is
+    the chain from day 0 with every test negative, row 0 of the known table
+    under perfect specificity.
     """
-    first, gap_row = next_test_pmf(regimen, 0, horizon + 1)[:2]
-    gap = gap_row[1 : horizon + 2]  # gap[j]: next test j days after a test
-    fire = np.zeros(horizon + 1)
-    for d in range(1, horizon + 1):
-        fire[d] = first[d] + sum(fire[s] * gap[d - s] for s in range(1, d))
-    return fire
+    return known_probability_table(regimen, horizon, 1.0)[0]
 
 
 class KnownWeights:
-    """Reciprocal testing probabilities implied by a regimen, cached per (stratum, day)."""
+    """Reciprocal testing probabilities implied by a regimen, read from one table per
+    run: :func:`known_probability_table` chains each stratum once over the horizon, and
+    a renewal schedule's fire probability serves every stratum."""
 
     def __init__(self, bundle: ScenarioBundle):
-        self.regimen = bundle.config.regimen
-        self.specificity = bundle.assumed_tests.specificity
-        self.by_renewal = bundle.known_weights_by_renewal
-        self.horizon = bundle.config.horizon_days
-        self._cache: dict[tuple[int, int], float] = {}
-        self._fire: Optional[np.ndarray] = None
-        if self.by_renewal:
-            self._fire = renewal_fire_probabilities(self.regimen, self.horizon)
-        else:
-            law = self.regimen.base if self.regimen.kind == "clustered" else self.regimen
-            removal = bundle.config.removal_duration_days
-            if removal + 1 < law.min_gap:
-                # the first test day after a clearance lies removal + 1 days past the
-                # positive test, and next_test_pmf's clearance row assumes min_gap days have passed
-                raise ConfigError(
-                    f"removal_duration_days ({removal}) is below min_gap - 1 "
-                    f"({law.min_gap - 1}): the known weights would not follow the simulated "
-                    "schedule after a clearance"
-                )
+        regimen = bundle.config.regimen
+        self.horizon = horizon = bundle.config.horizon_days
+        if bundle.known_weights_by_renewal:
+            fire = renewal_fire_probabilities(regimen, horizon)
+            self._probs = np.broadcast_to(fire, (horizon + 1, horizon + 1))
+            return
+        law = regimen.base if regimen.kind == "clustered" else regimen
+        removal = bundle.config.removal_duration_days
+        if removal + 1 < law.min_gap:
+            # the first test day after a clearance lies removal + 1 days past the
+            # positive test, and next_test_pmf's clearance row assumes min_gap days have passed
+            raise ConfigError(
+                f"removal_duration_days ({removal}) is below min_gap - 1 "
+                f"({law.min_gap - 1}): the known weights would not follow the simulated "
+                "schedule after a clearance"
+            )
+        self._probs = known_probability_table(regimen, horizon, bundle.assumed_tests.specificity)
 
     def __call__(self, stratum: int, day: int) -> float:
-        key = (stratum, day)
-        if key not in self._cache:
-            if self._fire is not None:
-                prob = float(self._fire[day])
-            else:
-                matrix = exact_schedule_matrix(self.regimen, stratum, day)
-                prob = testing_probability_from_matrix(matrix, self.specificity)
-            if prob <= 0.0:
-                raise ConfigError(
-                    f"regimen gives zero testing probability for stratum {stratum} on day {day}"
-                )
-            self._cache[key] = 1.0 / prob
-        return self._cache[key]
+        if not 0 <= stratum < day <= self.horizon:
+            raise ValueError(f"no known weight for stratum {stratum} on day {day}: "
+                             f"need 0 <= stratum < day <= {self.horizon}")
+        prob = float(self._probs[stratum, day])
+        if prob <= 0.0:
+            raise ConfigError(f"regimen gives zero testing probability for stratum {stratum} "
+                              f"on day {day}")
+        return 1.0 / prob
 
 
 # ---------------------------------------------------------------------------
@@ -240,19 +234,24 @@ def estimate_panel_series(
     estimator.  ``seed`` is a prefix: day ``t``'s bootstrap is seeded with
     ``(*seed, t)``, so an int ``s`` gives ``(s, t)``.
     """
+    if "ht-k" in estimators and known_weights is None:
+        raise ValueError("ht-k requires known testing-probability weights")
     prefix = (seed,) if isinstance(seed, int) else tuple(seed)
     series = EstimateSeries()
     level = interval_spec.level if interval_spec is not None else 0.95
     for day in range(1, panel.horizon + 1):
-        excluded = bool(excluded_days[day]) if excluded_days is not None else False
         nonrem = ~panel.removed[:, day]
         n_tests = int((panel.tested[:, day] & nonrem).sum())
         n_pos = int((panel.positive[:, day] & nonrem).sum())
-        for kind in estimators:
-            if excluded or n_tests == 0:
+        if n_tests == 0 or (excluded_days is not None and excluded_days[day]):
+            for kind in estimators:
                 series.append(DayEstimate(day=day, kind=kind, estimate=math.nan,
                                           n_tests=n_tests, n_positive=n_pos))
-                continue
+            continue
+        evaluator = None  # built on first use, shared by ht-k and ht-e
+        for kind in estimators:
+            if kind in ("ht-k", "ht-e"):
+                evaluator = evaluator or DayEvaluator(panel, day, tests, min_stratum_size)
             if kind == "tpr":
                 est, raw = tpr_prevalence(n_pos, n_tests, tests)
                 record = DayEstimate(day=day, kind="tpr", estimate=est, unclipped=raw,
@@ -262,17 +261,14 @@ def estimate_panel_series(
                     record.lo = prevalence_from_rate(lo, tests)[0]
                     record.hi = prevalence_from_rate(hi, tests)[0]
             elif kind == "ht-k":
-                if known_weights is None:
-                    raise ValueError("ht-k requires known testing-probability weights")
-                record, _, variance = ht_known(panel, day, tests, known_weights)
+                record, _, variance = ht_known(panel, day, tests, known_weights,
+                                               evaluator=evaluator)
                 if interval_spec is not None:
-                    w_hat_scale = int(nonrem.sum())
+                    nonremoved = int(nonrem.sum())
                     record.lo, record.hi = wald_prevalence_interval(
-                        (1.0 - record.unclipped) * w_hat_scale, variance,
-                        panel.n_individuals, int((~nonrem).sum()), level,
-                    )
+                        (1.0 - record.unclipped) * nonremoved, variance,
+                        panel.n_individuals, panel.n_individuals - nonremoved, level)
             elif kind == "ht-e":
-                evaluator = DayEvaluator(panel, day, tests, min_stratum_size)
                 record = evaluator.day_estimate()
                 if interval_spec is not None:
                     interval = bca_bootstrap(

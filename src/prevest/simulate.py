@@ -55,6 +55,14 @@ class ExternalHazard:
             raise ConfigError(f"unknown external hazard kind {self.kind!r}")
         if self.kind == "constant" and not (0.0 <= self.rate <= 1.0):
             raise ConfigError(f"constant hazard must be in [0, 1], got {self.rate}")
+        if self.kind == "bump":
+            if self.shape_horizon < 1:
+                raise ConfigError(
+                    f"bump hazard needs shape_horizon >= 1, got {self.shape_horizon}")
+            for name in ("peak", "base", "scale"):
+                value = getattr(self, name)
+                if not value >= 0.0:  # nan too
+                    raise ConfigError(f"bump hazard {name} must be >= 0, got {value}")
 
     def rate_at(self, tau: int) -> float:
         if self.kind == "zero":
@@ -100,6 +108,10 @@ class SensitivityCurve:
 
     def __post_init__(self):
         check_field_types(self)
+        if not 0.0 < self.peak <= 1.0:
+            raise ConfigError(f"sensitivity peak must be in (0, 1], got {self.peak}")
+        if self.window < 1:
+            raise ConfigError(f"sensitivity window must be >= 1 day, got {self.window}")
 
     def value(self, days_since_exposure: np.ndarray) -> np.ndarray:
         d = np.asarray(days_since_exposure, dtype=float)
@@ -141,6 +153,10 @@ class ScenarioConfig:
             raise ConfigError("undetected recovery must take >= 1 day")
         if self.baseline_exposure_window < 1:
             raise ConfigError("baseline exposure window must be >= 1 day")
+        worst = float(self.hazard.external.table(self.horizon_days).max())
+        if not worst <= 1.0:
+            raise ConfigError(f"external hazard reaches {worst:.4g} per day over the horizon; "
+                              "a daily probability cannot exceed 1")
         if isinstance(self.seed, list):  # a JSON array
             object.__setattr__(self, "seed", tuple(self.seed))
         parts = self.seed if isinstance(self.seed, tuple) else (self.seed,)

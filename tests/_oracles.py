@@ -441,7 +441,6 @@ def row_loop_apply_adjustments(matrix, policy):
     episode's removal window.
     """
     from prevest.dataio import POSITIVE, AdjustedData
-    from prevest.estimators import Panel
 
     n, horizon = matrix.n_individuals, matrix.n_days
     tested = np.zeros((n, horizon + 1), dtype=bool)
@@ -481,10 +480,10 @@ def row_loop_apply_adjustments(matrix, policy):
                     cleared[i, rem_end] = True
                 if exempt_until > rem_end and rem_end + 1 <= horizon:
                     assumed[i, rem_end + 1 : min(exempt_until, horizon) + 1] = True
-    panel = Panel._derived(horizon, tested, positive, removed, cleared, assumed)
     tests_per_day = tested.sum(axis=0)
     excluded = tests_per_day < policy.min_daily_tests
     excluded[0] = True
-    return AdjustedData(panel=panel, dates=list(matrix.dates), excluded_days=excluded,
+    return AdjustedData(tested=tested, positive=positive, removed=removed, cleared=cleared,
+                        assumed_well=assumed, dates=list(matrix.dates), excluded_days=excluded,
                         tests_per_day=tests_per_day, n_dropped_weekly=dropped_weekly,
                         n_dropped_isolation=dropped_isolation, policy=policy)

@@ -141,6 +141,25 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 3
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("change,message", [
+        ({"hazard": {"external": {"kind": "bump", "shape_horizon": 0}}}, "shape_horizon"),
+        ({"hazard": {"external": {"kind": "bump", "peak": -1.0}}}, "peak must be >= 0"),
+        ({"hazard": {"external": {"kind": "bump", "base": -0.5}}}, "base must be >= 0"),
+        ({"hazard": {"external": {"kind": "bump", "scale": -1.0}}}, "scale must be >= 0"),
+        ({"hazard": {"external": {"kind": "bump", "scale": 50.0}}}, "cannot exceed 1"),
+        ({"sensitivity_curve": {"window": 0}}, "sensitivity window"),
+        ({"sensitivity_curve": {"peak": 3.0}}, "sensitivity peak"),
+        ({"sensitivity_curve": {"peak": 0.0}}, "sensitivity peak"),
+    ], ids=["zero-shape-horizon", "negative-peak", "negative-base", "negative-scale",
+            "hazard-above-one", "zero-window", "sensitivity-above-one", "zero-sensitivity"])
+    def test_unrunnable_simulator_config_is_config_error(self, tmp_path, capsys, change,
+                                                          message):
+        """Each would divide by zero in the simulator or be clamped there without a word."""
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(dict(SCENARIO_JSON, **change)))
+        assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 3
+        assert message in capsys.readouterr().err
+
     def test_jsonl_format(self, tmp_path, config_path):
         out = tmp_path / "runs"
         main(["simulate", "--config", str(config_path), "--out", str(out),
@@ -225,6 +244,15 @@ class TestAnalyzeCommand:
         bad = tmp_path / "bad.csv"
         bad.write_text("2020-08-31\nX\n")
         assert main(["analyze", "--matrix", str(bad), "--out", str(tmp_path / "o.csv")]) == 4
+
+    def test_non_utf8_matrix_is_parse_error(self, tmp_path, capsys):
+        bad = tmp_path / "utf16.csv"
+        bad.write_bytes(b"\xff\xfe" + "2020-08-31\nN\n".encode("utf-16-le"))  # a UTF-16 export
+        assert main(["analyze", "--matrix", str(bad), "--out", str(tmp_path / "o.csv")]) == 4
+        assert "byte 0xff is not UTF-8 text (line 1)" in capsys.readouterr().err
+        bad.write_bytes(b"2020-08-31,2020-09-01\nN,\r\nP,N\xe9\n")
+        assert main(["analyze", "--matrix", str(bad), "--out", str(tmp_path / "o.csv")]) == 4
+        assert "(line 3)" in capsys.readouterr().err
 
     @pytest.mark.parametrize("policy,field", [
         ({"assumed_sensitivity": 1.5}, "assumed_sensitivity"),

@@ -22,6 +22,7 @@ from prevest.estimators import (
     ht_estimate_w,
     ht_estimated,
     ht_known,
+    known_probability_table,
     prevalence_from_w,
     testing_probability_from_matrix,
     tpr,
@@ -30,6 +31,8 @@ from prevest.estimators import (
 from prevest.regimens import RegimenConfig
 from prevest.simulate import ScenarioConfig, HazardModel, ExternalHazard, simulate
 from prevest.uncertainty import IntervalSpec, bca_bootstrap
+
+from test_regimens import regimens
 
 from _oracles import (
     contribution_counts,
@@ -257,6 +260,23 @@ def test_exact_zero_and_one_probabilities_are_kept():
                     assert got == want, (regimen.kind, nu, c, t, got)
                     n_exact += 1
     assert n_exact == 158
+
+
+class TestKnownProbabilityTable:
+    @settings(max_examples=40, deadline=None)
+    @given(regimen=regimens(), horizon=st.integers(1, 16), nu=st.floats(0.9, 1.0))
+    def test_matches_the_schedule_matrix_formula(self, regimen, horizon, nu):
+        """Every (c, t) entry of the one-chain table against the per-(c, t) matrix formula;
+        an exact zero (no test possible) stays exact, since positivity checks rely on it."""
+        table = known_probability_table(regimen, horizon, nu)
+        assert table.shape == (horizon + 1, horizon + 1)
+        for t in range(1, horizon + 1):
+            for c in range(t):
+                want = testing_probability_from_matrix(exact_schedule_matrix(regimen, c, t), nu)
+                if want == 0.0:
+                    assert table[c, t] == 0.0, (c, t)
+                else:
+                    assert table[c, t] == pytest.approx(want, rel=1e-12, abs=0), (c, t)
 
 
 def small_simulation(seed=21, regimen=SIMPLE, n=200, tests=STUDY):
@@ -569,6 +589,42 @@ class TestHtKnown:
             assert est.unclipped == pytest.approx((nonremoved - w_hat) / nonremoved,
                                                   rel=1e-12, abs=1e-12), day
             assert variance == pytest.approx(want_var, rel=1e-12), day
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**16), n=st.integers(1, 80), perfect=st.booleans(),
+           min_max=st.booleans(), exemption=st.integers(0, 8), weight_seed=st.integers(0, 2**16))
+    def test_matches_per_stratum_oracle_on_random_panels(self, seed, n, perfect, min_max,
+                                                         exemption, weight_seed):
+        """Random simulated panels, passed through a policy whose exemption windows mark
+        members assumed well, and random weights >= 1 (some exactly 1)."""
+        from prevest.dataio import AdjustmentPolicy, apply_adjustments, matrix_from_simulation
+
+        tests = PERFECT if perfect else STUDY
+        regimen = RegimenConfig.min_max(6, 3) if min_max else RegimenConfig.simple_random(0.4)
+        sim = small_simulation(seed=seed, regimen=regimen, n=n, tests=tests)
+        policy = AdjustmentPolicy(
+            result_delay_days=0, isolation_days=4, post_isolation_exemption_days=exemption,
+            keep_first_test_per_week=False, min_daily_tests=0,
+            assumed_sensitivity=tests.sensitivity, assumed_specificity=tests.specificity)
+        panel = apply_adjustments(matrix_from_simulation(sim), policy).panel
+        rng = np.random.default_rng(weight_seed)
+        weights = np.where(rng.random((16, 16)) < 0.2, 1.0, rng.uniform(1.0, 30.0, (16, 16)))
+
+        def weight_for(c, t):
+            return float(weights[c, t])
+
+        for day in range(1, panel.horizon + 1):
+            w_hat, want_var = per_stratum_ht_known(panel, day, tests, weight_for)
+            nonremoved = int((~panel.removed[:, day]).sum())
+            shared = DayEvaluator(panel, day, tests)
+            for evaluator in (None, shared):
+                est, _, variance = ht_known(panel, day, tests, weight_for, evaluator=evaluator)
+                if nonremoved == 0:
+                    assert math.isnan(est.unclipped), day
+                else:
+                    assert est.unclipped == pytest.approx(
+                        (nonremoved - w_hat) / nonremoved, rel=1e-12, abs=1e-12), day
+                assert variance == pytest.approx(want_var, rel=1e-12, abs=1e-12), day
 
 
 class TestBiasRatio:

@@ -2,6 +2,8 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prevest.regimens import ConfigError
 from prevest.scenarios import (
@@ -83,6 +85,33 @@ class TestKnownWeights:
         )
         for t in range(1, 22):
             assert abs(fire[t] - prob[t]) < 4 * max(se[t], 1e-6), t
+
+    def test_out_of_range_lookup_is_a_clear_error(self):
+        for name in ("min-max", "clustered"):
+            weights = KnownWeights(build_scenario(name))
+            for c, t in ((0, 22), (5, 5), (6, 5), (-1, 3)):
+                with pytest.raises(ValueError, match=f"stratum {c} on day {t}"):
+                    weights(c, t)
+
+    @settings(max_examples=10, deadline=None)
+    @given(tau=st.integers(2, 8), seed=st.integers(0, 2**16))
+    def test_rotation_zero_probability_lookup_is_config_error(self, tau, seed):
+        """Staggered first tests put some before day tau, where the stratum-0 law has none:
+        the table builds, and the first lookup of such a (stratum, day) fails."""
+        from dataclasses import replace
+
+        from prevest.regimens import RegimenConfig
+
+        bundle = build_scenario("min-max", population_size=60)
+        bundle = replace(bundle, name="rotation", config=replace(
+            bundle.config, regimen=RegimenConfig.rotation_every(tau)))
+        weights = KnownWeights(bundle)
+        panel = simulate(bundle.config, seed=(seed, 0)).panel()
+        with pytest.raises(ConfigError, match="zero testing probability"):
+            estimate_panel_series(panel, bundle.assumed_tests, ("tpr", "ht-k"),
+                                  known_weights=weights)
+        with pytest.raises(ConfigError, match="zero testing probability"):
+            run_scenario(bundle, 1, seed=seed, estimators=("tpr", "ht-k"))
 
     def test_renewal_weight_ignores_stratum(self):
         weights = KnownWeights(build_scenario("clustered"))

@@ -6,7 +6,8 @@ traced ``analyze --intervals`` and checks that the bootstrap layers still
 record work, a traced ``anonymize`` then ``analyze`` that the anonymizer,
 the matrix parse, adjustment and write, and the per-day evaluator
 construction are still seen, and a traced ``scenario`` that its evaluators
-are built and estimated once per day.
+are built and estimated once per day, shared by ``ht-k`` and ``ht-e``, and that
+its known weights are read from one table per run.
 """
 
 import csv
@@ -112,5 +113,10 @@ def test_traced_scenario_reports_evaluator_layers(tmp_path):
 
     horizon = build_scenario("min-max").config.horizon_days
     assert metrics["estimators.evaluator_init_calls"] == replicates * horizon
-    assert metrics["estimators.evaluator_init_s"] > 0
-    assert metrics["estimators.estimate_s"] > 0
+    # the known weights are one table per run: no lookup chains a schedule matrix
+    assert metrics["scenarios.known_weights_calls"] > 0
+    assert metrics["scenarios.known_weights_hit_ratio"] == 1.0
+    assert metrics["estimators.schedule_matrix_calls"] == 0
+    for layer in ("scenarios.known_weights_s", "estimators.ht_known_s",
+                  "estimators.evaluator_init_s", "estimators.estimate_s"):
+        assert metrics[layer] > 0, layer
