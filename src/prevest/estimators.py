@@ -559,9 +559,10 @@ class DayEvaluator:
     ``bincount``s and each stratum's testing probability from the panel's shared table
     (:meth:`Panel.point_probabilities`): one solve per stratum per panel
     serves every day.  Resampled re-estimation (bootstrap multiplicity
-    vectors, jackknife blocks) builds the day's indicator columns and
-    next-test contributions on first use, and then reduces to count
-    aggregation plus batched triangular solves.
+    vectors, jackknife blocks) builds the day's :attr:`features`, its
+    indicator columns and next-test contributions, on first use; a
+    resample's estimate then reads only its totals over them, and reduces
+    to batched triangular solves.
     """
 
     def __init__(self, panel: Panel, day: int, tests: TestCharacteristics,
@@ -605,20 +606,22 @@ class DayEvaluator:
                            n_positive=int(np.count_nonzero(positive & self._nonremoved)))
 
     @cached_property
-    def _indicators(self) -> np.ndarray:
-        """Indicator columns for multiplicity rows: non-removed, assumed well, then
-        stratum member, tested and tested negative, one column per stratum slot each."""
+    def features(self) -> sparse.csc_matrix:
+        """The individuals x (2 + 3S + codes) 0/1 columns whose multiplicity-weighted totals
+        are all a resample's estimate reads: non-removed, assumed well, then stratum member,
+        tested and tested negative, one column per stratum slot each, then :attr:`_contrib`."""
         s_count = len(self.strata)
         idx = self._members
         slot = 2 + self._slot
         tested, negative = self._member_tests()
-        indicators = np.zeros((self.panel.n_individuals, 2 + 3 * s_count))
-        indicators[:, 0] = self._nonremoved
-        indicators[:, 1] = self._assumed
-        indicators[idx, slot] = 1.0
-        indicators[idx[tested], s_count + slot[tested]] = 1.0
-        indicators[idx[negative], 2 * s_count + slot[negative]] = 1.0
-        return indicators
+        rows = np.concatenate([np.flatnonzero(self._nonremoved), np.flatnonzero(self._assumed),
+                               idx, idx[tested], idx[negative]])
+        cols = np.concatenate([np.zeros(np.count_nonzero(self._nonremoved), dtype=np.intp),
+                               np.ones(np.count_nonzero(self._assumed), dtype=np.intp),
+                               slot, s_count + slot[tested], 2 * s_count + slot[negative]])
+        indicators = sparse.csc_matrix((np.ones(rows.size), (rows, cols)),
+                                       shape=(self.panel.n_individuals, 2 + 3 * s_count))
+        return sparse.hstack([indicators, self._contrib], format="csc")
 
     @cached_property
     def _code_space(self) -> tuple[np.ndarray, np.ndarray, sparse.csc_matrix]:
@@ -707,24 +710,39 @@ class DayEvaluator:
 
         ``None`` is the panel as observed (one row of 1s), read from
         ``bincount``s and the panel's probability table without building
-        the per-day resampling state.
+        the per-day resampling state.  Multiplicity rows reduce to their
+        totals over :attr:`features`.
         """
-        if multiplicity is None:
-            n_c, tested_c, neg_c = (count[None, :] for count in self.headcounts)
-            nonrem_n = np.array([np.count_nonzero(self._nonremoved)], dtype=float)
-            w_hat = np.array([np.count_nonzero(self._assumed)], dtype=float)
-        else:
-            totals = multiplicity @ self._indicators  # integer-valued, so exact in any order
-            nonrem_n, w_hat = totals[:, 0], totals[:, 1].copy()
-            n_c, tested_c, neg_c = totals[:, 2:].reshape(
-                len(totals), 3, len(self.strata)).transpose(1, 0, 2)
-        need = (n_c >= self.min_stratum_size) & (tested_c > 0)  # [rows, S], like the counts
-        if multiplicity is None:
-            table = self.panel.point_probabilities(self.tests.specificity)
-            probs = np.where(need, table[self.strata, self.day], 0.0)
-        else:
-            counts = np.asarray(self._contrib.T.dot(multiplicity.T).T)  # [rows, codes]
-            probs = self._stratum_probs(counts, need)
+        if multiplicity is not None:
+            return self._estimate_totals(multiplicity @ self.features, collect)
+        n_c, tested_c, neg_c = (count[None, :] for count in self.headcounts)
+        table = self.panel.point_probabilities(self.tests.specificity)
+        return self._weigh(np.array([np.count_nonzero(self._nonremoved)], dtype=float),
+                           np.array([np.count_nonzero(self._assumed)], dtype=float),
+                           n_c, tested_c, neg_c,
+                           lambda need: np.where(need, table[self.strata, self.day], 0.0),
+                           collect)
+
+    def _estimate_totals(self, totals: np.ndarray,
+                         collect: Optional[WeightTable] = None) -> np.ndarray:
+        """Clipped estimates for each row of a rows x features matrix of totals.
+
+        Every total is an integer, so rows from any product order give the
+        same estimates; the code columns are read as a view.
+        """
+        s_count = len(self.strata)
+        n_c, tested_c, neg_c = totals[:, 2 : 2 + 3 * s_count].reshape(
+            len(totals), 3, s_count).transpose(1, 0, 2)
+        codes = totals[:, 2 + 3 * s_count :]
+        return self._weigh(totals[:, 0], totals[:, 1].copy(), n_c, tested_c, neg_c,
+                           lambda need: self._stratum_probs(codes, need), collect)
+
+    def _weigh(self, nonrem_n, w_hat, n_c, tested_c, neg_c, probs_of,
+               collect: Optional[WeightTable]) -> np.ndarray:
+        """The per-stratum day sum over ``[rows, S]`` headcounts, with ``probs_of(need)``
+        giving the testing probabilities of the strata that are large enough and tested."""
+        need = (n_c >= self.min_stratum_size) & (tested_c > 0)
+        probs = probs_of(need)
         if self.weight_cap is not None:
             probs = np.where(need, np.maximum(probs, 1.0 / self.weight_cap), probs)
         active = need & (probs > _EPS)
@@ -767,10 +785,14 @@ class _UnclippedResampler:
     def __init__(self, evaluator: DayEvaluator):
         self._evaluator = evaluator
 
-    def batch(self, counts: np.ndarray) -> np.ndarray:
-        """Unclipped estimates for each row of a rows x individuals multiplicity matrix."""
+    @property
+    def features(self) -> sparse.csc_matrix:
+        return self._evaluator.features
+
+    def batch(self, totals: np.ndarray) -> np.ndarray:
+        """Unclipped estimates for each row of a rows x features matrix of totals."""
         ev = self._evaluator
-        ev.estimate(counts)
+        ev._estimate_totals(totals)
         return ev._last_unclipped.copy()
 
 

@@ -153,10 +153,13 @@ class ScenarioConfig:
             raise ConfigError("undetected recovery must take >= 1 day")
         if self.baseline_exposure_window < 1:
             raise ConfigError("baseline exposure window must be >= 1 day")
-        worst = float(self.hazard.external.table(self.horizon_days).max())
+        # a re-exposure draws against the external hazard times the multiplier
+        worst = float(self.hazard.external.table(self.horizon_days).max()) * max(
+            1.0, self.hazard.repeat_exposure_multiplier)
         if not worst <= 1.0:
-            raise ConfigError(f"external hazard reaches {worst:.4g} per day over the horizon; "
-                              "a daily probability cannot exceed 1")
+            raise ConfigError(
+                f"external hazard reaches {worst:.4g} per day over the horizon (after the "
+                "repeat-exposure multiplier); a daily probability cannot exceed 1")
         if isinstance(self.seed, list):  # a JSON array
             object.__setattr__(self, "seed", tuple(self.seed))
         parts = self.seed if isinstance(self.seed, tuple) else (self.seed,)

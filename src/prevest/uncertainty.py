@@ -14,9 +14,15 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy import sparse
 from scipy.special import betaincinv, ndtr, ndtri
 
 from .core import TestCharacteristics, check_field_types
+
+# Byte budget of one unit-major float block of bootstrap counts in _bootstrap_totals;
+# a block this size stays in L2 while the product over units reads it.
+_RESAMPLE_BLOCK_BYTES = 1 << 20
+
 
 @dataclass(frozen=True)
 class IntervalSpec:
@@ -108,19 +114,47 @@ def _jackknife_blocks(n: int, spec: IntervalSpec, order: np.ndarray) -> list[np.
     return [order[i : i + size] for i in range(0, n, size)]
 
 
-def _resample_counts(rng: np.random.Generator, b_iter: int, n_units: int) -> np.ndarray:
-    """Multiplicity matrix of ``b_iter`` resamples, each a row of one seeded index draw.
+def _bootstrap_totals(features, draws: np.ndarray) -> np.ndarray:
+    """``counts @ features`` for the multiplicity rows of ``draws`` (one resample a row).
 
-    The counts are laid out unit-major (``n_units x b_iter``) and returned as
-    the ``b_iter x n_units`` transposed view, so the estimator's products over
-    units read them contiguously.
+    The rows go through in chunks under ``_RESAMPLE_BLOCK_BYTES``: a row-major
+    ``bincount`` of the chunk's draws (row ``b`` counts unit ``i`` into
+    ``b * n + i``) is copied transposed into a unit-major float block, which
+    the product over units reads contiguously.  No rows x units matrix of
+    the whole draw is ever built.
     """
-    draws = rng.integers(0, n_units, size=(b_iter, n_units))
-    draws *= b_iter
-    draws += np.arange(b_iter)[:, None]  # row b counts unit i into i * b_iter + b
-    flat = np.bincount(draws.ravel(), minlength=n_units * b_iter)
-    del draws
-    return flat.reshape(n_units, b_iter).astype(float).T
+    b_iter, n_units = draws.shape
+    by_column = features.T
+    totals = np.empty((b_iter, features.shape[1]))
+    step = max(1, _RESAMPLE_BLOCK_BYTES // (8 * n_units))
+    for first in range(0, b_iter, step):
+        chunk = draws[first : first + step]
+        rows = chunk.shape[0]
+        flat = np.bincount((chunk + (np.arange(rows) * n_units)[:, None]).ravel(),
+                           minlength=rows * n_units)
+        block = np.empty((n_units, rows))
+        block[...] = flat.reshape(rows, n_units).T
+        totals[first : first + rows] = (by_column @ block).T
+    return totals
+
+
+def _jackknife_totals(features, blocks: list[np.ndarray], column_totals: np.ndarray) -> np.ndarray:
+    """Leave-block-out totals: the column totals minus each block's own totals.
+
+    The blocks partition the units, so one ``bincount`` over the nonzero
+    entries of ``features``, keyed by (block of the entry's unit, column),
+    gives every block's totals in O(nnz + blocks x columns); the
+    subtraction then runs in place.
+    """
+    n_units, m = features.shape
+    block_of = np.empty(n_units, dtype=np.intp)
+    block_of[np.concatenate(blocks)] = np.repeat(np.arange(len(blocks)),
+                                                 [block.size for block in blocks])
+    cells = sparse.coo_matrix(features)
+    totals = np.bincount(block_of[cells.row] * m + cells.col, weights=cells.data,
+                         minlength=len(blocks) * m)
+    totals = totals.astype(float, copy=False).reshape(len(blocks), m)  # int64 when nnz is 0
+    return np.subtract(column_totals, totals, out=totals)
 
 
 def bca_bootstrap(
@@ -133,23 +167,32 @@ def bca_bootstrap(
 ) -> BcaInterval:
     """BCa interval for a statistic of resampled units (whole individual histories).
 
-    ``estimator.batch`` maps a rows x units multiplicity matrix (how many
-    times each unit enters each resample) to one statistic per row; the
-    all-ones row is the original sample.  The bias-correction constant
-    comes from the fraction of the bootstrap distribution below the point
-    estimate, the acceleration from a block jackknife (blocks over a seeded
-    shuffle of the units, remainder in a final short block), whose rows are
-    ones with zeros on the left-out block.  Reproducible bit-for-bit for a
-    given seed: the b-th resample counts row b of a single seeded draw.
-    A bootstrap distribution whose spread is within 1e-12 of its largest
-    magnitude (or of 1) is degenerate and collapses to its first value.
+    ``estimator.features`` is a units x m matrix (an ndarray or a scipy
+    sparse matrix), and the statistic depends on a multiplicity row (how
+    many times each unit enters a resample) only through the row's totals
+    ``row @ features``; ``estimator.batch`` maps a rows x m matrix of totals
+    to one statistic per row.  The column sums of ``features`` are the
+    original sample.  The bias-correction constant comes from the fraction
+    of the bootstrap distribution below the point estimate, the
+    acceleration from a block jackknife (blocks over a seeded shuffle of the
+    units, remainder in a final short block), whose totals are the column
+    sums minus the left-out block's.  Reproducible bit-for-bit for a given
+    seed: the b-th resample counts row b of a single seeded draw.  With 0/1
+    features every total is an integer, so the totals are exact whatever
+    the summation order.  A bootstrap distribution whose spread is within
+    1e-12 of its largest magnitude (or of 1) is degenerate and collapses to
+    its first value.
     """
-    batch = estimator.batch
+    features, batch = estimator.features, estimator.batch
+    if features.shape[0] != n_units:
+        raise ValueError(f"features have {features.shape[0]} rows for {n_units} units")
+    column_totals = np.asarray(features.sum(axis=0), dtype=float).ravel()
     if point is None:
-        point = float(batch(np.ones((1, n_units)))[0])
+        point = float(batch(column_totals[None, :])[0])
     b_iter = spec.bootstrap_iterations
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(0,))))
-    thetas = batch(_resample_counts(rng, b_iter, n_units))
+    # one call: Generator.integers buffers 32-bit halves within a call, so a chunked draw differs
+    thetas = batch(_bootstrap_totals(features, rng.integers(0, n_units, size=(b_iter, n_units))))
 
     if np.ptp(thetas) <= 1e-12 * max(1.0, float(np.max(np.abs(thetas)))):
         value = float(thetas[0])
@@ -164,10 +207,7 @@ def bca_bootstrap(
     )
     order = jack_rng.permutation(n_units)
     blocks = _jackknife_blocks(n_units, spec, order)
-    keep = np.ones((n_units, len(blocks)))  # unit-major, like the resample counts
-    for column, block in enumerate(blocks):
-        keep[block, column] = 0.0
-    jack = batch(keep.T)
+    jack = batch(_jackknife_totals(features, blocks, column_totals))
     centered = jack.mean() - jack
     denom = (centered**2).sum() ** 1.5
     accel = float((centered**3).sum() / (6.0 * denom)) if denom > 0 else 0.0

@@ -147,11 +147,14 @@ class TestSimulateCommand:
         ({"hazard": {"external": {"kind": "bump", "base": -0.5}}}, "base must be >= 0"),
         ({"hazard": {"external": {"kind": "bump", "scale": -1.0}}}, "scale must be >= 0"),
         ({"hazard": {"external": {"kind": "bump", "scale": 50.0}}}, "cannot exceed 1"),
+        ({"hazard": {"external": {"kind": "constant", "rate": 0.03},
+                     "repeat_exposure_multiplier": 50.0}}, "cannot exceed 1"),
         ({"sensitivity_curve": {"window": 0}}, "sensitivity window"),
         ({"sensitivity_curve": {"peak": 3.0}}, "sensitivity peak"),
         ({"sensitivity_curve": {"peak": 0.0}}, "sensitivity peak"),
     ], ids=["zero-shape-horizon", "negative-peak", "negative-base", "negative-scale",
-            "hazard-above-one", "zero-window", "sensitivity-above-one", "zero-sensitivity"])
+            "hazard-above-one", "re-exposure-above-one", "zero-window", "sensitivity-above-one",
+            "zero-sensitivity"])
     def test_unrunnable_simulator_config_is_config_error(self, tmp_path, capsys, change,
                                                           message):
         """Each would divide by zero in the simulator or be clamped there without a word."""

@@ -1,12 +1,13 @@
 import copy
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prevest import estimators
+from prevest import estimators, uncertainty
 from prevest.core import EventHistory, TestCharacteristics
 from prevest.estimators import (
     DayEvaluator,
@@ -30,7 +31,13 @@ from prevest.estimators import (
 )
 from prevest.regimens import RegimenConfig
 from prevest.simulate import ScenarioConfig, HazardModel, ExternalHazard, simulate
-from prevest.uncertainty import IntervalSpec, bca_bootstrap
+from prevest.uncertainty import (
+    IntervalSpec,
+    _bootstrap_totals,
+    _jackknife_blocks,
+    _jackknife_totals,
+    bca_bootstrap,
+)
 
 from test_regimens import regimens
 
@@ -506,12 +513,15 @@ class TestDayEvaluatorMatchesReference:
     def test_chunked_solve_equals_one_block(self, monkeypatch, budget):
         panel = small_simulation(seed=17).panel()
         rows = np.random.default_rng(4).poisson(1.0, (60, panel.n_individuals)).astype(float)
-        whole = [DayEvaluator(panel, day, STUDY, min_stratum_size=2).resampler().batch(rows)
-                 for day in range(1, panel.horizon + 1)]
+
+        def batch(day):
+            resampler = DayEvaluator(panel, day, STUDY, min_stratum_size=2).resampler()
+            return resampler.batch(rows @ resampler.features)
+
+        whole = [batch(day) for day in range(1, panel.horizon + 1)]
         monkeypatch.setattr(estimators, "_SOLVE_BLOCK_BYTES", budget)  # 1 byte: one row a chunk
         for day, want in enumerate(whole, 1):
-            got = DayEvaluator(panel, day, STUDY, min_stratum_size=2).resampler().batch(rows)
-            np.testing.assert_array_equal(got, want, err_msg=str(day))
+            np.testing.assert_array_equal(batch(day), want, err_msg=str(day))
 
 
 def assert_same_interval(got, want):
@@ -547,11 +557,57 @@ class TestCountSpaceBootstrapMatchesIndexRoute:
     def test_simulated_panel_with_short_block(self, spec):
         panel = small_simulation(seed=17).panel()
         ev = DayEvaluator(panel, 9, STUDY, min_stratum_size=5)
-        point = float(ev.resampler().batch(np.ones((1, panel.n_individuals)))[0])
+        point = float(ev.resampler().batch(np.ones((1, panel.n_individuals)) @ ev.features)[0])
         got = bca_bootstrap(ev.resampler(), panel.n_individuals, spec, seed=(3, 9), point=point)
         want = index_bca_bootstrap(ev, panel.n_individuals, spec, seed=(3, 9), point=point)
         assert not got.degenerate and got.acceleration != 0.0
         assert_same_interval(got, want)
+
+
+class TestResampleTotalsMatchDenseRoute:
+    """The chunked bootstrap totals and the subtractive jackknife totals pinned to the dense
+    multiplicity rows they replace: a ``bincount`` per row of the draw, and ones with zeros
+    on each left-out block, each times the features."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(case=panels_and_days(max_n=30), data=st.data())
+    def test_random_panels_and_dense_features(self, case, data):
+        panel, day = case
+        if data.draw(st.booleans(), label="DayEvaluator features"):
+            features = DayEvaluator(panel, day, STUDY).features
+            tol = 0.0  # 0/1 features: every total is an integer, exact in any order
+        else:
+            m = data.draw(st.integers(1, 4), label="columns")
+            features = np.random.default_rng(day).normal(0.0, 3.0, (panel.n_individuals, m))
+            tol = 1e-12
+        n = features.shape[0]
+        b_iter = data.draw(st.integers(1, 40), label="resamples")
+        # 1 byte gives one row a chunk; the top of the range one chunk for every row
+        budget = data.draw(st.one_of(st.just(1), st.integers(1, 8 * n * (b_iter + 1))),
+                           label="byte budget")
+        if data.draw(st.booleans(), label="block count mode"):
+            spec = IntervalSpec(jackknife_block_count=data.draw(st.integers(2, n + 2)))
+        else:
+            spec = IntervalSpec(jackknife_block_size=data.draw(st.integers(1, n + 1)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+        draws = rng.integers(0, n, size=(b_iter, n))
+        blocks = _jackknife_blocks(n, spec, rng.permutation(n))
+
+        with mock.patch.object(uncertainty, "_RESAMPLE_BLOCK_BYTES", budget):
+            boot = _bootstrap_totals(features, draws)
+        counts = np.array([np.bincount(row, minlength=n) for row in draws], dtype=float)
+        keep = np.ones((len(blocks), n))
+        for row, block in enumerate(blocks):
+            keep[row, block] = 0.0
+        column_totals = np.asarray(features.sum(axis=0)).ravel()
+        jack = _jackknife_totals(features, blocks, column_totals)
+        for got, rows in ((boot, counts), (jack, keep)):
+            want = rows @ features
+            assert got.shape == want.shape
+            if tol:
+                np.testing.assert_allclose(got, want, rtol=0, atol=tol * max(1.0, n))
+            else:
+                np.testing.assert_array_equal(got, want)
 
 
 class TestHtKnown:

@@ -1,14 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import sparse, stats
 from scipy.special import betaincinv, ndtr, ndtri
 
 from prevest.core import ConfigError, TestCharacteristics
 from prevest.uncertainty import (
     IntervalSpec,
-    _resample_counts,
+    _bootstrap_totals,
     bca_bootstrap,
     clopper_pearson,
     wald_ht_variance,
@@ -137,42 +138,45 @@ class TestWaldVariance:
 
 
 class MeanEstimator:
-    """Plain resampling statistic over a fixed data vector."""
+    """Plain resampling statistic over a fixed data vector: a resample's totals are
+    its sum of the values and its number of units."""
 
     def __init__(self, values):
         self.values = np.asarray(values, dtype=float)
+        self.features = np.column_stack([self.values, np.ones(self.values.size)])
 
-    def batch(self, counts):
-        return counts @ self.values / counts.sum(axis=1)
+    def batch(self, totals):
+        return totals[:, 0] / totals[:, 1]
 
 
 class ConstantEstimator:
-    """The same value for every multiplicity row.
+    """The same value for every row of totals.
 
     A count-space mean of constant data is not exactly constant: ``counts @
     values`` rounds differently from row to row.
     """
 
-    def __init__(self, value):
+    def __init__(self, value, n_units):
         self.value = value
+        self.features = np.ones((n_units, 1))
 
-    def batch(self, counts):
-        return np.full(counts.shape[0], self.value)
+    def batch(self, totals):
+        return np.full(totals.shape[0], self.value)
 
 
 class TestBcaBootstrap:
     @pytest.mark.parametrize("b_iter,n_units", [(1, 1), (7, 13), (399, 50), (40, 1000)])
     def test_unit_major_counts_equal_row_major_route(self, b_iter, n_units):
-        counts = _resample_counts(np.random.default_rng(b_iter), b_iter, n_units)
+        # over identity features a resample's totals are its multiplicity row
         draws = np.random.default_rng(b_iter).integers(0, n_units, size=(b_iter, n_units))
+        counts = _bootstrap_totals(sparse.identity(n_units, format="csc"), draws)
         want = np.array([np.bincount(row, minlength=n_units) for row in draws], dtype=float)
         assert counts.shape == want.shape and counts.dtype == want.dtype
         np.testing.assert_array_equal(counts, want)
-        assert counts.T.flags.c_contiguous  # what the estimator's sparse product reads
 
     def test_constant_estimator_degenerates_to_point(self):
         spec = IntervalSpec(bootstrap_iterations=99)
-        out = bca_bootstrap(ConstantEstimator(0.4), 30, spec, seed=1)
+        out = bca_bootstrap(ConstantEstimator(0.4, 30), 30, spec, seed=1)
         assert out.degenerate
         assert out.lo == out.hi == pytest.approx(0.4)
 
@@ -193,8 +197,8 @@ class TestBcaBootstrap:
         out = bca_bootstrap(est, values.size, spec, seed=9, clip=None)
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=9, spawn_key=(0,))))
         idx = rng.integers(0, values.size, size=(199, values.size))
-        thetas = est.batch(np.array([np.bincount(row, minlength=values.size) for row in idx],
-                                    dtype=float))
+        counts = np.array([np.bincount(row, minlength=values.size) for row in idx], dtype=float)
+        thetas = est.batch(counts @ est.features)
         lo, hi = np.quantile(thetas, out.quantile_levels)
         assert out.lo == pytest.approx(float(lo))
         assert out.hi == pytest.approx(float(hi))
@@ -240,3 +244,17 @@ class TestBcaBootstrap:
             out = bca_bootstrap(MeanEstimator(sample), 40, spec, seed=k, clip=None)
             hits += out.lo <= 0.5 <= out.hi
         assert 0.90 <= hits / trials <= 0.99
+
+    def test_memory_stays_bounded_at_large_n(self):
+        # a keep matrix of the jackknife rows alone would be n x n/10 floats: 305 MiB
+        n = 20_000
+        est = MeanEstimator(np.random.default_rng(6).random(n))
+        spec = IntervalSpec(bootstrap_iterations=19, jackknife_block_size=10)
+        tracemalloc.start()
+        try:
+            out = bca_bootstrap(est, n, spec, seed=3, clip=None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not out.degenerate and out.acceleration != 0.0
+        assert peak < 32 * 2**20, peak / 2**20
