@@ -92,6 +92,9 @@ def _interval_spec(args) -> IntervalSpec | None:
 
 def cmd_simulate(args, report: RunReport) -> None:
     config = dataio.load_scenario_config(args.config)
+    if args.matrices and config.horizon_days < 2:
+        # the exported matrix has no row ids, so an untested row of one day would be a blank line
+        raise ConfigError(f"--matrices needs horizon_days >= 2, got {config.horizon_days}")
     if args.seed is None:  # no --seed: the config's seed, as the report and digest record
         args.seed = config.seed
         report.seed = args.seed

@@ -511,6 +511,8 @@ def anonymize_shuffle(
 
 
 def _require_keys(obj: dict, allowed: set[str], where: str) -> None:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where}: expected an object, got {type(obj).__name__}")
     unknown = set(obj) - allowed
     if unknown:
         raise ConfigError(f"{where}: unknown key(s) {sorted(unknown)}; allowed: {sorted(allowed)}")
@@ -525,8 +527,6 @@ def _build(cls, kwargs: dict, where: str):
 
 
 def _regimen_from_dict(obj: dict, where: str = "regimen") -> RegimenConfig:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where}: expected an object")
     allowed = {"kind", "p", "gap", "min_gap", "first_test_window", "period", "rotation",
                "base", "overlays"}
     _require_keys(obj, allowed, where)

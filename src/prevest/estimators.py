@@ -93,6 +93,27 @@ class Panel:
         return ContributionIndex(key=key[order], offset=(s - c)[order],
                                  next_test=next_test[order], individual=individual[order])
 
+    @cached_property
+    def day_counts(self) -> "DayCounts":
+        """Per-(day, stratum) headcounts, built on first use in one ``bincount`` over the
+        n x (horizon + 1) cells keyed by (day t, ``last_clear[i, t]``, cell kind)."""
+        size = self.horizon + 1
+        key = np.arange(size) * size + self.last_clear
+        key *= 8
+        for weight, flag in ((4, self.assumed_well), (2, self.tested), (1, self.positive)):
+            np.add(key, weight, out=key, where=flag)  # in place: one int64 per cell
+        key[self.removed] = size * size * 8  # one bin past the table for every removed cell
+        cells = np.bincount(key.ravel(), minlength=size * size * 8 + 1)[:-1]
+        # cells[t, c, assumed well, 2 tested + positive], over the non-removed
+        cells = cells.reshape(size, size, 2, 4)
+        members, per_day = cells[:, :, 0], cells.sum(axis=1)
+        return DayCounts(members=members.sum(axis=2).astype(float),
+                         tested=members[:, :, 2:].sum(axis=2).astype(float),
+                         negative=members[:, :, 2].astype(float),
+                         nonremoved=per_day.sum(axis=(1, 2)), assumed=per_day[:, 1].sum(axis=1),
+                         n_tests=per_day[:, :, 2:].sum(axis=(1, 2)),
+                         n_positive=per_day[:, :, 1::2].sum(axis=(1, 2)))
+
     def point_probabilities(self, specificity: float) -> np.ndarray:
         """``probs[c, t]``: the estimated testing probability of stratum ``c`` on day
         ``t``, for the panel as observed; built on first use per specificity."""
@@ -161,6 +182,21 @@ class Panel:
                 end = min(later[0], horizon) if later else horizon
                 removed[i, z + 1 : end + 1] = True
         return Panel._derived(horizon, tested, positive, removed, cleared)
+
+
+@dataclass
+class DayCounts:
+    """Headcounts of a panel: ``[t, c]`` over the non-removed members of stratum ``c`` on
+    day ``t`` who are not assumed well (``members``, and how many were ``tested`` and
+    tested ``negative``), and per day ``t`` over the non-removed."""
+
+    members: np.ndarray      # float, (horizon + 1) x (horizon + 1)
+    tested: np.ndarray
+    negative: np.ndarray
+    nonremoved: np.ndarray   # int64, horizon + 1
+    assumed: np.ndarray      # non-removed and assumed well
+    n_tests: np.ndarray
+    n_positive: np.ndarray
 
 
 @dataclass
@@ -513,7 +549,7 @@ class DayEstimate:
 class StratumWeight:
     stratum: int
     weight: Optional[float]
-    provenance: str  # "known" | "estimated" | "fallback"
+    provenance: str  # "estimated" | "fallback"
 
 
 @dataclass
@@ -554,11 +590,12 @@ class EstimateSeries:
 class DayEvaluator:
     """Re-evaluates the estimated-weight estimator for one (panel, day).
 
-    Construction only finds the strata in force on the day.  The point
-    estimate takes its :attr:`headcounts` (shared with :func:`ht_known`) from
-    ``bincount``s and each stratum's testing probability from the panel's shared table
-    (:meth:`Panel.point_probabilities`): one solve per stratum per panel
-    serves every day.  Resampled re-estimation (bootstrap multiplicity
+    Construction only reads the strata in force on the day from the panel's
+    :attr:`Panel.day_counts`.  The point estimate takes its :attr:`headcounts`
+    (shared with :func:`ht_known`) from the same table and each stratum's testing
+    probability from :meth:`Panel.point_probabilities`: one count pass and one
+    solve per stratum per panel serve every day, and no point estimate reads an
+    individual.  Resampled re-estimation (bootstrap multiplicity
     vectors, jackknife blocks) builds the day's :attr:`features`, its
     indicator columns and next-test contributions, on first use; a
     resample's estimate then reads only its totals over them, and reduces
@@ -577,50 +614,41 @@ class DayEvaluator:
         self.tests = tests
         self.min_stratum_size = min_stratum_size
         self.weight_cap = weight_cap  # None preserves unbiasedness; caps trade bias for variance
-        self._nonremoved = ~panel.removed[:, day]
-        self._assumed = panel.assumed_well[:, day] & self._nonremoved
-        self._members = np.flatnonzero(self._nonremoved & ~self._assumed)
-        strat = panel.last_clear[self._members, day]  # < day by construction
-        present = np.bincount(strat, minlength=day) > 0
-        self.strata = np.flatnonzero(present)
-        self._slot = (np.cumsum(present) - 1)[strat]  # each member's stratum slot
-
-    def _member_tests(self) -> tuple[np.ndarray, np.ndarray]:
-        """Which members are tested on the day, and which of those test negative."""
-        tested = self.panel.tested[self._members, self.day]
-        return tested, tested & ~self.panel.positive[self._members, self.day]
+        self.strata = np.flatnonzero(panel.day_counts.members[day, :day] > 0)
 
     @cached_property
     def headcounts(self) -> tuple[np.ndarray, ...]:
         """Members, tested members and negative members per stratum slot, as observed."""
-        tested, negative = self._member_tests()
-        return tuple(np.bincount(self._slot[mask], minlength=len(self.strata)).astype(float)
-                     for mask in (slice(None), tested, negative))
+        counts = self.panel.day_counts
+        return tuple(table[self.day, self.strata]
+                     for table in (counts.members, counts.tested, counts.negative))
 
     def _day_record(self, kind: str, unclipped: float, n_fallback_strata: int = 0) -> DayEstimate:
         """The day's record with its test counts among the non-removed."""
-        tested, positive = self.panel.tested[:, self.day], self.panel.positive[:, self.day]
+        counts = self.panel.day_counts
         return DayEstimate(day=self.day, kind=kind, estimate=min(max(unclipped, 0.0), 1.0),
                            unclipped=unclipped, n_fallback_strata=n_fallback_strata,
-                           n_tests=int(np.count_nonzero(tested & self._nonremoved)),
-                           n_positive=int(np.count_nonzero(positive & self._nonremoved)))
+                           n_tests=int(counts.n_tests[self.day]),
+                           n_positive=int(counts.n_positive[self.day]))
 
     @cached_property
     def features(self) -> sparse.csc_matrix:
         """The individuals x (2 + 3S + codes) 0/1 columns whose multiplicity-weighted totals
         are all a resample's estimate reads: non-removed, assumed well, then stratum member,
         tested and tested negative, one column per stratum slot each, then :attr:`_contrib`."""
-        s_count = len(self.strata)
-        idx = self._members
-        slot = 2 + self._slot
-        tested, negative = self._member_tests()
-        rows = np.concatenate([np.flatnonzero(self._nonremoved), np.flatnonzero(self._assumed),
-                               idx, idx[tested], idx[negative]])
-        cols = np.concatenate([np.zeros(np.count_nonzero(self._nonremoved), dtype=np.intp),
-                               np.ones(np.count_nonzero(self._assumed), dtype=np.intp),
+        panel, t, s_count = self.panel, self.day, len(self.strata)
+        nonremoved = np.flatnonzero(~panel.removed[:, t])
+        assumed = nonremoved[panel.assumed_well[nonremoved, t]]
+        idx = nonremoved[~panel.assumed_well[nonremoved, t]]  # the strata's members
+        slot = 2 + np.searchsorted(self.strata, panel.last_clear[idx, t])
+        tested = panel.tested[idx, t]
+        negative = tested & ~panel.positive[idx, t]
+        rows = np.concatenate([nonremoved, assumed, idx, idx[tested], idx[negative]])
+        cols = np.concatenate([np.zeros(nonremoved.size, dtype=np.intp),
+                               np.ones(assumed.size, dtype=np.intp),
                                slot, s_count + slot[tested], 2 * s_count + slot[negative]])
         indicators = sparse.csc_matrix((np.ones(rows.size), (rows, cols)),
-                                       shape=(self.panel.n_individuals, 2 + 3 * s_count))
+                                       shape=(panel.n_individuals, 2 + 3 * s_count))
         return sparse.hstack([indicators, self._contrib], format="csc")
 
     @cached_property
@@ -709,7 +737,7 @@ class DayEvaluator:
         """Clipped prevalence estimates for each multiplicity row.
 
         ``None`` is the panel as observed (one row of 1s), read from
-        ``bincount``s and the panel's probability table without building
+        the panel's day counts and probability table without building
         the per-day resampling state.  Multiplicity rows reduce to their
         totals over :attr:`features`.
         """
@@ -717,8 +745,9 @@ class DayEvaluator:
             return self._estimate_totals(multiplicity @ self.features, collect)
         n_c, tested_c, neg_c = (count[None, :] for count in self.headcounts)
         table = self.panel.point_probabilities(self.tests.specificity)
-        return self._weigh(np.array([np.count_nonzero(self._nonremoved)], dtype=float),
-                           np.array([np.count_nonzero(self._assumed)], dtype=float),
+        counts = self.panel.day_counts
+        return self._weigh(np.array([counts.nonremoved[self.day]], dtype=float),
+                           np.array([counts.assumed[self.day]], dtype=float),
                            n_c, tested_c, neg_c,
                            lambda need: np.where(need, table[self.strata, self.day], 0.0),
                            collect)
@@ -806,11 +835,12 @@ def ht_estimated(panel: Panel, day: int, tests: TestCharacteristics, min_stratum
 
 def ht_known(panel: Panel, day: int, tests: TestCharacteristics,
              weight_for: Callable[[int, int], float], *,
-             evaluator: Optional[DayEvaluator] = None) -> tuple[DayEstimate, WeightTable, float]:
-    """Known-weight prevalence estimate; also returns the variance of the well count.
+             evaluator: Optional[DayEvaluator] = None) -> tuple[DayEstimate, float]:
+    """Known-weight prevalence estimate and the variance of its well count.
 
     ``weight_for(c, t)`` supplies the reciprocal testing probability for
-    stratum ``c`` on day ``t``.  Every stratum is weighted (no fallback):
+    stratum ``c`` on day ``t``, finite and >= 1 (else ``ValueError``), and is
+    called once per stratum present.  Every stratum is weighted (no fallback):
     strata with no tests contribute zero to the well count, which is what
     keeps the estimator unbiased and occasionally high-variance.  The Wald
     variance is the per-stratum sum of ``(1 - pi_c) / pi_c^2 (eta^2 neg_c +
@@ -818,16 +848,20 @@ def ht_known(panel: Panel, day: int, tests: TestCharacteristics,
     the same panel, day and tests) shares its headcounts.
     """
     ev = evaluator if evaluator is not None else DayEvaluator(panel, day, tests)
-    table = WeightTable(day=day)
-    for c in ev.strata.tolist():
-        table.add(c, float(weight_for(c, day)), "known")
-    pi = 1.0 / np.array([table.entries[c].weight for c in ev.strata.tolist()], dtype=float)
+    strata = ev.strata.tolist()
+    weights = np.array([float(weight_for(c, day)) for c in strata])
+    bad = np.flatnonzero(~np.isfinite(weights) | (weights < 1.0))
+    if bad.size:
+        raise ValueError(f"weight for stratum {strata[bad[0]]} must be finite and >= 1, "
+                         f"got {float(weights[bad[0]])}")
+    pi = 1.0 / weights
     n_c, tested_c, neg_c = ev.headcounts
     eta = tests.sensitivity
-    w_hat = np.count_nonzero(ev._assumed) + float(
+    counts = panel.day_counts
+    w_hat = int(counts.assumed[day]) + float(
         _stratum_day_sum(n_c, tested_c, neg_c, pi, np.ones(pi.shape, dtype=bool), tests))
     variance = float(((1.0 - pi) / pi**2 * (eta**2 * neg_c + (1.0 - eta) ** 2 * (tested_c - neg_c))
                       ).sum() / tests.youden**2)
-    removed = panel.n_individuals - np.count_nonzero(ev._nonremoved)
+    removed = panel.n_individuals - int(counts.nonremoved[day])
     unclipped = prevalence_from_w(w_hat, panel.n_individuals, removed)[1]
-    return ev._day_record("ht-k", unclipped), table, variance
+    return ev._day_record("ht-k", unclipped), variance

@@ -239,10 +239,9 @@ def estimate_panel_series(
     prefix = (seed,) if isinstance(seed, int) else tuple(seed)
     series = EstimateSeries()
     level = interval_spec.level if interval_spec is not None else 0.95
+    counts = panel.day_counts
     for day in range(1, panel.horizon + 1):
-        nonrem = ~panel.removed[:, day]
-        n_tests = int((panel.tested[:, day] & nonrem).sum())
-        n_pos = int((panel.positive[:, day] & nonrem).sum())
+        n_tests, n_pos = int(counts.n_tests[day]), int(counts.n_positive[day])
         if n_tests == 0 or (excluded_days is not None and excluded_days[day]):
             for kind in estimators:
                 series.append(DayEstimate(day=day, kind=kind, estimate=math.nan,
@@ -261,10 +260,10 @@ def estimate_panel_series(
                     record.lo = prevalence_from_rate(lo, tests)[0]
                     record.hi = prevalence_from_rate(hi, tests)[0]
             elif kind == "ht-k":
-                record, _, variance = ht_known(panel, day, tests, known_weights,
-                                               evaluator=evaluator)
+                record, variance = ht_known(panel, day, tests, known_weights,
+                                            evaluator=evaluator)
                 if interval_spec is not None:
-                    nonremoved = int(nonrem.sum())
+                    nonremoved = int(counts.nonremoved[day])
                     record.lo, record.hi = wald_prevalence_interval(
                         (1.0 - record.unclipped) * nonremoved, variance,
                         panel.n_individuals, panel.n_individuals - nonremoved, level)

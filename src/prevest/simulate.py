@@ -382,7 +382,6 @@ def simulate(config: ScenarioConfig, seed=None) -> SimulationResult:
         # come from outside at the reduced rate.
         u_ext = streams["exposure_ext"].random(n)
         u_clu = streams["exposure_cluster"].random(n)
-        u_sym = streams["overlay"].random(n)
         tau_since = np.clip(t - np.maximum(last_clear, 0), 0, horizon)
         p_ext = hazard_table[tau_since] * np.where(
             n_exposures >= 1, config.hazard.repeat_exposure_multiplier, 1.0
@@ -394,7 +393,8 @@ def simulate(config: ScenarioConfig, seed=None) -> SimulationResult:
         newly_exposed[t] = exposed
         exposure_day[exposed] = t
         n_exposures[exposed] += 1
-        if overlays.symptomatic_probability > 0:
+        if overlays.symptomatic_probability > 0:  # the only reader of the overlay stream
+            u_sym = streams["overlay"].random(n)
             sympt_pending = exposed & (u_sym < overlays.symptomatic_probability)
 
         # 4. undetected recoveries

@@ -487,3 +487,32 @@ def row_loop_apply_adjustments(matrix, policy):
                         assumed_well=assumed, dates=list(matrix.dates), excluded_days=excluded,
                         tests_per_day=tests_per_day, n_dropped_weekly=dropped_weekly,
                         n_dropped_isolation=dropped_isolation, policy=policy)
+
+
+def per_day_counts(panel, day):
+    """Row ``day`` of ``Panel.day_counts`` from masks over the day's column.
+
+    Counts as a per-day evaluator did before the panel kept the table: the
+    non-removed, those assumed well, and the remaining members, bincounted by
+    their last clearance into members, tested members and tested negatives;
+    tests and positives are counted among all the non-removed.
+    """
+    t = day
+    size = panel.horizon + 1
+    nonremoved = ~panel.removed[:, t]
+    assumed = panel.assumed_well[:, t] & nonremoved
+    member = np.flatnonzero(nonremoved & ~assumed)
+    strat = panel.last_clear[member, t]
+    tested = panel.tested[member, t]
+    negative = tested & ~panel.positive[member, t]
+    members, tested_c, negative_c = (np.bincount(strat[mask], minlength=size).astype(float)
+                                     for mask in (slice(None), tested, negative))
+    return {
+        "members": members,
+        "tested": tested_c,
+        "negative": negative_c,
+        "nonremoved": int(np.count_nonzero(nonremoved)),
+        "assumed": int(np.count_nonzero(assumed)),
+        "n_tests": int(np.count_nonzero(panel.tested[:, t] & nonremoved)),
+        "n_positive": int(np.count_nonzero(panel.positive[:, t] & nonremoved)),
+    }

@@ -163,6 +163,33 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 3
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("change,where", [
+        ({"tests": 5}, "tests: expected an object, got int"),
+        ({"hazard": [0.1]}, "hazard: expected an object, got list"),
+        ({"hazard": {"external": "constant"}}, "hazard.external: expected an object, got str"),
+        ({"sensitivity_curve": 0.9}, "sensitivity_curve: expected an object, got float"),
+        ({"regimen": {"kind": "simple-random", "p": 0.25, "overlays": True}},
+         "regimen.overlays: expected an object, got bool"),
+    ], ids=["int-tests", "list-hazard", "string-external", "float-curve", "bool-overlays"])
+    def test_non_object_config_value_is_config_error(self, tmp_path, capsys, change, where):
+        """A value that must be a JSON object, given as anything else (exited 5)."""
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(dict(SCENARIO_JSON, **change)))
+        assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 3
+        assert where in capsys.readouterr().err
+
+    def test_one_day_matrices_is_config_error(self, tmp_path, capsys):
+        """A one-day matrix without row ids cannot hold an untested row (exited 5 after
+        simulating); without --matrices the one-day run still succeeds."""
+        config = tmp_path / "one_day.json"
+        config.write_text(json.dumps(dict(SCENARIO_JSON, horizon_days=1)))
+        out = tmp_path / "runs"
+        assert main(["simulate", "--config", str(config), "--out", str(out),
+                     "--matrices"]) == 3
+        assert "--matrices needs horizon_days >= 2" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+
     def test_jsonl_format(self, tmp_path, config_path):
         out = tmp_path / "runs"
         main(["simulate", "--config", str(config_path), "--out", str(out),
@@ -487,3 +514,114 @@ class TestConfigDigest:
             ["--block-size", "5"], ["--min-stratum-size", "3"], ["--replicates", "3"],
             ["--population", "80"], ["--intervals", "--bootstrap", "9"])}
         assert base not in variants and len(variants) == 5
+
+
+# Small valid inputs whose keys the bad-input property test replaces one at a time.
+SMALL_SCENARIOS = (
+    {
+        "population_size": 40, "horizon_days": 7, "cluster_size": 4, "seed": 3,
+        "removal_duration_days": 3, "undetected_recovery_days": 5,
+        "baseline_exposure_window": 2,
+        "tests": {"sensitivity": 0.832, "specificity": 0.992},
+        "sensitivity_curve": {"peak": 0.9, "window": 6},
+        "hazard": {"initial_prevalence": 0.1, "within_cluster_rate": 0.2,
+                   "repeat_exposure_multiplier": 0.5,
+                   "external": {"kind": "constant", "rate": 0.03}},
+        "regimen": {"kind": "simple-random", "p": 0.25,
+                    "overlays": {"symptomatic_probability": 0.3, "contact_tracing": True}},
+    },
+    {
+        "population_size": 40, "horizon_days": 7, "cluster_size": 2,
+        "hazard": {"initial_prevalence": 0.1,
+                   "external": {"kind": "bump", "shape_horizon": 5, "peak": 0.2, "base": 0.02,
+                                "scale": 0.5}},
+        "regimen": {"kind": "clustered",
+                    "base": {"kind": "min-max", "gap": 4, "min_gap": 2, "first_test_window": 3}},
+    },
+    {
+        "population_size": 40, "horizon_days": 7,
+        "regimen": {"kind": "once-per-period", "period": 3},
+    },
+)
+SMALL_POLICY = {
+    "result_delay_days": 1, "isolation_days": 3, "post_isolation_exemption_days": 4,
+    "keep_first_test_per_week": False, "min_daily_tests": 1,
+    "assumed_sensitivity": 0.832, "assumed_specificity": 0.992,
+}
+
+
+def key_paths(obj, prefix=()):
+    """Every key path of a nested JSON object, objects included."""
+    for key, value in obj.items():
+        yield (*prefix, key)
+        if isinstance(value, dict):
+            yield from key_paths(value, (*prefix, key))
+
+
+def replaced(obj, path, value):
+    out = json.loads(json.dumps(obj))
+    target = out
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return out
+
+
+# Integers stay within +-10**4: a larger population or horizon is valid input whose
+# cost grows, not a new kind of bad input.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**4, 10**4) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+# Values near the valid ones, so that range checks are reached and not only type checks.
+near_values = st.sampled_from([0, 1, 2, -1, 0.0, 0.5, 1.0, 1.5, -0.5, 1e300, "1", "", True,
+                               None, [], {}, [1], {"kind": "zero"}])
+
+
+class TestBadInputProperty:
+    """One key of a valid config or policy replaced by an arbitrary JSON value: every
+    run exits 0 or with a documented bad-input code (2, 3, 4), never 5, and a run
+    that exits 0 has written every output it declares."""
+
+    @staticmethod
+    def run(argv, outputs):
+        code = main(argv)
+        assert code in (0, 2, 3, 4), (code, argv)
+        if code == 0:
+            for path in outputs:
+                assert Path(path).exists(), path
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), base=st.sampled_from(SMALL_SCENARIOS), value=json_values | near_values)
+    def test_simulate_config(self, data, base, value):
+        path = data.draw(st.sampled_from(list(key_paths(base))))
+        with tempfile.TemporaryDirectory() as tmp:
+            config = Path(tmp) / "scenario.json"
+            config.write_text(json.dumps(replaced(base, path, value)))
+            out = Path(tmp) / "out"
+            self.run(["simulate", "--config", str(config), "--out", str(out), "--matrices"],
+                     [out / "summary.csv", out / "replicate_0000.csv"])
+
+    @settings(max_examples=80, deadline=None)
+    @given(key=st.sampled_from(sorted(SMALL_POLICY)), value=json_values | near_values,
+           command=st.sampled_from(["analyze", "anonymize"]))
+    def test_policy(self, small_matrix, key, value, command):
+        with tempfile.TemporaryDirectory() as tmp:
+            policy = Path(tmp) / "policy.json"
+            policy.write_text(json.dumps(dict(SMALL_POLICY, **{key: value})))
+            out = Path(tmp) / "out.csv"
+            self.run([command, "--matrix", str(small_matrix), "--policy", str(policy),
+                      "--out", str(out)], [out])
+
+
+@pytest.fixture(scope="module")
+def small_matrix(tmp_path_factory):
+    """A simulated population-40, 7-day matrix written once for the policy cases."""
+    from prevest.dataio import scenario_config_from_dict
+
+    sim = simulate(scenario_config_from_dict(SMALL_SCENARIOS[0]))
+    path = tmp_path_factory.mktemp("small") / "matrix.csv"
+    write_testing_matrix(matrix_from_simulation(sim), path)
+    return path

@@ -46,6 +46,7 @@ from _oracles import (
     dense_contribution_scan,
     full_matrix_ratio_terms,
     index_bca_bootstrap,
+    per_day_counts,
     per_stratum_ht_known,
     testing_process_oracle,
 )
@@ -610,6 +611,73 @@ class TestResampleTotalsMatchDenseRoute:
                 np.testing.assert_array_equal(got, want)
 
 
+def adjusted_panel(seed, n, min_max, delay, isolation, exemption, perfect=False):
+    """A simulated panel passed through a policy that can delay removals and mark
+    members assumed well after a clearance."""
+    from prevest.dataio import AdjustmentPolicy, apply_adjustments, matrix_from_simulation
+
+    tests = PERFECT if perfect else STUDY
+    regimen = RegimenConfig.min_max(6, 3) if min_max else RegimenConfig.simple_random(0.4)
+    sim = small_simulation(seed=seed, regimen=regimen, n=n, tests=tests)
+    policy = AdjustmentPolicy(
+        result_delay_days=delay, isolation_days=isolation,
+        post_isolation_exemption_days=exemption, keep_first_test_per_week=False,
+        min_daily_tests=0, assumed_sensitivity=tests.sensitivity,
+        assumed_specificity=tests.specificity)
+    return apply_adjustments(matrix_from_simulation(sim), policy).panel
+
+
+class TestDayCounts:
+    """``Panel.day_counts`` (one pass per panel) against masks over each day's column."""
+
+    @staticmethod
+    def check(panel):
+        """Compare every day's row with the oracle; return which hard cases occurred."""
+        counts = panel.day_counts
+        seen = {"assumed": False, "removed": False, "memberless": False}
+        for day in range(panel.horizon + 1):
+            want = per_day_counts(panel, day)
+            for name in ("members", "tested", "negative"):
+                got = getattr(counts, name)[day]
+                assert got.dtype == want[name].dtype, name
+                np.testing.assert_array_equal(got, want[name], err_msg=f"{name}, day {day}")
+            for name in ("nonremoved", "assumed", "n_tests", "n_positive"):
+                assert int(getattr(counts, name)[day]) == want[name], (name, day)
+            if day >= 1:
+                seen["assumed"] |= want["assumed"] > 0
+                seen["removed"] |= want["nonremoved"] < panel.n_individuals
+                seen["memberless"] |= not want["members"].any()
+        return seen
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**16), n=st.integers(1, 60), min_max=st.booleans(),
+           delay=st.integers(0, 2), isolation=st.integers(1, 4), exemption=st.integers(0, 8))
+    def test_matches_per_day_masks(self, seed, n, min_max, delay, isolation, exemption):
+        self.check(adjusted_panel(seed, n, min_max, delay, isolation, exemption))
+
+    def test_hard_cases_occur(self):
+        """Fixed panels on which assumed-well and removed members and a day with no
+        member all occur, so the comparison covers each of them."""
+        seen = {}
+        for seed, n in ((3, 2), (5, 40), (11, 1), (7, 25)):
+            for key, value in self.check(adjusted_panel(seed, n, True, 2, 3, 6)).items():
+                seen[key] = seen.get(key, False) or value
+        assert seen == {"assumed": True, "removed": True, "memberless": True}
+
+    def test_evaluator_reads_the_table(self):
+        """The point path of a day reads its row: the strata present, their headcounts
+        and the record's test counts."""
+        panel = adjusted_panel(5, 40, True, 2, 3, 6)
+        for day in range(1, panel.horizon + 1):
+            want = per_day_counts(panel, day)
+            ev = DayEvaluator(panel, day, STUDY)
+            np.testing.assert_array_equal(ev.strata, np.flatnonzero(want["members"]))
+            for got, name in zip(ev.headcounts, ("members", "tested", "negative")):
+                np.testing.assert_array_equal(got, want[name][ev.strata])
+            record = ev.day_estimate()
+            assert (record.n_tests, record.n_positive) == (want["n_tests"], want["n_positive"])
+
+
 class TestHtKnown:
     def test_zero_test_stratum_contributes_zero(self):
         histories = [
@@ -619,17 +687,32 @@ class TestHtKnown:
             for _ in range(5)
         ]
         panel = Panel.from_histories(histories, horizon=6)
-        est, table, variance = ht_known(panel, 5, PERFECT, lambda c, t: 2.0)
+        est, variance = ht_known(panel, 5, PERFECT, lambda c, t: 2.0)
         # w_hat = 2 * 10 tested negatives + 0 from the untested stratum
         assert est.unclipped == pytest.approx((15 - 20) / 15)
         assert est.estimate == 0.0
         assert variance == pytest.approx(10 * (1 - 0.5) / 0.25)
 
-    def test_weight_table_provenance(self):
-        sim = small_simulation(seed=8)
-        panel = sim.panel()
-        _, table, _ = ht_known(panel, 6, STUDY, lambda c, t: 6.0)
-        assert all(e.provenance == "known" for e in table.entries.values())
+    @pytest.mark.parametrize("bad", [0.5, math.inf, math.nan], ids=["half", "inf", "nan"])
+    def test_rejects_weight_below_one_or_not_finite(self, bad):
+        """One bad stratum among good ones raises, naming that stratum and its weight."""
+        panel = small_simulation(seed=8).panel()
+        strata = DayEvaluator(panel, 6, STUDY).strata
+        assert strata.size >= 2
+        target = int(strata[-1])
+        calls = []
+
+        def weight_for(c, t):
+            calls.append(c)
+            return bad if c == target else 6.0
+
+        with pytest.raises(ValueError) as info:
+            ht_known(panel, 6, STUDY, weight_for)
+        assert str(info.value) == (
+            f"weight for stratum {target} must be finite and >= 1, got {float(bad)}")
+        assert calls == strata.tolist()
+        est, _ = ht_known(panel, 6, STUDY, lambda c, t: 6.0)
+        assert est.kind == "ht-k" and not math.isnan(est.unclipped)
 
     @pytest.mark.parametrize("tests", [PERFECT, STUDY], ids=["perfect", "imperfect"])
     def test_matches_per_stratum_formula(self, tests):
@@ -639,7 +722,7 @@ class TestHtKnown:
             return 1.0 + (7 * c + t) % 5 + 0.25 * c
 
         for day in range(1, panel.horizon + 1):
-            est, _, variance = ht_known(panel, day, tests, weight_for)
+            est, variance = ht_known(panel, day, tests, weight_for)
             w_hat, want_var = per_stratum_ht_known(panel, day, tests, weight_for)
             nonremoved = int((~panel.removed[:, day]).sum())
             assert est.unclipped == pytest.approx((nonremoved - w_hat) / nonremoved,
@@ -653,16 +736,8 @@ class TestHtKnown:
                                                          exemption, weight_seed):
         """Random simulated panels, passed through a policy whose exemption windows mark
         members assumed well, and random weights >= 1 (some exactly 1)."""
-        from prevest.dataio import AdjustmentPolicy, apply_adjustments, matrix_from_simulation
-
         tests = PERFECT if perfect else STUDY
-        regimen = RegimenConfig.min_max(6, 3) if min_max else RegimenConfig.simple_random(0.4)
-        sim = small_simulation(seed=seed, regimen=regimen, n=n, tests=tests)
-        policy = AdjustmentPolicy(
-            result_delay_days=0, isolation_days=4, post_isolation_exemption_days=exemption,
-            keep_first_test_per_week=False, min_daily_tests=0,
-            assumed_sensitivity=tests.sensitivity, assumed_specificity=tests.specificity)
-        panel = apply_adjustments(matrix_from_simulation(sim), policy).panel
+        panel = adjusted_panel(seed, n, min_max, 0, 4, exemption, perfect)
         rng = np.random.default_rng(weight_seed)
         weights = np.where(rng.random((16, 16)) < 0.2, 1.0, rng.uniform(1.0, 30.0, (16, 16)))
 
@@ -674,7 +749,7 @@ class TestHtKnown:
             nonremoved = int((~panel.removed[:, day]).sum())
             shared = DayEvaluator(panel, day, tests)
             for evaluator in (None, shared):
-                est, _, variance = ht_known(panel, day, tests, weight_for, evaluator=evaluator)
+                est, variance = ht_known(panel, day, tests, weight_for, evaluator=evaluator)
                 if nonremoved == 0:
                     assert math.isnan(est.unclipped), day
                 else:
@@ -770,7 +845,7 @@ class TestSeriesSerialisation:
     def test_weight_table_rejects_sub_unit_weights(self):
         table = WeightTable(day=1)
         with pytest.raises(ValueError):
-            table.add(0, 0.5, "known")
+            table.add(0, 0.5, "estimated")
 
 
 class TestWeightCap:

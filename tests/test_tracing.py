@@ -113,6 +113,8 @@ def test_traced_scenario_reports_evaluator_layers(tmp_path):
 
     horizon = build_scenario("min-max").config.horizon_days
     assert metrics["estimators.evaluator_init_calls"] == replicates * horizon
+    # one point row per evaluator: ht-e still goes through estimate(None) once per day
+    assert metrics["estimators.estimate_rows"] == replicates * horizon
     # the known weights are one table per run: no lookup chains a schedule matrix
     assert metrics["scenarios.known_weights_calls"] > 0
     assert metrics["scenarios.known_weights_hit_ratio"] == 1.0
