@@ -246,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, with_min_stratum=True, seed_help="RNG seed (default 0)"):
-        p.add_argument("--seed", type=int, default=0, help=seed_help)
+        p.add_argument("--seed", type=_non_negative_int, default=0, help=seed_help)
         p.add_argument("--format", choices=("csv", "jsonl"), default="csv",
                        help="output format (default csv)")
         p.add_argument("--jobs", type=_positive_int, default=None,
@@ -254,6 +254,13 @@ def build_parser() -> argparse.ArgumentParser:
         if with_min_stratum:
             p.add_argument("--min-stratum-size", type=_non_negative_int, default=10,
                            help="headcount fallback below this stratum size (default 10)")
+
+    def interval_flags(p, spec=IntervalSpec()):
+        p.add_argument("--intervals", action="store_true", help="also compute BCa intervals")
+        p.add_argument("--bootstrap", type=_positive_int, default=spec.bootstrap_iterations,
+                       help="bootstrap iterations with --intervals (default %(default)s)")
+        p.add_argument("--block-size", type=_positive_int, default=spec.jackknife_block_size,
+                       help="jackknife block size for the acceleration (default %(default)s)")
 
     p_sim = sub.add_parser("simulate", help="run a scenario config and write summaries")
     p_sim.add_argument("--config", required=True, help="scenario config (JSON)")
@@ -270,12 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sc.add_argument("--population", type=_positive_int, default=None,
                       help="override the scenario's population size")
     p_sc.add_argument("--out", required=True, help="output directory")
-    p_sc.add_argument("--intervals", action="store_true",
-                      help="also evaluate confidence-interval coverage")
-    p_sc.add_argument("--bootstrap", type=_positive_int, default=399,
-                      help="bootstrap iterations when --intervals is set (default 399)")
-    p_sc.add_argument("--block-size", type=_positive_int, default=10,
-                      help="jackknife block size for the bootstrap acceleration (default 10)")
+    interval_flags(p_sc)
     common(p_sc)
     p_sc.set_defaults(func=cmd_scenario)
 
@@ -283,9 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--matrix", required=True, help="testing-matrix CSV")
     p_an.add_argument("--policy", default=None, help="adjustment policy (JSON)")
     p_an.add_argument("--out", required=True, help="output estimate series file")
-    p_an.add_argument("--intervals", action="store_true")
-    p_an.add_argument("--bootstrap", type=_positive_int, default=399)
-    p_an.add_argument("--block-size", type=_positive_int, default=10)
+    interval_flags(p_an)
     common(p_an)
     p_an.set_defaults(func=cmd_analyze)
 

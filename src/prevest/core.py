@@ -19,9 +19,11 @@ from __future__ import annotations
 
 import math
 import numbers
+import types
 from bisect import bisect_left
 from dataclasses import dataclass, fields
-from typing import Sequence, Union
+from functools import cache
+from typing import Sequence, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -30,16 +32,31 @@ class ConfigError(ValueError):
     """A regimen/scenario/policy configuration is invalid."""
 
 
-_FIELD_KINDS = {"int": numbers.Integral, "bool": bool, "float": numbers.Real}
+_FIELD_KINDS = {int: numbers.Integral, bool: bool, float: numbers.Real}
+
+
+@cache
+def field_kinds(cls) -> dict[str, tuple[object, bool]]:
+    """Each field of dataclass ``cls`` mapped to (resolved type, optional).
+
+    Only ``Optional[X]`` is unwrapped, to (X, True); any other union stays whole."""
+    out = {}
+    for name, tp in get_type_hints(cls).items():
+        args = get_args(tp)
+        optional = get_origin(tp) in (Union, types.UnionType) and args[1:] == (type(None),)
+        out[name] = (args[0], True) if optional else (tp, False)
+    return out
 
 
 def check_field_types(obj) -> None:
     """Raise :class:`ConfigError` naming the first dataclass field typed int, bool or
     float (or ``Optional`` of one, which admits None) that holds another type."""
+    kinds = field_kinds(type(obj))
     for f in fields(obj):
-        kind = _FIELD_KINDS.get(f.type.removeprefix("Optional[").removesuffix("]"))
+        tp, optional = kinds[f.name]
+        kind = _FIELD_KINDS.get(tp)
         value = getattr(obj, f.name)
-        if kind is None or (value is None and f.type.startswith("Optional[")):
+        if kind is None or (value is None and optional):
             continue
         # bool is an int subclass: only a bool field may hold one
         if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):

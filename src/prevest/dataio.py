@@ -19,22 +19,16 @@ from __future__ import annotations
 import datetime as dt
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from functools import cached_property
 from typing import Iterable, Optional
 
 import numpy as np
 
-from .core import TestCharacteristics, check_field_types
+from .core import TestCharacteristics, check_field_types, field_kinds
 from .estimators import Panel
-from .regimens import ConfigError, Overlays, RegimenConfig
-from .simulate import (
-    ExternalHazard,
-    HazardModel,
-    ScenarioConfig,
-    SensitivityCurve,
-    SimulationResult,
-)
+from .regimens import ConfigError
+from .simulate import ScenarioConfig, SimulationResult
 from .uncertainty import IntervalSpec
 
 ABSENT, NEGATIVE, POSITIVE = -1, 0, 1
@@ -518,60 +512,27 @@ def _require_keys(obj: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"{where}: unknown key(s) {sorted(unknown)}; allowed: {sorted(allowed)}")
 
 
-def _build(cls, kwargs: dict, where: str):
-    """``cls(**kwargs)``; a missing, mistyped or out-of-range value is a ConfigError at ``where``."""
+def _from_dict(cls, obj, where: str, prefix: str = ""):
+    """Dataclass ``cls`` built from the JSON object ``obj``; its fields are the schema.  A
+    field typed as a dataclass is built from its own object (``null`` only where the field is
+    ``Optional``), named ``prefix`` + key; any bad value is a ConfigError naming ``where``."""
+    _require_keys(obj, {f.name for f in fields(cls)}, where)
+    kwargs = dict(obj)
+    for f in fields(cls):
+        tp, optional = field_kinds(cls)[f.name]
+        if f.name not in obj:
+            if f.default is MISSING and f.default_factory is MISSING:
+                raise ConfigError(f"{where}: missing required key '{f.name}'")
+        elif is_dataclass(tp) and not (optional and obj[f.name] is None):
+            kwargs[f.name] = _from_dict(tp, obj[f.name], prefix + f.name, f"{prefix}{f.name}.")
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _regimen_from_dict(obj: dict, where: str = "regimen") -> RegimenConfig:
-    allowed = {"kind", "p", "gap", "min_gap", "first_test_window", "period", "rotation",
-               "base", "overlays"}
-    _require_keys(obj, allowed, where)
-    kwargs = dict(obj)
-    if "overlays" in kwargs:
-        ov = kwargs.pop("overlays")
-        _require_keys(ov, {"symptomatic_probability", "contact_tracing"}, f"{where}.overlays")
-        kwargs["overlays"] = _build(Overlays, ov, f"{where}.overlays")
-    if "base" in kwargs and kwargs["base"] is not None:
-        kwargs["base"] = _regimen_from_dict(kwargs["base"], f"{where}.base")
-    return _build(RegimenConfig, kwargs, where)
-
-
-def _hazard_from_dict(obj: dict) -> HazardModel:
-    _require_keys(obj, {"initial_prevalence", "within_cluster_rate",
-                        "repeat_exposure_multiplier", "external"}, "hazard")
-    kwargs = dict(obj)
-    if "external" in kwargs:
-        ext = kwargs.pop("external")
-        _require_keys(ext, {"kind", "rate", "shape_horizon", "peak", "base", "scale"},
-                      "hazard.external")
-        kwargs["external"] = _build(ExternalHazard, ext, "hazard.external")
-    return _build(HazardModel, kwargs, "hazard")
-
-
 def scenario_config_from_dict(obj: dict) -> ScenarioConfig:
-    allowed = {"population_size", "horizon_days", "cluster_size", "seed",
-               "removal_duration_days", "undetected_recovery_days",
-               "baseline_exposure_window", "tests", "sensitivity_curve",
-               "hazard", "regimen"}
-    _require_keys(obj, allowed, "scenario")
-    kwargs = dict(obj)
-    if "regimen" not in kwargs:
-        raise ConfigError("scenario: missing required key 'regimen'")
-    kwargs["regimen"] = _regimen_from_dict(kwargs["regimen"])
-    if "tests" in kwargs:
-        _require_keys(kwargs["tests"], {"sensitivity", "specificity"}, "tests")
-        kwargs["tests"] = _build(TestCharacteristics, kwargs["tests"], "tests")
-    if kwargs.get("sensitivity_curve") is not None:
-        _require_keys(kwargs["sensitivity_curve"], {"peak", "window"}, "sensitivity_curve")
-        kwargs["sensitivity_curve"] = _build(SensitivityCurve, kwargs["sensitivity_curve"],
-                                             "sensitivity_curve")
-    if "hazard" in kwargs:
-        kwargs["hazard"] = _hazard_from_dict(kwargs["hazard"])
-    return _build(ScenarioConfig, kwargs, "scenario")
+    return _from_dict(ScenarioConfig, obj, "scenario")
 
 
 def load_scenario_config(path) -> ScenarioConfig:
@@ -579,15 +540,11 @@ def load_scenario_config(path) -> ScenarioConfig:
 
 
 def load_adjustment_policy(path) -> AdjustmentPolicy:
-    obj = _load_json(path)
-    _require_keys(obj, {f.name for f in fields(AdjustmentPolicy)}, "policy")
-    return AdjustmentPolicy(**obj)
+    return _from_dict(AdjustmentPolicy, _load_json(path), "policy")
 
 
 def load_interval_spec(path) -> IntervalSpec:
-    obj = _load_json(path)
-    _require_keys(obj, {f.name for f in fields(IntervalSpec)}, "intervals")
-    return _build(IntervalSpec, obj, "intervals")
+    return _from_dict(IntervalSpec, _load_json(path), "intervals")
 
 
 def _load_json(path) -> dict:

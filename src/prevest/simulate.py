@@ -86,9 +86,9 @@ class HazardModel:
 
     def __post_init__(self):
         check_field_types(self)
-        if self.within_cluster_rate < 0:
+        if not self.within_cluster_rate >= 0:  # nan too
             raise ConfigError("within-cluster rate must be >= 0")
-        if self.repeat_exposure_multiplier < 0:
+        if not self.repeat_exposure_multiplier >= 0:
             raise ConfigError("repeat-exposure multiplier must be >= 0")
         if not (0.0 <= self.initial_prevalence <= 1.0):
             raise ConfigError("initial prevalence must be in [0, 1]")

@@ -149,11 +149,15 @@ class TestSimulateCommand:
         ({"hazard": {"external": {"kind": "bump", "scale": 50.0}}}, "cannot exceed 1"),
         ({"hazard": {"external": {"kind": "constant", "rate": 0.03},
                      "repeat_exposure_multiplier": 50.0}}, "cannot exceed 1"),
+        ({"hazard": {"within_cluster_rate": float("nan")}}, "within-cluster rate must be >= 0"),
+        ({"hazard": {"repeat_exposure_multiplier": float("nan")}},
+         "repeat-exposure multiplier must be >= 0"),
         ({"sensitivity_curve": {"window": 0}}, "sensitivity window"),
         ({"sensitivity_curve": {"peak": 3.0}}, "sensitivity peak"),
         ({"sensitivity_curve": {"peak": 0.0}}, "sensitivity peak"),
     ], ids=["zero-shape-horizon", "negative-peak", "negative-base", "negative-scale",
-            "hazard-above-one", "re-exposure-above-one", "zero-window", "sensitivity-above-one",
+            "hazard-above-one", "re-exposure-above-one", "nan-cluster-rate",
+            "nan-re-exposure", "zero-window", "sensitivity-above-one",
             "zero-sensitivity"])
     def test_unrunnable_simulator_config_is_config_error(self, tmp_path, capsys, change,
                                                           message):
@@ -449,6 +453,21 @@ class TestDeskScaleTimings:
 
 def reported_digest(capsys) -> str:
     return re.search(r"config ([0-9a-f]{12})\)", capsys.readouterr().out).group(1)
+
+
+@pytest.mark.parametrize("command", ["simulate", "scenario", "analyze", "anonymize"])
+def test_negative_seed_is_usage_error(tmp_path, config_path, matrix_path, command):
+    """numpy rejects a negative seed only once a seeded draw runs (it exited 5, or 0
+    for a point-only analyze)."""
+    out = tmp_path / "out"
+    given = {"simulate": ["--config", str(config_path)],
+             "scenario": ["--name", "simple-random", "--replicates", "1", "--population", "40"],
+             "analyze": ["--matrix", str(matrix_path)],
+             "anonymize": ["--matrix", str(matrix_path)]}[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *given, "--out", str(out), "--seed", "-1"])
+    assert exc.value.code == 2
+    assert not out.exists()
 
 
 class TestConfigDigest:

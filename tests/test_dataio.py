@@ -1,6 +1,7 @@
 import dataclasses
 import datetime as dt
 import json
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from prevest.dataio import (
     AdjustmentPolicy,
     ParseError,
     TestingMatrix,
+    _from_dict,
     anonymize_shuffle,
     apply_adjustments,
     load_adjustment_policy,
@@ -26,7 +28,8 @@ from prevest.dataio import (
     write_testing_matrix,
 )
 from prevest.estimators import Panel, ht_estimated, tpr_prevalence
-from prevest.scenarios import estimate_panel_series
+from prevest.scenarios import SCENARIO_NAMES, build_scenario, estimate_panel_series
+from prevest.uncertainty import IntervalSpec
 from prevest.regimens import ConfigError, RegimenConfig
 from prevest.simulate import ExternalHazard, HazardModel, ScenarioConfig, simulate
 
@@ -583,3 +586,69 @@ class TestConfigFiles:
         i.write_text(json.dumps({"bootstrap_iterations": 199, "jackknife_block_count": 79}))
         spec = load_interval_spec(i)
         assert spec.bootstrap_iterations == 199 and spec.jackknife_block_count == 79
+
+
+@dataclasses.dataclass(frozen=True)
+class _ToyInner:
+    rate: float = 0.5
+
+
+@dataclasses.dataclass(frozen=True)
+class _ToyOuter:
+    size: int
+    inner: Optional[_ToyInner] = None
+    fixed: _ToyInner = dataclasses.field(default_factory=_ToyInner)
+
+
+class TestConfigSchema:
+    """The config dataclasses are the loader's only schema."""
+
+    @staticmethod
+    def json_round_trip(obj):
+        return json.loads(json.dumps(dataclasses.asdict(obj)))
+
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    def test_built_in_scenario_round_trips(self, name):
+        config = build_scenario(name).config
+        assert scenario_config_from_dict(self.json_round_trip(config)) == config
+
+    def test_round_trips_cover_every_nested_config(self):
+        configs = [build_scenario(name).config for name in SCENARIO_NAMES]
+        assert any(c.regimen.base is not None for c in configs)
+        assert any(c.regimen.overlays.contact_tracing for c in configs)
+        assert any(c.regimen.overlays.symptomatic_probability > 0 for c in configs)
+        assert any(c.sensitivity_curve is not None for c in configs)
+        assert any(c.undetected_recovery_days is not None for c in configs)
+
+    def test_policy_and_interval_spec_round_trip(self, tmp_path):
+        policy = AdjustmentPolicy.for_simulation(build_scenario("min-max").config)
+        spec = IntervalSpec(bootstrap_iterations=199, jackknife_block_count=20)
+        for loader, obj in ((load_adjustment_policy, policy), (load_interval_spec, spec)):
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(dataclasses.asdict(obj)))
+            assert loader(path) == obj
+
+    @pytest.mark.parametrize("key", ["population_size", "horizon_days", "regimen"])
+    def test_missing_required_key_is_named(self, key):
+        obj = {"population_size": 10, "horizon_days": 5,
+               "regimen": {"kind": "simple-random", "p": 0.2}}
+        del obj[key]
+        with pytest.raises(ConfigError, match=f"^scenario: missing required key '{key}'$"):
+            scenario_config_from_dict(obj)
+
+    def test_bad_policy_value_names_the_policy(self, tmp_path):
+        path = tmp_path / "policy.json"
+        path.write_text(json.dumps({"isolation_days": 0}))
+        with pytest.raises(ConfigError, match="^policy: isolation must last"):
+            load_adjustment_policy(path)
+
+    def test_new_dataclass_loads_without_loader_edits(self):
+        assert _from_dict(_ToyOuter, {"size": 3, "inner": {"rate": 0.25}}, "toy") == \
+            _ToyOuter(3, _ToyInner(0.25))
+        assert _from_dict(_ToyOuter, {"size": 3, "inner": None}, "toy") == _ToyOuter(3)
+        with pytest.raises(ConfigError, match=r"^inner: unknown key\(s\) \['x'\]"):
+            _from_dict(_ToyOuter, {"size": 3, "inner": {"x": 1}}, "toy")
+        with pytest.raises(ConfigError, match="^fixed: expected an object, got NoneType"):
+            _from_dict(_ToyOuter, {"size": 3, "fixed": None}, "toy")
+        with pytest.raises(ConfigError, match="^toy: missing required key 'size'"):
+            _from_dict(_ToyOuter, {}, "toy")
