@@ -24,13 +24,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .core import EventHistory, TestCharacteristics
 from .regimens import RegimenConfig, next_test_pmf
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 _EPS = 1e-12
 # Byte budget of one (rows x (span + 1) x span) block in DayEvaluator._stratum_probs.
@@ -597,23 +599,20 @@ class DayEvaluator:
     solve per stratum per panel serve every day, and no point estimate reads an
     individual.  Resampled re-estimation (bootstrap multiplicity
     vectors, jackknife blocks) builds the day's :attr:`features`, its
-    indicator columns and next-test contributions, on first use; a
-    resample's estimate then reads only its totals over them, and reduces
-    to batched triangular solves.
+    indicator columns and next-test contributions, on first use, and
+    imports ``scipy.sparse`` only then; a resample's estimate then reads
+    only its totals over them, and reduces to batched triangular solves.
     """
 
     def __init__(self, panel: Panel, day: int, tests: TestCharacteristics,
-                 min_stratum_size: int = 10, weight_cap: Optional[float] = None):
+                 min_stratum_size: int = 10):
         if not 1 <= day <= panel.horizon:
             raise ValueError(f"day {day} outside 1..{panel.horizon}")
         tests.require_informative()
-        if weight_cap is not None and weight_cap < 1.0:
-            raise ValueError(f"a weight cap below 1 is impossible, got {weight_cap}")
         self.panel = panel
         self.day = day
         self.tests = tests
         self.min_stratum_size = min_stratum_size
-        self.weight_cap = weight_cap  # None preserves unbiasedness; caps trade bias for variance
         self.strata = np.flatnonzero(panel.day_counts.members[day, :day] > 0)
 
     @cached_property
@@ -636,6 +635,8 @@ class DayEvaluator:
         """The individuals x (2 + 3S + codes) 0/1 columns whose multiplicity-weighted totals
         are all a resample's estimate reads: non-removed, assumed well, then stratum member,
         tested and tested negative, one column per stratum slot each, then :attr:`_contrib`."""
+        from scipy import sparse
+
         panel, t, s_count = self.panel, self.day, len(self.strata)
         nonremoved = np.flatnonzero(~panel.removed[:, t])
         assumed = nonremoved[panel.assumed_well[nonremoved, t]]
@@ -661,6 +662,8 @@ class DayEvaluator:
         first code of each run, and the runs are the columns of the
         individuals x codes matrix in CSC form.
         """
+        from scipy import sparse
+
         panel, t = self.panel, self.day
         s_count = len(self.strata)
         width = t + 2
@@ -772,8 +775,6 @@ class DayEvaluator:
         giving the testing probabilities of the strata that are large enough and tested."""
         need = (n_c >= self.min_stratum_size) & (tested_c > 0)
         probs = probs_of(need)
-        if self.weight_cap is not None:
-            probs = np.where(need, np.maximum(probs, 1.0 / self.weight_cap), probs)
         active = need & (probs > _EPS)
         w_hat += _stratum_day_sum(n_c, tested_c, neg_c, probs, active, self.tests)
         if collect is not None:
@@ -825,11 +826,11 @@ class _UnclippedResampler:
         return ev._last_unclipped.copy()
 
 
-def ht_estimated(panel: Panel, day: int, tests: TestCharacteristics, min_stratum_size: int = 10,
-                 weight_cap: Optional[float] = None) -> tuple[DayEstimate, WeightTable]:
+def ht_estimated(panel: Panel, day: int, tests: TestCharacteristics,
+                 min_stratum_size: int = 10) -> tuple[DayEstimate, WeightTable]:
     """Estimated-weight prevalence estimate for one day, with its weight table."""
     table = WeightTable(day=day)
-    est = DayEvaluator(panel, day, tests, min_stratum_size, weight_cap).day_estimate(table)
+    est = DayEvaluator(panel, day, tests, min_stratum_size).day_estimate(table)
     return est, table
 
 

@@ -5,6 +5,11 @@ intervals from the weighted-count variance back the known-weight estimator,
 and a bias-corrected accelerated (BCa) bootstrap over individuals backs the
 estimated-weight estimator.  Bootstrap quantiles use linear interpolation
 (numpy's default), since BCa endpoints are sensitive to the convention.
+
+Importing the module loads no scipy: each interval imports the
+``scipy.special`` functions it evaluates, and the jackknife imports
+``scipy.sparse``, on first use, so a run that computes no interval never
+loads either.
 """
 
 from __future__ import annotations
@@ -14,8 +19,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import sparse
-from scipy.special import betaincinv, ndtr, ndtri
 
 from .core import TestCharacteristics, check_field_types
 
@@ -49,6 +52,8 @@ def clopper_pearson(positives: int, tested: int, level: float = 0.95) -> tuple[f
         raise ValueError(f"need at least one test, got {tested}")
     if not 0 <= positives <= tested:
         raise ValueError(f"positives {positives} outside 0..{tested}")
+    from scipy.special import betaincinv
+
     alpha = 1.0 - level
     lo = 0.0 if positives == 0 else float(betaincinv(positives, tested - positives + 1, alpha / 2))
     hi = 1.0 if positives == tested else float(
@@ -85,6 +90,8 @@ def wald_prevalence_interval(
     level: float = 0.95,
 ) -> tuple[float, float]:
     """Normal interval on the well count, mapped affinely to prevalence and clipped."""
+    from scipy.special import ndtri
+
     nonremoved = n_population - removed
     if nonremoved <= 0:
         return math.nan, math.nan
@@ -146,6 +153,8 @@ def _jackknife_totals(features, blocks: list[np.ndarray], column_totals: np.ndar
     gives every block's totals in O(nnz + blocks x columns); the
     subtraction then runs in place.
     """
+    from scipy import sparse
+
     n_units, m = features.shape
     block_of = np.empty(n_units, dtype=np.intp)
     block_of[np.concatenate(blocks)] = np.repeat(np.arange(len(blocks)),
@@ -183,6 +192,8 @@ def bca_bootstrap(
     1e-12 of its largest magnitude (or of 1) is degenerate and collapses to
     its first value.
     """
+    from scipy.special import ndtr, ndtri
+
     features, batch = estimator.features, estimator.batch
     if features.shape[0] != n_units:
         raise ValueError(f"features have {features.shape[0]} rows for {n_units} units")

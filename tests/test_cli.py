@@ -1,6 +1,9 @@
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 import tempfile
 from dataclasses import asdict
 from pathlib import Path
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import prevest
 from prevest.cli import main
 from prevest.dataio import matrix_from_simulation, write_testing_matrix
 from prevest.scenarios import build_scenario
@@ -449,6 +453,54 @@ class TestDeskScaleTimings:
         monkeypatch.setenv("PREVEST_JOBS", "0")
         assert main(["scenario", "--name", "simple-random", "--replicates", "2",
                      "--population", "40", "--jobs", "1", "--out", str(tmp_path)]) == 0
+
+
+COLD_START_SCRIPT = """
+import sys
+from pathlib import Path
+
+from prevest.cli import main
+
+tmp, config, policy = Path(sys.argv[1]), sys.argv[2], sys.argv[3]
+matrix = str(tmp / "runs" / "replicate_0000.csv")
+
+
+def run(*argv):
+    code = main(list(argv))
+    assert code == 0, (argv, code)
+
+
+def report():
+    loaded = [name for name in ("scipy.sparse", "scipy.special") if name in sys.modules]
+    print("loaded:", ",".join(loaded))
+
+
+run("simulate", "--config", config, "--out", str(tmp / "runs"), "--matrices")
+run("scenario", "--name", "min-max", "--replicates", "2", "--population", "200",
+    "--out", str(tmp / "scenario"))
+run("analyze", "--matrix", matrix, "--policy", policy, "--out", str(tmp / "point.csv"))
+run("anonymize", "--matrix", matrix, "--policy", policy, "--out", str(tmp / "anon.csv"))
+report()
+run("analyze", "--matrix", matrix, "--policy", policy, "--out", str(tmp / "ci.csv"),
+    "--intervals", "--bootstrap", "19")
+report()
+"""
+
+
+class TestColdStart:
+    def test_scipy_loads_only_for_intervals(self, tmp_path, config_path):
+        """Point-only commands never import scipy.sparse or scipy.special; the first
+        interval does.  A fresh interpreter, since this suite imports scipy itself."""
+        src = str(Path(prevest.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        argv = [sys.executable, "-c", COLD_START_SCRIPT, str(tmp_path), str(config_path),
+                str(sim_policy_path(tmp_path))]
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        reports = [line.removeprefix("loaded:").strip()
+                   for line in done.stdout.splitlines() if line.startswith("loaded:")]
+        assert reports == ["", "scipy.sparse,scipy.special"]
 
 
 def reported_digest(capsys) -> str:

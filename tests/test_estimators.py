@@ -448,15 +448,15 @@ class TestDayEvaluatorMatchesReference:
 
     @settings(max_examples=60, deadline=None)
     @given(case=panels_and_days(), specificity=st.sampled_from([1.0, 0.992, 0.6]),
-           min_size=st.integers(1, 3), weight_cap=st.sampled_from([None, 5.0]))
-    def test_point_table_equals_all_ones_row(self, case, specificity, min_size, weight_cap):
+           min_size=st.integers(1, 3))
+    def test_point_table_equals_all_ones_row(self, case, specificity, min_size):
         """The point path (table lookup) is bit-equal to the multiplicity path, and the
         table to the matrix formula on every identified (stratum, day)."""
         panel, _ = case
         n = panel.n_individuals
         tests = TestCharacteristics(0.832, specificity)
         for day in range(1, panel.horizon + 1):
-            ev = DayEvaluator(panel, day, tests, min_stratum_size=min_size, weight_cap=weight_cap)
+            ev = DayEvaluator(panel, day, tests, min_stratum_size=min_size)
             got, want = WeightTable(day), WeightTable(day)
             point = ev.estimate(None, got)
             point_state = ev._last_unclipped, ev._last_fallback
@@ -846,28 +846,6 @@ class TestSeriesSerialisation:
         table = WeightTable(day=1)
         with pytest.raises(ValueError):
             table.add(0, 0.5, "estimated")
-
-
-class TestWeightCap:
-    def test_cap_limits_extreme_weights(self):
-        sim = small_simulation(seed=12)
-        panel = sim.panel()
-        capped, table = ht_estimated(panel, 12, STUDY, min_stratum_size=5, weight_cap=3.0)
-        assert all(e.weight <= 3.0 for e in table.entries.values()
-                   if e.provenance == "estimated")
-        uncapped, _ = ht_estimated(panel, 12, STUDY, min_stratum_size=5)
-        assert capped.estimate >= uncapped.estimate  # smaller weights, smaller well count
-
-    def test_default_is_uncapped(self):
-        sim = small_simulation(seed=12)
-        a, _ = ht_estimated(sim.panel(), 12, STUDY, min_stratum_size=5)
-        b, _ = ht_estimated(sim.panel(), 12, STUDY, min_stratum_size=5, weight_cap=None)
-        assert a.estimate == b.estimate
-
-    def test_sub_unit_cap_rejected(self):
-        sim = small_simulation(seed=12)
-        with pytest.raises(ValueError):
-            ht_estimated(sim.panel(), 5, STUDY, weight_cap=0.5)
 
 
 def test_clipping_never_moves_away_from_truth():
