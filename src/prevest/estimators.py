@@ -567,6 +567,20 @@ class WeightTable:
         self.entries[stratum] = StratumWeight(stratum, weight, provenance)
 
 
+@dataclass
+class Evaluation:
+    """What :meth:`DayEvaluator.estimate` computed: per multiplicity row the unclipped
+    prevalence and the number of fallback strata (counted whole), and per (row, stratum
+    slot) the members, whether the stratum is weighted by its testing probability
+    (``need``: large enough and tested) and that probability (0 where not needed)."""
+
+    unclipped: np.ndarray   # rows
+    fallback: np.ndarray    # rows, int
+    members: np.ndarray     # rows x strata
+    need: np.ndarray        # rows x strata, bool
+    probs: np.ndarray       # rows x strata
+
+
 class EstimateSeries:
     """Per-day estimate records with a fixed serialisation column order."""
 
@@ -602,6 +616,8 @@ class DayEvaluator:
     indicator columns and next-test contributions, on first use, and
     imports ``scipy.sparse`` only then; a resample's estimate then reads
     only its totals over them, and reduces to batched triangular solves.
+    :meth:`estimate` returns an :class:`Evaluation` and keeps no per-call state
+    beyond ``_last_fallback``, the copy ``perfbench/tracing.py`` reads.
     """
 
     def __init__(self, panel: Panel, day: int, tests: TestCharacteristics,
@@ -634,7 +650,8 @@ class DayEvaluator:
     def features(self) -> sparse.csc_matrix:
         """The individuals x (2 + 3S + codes) 0/1 columns whose multiplicity-weighted totals
         are all a resample's estimate reads: non-removed, assumed well, then stratum member,
-        tested and tested negative, one column per stratum slot each, then :attr:`_contrib`."""
+        tested and tested negative, one column per stratum slot each, then the next-test
+        contribution columns of :attr:`_code_space`."""
         from scipy import sparse
 
         panel, t, s_count = self.panel, self.day, len(self.strata)
@@ -650,11 +667,11 @@ class DayEvaluator:
                                slot, s_count + slot[tested], 2 * s_count + slot[negative]])
         indicators = sparse.csc_matrix((np.ones(rows.size), (rows, cols)),
                                        shape=(panel.n_individuals, 2 + 3 * s_count))
-        return sparse.hstack([indicators, self._contrib], format="csc")
+        return sparse.hstack([indicators, self._code_space[2]], format="csc")
 
     @cached_property
     def _code_space(self) -> tuple[np.ndarray, np.ndarray, sparse.csc_matrix]:
-        """``(_codes, _bounds, _contrib)``: the next-test contributions of the day.
+        """``(codes, bounds, contrib)``: the next-test contributions of the day.
 
         They are the index cells with row day s <= t of the strata in force at
         t.  Codes are (stratum slot, row offset, value), value = min(next_test,
@@ -684,18 +701,6 @@ class DayEvaluator:
         )
         return codes, bounds, contrib
 
-    @cached_property
-    def _codes(self) -> np.ndarray:
-        return self._code_space[0]
-
-    @cached_property
-    def _bounds(self) -> np.ndarray:
-        return self._code_space[1]
-
-    @cached_property
-    def _contrib(self) -> sparse.csc_matrix:
-        return self._code_space[2]
-
     def _stratum_probs(self, counts: np.ndarray, need: np.ndarray) -> np.ndarray:
         """Testing probabilities per (multiplicity row, stratum) from per-code counts.
 
@@ -711,14 +716,15 @@ class DayEvaluator:
         t = self.day
         nu = self.tests.specificity
         width = t + 2
+        codes, bounds, _ = self._code_space
         probs = np.zeros((counts.shape[0], len(self.strata)))
         for j, c in enumerate(self.strata):
             sel = np.flatnonzero(need[:, j])
             if sel.size == 0:
                 continue
             span = t - int(c) + 1  # row offsets 0..t-c correspond to matrix rows c..t
-            lo, hi = self._bounds[j], self._bounds[j + 1]
-            row, value = np.divmod(self._codes[lo:hi] - j * width * width, width)
+            lo, hi = bounds[j], bounds[j + 1]
+            row, value = np.divmod(codes[lo:hi] - j * width * width, width)
             pos = (value - c) * span + row  # Q^T[value - c, row]; value t + 1 lands in r
             starts = np.flatnonzero(np.diff(row, prepend=-1))  # codes are sorted by row
             step = max(1, _SOLVE_BLOCK_BYTES // (8 * (span + 1) * span))
@@ -735,9 +741,8 @@ class DayEvaluator:
                 probs[rows, j] = np.where(den > _EPS, num / np.maximum(den, _EPS), 0.0)
         return np.minimum(probs, 1.0)
 
-    def estimate(self, multiplicity: np.ndarray | None = None,
-                 collect: Optional[WeightTable] = None) -> np.ndarray:
-        """Clipped prevalence estimates for each multiplicity row.
+    def estimate(self, multiplicity: np.ndarray | None = None) -> Evaluation:
+        """The estimator's :class:`Evaluation` for each multiplicity row.
 
         ``None`` is the panel as observed (one row of 1s), read from
         the panel's day counts and probability table without building
@@ -745,19 +750,20 @@ class DayEvaluator:
         totals over :attr:`features`.
         """
         if multiplicity is not None:
-            return self._estimate_totals(multiplicity @ self.features, collect)
-        n_c, tested_c, neg_c = (count[None, :] for count in self.headcounts)
-        table = self.panel.point_probabilities(self.tests.specificity)
-        counts = self.panel.day_counts
-        return self._weigh(np.array([counts.nonremoved[self.day]], dtype=float),
-                           np.array([counts.assumed[self.day]], dtype=float),
-                           n_c, tested_c, neg_c,
-                           lambda need: np.where(need, table[self.strata, self.day], 0.0),
-                           collect)
+            record = self._estimate_totals(multiplicity @ self.features)
+        else:
+            n_c, tested_c, neg_c = (count[None, :] for count in self.headcounts)
+            table = self.panel.point_probabilities(self.tests.specificity)
+            counts = self.panel.day_counts
+            record = self._weigh(np.array([counts.nonremoved[self.day]], dtype=float),
+                                 np.array([counts.assumed[self.day]], dtype=float),
+                                 n_c, tested_c, neg_c,
+                                 lambda need: np.where(need, table[self.strata, self.day], 0.0))
+        self._last_fallback = record.fallback  # read only by perfbench/tracing.py
+        return record
 
-    def _estimate_totals(self, totals: np.ndarray,
-                         collect: Optional[WeightTable] = None) -> np.ndarray:
-        """Clipped estimates for each row of a rows x features matrix of totals.
+    def _estimate_totals(self, totals: np.ndarray) -> Evaluation:
+        """The :class:`Evaluation` of each row of a rows x features matrix of totals.
 
         Every total is an integer, so rows from any product order give the
         same estimates; the code columns are read as a view.
@@ -766,71 +772,58 @@ class DayEvaluator:
         n_c, tested_c, neg_c = totals[:, 2 : 2 + 3 * s_count].reshape(
             len(totals), 3, s_count).transpose(1, 0, 2)
         codes = totals[:, 2 + 3 * s_count :]
-        return self._weigh(totals[:, 0], totals[:, 1].copy(), n_c, tested_c, neg_c,
-                           lambda need: self._stratum_probs(codes, need), collect)
+        return self._weigh(totals[:, 0], totals[:, 1], n_c, tested_c, neg_c,
+                           lambda need: self._stratum_probs(codes, need))
 
-    def _weigh(self, nonrem_n, w_hat, n_c, tested_c, neg_c, probs_of,
-               collect: Optional[WeightTable]) -> np.ndarray:
-        """The per-stratum day sum over ``[rows, S]`` headcounts, with ``probs_of(need)``
-        giving the testing probabilities of the strata that are large enough and tested."""
+    def _weigh(self, nonrem_n, assumed, n_c, tested_c, neg_c, probs_of) -> Evaluation:
+        """The :class:`Evaluation` of the per-stratum day sum over ``[rows, S]`` headcounts;
+        ``probs_of(need)`` gives the testing probabilities of the strata large enough and tested."""
         need = (n_c >= self.min_stratum_size) & (tested_c > 0)
         probs = probs_of(need)
         active = need & (probs > _EPS)
-        w_hat += _stratum_day_sum(n_c, tested_c, neg_c, probs, active, self.tests)
-        if collect is not None:
-            for j, c in enumerate(self.strata):
-                if need[0, j] and probs[0, j] <= _EPS:
-                    # a tested individual's own path always carries mass
-                    raise AssertionError(
-                        f"stratum {c}: tested members but zero estimated probability"
-                    )
-                if active[0, j]:
-                    collect.add(int(c), max(1.0 / probs[0, j], 1.0), "estimated")
-                elif n_c[0, j] > 0:
-                    collect.add(int(c), None, "fallback")
-        self._last_fallback = (~active & (n_c > 0)).sum(axis=1).astype(float)
+        w_hat = assumed + _stratum_day_sum(n_c, tested_c, neg_c, probs, active, self.tests)
         unclipped = np.where(nonrem_n > 0, (nonrem_n - w_hat) / np.maximum(nonrem_n, 1.0), np.nan)
-        self._last_unclipped = unclipped
-        return np.clip(unclipped, 0.0, 1.0)
+        return Evaluation(unclipped=unclipped, fallback=(~active & (n_c > 0)).sum(axis=1),
+                          members=n_c, need=need, probs=probs)
 
-    def day_estimate(self, collect: Optional[WeightTable] = None) -> DayEstimate:
+    def day_estimate(self) -> DayEstimate:
         """The ``ht-e`` record of the panel as observed (no resampling)."""
-        self.estimate(collect=collect)
-        return self._day_record("ht-e", float(self._last_unclipped[0]),
-                                n_fallback_strata=int(self._last_fallback[0]))
+        record = self.estimate()
+        return self._day_record("ht-e", float(record.unclipped[0]), int(record.fallback[0]))
 
-    # -- resampling adapter (bootstrap over individuals)
+    # -- resampling (bootstrap over individuals)
 
-    def resampler(self) -> "_UnclippedResampler":
-        """Adapter for interval construction: re-estimates on the unclipped scale.
+    def batch(self, totals: np.ndarray) -> np.ndarray:
+        """Unclipped estimates for each row of a rows x features matrix of totals."""
+        return self._estimate_totals(totals).unclipped
+
+    def resampler(self) -> "DayEvaluator":
+        """The evaluator itself, for interval construction: its :attr:`features` and
+        :meth:`batch` re-estimate on the unclipped scale.
 
         Bootstrap machinery runs on the unrestricted estimates (clipping
         piles mass at the boundary and corrupts the bias-correction
         constant); interval endpoints are clipped afterwards.
         """
-        return _UnclippedResampler(self)
-
-
-class _UnclippedResampler:
-    def __init__(self, evaluator: DayEvaluator):
-        self._evaluator = evaluator
-
-    @property
-    def features(self) -> sparse.csc_matrix:
-        return self._evaluator.features
-
-    def batch(self, totals: np.ndarray) -> np.ndarray:
-        """Unclipped estimates for each row of a rows x features matrix of totals."""
-        ev = self._evaluator
-        ev._estimate_totals(totals)
-        return ev._last_unclipped.copy()
+        return self
 
 
 def ht_estimated(panel: Panel, day: int, tests: TestCharacteristics,
                  min_stratum_size: int = 10) -> tuple[DayEstimate, WeightTable]:
     """Estimated-weight prevalence estimate for one day, with its weight table."""
+    ev = DayEvaluator(panel, day, tests, min_stratum_size)
+    record = ev.estimate()
     table = WeightTable(day=day)
-    est = DayEvaluator(panel, day, tests, min_stratum_size).day_estimate(table)
+    for c, members, need, prob in zip(ev.strata.tolist(), record.members[0], record.need[0],
+                                      record.probs[0]):
+        if need and prob <= _EPS:
+            # a tested individual's own path always carries mass
+            raise AssertionError(f"stratum {c}: tested members but zero estimated probability")
+        if need:
+            table.add(c, max(1.0 / prob, 1.0), "estimated")
+        elif members > 0:
+            table.add(c, None, "fallback")
+    est = ev._day_record("ht-e", float(record.unclipped[0]), int(record.fallback[0]))
     return est, table
 
 

@@ -178,8 +178,7 @@ def index_bca_bootstrap(ev, n_units, spec, seed, point=None, clip=(0.0, 1.0)):
         for positions in by_len.values():
             counts = np.array([np.bincount(index_rows[p], minlength=n_units)
                                for p in positions], dtype=float)
-            ev.estimate(counts)
-            out[positions] = ev._last_unclipped
+            out[positions] = ev.estimate(counts).unclipped
         return out
 
     if point is None:
@@ -268,11 +267,11 @@ def per_stratum_ht_known(panel, day, tests, weight_for):
 
 
 def dense_contribution_scan(panel, day, strata):
-    """``DayEvaluator``'s ``(_codes, _bounds, _contrib)`` from a dense scan of the panel.
+    """``DayEvaluator._code_space``, ``(codes, bounds, contrib)``, from a dense scan of the panel.
 
     Scans every (individual, row day s <= day) cell of the n x (day + 1)
     arrays for the clearance or negative-test cells of the strata in
-    ``strata``, and compacts the codes with ``np.unique``; ``_contrib`` is the
+    ``strata``, and compacts the codes with ``np.unique``; ``contrib`` is the
     individuals x codes 0/1 matrix.
     """
     from scipy import sparse

@@ -351,7 +351,7 @@ class TestHtEstimated:
         idx = rng.integers(0, panel.n_individuals, panel.n_individuals)
         ev = DayEvaluator(panel, day, STUDY, min_stratum_size=5)
         counts = np.bincount(idx, minlength=panel.n_individuals)[None, :].astype(float)
-        via_batch = float(ev.estimate(counts)[0])
+        via_batch = float(ev.estimate(counts).unclipped[0])
         resampled = Panel(
             horizon=panel.horizon,
             tested=panel.tested[idx],
@@ -363,15 +363,16 @@ class TestHtEstimated:
             assumed_well=panel.assumed_well[idx],
         )
         direct, _ = ht_estimated(resampled, day, STUDY, min_stratum_size=5)
-        assert via_batch == pytest.approx(direct.estimate, abs=1e-12)
+        assert via_batch == pytest.approx(direct.unclipped, abs=1e-12)
 
     def test_identity_multiplicity_equals_point(self):
         sim = small_simulation(seed=5)
         panel = sim.panel()
         ev = DayEvaluator(panel, 8, STUDY)
-        point = float(ev.estimate()[0])
+        point = float(ev.estimate().unclipped[0])
         n = panel.n_individuals
-        ident = float(ev.estimate(np.bincount(np.arange(n), minlength=n)[None, :].astype(float))[0])
+        rows = np.bincount(np.arange(n), minlength=n)[None, :].astype(float)
+        ident = float(ev.estimate(rows).unclipped[0])
         assert point == pytest.approx(ident, abs=1e-14)
 
 
@@ -410,8 +411,9 @@ class TestDayEvaluatorMatchesReference:
 
     @staticmethod
     def observed_counts(ev):
-        counts = np.asarray(ev._contrib.sum(axis=0)).ravel()
-        return dict(zip(ev._codes.tolist(), counts.astype(int).tolist()))
+        codes, _, contrib = ev._code_space
+        counts = np.asarray(contrib.sum(axis=0)).ravel()
+        return dict(zip(codes.tolist(), counts.astype(int).tolist()))
 
     def test_contribution_counts_on_simulation(self):
         panel = small_simulation(seed=13).panel()
@@ -436,15 +438,13 @@ class TestDayEvaluatorMatchesReference:
         for day in range(1, panel.horizon + 1):
             ev = DayEvaluator(panel, day, STUDY, min_stratum_size=min_size)
             ref = copy.copy(ev)
-            ref._codes, ref._bounds, ref._contrib = dense_contribution_scan(panel, day, ev.strata)
-            np.testing.assert_array_equal(ev._codes, ref._codes)
-            np.testing.assert_array_equal(ev._bounds, ref._bounds)
-            assert ev._contrib.shape == ref._contrib.shape
-            np.testing.assert_array_equal(ev._contrib.toarray(), ref._contrib.toarray())
+            ref._code_space = dense_contribution_scan(panel, day, ev.strata)
+            for got, want in zip(ev._code_space[:2], ref._code_space[:2]):
+                np.testing.assert_array_equal(got, want)
+            assert ev._code_space[2].shape == ref._code_space[2].shape
+            np.testing.assert_array_equal(ev._code_space[2].toarray(), ref._code_space[2].toarray())
             for multiplicity in (None, rows):
-                np.testing.assert_array_equal(ev.estimate(multiplicity), ref.estimate(multiplicity))
-                np.testing.assert_array_equal(ev._last_unclipped, ref._last_unclipped)
-                np.testing.assert_array_equal(ev._last_fallback, ref._last_fallback)
+                assert_same_evaluation(ev.estimate(multiplicity), ref.estimate(multiplicity))
 
     @settings(max_examples=60, deadline=None)
     @given(case=panels_and_days(), specificity=st.sampled_from([1.0, 0.992, 0.6]),
@@ -455,16 +455,14 @@ class TestDayEvaluatorMatchesReference:
         panel, _ = case
         n = panel.n_individuals
         tests = TestCharacteristics(0.832, specificity)
+        probs = panel.point_probabilities(specificity)
         for day in range(1, panel.horizon + 1):
             ev = DayEvaluator(panel, day, tests, min_stratum_size=min_size)
-            got, want = WeightTable(day), WeightTable(day)
-            point = ev.estimate(None, got)
-            point_state = ev._last_unclipped, ev._last_fallback
-            np.testing.assert_array_equal(point, ev.estimate(np.ones((1, n)), want))
-            np.testing.assert_array_equal(point_state[0], ev._last_unclipped)
-            np.testing.assert_array_equal(point_state[1], ev._last_fallback)
-            assert got.entries == want.entries, day
-        probs = panel.point_probabilities(specificity)
+            point = ev.estimate(None)
+            assert_same_evaluation(point, ev.estimate(np.ones((1, n))))
+            np.testing.assert_array_equal(point.members[0], ev.headcounts[0])
+            need = point.need[0]
+            np.testing.assert_array_equal(point.probs[0][need], probs[ev.strata, day][need])
         for c in range(panel.horizon):
             for day in range(c + 1, panel.horizon + 1):
                 try:
@@ -492,10 +490,10 @@ class TestDayEvaluatorMatchesReference:
         panel, day = case
         ev = DayEvaluator(panel, day, STUDY, min_stratum_size=2)
         point = ev.estimate()
-        point_fallback = ev._last_fallback.copy()
         batch = ev.estimate(np.ones((copies, panel.n_individuals)))
-        np.testing.assert_allclose(batch, np.repeat(point, copies), rtol=0, atol=1e-12)
-        np.testing.assert_array_equal(ev._last_fallback, np.repeat(point_fallback, copies))
+        np.testing.assert_allclose(batch.unclipped, np.repeat(point.unclipped, copies),
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(batch.fallback, np.repeat(point.fallback, copies))
 
     @settings(max_examples=50, deadline=None)
     @given(case=panels_and_days(), data=st.data())
@@ -523,6 +521,12 @@ class TestDayEvaluatorMatchesReference:
         monkeypatch.setattr(estimators, "_SOLVE_BLOCK_BYTES", budget)  # 1 byte: one row a chunk
         for day, want in enumerate(whole, 1):
             np.testing.assert_array_equal(batch(day), want, err_msg=str(day))
+
+
+def assert_same_evaluation(got, want):
+    """Every ``Evaluation`` field bit-equal, NaN matching NaN."""
+    for name in ("unclipped", "fallback", "members", "need", "probs"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
 
 
 def assert_same_interval(got, want):
@@ -842,10 +846,11 @@ class TestSeriesSerialisation:
         write_table(jsonl_path, [summary], "jsonl")
         assert json.loads(jsonl_path.read_text()) == summary
 
-    def test_weight_table_rejects_sub_unit_weights(self):
+    @pytest.mark.parametrize("weight", [0.5, math.nan, math.inf, -math.inf])
+    def test_weight_table_rejects_sub_unit_weights(self, weight):
         table = WeightTable(day=1)
         with pytest.raises(ValueError):
-            table.add(0, 0.5, "estimated")
+            table.add(0, weight, "estimated")
 
 
 def test_clipping_never_moves_away_from_truth():

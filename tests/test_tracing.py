@@ -95,6 +95,11 @@ def test_traced_release_reports_anonymizer_and_one_evaluator_per_day(tmp_path):
     estimated_days = ht_e_days(out, "estimate")
     assert estimated_days > 0
     assert metrics["estimators.evaluator_init_calls"] == estimated_days
+    # the traced count reads DayEvaluator._last_fallback, which must match the written records
+    with open(out, encoding="utf-8") as fh:
+        fallback = sum(int(row["n_fallback_strata"]) for row in csv.DictReader(fh)
+                       if row["kind"] == "ht-e")
+    assert metrics["estimators.fallback_strata"] == fallback
     assert metrics["dataio.anonymize_s"] > 0
     # one parse per command, each of the whole matrix
     cells = parse_testing_matrix(matrix).cells.size
