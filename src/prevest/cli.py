@@ -28,8 +28,8 @@ from .scenarios import (
     build_scenario,
     estimate_panel_series,
     run_scenario,
+    simulated_replicates,
 )
-from .simulate import simulate
 from .uncertainty import IntervalSpec
 
 USAGE_EXIT, CONFIG_EXIT, PARSE_EXIT, RUNTIME_EXIT = 2, 3, 4, 5
@@ -104,8 +104,7 @@ def cmd_simulate(args, report: RunReport) -> None:
     horizon = config.horizon_days
     totals = np.zeros((horizon + 1, 6))
     defined = np.zeros(horizon + 1)  # replicates with a non-removed population, per day
-    for r in range(args.replicates):
-        sim = simulate(config, seed=(*prefix, r))
+    for r, sim in simulated_replicates(config, prefix, range(args.replicates)):
         totals[:, 0] += sim.well.sum(axis=1)
         totals[:, 1] += sim.infectious.sum(axis=1)
         totals[:, 2] += sim.removed.sum(axis=1)
@@ -119,6 +118,7 @@ def cmd_simulate(args, report: RunReport) -> None:
             path = os.path.join(args.out, f"replicate_{r:04d}.csv")
             write_testing_matrix(matrix, path)
             report.outputs.append(path)
+        del sim  # a view: it would pin its whole stack while the next one is simulated
     totals[:, :5] /= args.replicates
     with np.errstate(invalid="ignore"):
         totals[:, 5] /= defined  # 0 / 0 leaves a day with nobody non-removed undefined

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -53,6 +53,8 @@ from .simulate import (
     HazardModel,
     ScenarioConfig,
     SensitivityCurve,
+    SimulationResult,
+    replicate_bytes,
     simulate,
 )
 from .uncertainty import (
@@ -287,6 +289,24 @@ def estimate_panel_series(
 # ---------------------------------------------------------------------------
 # Replicated scenario runs
 
+# Simulation memory of one stack of replicates: four at n=1000, T=21.
+_STACK_BYTES = 1 << 20
+
+
+def simulated_replicates(
+    config: ScenarioConfig, seed: tuple[int, ...], replicates: range
+) -> Iterator[tuple[int, SimulationResult]]:
+    """``(r, simulate(config, seed=(*seed, r)))`` for each replicate ``r``, in order.
+
+    The replicates run in stacks of as many as fit ``_STACK_BYTES``.  No name
+    here holds a stack past its last replicate, so the caller's loop variable is
+    the only thing that can keep it alive while the next one is simulated.
+    """
+    step = max(1, _STACK_BYTES // replicate_bytes(config))
+    for start in range(replicates.start, replicates.stop, step):
+        block = range(start, min(start + step, replicates.stop))
+        yield from zip(block, simulate(config, seed=seed, replicates=block).split())
+
 
 @dataclass
 class ScenarioRunResult:
@@ -415,9 +435,9 @@ def run_scenario(
     unclipped = {k: np.full((replicates, horizon + 1), np.nan) for k in estimators}
     covered = {k: np.full((replicates, horizon + 1), np.nan) for k in estimators}
 
-    for r in range(replicates):
-        abs_r = first_replicate + r
-        sim = simulate(config, seed=(seed, abs_r))
+    span = range(first_replicate, first_replicate + replicates)
+    for abs_r, sim in simulated_replicates(config, (seed,), span):
+        r = abs_r - first_replicate
         truth[r] = sim.true_prevalence()
         series = estimate_panel_series(
             sim.panel(), bundle.assumed_tests, estimators, interval_spec, weights,
@@ -433,6 +453,7 @@ def run_scenario(
                 covered[kind][r, day] = float(record.lo <= truth[r, day] <= record.hi)
         if log is not None and (r + 1) % max(1, replicates // 10) == 0:
             log(f"{bundle.name}: replicate {r + 1}/{replicates}")
+        del sim  # a view: it would pin its whole stack while the next one is simulated
     return ScenarioRunResult(
         name=bundle.name,
         replicates=replicates,

@@ -10,12 +10,16 @@ Randomness discipline: each replicate owns one seed; purpose-specific
 substreams (initialisation, test selection, test results, external exposure,
 cluster exposure, overlays) each draw a fixed-size vector every day, one
 slot per individual, so changing the regimen never perturbs the exposure
-draws of a paired replicate.
+draws of a paired replicate.  Several replicates can run as one stack: one
+population of blocks, block ``k`` filled from replicate ``k``'s own streams
+and its clusters numbered apart from every other block's.  Each step is
+elementwise or an integer-valued per-cluster sum, so a replicate's output is
+bit-identical whatever stack it runs in.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from typing import Optional
 
@@ -217,7 +221,11 @@ def apply_contact_tracing(
 
 @dataclass
 class SimulationResult:
-    """Dense day-by-individual record of one simulated trajectory."""
+    """Dense day-by-individual record of one simulated trajectory, or of a stack of them.
+
+    A stack (``replicates`` set) holds replicate ``replicates[k]`` in columns
+    ``k * n`` to ``(k + 1) * n``, and its ``seed`` is the prefix of theirs.
+    """
 
     config: ScenarioConfig
     seed: object
@@ -230,6 +238,7 @@ class SimulationResult:
     undetected_recovered: np.ndarray
     cleared: np.ndarray
     baseline_exposure: np.ndarray
+    replicates: Optional[range] = None
 
     @property
     def horizon(self) -> int:
@@ -237,7 +246,19 @@ class SimulationResult:
 
     @property
     def population_size(self) -> int:
-        return self.config.population_size
+        return self.well.shape[1]
+
+    def split(self) -> list["SimulationResult"]:
+        """Each replicate's own result, as column views of the stack."""
+        if self.replicates is None:
+            return [self]
+        n = self.config.population_size
+        arrays = [f.name for f in fields(self) if isinstance(getattr(self, f.name), np.ndarray)]
+        return [
+            replace(self, seed=(*self.seed, r), replicates=None,
+                    **{name: getattr(self, name)[..., k * n:(k + 1) * n] for name in arrays})
+            for k, r in enumerate(self.replicates)
+        ]
 
     def state(self, t: int) -> CompartmentState:
         return CompartmentState(
@@ -288,15 +309,50 @@ class SimulationResult:
         return Panel.from_simulation(self)
 
 
-def simulate(config: ScenarioConfig, seed=None) -> SimulationResult:
-    """Run one replicate; deterministic given (config, seed)."""
-    n = config.population_size
+def replicate_bytes(config: ScenarioConfig) -> int:
+    """Bytes one replicate holds while it is simulated: per individual, the
+    boolean histories (``T + 2`` days of the three compartments, ``T + 1`` of
+    the five transitions) and ten 8-byte vectors of schedule state and draws."""
+    return (8 * config.horizon_days + 11 + 10 * 8) * config.population_size
+
+
+def _stream_filler(stack: list[dict[str, np.random.Generator]], purpose: str, units: int):
+    """A day's ``purpose`` draws for a stack: block ``k`` of one reused buffer, ``units``
+    long, from replicate ``k``'s stream."""
+    buffer = np.empty(len(stack) * units)
+    blocks = [(streams[purpose].random, buffer[k * units:(k + 1) * units])
+              for k, streams in enumerate(stack)]
+
+    def draw() -> np.ndarray:
+        for random, out in blocks:
+            random(out=out)
+        return buffer
+
+    return draw
+
+
+def simulate(config: ScenarioConfig, seed=None, replicates: Optional[range] = None
+             ) -> SimulationResult:
+    """Run one replicate, or a stack of them; deterministic given (config, seed).
+
+    With ``replicates``, ``seed`` (default ``config.seed``) is a prefix and
+    replicate ``r`` runs from seed ``(*seed, r)``; ``split()`` of the result
+    gives each one, identical to ``simulate(config, seed=(*seed, r))``.
+    """
+    seed = config.seed if seed is None else seed
+    if replicates is None:
+        seeds = [seed]
+    else:
+        seed = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
+        seeds = [(*seed, r) for r in replicates]
+    stack = [_purpose_streams(s) for s in seeds]
+    n = config.population_size * len(stack)
     horizon = config.horizon_days
     regimen = config.regimen
-    streams = _purpose_streams(config.seed if seed is None else seed)
-    cluster_ids = config.cluster_ids()
-    n_clusters = config.n_clusters
     clustered = regimen.kind == "clustered"
+    # block k's clusters are numbered from k * n_clusters, so none spans two replicates
+    n_clusters = config.n_clusters * len(stack)
+    cluster_ids = np.repeat(np.arange(n_clusters), config.cluster_size)
 
     well = np.zeros((horizon + 2, n), dtype=bool)
     infectious = np.zeros((horizon + 2, n), dtype=bool)
@@ -307,7 +363,9 @@ def simulate(config: ScenarioConfig, seed=None) -> SimulationResult:
     undet_rec = np.zeros((horizon + 1, n), dtype=bool)
     cleared = np.zeros((horizon + 1, n), dtype=bool)
 
-    infected0, exposure_day = _draw_initial(config, streams["init"])
+    initial = [_draw_initial(config, streams["init"]) for streams in stack]
+    infected0 = np.concatenate([infected for infected, _ in initial])
+    exposure_day = np.concatenate([exposure for _, exposure in initial])
     baseline_exposure = exposure_day.copy()
     infectious[0] = infected0
     well[0] = ~infected0
@@ -319,18 +377,27 @@ def simulate(config: ScenarioConfig, seed=None) -> SimulationResult:
     last_clear = np.zeros(n, dtype=np.int64)
     pending_clear = np.full(n, -1, dtype=np.int64)
     base_kind = regimen.base.kind if clustered else regimen.kind
+    units = config.n_clusters if clustered else config.population_size  # per replicate
     if base_kind == "rotation":
         tau = (regimen.base if clustered else regimen).rotation
-        first_due = streams["init"].integers(1, tau + 1, size=n_clusters if clustered else n)
+        first_due = np.concatenate([streams["init"].integers(1, tau + 1, size=units)
+                                    for streams in stack])
     else:
         first_due = None
     clu_last_test = np.zeros(n_clusters, dtype=np.int64)
     clu_has_tested = np.zeros(n_clusters, dtype=bool)
 
+    draw_testing = _stream_filler(stack, "testing", units)
+    draw_results = _stream_filler(stack, "results", config.population_size)
+    draw_ext = _stream_filler(stack, "exposure_ext", config.population_size)
+    draw_clu = _stream_filler(stack, "exposure_cluster", config.population_size)
     hazard_table = config.hazard.external.table(horizon)
     eta = config.tests.sensitivity
     nu = config.tests.specificity
     overlays = regimen.overlays
+    # the symptomatic overlay is the only reader of the overlay stream
+    draw_overlay = (_stream_filler(stack, "overlay", config.population_size)
+                    if overlays.symptomatic_probability > 0 else None)
     sympt_pending = np.zeros(n, dtype=bool)
     trace_pending = np.zeros(n, dtype=bool)
 
@@ -351,7 +418,7 @@ def simulate(config: ScenarioConfig, seed=None) -> SimulationResult:
         nonrem = w_t | i_t
 
         # 1. test selection
-        u_test = streams["testing"].random(n_clusters if clustered else n)
+        u_test = draw_testing()
         if clustered:
             p_clu = probability_vector(
                 regimen, t, clu_last_test, clu_has_tested, np.zeros(n_clusters, dtype=np.int64),
@@ -368,7 +435,7 @@ def simulate(config: ScenarioConfig, seed=None) -> SimulationResult:
         trace_pending[:] = False
 
         # 2. test results
-        u_res = streams["results"].random(n)
+        u_res = draw_results()
         if config.sensitivity_curve is not None:
             eta_vec = config.sensitivity_curve.value(t - exposure_day)
         else:
@@ -380,10 +447,9 @@ def simulate(config: ScenarioConfig, seed=None) -> SimulationResult:
         # 3. exposures (positives are isolated that evening and skip exposure).
         # The cluster channel only drives first-ever exposures; re-exposures
         # come from outside at the reduced rate.
-        u_ext = streams["exposure_ext"].random(n)
-        u_clu = streams["exposure_cluster"].random(n)
-        tau_since = np.clip(t - np.maximum(last_clear, 0), 0, horizon)
-        p_ext = hazard_table[tau_since] * np.where(
+        u_ext = draw_ext()
+        u_clu = draw_clu()
+        p_ext = hazard_table[t - last_clear] * np.where(
             n_exposures >= 1, config.hazard.repeat_exposure_multiplier, 1.0
         )
         inf_per_cluster = np.bincount(cluster_ids, weights=i_t, minlength=n_clusters)
@@ -393,9 +459,8 @@ def simulate(config: ScenarioConfig, seed=None) -> SimulationResult:
         newly_exposed[t] = exposed
         exposure_day[exposed] = t
         n_exposures[exposed] += 1
-        if overlays.symptomatic_probability > 0:  # the only reader of the overlay stream
-            u_sym = streams["overlay"].random(n)
-            sympt_pending = exposed & (u_sym < overlays.symptomatic_probability)
+        if draw_overlay is not None:
+            sympt_pending = exposed & (draw_overlay() < overlays.symptomatic_probability)
 
         # 4. undetected recoveries
         if rec_days is not None:
@@ -425,7 +490,7 @@ def simulate(config: ScenarioConfig, seed=None) -> SimulationResult:
 
     return SimulationResult(
         config=config,
-        seed=config.seed if seed is None else seed,
+        seed=seed,
         well=well[: horizon + 1],
         infectious=infectious[: horizon + 1],
         removed=removed[: horizon + 1],
@@ -435,4 +500,5 @@ def simulate(config: ScenarioConfig, seed=None) -> SimulationResult:
         undetected_recovered=undet_rec,
         cleared=cleared,
         baseline_exposure=baseline_exposure,
+        replicates=replicates,
     )

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prevest import scenarios
 from prevest.regimens import ConfigError
 from prevest.scenarios import (
     SCENARIO_NAMES,
@@ -16,7 +17,7 @@ from prevest.scenarios import (
     renewal_fire_probabilities,
     run_scenario,
 )
-from prevest.simulate import simulate
+from prevest.simulate import replicate_bytes, simulate
 from prevest.uncertainty import IntervalSpec
 
 from _oracles import testing_process_oracle
@@ -222,6 +223,31 @@ class TestRunScenario:
                 if rec.defined:
                     truth = result.truth[r, rec.day]
                     assert result.covered[rec.kind][r, rec.day] == float(rec.lo <= truth <= rec.hi)
+
+    @pytest.mark.parametrize("name", ["contact-tracing", "clustered"])
+    def test_stack_size_never_changes_a_run(self, monkeypatch, name):
+        """Stacks of 1, of 3 (ragged over replicates 2..8) and of all 7 give one result."""
+        bundle = build_scenario(name, population_size=120)
+        stacks = []
+
+        def counted(config, seed, replicates):
+            stacks.append(len(replicates))
+            return simulate(config, seed=seed, replicates=replicates)
+
+        monkeypatch.setattr(scenarios, "simulate", counted)
+        runs = []
+        for size in (1, 3, 7):
+            monkeypatch.setattr(scenarios, "_STACK_BYTES", size * replicate_bytes(bundle.config))
+            stacks.clear()
+            runs.append(run_scenario(bundle, 7, seed=6, first_replicate=2))
+            assert stacks == {1: [1] * 7, 3: [3, 3, 1], 7: [7]}[size]
+        first = runs[0]
+        for run in runs[1:]:
+            assert np.array_equal(run.truth, first.truth, equal_nan=True)
+            for field in ("estimates", "unclipped", "covered"):
+                for kind in first.estimators:
+                    assert np.array_equal(getattr(run, field)[kind], getattr(first, field)[kind],
+                                          equal_nan=True), (field, kind)
 
     def test_ht_k_unavailable_for_contact_tracing(self):
         with pytest.raises(ConfigError):

@@ -1,5 +1,9 @@
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from prevest.core import TestCharacteristics
@@ -285,3 +289,72 @@ class TestScheduleInvariants:
                     saw_fire = True
                     assert np.array_equal(tested, eligible & members)
         assert saw_fire
+
+
+STACK_REGIMENS = (
+    RegimenConfig.simple_random(0.3),
+    RegimenConfig.rotation_every(3),
+    RegimenConfig.once_per_period(4),
+    RegimenConfig.max_gap(gap=5),
+    RegimenConfig.min_max(gap=6, min_gap=2),
+    RegimenConfig.clustered(RegimenConfig.min_max(gap=6, min_gap=2)),
+    RegimenConfig.clustered(RegimenConfig.rotation_every(3)),
+)
+STACK_OVERLAYS = (Overlays(), Overlays(symptomatic_probability=0.5),
+                  Overlays(contact_tracing=True))
+
+
+@st.composite
+def stacked_runs(draw):
+    """A small config, a seed prefix and a ragged replicate range."""
+    regimen = replace(draw(st.sampled_from(STACK_REGIMENS)),
+                      overlays=draw(st.sampled_from(STACK_OVERLAYS)))
+    cluster = draw(st.integers(1, 4))
+    config = config_for(
+        regimen,
+        n=cluster * draw(st.integers(1, 6)),
+        horizon=draw(st.integers(1, 10)),
+        cluster=cluster,
+        prevalence=draw(st.sampled_from((0.0, 0.2, 0.5))),
+        external=draw(st.sampled_from((0.0, 0.1, 0.3))),
+        cluster_rate=draw(st.sampled_from((0.0, 0.5, 1.0))),
+        tests=TestCharacteristics(0.8, 0.9),
+        undetected_recovery_days=draw(st.sampled_from((None, 2, 4))),
+        sensitivity_curve=draw(st.sampled_from((None, SensitivityCurve(peak=0.9, window=4)))),
+        baseline_exposure_window=draw(st.integers(1, 4)),
+    )
+    prefix = tuple(draw(st.lists(st.integers(0, 2**16), min_size=1, max_size=2)))
+    first = draw(st.integers(0, 50))
+    return config, prefix, range(first, first + draw(st.integers(1, 5)))
+
+
+class TestStackedReplicates:
+    @settings(max_examples=120, deadline=None)
+    @given(case=stacked_runs())
+    def test_stack_equals_one_at_a_time(self, case):
+        config, prefix, replicates = case
+        stack = simulate(config, seed=prefix, replicates=replicates)
+        assert stack.population_size == len(replicates) * config.population_size
+        parts = stack.split()
+        assert len(parts) == len(replicates)
+        for part, r in zip(parts, replicates):
+            alone = simulate(config, seed=(*prefix, r))
+            assert part.seed == alone.seed == (*prefix, r)
+            assert part.population_size == config.population_size
+            for f in fields(alone):
+                got, want = getattr(part, f.name), getattr(alone, f.name)
+                if isinstance(want, np.ndarray):
+                    assert got.dtype == want.dtype and np.array_equal(got, want), (r, f.name)
+
+    def test_int_prefix_and_config_seed(self):
+        cfg = config_for(RegimenConfig.simple_random(0.3), seed=(4, 1))
+        by_int = simulate(cfg, seed=9, replicates=range(2)).split()
+        by_default = simulate(cfg, replicates=range(3, 4)).split()
+        assert [p.seed for p in by_int] == [(9, 0), (9, 1)]
+        assert by_default[0].seed == (4, 1, 3)
+        assert np.array_equal(by_default[0].tested, simulate(cfg, seed=(4, 1, 3)).tested)
+
+    def test_one_replicate_splits_to_itself(self):
+        sim = simulate(config_for(RegimenConfig.simple_random(0.3)))
+        parts = sim.split()
+        assert len(parts) == 1 and parts[0] is sim

@@ -7,7 +7,8 @@ record work, a traced ``anonymize`` then ``analyze`` that the anonymizer,
 the matrix parse, adjustment and write, and the per-day evaluator
 construction are still seen, and a traced ``scenario`` that its evaluators
 are built and estimated once per day, shared by ``ht-k`` and ``ht-e``, and that
-its known weights are read from one table per run.
+its known weights are read from one table per run, and that its simulator
+layers count every person-day of a run that simulates replicates in stacks.
 """
 
 import csv
@@ -17,10 +18,11 @@ import math
 import time
 from pathlib import Path
 
+from prevest import scenarios
 from prevest.cli import main
 from prevest.dataio import matrix_from_simulation, parse_testing_matrix, write_testing_matrix
 from prevest.scenarios import build_scenario
-from prevest.simulate import simulate
+from prevest.simulate import replicate_bytes, simulate
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 BOOTSTRAP = 19
@@ -127,3 +129,20 @@ def test_traced_scenario_reports_evaluator_layers(tmp_path):
     for layer in ("scenarios.known_weights_s", "estimators.ht_known_s",
                   "estimators.evaluator_init_s", "estimators.estimate_s"):
         assert metrics[layer] > 0, layer
+
+
+def test_traced_scenario_counts_stacked_simulation(tmp_path, monkeypatch):
+    bundle = build_scenario("min-max", population_size=200)
+    monkeypatch.setattr(scenarios, "_STACK_BYTES", 2 * replicate_bytes(bundle.config))
+    replicates, horizon = 5, bundle.config.horizon_days
+    codes, metrics = traced_main(["scenario", "--name", "min-max", "--replicates",
+                                  str(replicates), "--population", "200", "--seed", "0",
+                                  "--out", str(tmp_path)])
+    assert codes == [0]
+
+    # the tracer reads the person-days from the width of each stack it returns
+    assert metrics["simulate.person_days"] == replicates * 200 * horizon
+    assert metrics["simulate.calls"] == 3  # stacks of 2, 2 and 1
+    assert metrics["regimens.probability_vector_calls"] == 3 * horizon
+    assert metrics["simulate.self_s"] > 0
+    assert metrics["regimens.probability_vector_s"] > 0
