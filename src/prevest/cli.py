@@ -21,6 +21,7 @@ import numpy as np
 
 from . import dataio
 from .dataio import AdjustmentPolicy, ParseError, parse_testing_matrix, write_testing_matrix
+from .estimators import MIN_STRATUM_SIZE
 from .regimens import ConfigError
 from .scenarios import (
     SCENARIO_NAMES,
@@ -51,12 +52,12 @@ class RunReport:
         if missing:
             raise RuntimeError(f"declared outputs missing on disk: {missing}")
 
-    def emit(self, log=print) -> None:
+    def emit(self) -> None:
         for w in self.warnings:
-            log(f"warning: {w}")
+            print(f"warning: {w}")
         for p in self.outputs:
-            log(f"wrote {p}")
-        log(f"{self.command}: done in {self.wall_time_s:.1f} s "
+            print(f"wrote {p}")
+        print(f"{self.command}: done in {self.wall_time_s:.1f} s "
             f"(seed {self.seed}, config {self.config_digest})")
 
 
@@ -252,8 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--jobs", type=_positive_int, default=None,
                        help="worker threads (default $PREVEST_JOBS or 1)")
         if with_min_stratum:
-            p.add_argument("--min-stratum-size", type=_non_negative_int, default=10,
-                           help="headcount fallback below this stratum size (default 10)")
+            p.add_argument("--min-stratum-size", type=_non_negative_int, default=MIN_STRATUM_SIZE,
+                           help="headcount fallback below this stratum size (default %(default)s)")
 
     def interval_flags(p, spec=IntervalSpec()):
         p.add_argument("--intervals", action="store_true", help="also compute BCa intervals")

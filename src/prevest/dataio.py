@@ -88,9 +88,6 @@ class TestingMatrix:
     def n_days(self) -> int:
         return self.cells.shape[1]
 
-    def tests_per_day(self) -> np.ndarray:
-        return (self.cells >= 0).sum(axis=0)
-
     def n_tests(self) -> int:
         return int((self.cells >= 0).sum())
 

@@ -35,6 +35,8 @@ if TYPE_CHECKING:
     from scipy import sparse
 
 _EPS = 1e-12
+# Strata with fewer members are counted whole by ht-e (the headcount fallback).
+MIN_STRATUM_SIZE = 10
 # Byte budget of one (rows x (span + 1) x span) block in DayEvaluator._stratum_probs.
 _SOLVE_BLOCK_BYTES = 16 << 20
 # Byte budget of one (strata x (span + 1) x span) array in _probability_table; a table
@@ -621,7 +623,7 @@ class DayEvaluator:
     """
 
     def __init__(self, panel: Panel, day: int, tests: TestCharacteristics,
-                 min_stratum_size: int = 10):
+                 min_stratum_size: int = MIN_STRATUM_SIZE):
         if not 1 <= day <= panel.horizon:
             raise ValueError(f"day {day} outside 1..{panel.horizon}")
         tests.require_informative()
@@ -809,7 +811,7 @@ class DayEvaluator:
 
 
 def ht_estimated(panel: Panel, day: int, tests: TestCharacteristics,
-                 min_stratum_size: int = 10) -> tuple[DayEstimate, WeightTable]:
+                 min_stratum_size: int = MIN_STRATUM_SIZE) -> tuple[DayEstimate, WeightTable]:
     """Estimated-weight prevalence estimate for one day, with its weight table."""
     ev = DayEvaluator(panel, day, tests, min_stratum_size)
     record = ev.estimate()

@@ -154,9 +154,6 @@ class SchedulingContext:
     last_test_day: Optional[int] = None
     last_clearance_day: Optional[int] = None
     in_nonremoved: bool = True
-    cluster_id: Optional[int] = None
-    symptomatic_today: bool = False
-    cluster_positive_yesterday: bool = False
     first_test_day: Optional[int] = None
 
     def __post_init__(self):

@@ -35,6 +35,7 @@ import numpy as np
 
 from .core import TestCharacteristics
 from .estimators import (
+    MIN_STRATUM_SIZE,
     DayEstimate,
     DayEvaluator,
     EstimateSeries,
@@ -105,8 +106,11 @@ class ScenarioBundle:
     name: str
     config: ScenarioConfig
     assumed_tests: TestCharacteristics
-    ht_known_available: bool = True
-    known_weights_by_renewal: bool = False  # cluster-level schedules ignore clearances
+
+    @property
+    def ht_known_available(self) -> bool:
+        """Contact tracing makes a test depend on others' states: no known weight."""
+        return not self.config.regimen.overlays.contact_tracing
 
 
 def build_scenario(
@@ -124,8 +128,6 @@ def build_scenario(
         removal_duration_days=5,
     )
     assumed = STUDY_TESTS
-    ht_k = True
-    renewal = False
     if name == "simple-random":
         config = ScenarioConfig(regimen=RegimenConfig.simple_random(1 / 6), **base)
     elif name == "max-gap":
@@ -152,17 +154,9 @@ def build_scenario(
     elif name == "contact-tracing":
         regimen = replace(min_max, overlays=Overlays(contact_tracing=True))
         config = ScenarioConfig(regimen=regimen, **base)
-        ht_k = False
     else:  # clustered
         config = ScenarioConfig(regimen=RegimenConfig.clustered(min_max), **base)
-        renewal = True
-    return ScenarioBundle(
-        name=name,
-        config=config,
-        assumed_tests=assumed,
-        ht_known_available=ht_k,
-        known_weights_by_renewal=renewal,
-    )
+    return ScenarioBundle(name=name, config=config, assumed_tests=assumed)
 
 
 # ---------------------------------------------------------------------------
@@ -183,23 +177,23 @@ def renewal_fire_probabilities(regimen: RegimenConfig, horizon: int) -> np.ndarr
 class KnownWeights:
     """Reciprocal testing probabilities implied by a regimen, read from one table per
     run: :func:`known_probability_table` chains each stratum once over the horizon, and
-    a renewal schedule's fire probability serves every stratum."""
+    a cluster-level schedule ignores clearances, so its renewal fire probability serves
+    every stratum."""
 
     def __init__(self, bundle: ScenarioBundle):
         regimen = bundle.config.regimen
         self.horizon = horizon = bundle.config.horizon_days
-        if bundle.known_weights_by_renewal:
+        if regimen.kind == "clustered":
             fire = renewal_fire_probabilities(regimen, horizon)
             self._probs = np.broadcast_to(fire, (horizon + 1, horizon + 1))
             return
-        law = regimen.base if regimen.kind == "clustered" else regimen
         removal = bundle.config.removal_duration_days
-        if removal + 1 < law.min_gap:
+        if removal + 1 < regimen.min_gap:
             # the first test day after a clearance lies removal + 1 days past the
             # positive test, and next_test_pmf's clearance row assumes min_gap days have passed
             raise ConfigError(
                 f"removal_duration_days ({removal}) is below min_gap - 1 "
-                f"({law.min_gap - 1}): the known weights would not follow the simulated "
+                f"({regimen.min_gap - 1}): the known weights would not follow the simulated "
                 "schedule after a clearance"
             )
         self._probs = known_probability_table(regimen, horizon, bundle.assumed_tests.specificity)
@@ -225,7 +219,7 @@ def estimate_panel_series(
     estimators: Sequence[str] = ("tpr", "ht-e"),
     interval_spec: Optional[IntervalSpec] = None,
     known_weights: Optional[Callable[[int, int], float]] = None,
-    min_stratum_size: int = 10,
+    min_stratum_size: int = MIN_STRATUM_SIZE,
     excluded_days: Optional[np.ndarray] = None,
     seed: int | tuple[int, ...] = 0,
 ) -> EstimateSeries:
@@ -234,13 +228,14 @@ def estimate_panel_series(
     Excluded days yield undefined-marker records so that the day indexing
     stays dense.  ``known_weights`` must be supplied for the ``ht-k``
     estimator.  ``seed`` is a prefix: day ``t``'s bootstrap is seeded with
-    ``(*seed, t)``, so an int ``s`` gives ``(s, t)``.
+    ``(*seed, t)``, so an int ``s`` gives ``(s, t)``.  Every interval, a
+    degenerate bootstrap's too, is clipped to [0, 1] and widened to contain
+    its estimate.
     """
     if "ht-k" in estimators and known_weights is None:
         raise ValueError("ht-k requires known testing-probability weights")
     prefix = (seed,) if isinstance(seed, int) else tuple(seed)
     series = EstimateSeries()
-    level = interval_spec.level if interval_spec is not None else 0.95
     counts = panel.day_counts
     for day in range(1, panel.horizon + 1):
         n_tests, n_pos = int(counts.n_tests[day]), int(counts.n_positive[day])
@@ -258,7 +253,7 @@ def estimate_panel_series(
                 record = DayEstimate(day=day, kind="tpr", estimate=est, unclipped=raw,
                                      n_tests=n_tests, n_positive=n_pos)
                 if interval_spec is not None:
-                    lo, hi = clopper_pearson(n_pos, n_tests, level)
+                    lo, hi = clopper_pearson(n_pos, n_tests, interval_spec.level)
                     record.lo = prevalence_from_rate(lo, tests)[0]
                     record.hi = prevalence_from_rate(hi, tests)[0]
             elif kind == "ht-k":
@@ -268,7 +263,8 @@ def estimate_panel_series(
                     nonremoved = int(counts.nonremoved[day])
                     record.lo, record.hi = wald_prevalence_interval(
                         (1.0 - record.unclipped) * nonremoved, variance,
-                        panel.n_individuals, panel.n_individuals - nonremoved, level)
+                        panel.n_individuals, panel.n_individuals - nonremoved,
+                        interval_spec.level)
             elif kind == "ht-e":
                 record = evaluator.day_estimate()
                 if interval_spec is not None:
@@ -280,8 +276,8 @@ def estimate_panel_series(
             else:
                 raise ValueError(f"unknown estimator kind {kind!r}")
             if interval_spec is not None and not math.isnan(record.lo):
-                record.lo = min(record.lo, record.estimate)
-                record.hi = max(record.hi, record.estimate)
+                record.lo = min(max(record.lo, 0.0), record.estimate)
+                record.hi = max(min(record.hi, 1.0), record.estimate)
             series.append(record)
     return series
 
@@ -314,7 +310,6 @@ class ScenarioRunResult:
 
     name: str
     replicates: int
-    seed: int
     estimators: tuple[str, ...]
     truth: np.ndarray                      # [replicates, horizon + 1]
     estimates: dict[str, np.ndarray]       # kind -> [replicates, horizon + 1], clipped to [0, 1]
@@ -342,10 +337,6 @@ class ScenarioRunResult:
     @property
     def horizon(self) -> int:
         return self.truth.shape[1] - 1
-
-    @property
-    def days(self) -> np.ndarray:
-        return np.arange(1, self.horizon + 1)
 
     def mean_truth(self) -> np.ndarray:
         return _nan_aggregate(np.nanmean, self.truth, axis=0)
@@ -400,10 +391,9 @@ def run_scenario(
     seed: int = 0,
     estimators: Optional[Sequence[str]] = None,
     interval_spec: Optional[IntervalSpec] = None,
-    min_stratum_size: int = 10,
+    min_stratum_size: int = MIN_STRATUM_SIZE,
     population_size: Optional[int] = None,
     first_replicate: int = 0,
-    log: Optional[Callable[[str], None]] = None,
 ) -> ScenarioRunResult:
     """Replicate a scenario and collect per-day estimates against realised truths.
 
@@ -451,13 +441,10 @@ def run_scenario(
             unclipped[kind][r, day] = record.unclipped
             if with_intervals:
                 covered[kind][r, day] = float(record.lo <= truth[r, day] <= record.hi)
-        if log is not None and (r + 1) % max(1, replicates // 10) == 0:
-            log(f"{bundle.name}: replicate {r + 1}/{replicates}")
         del sim  # a view: it would pin its whole stack while the next one is simulated
     return ScenarioRunResult(
         name=bundle.name,
         replicates=replicates,
-        seed=seed,
         estimators=estimators,
         truth=truth,
         estimates=estimates,

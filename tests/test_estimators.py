@@ -807,7 +807,7 @@ class TestSeriesSerialisation:
         ])
         nan = math.nan
         aggregate = ScenarioRunResult(
-            name="min-max", replicates=2, seed=0, estimators=("tpr",),
+            name="min-max", replicates=2, estimators=("tpr",),
             truth=np.array([[nan, 0.1], [nan, 0.3]]),
             estimates={"tpr": np.array([[nan, 0.05], [nan, 0.05]])},
             unclipped={"tpr": np.array([[nan, 0.05], [nan, 0.05]])},

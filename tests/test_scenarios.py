@@ -1,4 +1,4 @@
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -6,10 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prevest import scenarios
-from prevest.regimens import ConfigError
+from prevest.core import EventHistory, TestCharacteristics
+from prevest.estimators import Panel
+from prevest.regimens import ConfigError, Overlays, RegimenConfig
 from prevest.scenarios import (
     SCENARIO_NAMES,
+    STUDY_TESTS,
     KnownWeights,
+    ScenarioBundle,
     ScenarioRunResult,
     _nan_aggregate,
     build_scenario,
@@ -45,6 +49,10 @@ class TestBundles:
 
     def test_estimation_side_settings(self):
         assert not build_scenario("contact-tracing").ht_known_available
+        # derived from the regimen, so a hand-built bundle reports it too
+        tracing = replace(RegimenConfig.max_gap(gap=10), overlays=Overlays(contact_tracing=True))
+        config = replace(build_scenario("max-gap").config, regimen=tracing)
+        assert not ScenarioBundle("hand-built", config, STUDY_TESTS).ht_known_available
         tv = build_scenario("time-varying-sensitivity")
         assert tv.assumed_tests.sensitivity == pytest.approx(0.557)
         assert tv.config.sensitivity_curve is not None
@@ -99,10 +107,6 @@ class TestKnownWeights:
     def test_rotation_zero_probability_lookup_is_config_error(self, tau, seed):
         """Staggered first tests put some before day tau, where the stratum-0 law has none:
         the table builds, and the first lookup of such a (stratum, day) fails."""
-        from dataclasses import replace
-
-        from prevest.regimens import RegimenConfig
-
         bundle = build_scenario("min-max", population_size=60)
         bundle = replace(bundle, name="rotation", config=replace(
             bundle.config, regimen=RegimenConfig.rotation_every(tau)))
@@ -117,14 +121,19 @@ class TestKnownWeights:
     def test_renewal_weight_ignores_stratum(self):
         weights = KnownWeights(build_scenario("clustered"))
         assert weights(0, 9) == weights(5, 9)
+        # a hand-built bundle with a clustered regimen gets renewal weights too
+        regimen = RegimenConfig.clustered(RegimenConfig.max_gap(gap=10))
+        config = replace(build_scenario("max-gap").config, regimen=regimen)
+        weights = KnownWeights(ScenarioBundle("hand-built", config, STUDY_TESTS))
+        fire = renewal_fire_probabilities(regimen, 21)
+        for t in range(1, 22):
+            assert {weights(c, t) for c in range(t)} == {1.0 / fire[t]}
 
     @pytest.mark.parametrize("removal", [1, 2, 3, 4, 5])
     def test_removal_shorter_than_min_gap_is_config_error(self, removal):
         """min-max(10, 5) after a positive test on day 8 - removal and a clearance on 8:
         the clearance row equals the simulator's law exactly when the removal lasts at
         least min_gap - 1 = 4 days, and KnownWeights rejects every shorter removal."""
-        from dataclasses import replace
-
         from prevest.regimens import next_test_pmf, probability_vector
 
         bundle = build_scenario("min-max")
@@ -148,8 +157,6 @@ class TestKnownWeights:
 class TestSeriesAssembly:
     def test_series_kinds_and_exclusions(self):
         bundle = build_scenario("simple-random")
-        from dataclasses import replace
-
         config = replace(bundle.config, population_size=200)
         sim = simulate(config, seed=(1, 0))
         panel = sim.panel()
@@ -166,8 +173,6 @@ class TestSeriesAssembly:
 
     def test_ht_k_requires_weights(self):
         bundle = build_scenario("simple-random")
-        from dataclasses import replace
-
         sim = simulate(replace(bundle.config, population_size=100), seed=(2, 0))
         with pytest.raises(ValueError, match="known"):
             estimate_panel_series(sim.panel(), bundle.assumed_tests, estimators=("ht-k",))
@@ -305,15 +310,27 @@ class TestStudyScale:
         assert frac >= 0.7
 
 
-def test_series_interval_ordering_enforced():
-    from dataclasses import replace
-
+def _simulated_series_input():
     bundle = build_scenario("simple-random")
     sim = simulate(replace(bundle.config, population_size=200), seed=(9, 0))
+    return sim.panel(), bundle.assumed_tests
+
+
+def _uniform_series_input():
+    """30 individuals tested negative on days 1-3: every resample is the same panel, so
+    the bootstrap is degenerate at the unclipped ht-e estimate, which is below 0."""
+    history = EventHistory(test_times=(1, 2, 3), test_results=(False, False, False))
+    return Panel.from_histories([history] * 30, horizon=3), TestCharacteristics(0.832, 0.992)
+
+
+@pytest.mark.parametrize("make_input", [_simulated_series_input, _uniform_series_input],
+                         ids=["simulated", "uniform"])
+def test_series_interval_ordering_enforced(make_input):
+    panel, tests = make_input()
     series = estimate_panel_series(
-        sim.panel(), bundle.assumed_tests,
+        panel, tests,
         interval_spec=IntervalSpec(bootstrap_iterations=49), min_stratum_size=5, seed=1,
     )
     for record in series.records:
         if record.defined and not np.isnan(record.lo):
-            assert record.lo <= record.estimate <= record.hi
+            assert 0.0 <= record.lo <= record.estimate <= record.hi <= 1.0
