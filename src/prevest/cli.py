@@ -141,7 +141,8 @@ def cmd_simulate(args, report: RunReport) -> None:
 
 
 def cmd_scenario(args, report: RunReport) -> None:
-    bundle = build_scenario(args.name)
+    population = {} if args.population is None else {"population_size": args.population}
+    bundle = build_scenario(args.name, **population)
     if bundle.ht_known_available and args.replicates < HT_K_REFERENCE_REPLICATES:
         report.warnings.append(
             f"known-weight estimator reference runs use {HT_K_REFERENCE_REPLICATES} replicates; "
@@ -151,10 +152,8 @@ def cmd_scenario(args, report: RunReport) -> None:
         report.warnings.append(
             "known-weight estimator is not defined under contact tracing; omitting ht-k columns"
         )
-    run = functools.partial(
-        run_scenario, bundle, seed=args.seed, interval_spec=_interval_spec(args),
-        min_stratum_size=args.min_stratum_size, population_size=args.population,
-    )
+    run = functools.partial(run_scenario, bundle, interval_spec=_interval_spec(args),
+                            seed=args.seed, min_stratum_size=args.min_stratum_size)
     jobs = args.jobs
     if jobs == 1 or args.replicates < 2 * jobs:
         result = run(args.replicates)

@@ -341,14 +341,17 @@ class AdjustedData:
     assumed_well: np.ndarray
     dates: list[dt.date]
     excluded_days: np.ndarray      # bool per study day 0..horizon
-    tests_per_day: np.ndarray      # retained tests per study day 0..horizon
     n_dropped_weekly: int          # tests dropped by the first-test-per-week rule
     n_dropped_isolation: int       # tests dropped inside a removal window
-    policy: AdjustmentPolicy
 
     @property
     def horizon(self) -> int:
         return self.tested.shape[1] - 1
+
+    @property
+    def tests_per_day(self) -> np.ndarray:
+        """Retained tests per study day 0..horizon."""
+        return self.tested.sum(axis=0)
 
     @cached_property
     def panel(self) -> Panel:
@@ -405,8 +408,7 @@ def apply_adjustments(matrix: TestingMatrix, policy: AdjustmentPolicy) -> Adjust
         rem_start[start] = day + delay + 1
         rem_end[start] = day + delay + isolation
         exempt_end[start] = day + policy.post_isolation_exemption_days
-    tests_per_day = tested.sum(axis=0)
-    excluded = tests_per_day < policy.min_daily_tests
+    excluded = tested.sum(axis=0) < policy.min_daily_tests
     excluded[0] = True  # day 0 is the baseline, never estimated
     return AdjustedData(
         tested=tested,
@@ -416,10 +418,8 @@ def apply_adjustments(matrix: TestingMatrix, policy: AdjustmentPolicy) -> Adjust
         assumed_well=assumed,
         dates=list(matrix.dates),
         excluded_days=excluded,
-        tests_per_day=tests_per_day,
         n_dropped_weekly=dropped_weekly,
         n_dropped_isolation=dropped_isolation,
-        policy=policy,
     )
 
 

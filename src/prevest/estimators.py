@@ -439,6 +439,12 @@ def tpr(positives: int, tested: int) -> float:
         return math.nan
     return positives / tested
 
+
+def clip_unit(value: float) -> float:
+    """The [0, 1] clip of a point estimate, applied after estimation; nan stays nan."""
+    return min(max(value, 0.0), 1.0)
+
+
 def tpr_prevalence(positives: int, tested: int, tests: TestCharacteristics) -> tuple[float, float]:
     """TPR mapped to the prevalence scale for an imperfect test, (clipped, raw).
 
@@ -455,7 +461,7 @@ def prevalence_from_rate(rate: float, tests: TestCharacteristics) -> tuple[float
     """Positive rate mapped to (clipped, unclipped) prevalence for an imperfect test."""
     tests.require_informative()
     unclipped = (rate - (1.0 - tests.specificity)) / tests.youden
-    return min(max(unclipped, 0.0), 1.0), unclipped
+    return clip_unit(unclipped), unclipped
 
 
 def ht_estimate_w(
@@ -491,7 +497,7 @@ def prevalence_from_w(w_hat: float, n_population: int, removed: int) -> tuple[fl
     if nonremoved <= 0:
         return math.nan, math.nan
     unclipped = (nonremoved - w_hat) / nonremoved
-    return min(max(unclipped, 0.0), 1.0), unclipped
+    return clip_unit(unclipped), unclipped
 
 
 def _stratum_day_sum(n_c, tested_c, neg_c, probs, active, tests: TestCharacteristics):
@@ -536,7 +542,6 @@ def bias_ratio(
 class DayEstimate:
     day: int
     kind: str
-    estimate: float
     lo: float = math.nan
     hi: float = math.nan
     unclipped: float = math.nan
@@ -545,8 +550,12 @@ class DayEstimate:
     n_fallback_strata: int = 0
 
     @property
+    def estimate(self) -> float:
+        return clip_unit(self.unclipped)
+
+    @property
     def defined(self) -> bool:
-        return not math.isnan(self.estimate)
+        return not math.isnan(self.unclipped)
 
 
 @dataclass
@@ -643,8 +652,7 @@ class DayEvaluator:
     def _day_record(self, kind: str, unclipped: float, n_fallback_strata: int = 0) -> DayEstimate:
         """The day's record with its test counts among the non-removed."""
         counts = self.panel.day_counts
-        return DayEstimate(day=self.day, kind=kind, estimate=min(max(unclipped, 0.0), 1.0),
-                           unclipped=unclipped, n_fallback_strata=n_fallback_strata,
+        return DayEstimate(self.day, kind, unclipped=unclipped, n_fallback_strata=n_fallback_strata,
                            n_tests=int(counts.n_tests[self.day]),
                            n_positive=int(counts.n_positive[self.day]))
 

@@ -230,7 +230,7 @@ def estimate_panel_series(
     estimator.  ``seed`` is a prefix: day ``t``'s bootstrap is seeded with
     ``(*seed, t)``, so an int ``s`` gives ``(s, t)``.  Every interval, a
     degenerate bootstrap's too, is clipped to [0, 1] and widened to contain
-    its estimate.
+    its estimate: the one step that clips an interval endpoint.
     """
     if "ht-k" in estimators and known_weights is None:
         raise ValueError("ht-k requires known testing-probability weights")
@@ -241,21 +241,19 @@ def estimate_panel_series(
         n_tests, n_pos = int(counts.n_tests[day]), int(counts.n_positive[day])
         if n_tests == 0 or (excluded_days is not None and excluded_days[day]):
             for kind in estimators:
-                series.append(DayEstimate(day=day, kind=kind, estimate=math.nan,
-                                          n_tests=n_tests, n_positive=n_pos))
+                series.append(DayEstimate(day=day, kind=kind, n_tests=n_tests, n_positive=n_pos))
             continue
         evaluator = None  # built on first use, shared by ht-k and ht-e
         for kind in estimators:
             if kind in ("ht-k", "ht-e"):
                 evaluator = evaluator or DayEvaluator(panel, day, tests, min_stratum_size)
             if kind == "tpr":
-                est, raw = tpr_prevalence(n_pos, n_tests, tests)
-                record = DayEstimate(day=day, kind="tpr", estimate=est, unclipped=raw,
-                                     n_tests=n_tests, n_positive=n_pos)
+                record = DayEstimate(day=day, kind="tpr", n_tests=n_tests, n_positive=n_pos,
+                                     unclipped=tpr_prevalence(n_pos, n_tests, tests)[1])
                 if interval_spec is not None:
                     lo, hi = clopper_pearson(n_pos, n_tests, interval_spec.level)
-                    record.lo = prevalence_from_rate(lo, tests)[0]
-                    record.hi = prevalence_from_rate(hi, tests)[0]
+                    record.lo = prevalence_from_rate(lo, tests)[1]
+                    record.hi = prevalence_from_rate(hi, tests)[1]
             elif kind == "ht-k":
                 record, variance = ht_known(panel, day, tests, known_weights,
                                             evaluator=evaluator)
@@ -309,13 +307,9 @@ class ScenarioRunResult:
     """Per-replicate, per-day estimates and realised truths for one scenario."""
 
     name: str
-    replicates: int
-    estimators: tuple[str, ...]
     truth: np.ndarray                      # [replicates, horizon + 1]
-    estimates: dict[str, np.ndarray]       # kind -> [replicates, horizon + 1], clipped to [0, 1]
     unclipped: dict[str, np.ndarray]       # kind -> same shape, no [0, 1] restriction
-    covered: dict[str, np.ndarray]         # kind -> bool/nan array, same shape
-    with_intervals: bool
+    covered: dict[str, np.ndarray]         # kind -> 0/1, nan where no interval; same shape
 
     @classmethod
     def concat(cls, parts: Sequence["ScenarioRunResult"]) -> "ScenarioRunResult":
@@ -325,18 +319,29 @@ class ScenarioRunResult:
             return {k: np.vstack([getattr(p, field)[k] for p in parts])
                     for k in parts[0].estimators}
 
-        return replace(
-            parts[0],
-            replicates=sum(p.replicates for p in parts),
-            truth=np.vstack([p.truth for p in parts]),
-            estimates=stack("estimates"),
-            unclipped=stack("unclipped"),
-            covered=stack("covered"),
-        )
+        return replace(parts[0], truth=np.vstack([p.truth for p in parts]),
+                       unclipped=stack("unclipped"), covered=stack("covered"))
+
+    @property
+    def replicates(self) -> int:
+        return self.truth.shape[0]
 
     @property
     def horizon(self) -> int:
         return self.truth.shape[1] - 1
+
+    @property
+    def estimators(self) -> tuple[str, ...]:
+        return tuple(self.unclipped)
+
+    @property
+    def estimates(self) -> dict[str, np.ndarray]:
+        """``unclipped`` clipped to [0, 1] elementwise, as ``clip_unit`` clips a record."""
+        return {k: np.clip(v, 0.0, 1.0) for k, v in self.unclipped.items()}
+
+    @property
+    def with_intervals(self) -> bool:
+        return any(not np.isnan(c).all() for c in self.covered.values())
 
     def mean_truth(self) -> np.ndarray:
         return _nan_aggregate(np.nanmean, self.truth, axis=0)
@@ -371,7 +376,7 @@ class ScenarioRunResult:
             mean_est = self.mean_estimate(kind)
             bias = self.bias(kind)
             rmse = self.rmse(kind)
-            cover = self.coverage(kind) if self.with_intervals else np.full_like(mean_truth, np.nan)
+            cover = self.coverage(kind)
             for day in range(1, self.horizon + 1):
                 yield {
                     "scenario": self.name,
@@ -392,7 +397,6 @@ def run_scenario(
     estimators: Optional[Sequence[str]] = None,
     interval_spec: Optional[IntervalSpec] = None,
     min_stratum_size: int = MIN_STRATUM_SIZE,
-    population_size: Optional[int] = None,
     first_replicate: int = 0,
 ) -> ScenarioRunResult:
     """Replicate a scenario and collect per-day estimates against realised truths.
@@ -404,10 +408,6 @@ def run_scenario(
     """
     if isinstance(bundle, str):
         bundle = build_scenario(bundle)
-    if population_size is not None and population_size != bundle.config.population_size:
-        bundle = replace(
-            bundle, config=replace(bundle.config, population_size=population_size)
-        )
     if replicates < 1:
         raise ConfigError("need at least one replicate")
     if estimators is None:
@@ -418,10 +418,8 @@ def run_scenario(
     config = bundle.config
     horizon = config.horizon_days
     weights = KnownWeights(bundle) if "ht-k" in estimators else None
-    with_intervals = interval_spec is not None
 
     truth = np.full((replicates, horizon + 1), np.nan)
-    estimates = {k: np.full((replicates, horizon + 1), np.nan) for k in estimators}
     unclipped = {k: np.full((replicates, horizon + 1), np.nan) for k in estimators}
     covered = {k: np.full((replicates, horizon + 1), np.nan) for k in estimators}
 
@@ -437,18 +435,8 @@ def run_scenario(
             if not record.defined:
                 continue
             day, kind = record.day, record.kind
-            estimates[kind][r, day] = record.estimate
             unclipped[kind][r, day] = record.unclipped
-            if with_intervals:
+            if interval_spec is not None:
                 covered[kind][r, day] = float(record.lo <= truth[r, day] <= record.hi)
         del sim  # a view: it would pin its whole stack while the next one is simulated
-    return ScenarioRunResult(
-        name=bundle.name,
-        replicates=replicates,
-        estimators=estimators,
-        truth=truth,
-        estimates=estimates,
-        unclipped=unclipped,
-        covered=covered,
-        with_intervals=with_intervals,
-    )
+    return ScenarioRunResult(name=bundle.name, truth=truth, unclipped=unclipped, covered=covered)

@@ -5,6 +5,9 @@ intervals from the weighted-count variance back the known-weight estimator,
 and a bias-corrected accelerated (BCa) bootstrap over individuals backs the
 estimated-weight estimator.  Bootstrap quantiles use linear interpolation
 (numpy's default), since BCa endpoints are sensitive to the convention.
+Every interval here is on the unrestricted prevalence scale, where the
+weighted estimators are unbiased; ``scenarios.estimate_panel_series`` is the
+one step that clips an endpoint to [0, 1].
 
 Importing the module loads no scipy: each interval imports the
 ``scipy.special`` functions it evaluates, and the jackknife imports
@@ -89,7 +92,7 @@ def wald_prevalence_interval(
     removed: int,
     level: float = 0.95,
 ) -> tuple[float, float]:
-    """Normal interval on the well count, mapped affinely to prevalence and clipped."""
+    """Normal interval on the well count, mapped affinely to prevalence (unclipped)."""
     from scipy.special import ndtri
 
     nonremoved = n_population - removed
@@ -98,9 +101,7 @@ def wald_prevalence_interval(
     z = float(ndtri(0.5 + level / 2.0))
     half = z * math.sqrt(max(variance, 0.0))
     # prevalence = (nonremoved - w) / nonremoved is decreasing in w
-    lo = (nonremoved - (w_hat + half)) / nonremoved
-    hi = (nonremoved - (w_hat - half)) / nonremoved
-    return max(lo, 0.0), min(hi, 1.0)
+    return (nonremoved - (w_hat + half)) / nonremoved, (nonremoved - (w_hat - half)) / nonremoved
 
 
 @dataclass
@@ -172,7 +173,6 @@ def bca_bootstrap(
     spec: IntervalSpec,
     seed: int,
     point: Optional[float] = None,
-    clip: Optional[tuple[float, float]] = (0.0, 1.0),
 ) -> BcaInterval:
     """BCa interval for a statistic of resampled units (whole individual histories).
 
@@ -190,7 +190,8 @@ def bca_bootstrap(
     features every total is an integer, so the totals are exact whatever
     the summation order.  A bootstrap distribution whose spread is within
     1e-12 of its largest magnitude (or of 1) is degenerate and collapses to
-    its first value.
+    its first value.  The endpoints are quantiles of the unrestricted
+    bootstrap distribution, never clipped.
     """
     from scipy.special import ndtr, ndtri
 
@@ -230,8 +231,6 @@ def bca_bootstrap(
         adjusted = np.where(scale > 0, z0 + shifted / scale, np.copysign(np.inf, shifted))
     levels = tuple(float(a) for a in ndtr(adjusted))
     lo, hi = np.quantile(thetas, levels)
-    if clip is not None:
-        lo, hi = max(lo, clip[0]), min(hi, clip[1])
     return BcaInterval(
         lo=float(lo), hi=float(hi), point=point,
         bias_correction=z0, acceleration=accel, quantile_levels=levels,

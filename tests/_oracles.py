@@ -484,8 +484,7 @@ def row_loop_apply_adjustments(matrix, policy):
     excluded[0] = True
     return AdjustedData(tested=tested, positive=positive, removed=removed, cleared=cleared,
                         assumed_well=assumed, dates=list(matrix.dates), excluded_days=excluded,
-                        tests_per_day=tests_per_day, n_dropped_weekly=dropped_weekly,
-                        n_dropped_isolation=dropped_isolation, policy=policy)
+                        n_dropped_weekly=dropped_weekly, n_dropped_isolation=dropped_isolation)
 
 
 def per_day_counts(panel, day):

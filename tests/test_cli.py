@@ -354,7 +354,7 @@ class TestAnonymizeCommand:
         assert est_orig.read_bytes() == est_shuf.read_bytes()
 
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(case=raw_matrices(max_n=19, max_days=19).filter(lambda case: case[0].n_days > 1),
            seed=st.integers(0, 2), min_size=st.integers(1, 3))
     def test_unfiltered_matrix_keeps_the_analysis(self, case, seed, min_size):
@@ -664,7 +664,7 @@ class TestBadInputProperty:
             for path in outputs:
                 assert Path(path).exists(), path
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(data=st.data(), base=st.sampled_from(SMALL_SCENARIOS), value=json_values | near_values)
     def test_simulate_config(self, data, base, value):
         path = data.draw(st.sampled_from(list(key_paths(base))))
@@ -675,7 +675,7 @@ class TestBadInputProperty:
             self.run(["simulate", "--config", str(config), "--out", str(out), "--matrices"],
                      [out / "summary.csv", out / "replicate_0000.csv"])
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     @given(key=st.sampled_from(sorted(SMALL_POLICY)), value=json_values | near_values,
            command=st.sampled_from(["analyze", "anonymize"]))
     def test_policy(self, small_matrix, key, value, command):

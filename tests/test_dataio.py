@@ -243,7 +243,7 @@ def random_matrices(draw, max_n, max_days, labelled=False):
 class TestMatrixFileProperties:
     """The whole-array parser and writer pinned to the per-cell originals."""
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(data=matrix_files())
     def test_parser_equals_per_cell_oracle(self, tmp_path_factory, data):
         path = tmp_path_factory.mktemp("parse") / "m.csv"
@@ -251,7 +251,7 @@ class TestMatrixFileProperties:
         assert (parse_outcome(parse_testing_matrix, path)
                 == parse_outcome(per_cell_parse_testing_matrix, path))
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(matrix=random_matrices(max_n=6, max_days=6, labelled=True))
     def test_writer_equals_per_cell_oracle_and_round_trips(self, tmp_path_factory, matrix):
         tmp = tmp_path_factory.mktemp("write")
@@ -416,7 +416,7 @@ def policy_matrices(draw, max_n=30, max_days=28, **fixed):
 
 
 class TestAdjustmentProperties:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(case=policy_matrices(result_delay_days=0, post_isolation_exemption_days=0,
                                 keep_first_test_per_week=False))
     def test_panel_equals_event_history_reconstruction(self, case):
@@ -472,14 +472,14 @@ def assert_same_adjustment(got, want):
 class TestAdjustmentOracle:
     """The day-loop ``apply_adjustments`` pinned to the row-loop original."""
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(case=policy_matrices())
     def test_policy_consistent_matrices(self, case):
         matrix, policy = case
         assert_same_adjustment(apply_adjustments(matrix, policy),
                                row_loop_apply_adjustments(matrix, policy))
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(case=raw_matrices(every_rule=True))
     def test_unfiltered_matrices_every_rule_on(self, case):
         matrix, policy = case
@@ -490,7 +490,7 @@ class TestAdjustmentOracle:
 class TestAnonymizerProperties:
     """The linear-time anonymizer pinned to the dict-grouping original."""
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     @given(case=policy_matrices(), seed=st.integers(0, 2**16))
     def test_equals_dict_grouping_oracle(self, case, seed):
         matrix, policy = case
@@ -507,7 +507,7 @@ class TestAnonymizerProperties:
         return np.array([(r.estimate, r.unclipped, r.n_tests, r.n_positive,
                           r.n_fallback_strata) for r in records])
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(case=policy_matrices(), seed=st.integers(0, 2**16), min_size=st.integers(1, 3))
     def test_series_invariant(self, case, seed, min_size):
         matrix, policy = case

@@ -230,7 +230,7 @@ def schedule_matrices(draw, max_horizon=9):
 class TestMatrixWalkMatchesFullMatrixOracle:
     """The triangular solve against powers of the whole schedule matrix."""
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(matrix=schedule_matrices(), nu=st.sampled_from([1.0, 0.992, 0.9, 0.6]))
     def test_testing_probability(self, matrix, nu):
         num, den = full_matrix_ratio_terms(matrix.entries[None], nu, matrix.stratum,
@@ -271,7 +271,7 @@ def test_exact_zero_and_one_probabilities_are_kept():
 
 
 class TestKnownProbabilityTable:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(regimen=regimens(), horizon=st.integers(1, 16), nu=st.floats(0.9, 1.0))
     def test_matches_the_schedule_matrix_formula(self, regimen, horizon, nu):
         """Every (c, t) entry of the one-chain table against the per-(c, t) matrix formula;
@@ -421,14 +421,14 @@ class TestDayEvaluatorMatchesReference:
             ev = DayEvaluator(panel, day, STUDY)
             assert self.observed_counts(ev) == contribution_counts(panel, day, ev.strata), day
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     @given(case=panels_and_days())
     def test_contribution_counts(self, case):
         panel, day = case
         ev = DayEvaluator(panel, day, STUDY)
         assert self.observed_counts(ev) == contribution_counts(panel, day, ev.strata)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(case=panels_and_days(), min_size=st.integers(1, 3), seed=st.integers(0, 2**16))
     def test_shared_index_equals_dense_scan(self, case, min_size, seed):
         panel, _ = case
@@ -446,7 +446,7 @@ class TestDayEvaluatorMatchesReference:
             for multiplicity in (None, rows):
                 assert_same_evaluation(ev.estimate(multiplicity), ref.estimate(multiplicity))
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(case=panels_and_days(), specificity=st.sampled_from([1.0, 0.992, 0.6]),
            min_size=st.integers(1, 3))
     def test_point_table_equals_all_ones_row(self, case, specificity, min_size):
@@ -472,7 +472,7 @@ class TestDayEvaluatorMatchesReference:
                     continue  # no stratum, or a denominator at or below _EPS
                 assert probs[c, day] == pytest.approx(min(want, 1.0), rel=1e-12, abs=1e-12)
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     @given(case=panels_and_days(), specificity=st.sampled_from([1.0, 0.992, 0.9]))
     def test_weights_match_matrix_formula(self, case, specificity):
         panel, day = case
@@ -484,7 +484,7 @@ class TestDayEvaluatorMatchesReference:
                 prob = testing_probability_from_matrix(m, specificity)
                 assert entry.weight == pytest.approx(max(1.0 / prob, 1.0), rel=1e-9), c
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     @given(case=panels_and_days(), copies=st.integers(1, 4))
     def test_all_ones_multiplicity_equals_point(self, case, copies):
         panel, day = case
@@ -495,7 +495,7 @@ class TestDayEvaluatorMatchesReference:
                                    rtol=0, atol=1e-12)
         np.testing.assert_array_equal(batch.fallback, np.repeat(point.fallback, copies))
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     @given(case=panels_and_days(), data=st.data())
     def test_row_permutation_leaves_estimate_unchanged(self, case, data):
         panel, day = case
@@ -539,7 +539,7 @@ def assert_same_interval(got, want):
 class TestCountSpaceBootstrapMatchesIndexRoute:
     """``bca_bootstrap`` on multiplicity rows pinned to the index-set route."""
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(case=panels_and_days(max_n=25), data=st.data())
     def test_random_panels(self, case, data):
         panel, day = case
@@ -553,7 +553,7 @@ class TestCountSpaceBootstrapMatchesIndexRoute:
         seed = data.draw(st.integers(0, 2**16))
         ev = DayEvaluator(panel, day, STUDY, min_stratum_size=data.draw(st.integers(1, 3)))
         assert_same_interval(bca_bootstrap(ev.resampler(), n, spec, seed),
-                             index_bca_bootstrap(ev, n, spec, seed))
+                             index_bca_bootstrap(ev, n, spec, seed, clip=None))
 
     @pytest.mark.parametrize("spec", [
         IntervalSpec(bootstrap_iterations=99, jackknife_block_size=7),  # 200 = 28 x 7 + 4
@@ -564,7 +564,8 @@ class TestCountSpaceBootstrapMatchesIndexRoute:
         ev = DayEvaluator(panel, 9, STUDY, min_stratum_size=5)
         point = float(ev.resampler().batch(np.ones((1, panel.n_individuals)) @ ev.features)[0])
         got = bca_bootstrap(ev.resampler(), panel.n_individuals, spec, seed=(3, 9), point=point)
-        want = index_bca_bootstrap(ev, panel.n_individuals, spec, seed=(3, 9), point=point)
+        want = index_bca_bootstrap(ev, panel.n_individuals, spec, seed=(3, 9), point=point,
+                                   clip=None)
         assert not got.degenerate and got.acceleration != 0.0
         assert_same_interval(got, want)
 
@@ -574,7 +575,7 @@ class TestResampleTotalsMatchDenseRoute:
     multiplicity rows they replace: a ``bincount`` per row of the draw, and ones with zeros
     on each left-out block, each times the features."""
 
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=120)
     @given(case=panels_and_days(max_n=30), data=st.data())
     def test_random_panels_and_dense_features(self, case, data):
         panel, day = case
@@ -653,7 +654,7 @@ class TestDayCounts:
                 seen["memberless"] |= not want["members"].any()
         return seen
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(seed=st.integers(0, 2**16), n=st.integers(1, 60), min_max=st.booleans(),
            delay=st.integers(0, 2), isolation=st.integers(1, 4), exemption=st.integers(0, 8))
     def test_matches_per_day_masks(self, seed, n, min_max, delay, isolation, exemption):
@@ -733,7 +734,7 @@ class TestHtKnown:
                                                   rel=1e-12, abs=1e-12), day
             assert variance == pytest.approx(want_var, rel=1e-12), day
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(seed=st.integers(0, 2**16), n=st.integers(1, 80), perfect=st.booleans(),
            min_max=st.booleans(), exemption=st.integers(0, 8), weight_seed=st.integers(0, 2**16))
     def test_matches_per_stratum_oracle_on_random_panels(self, seed, n, perfect, min_max,
@@ -801,17 +802,16 @@ class TestSeriesSerialisation:
         from prevest.scenarios import ScenarioRunResult
 
         series = EstimateSeries([
-            DayEstimate(day=1, kind="tpr", estimate=0.05, lo=0.01, hi=0.09,
+            DayEstimate(day=1, kind="tpr", unclipped=0.05, lo=0.01, hi=0.09,
                         n_tests=100, n_positive=5),
-            DayEstimate(day=2, kind="ht-e", estimate=math.nan),
+            DayEstimate(day=2, kind="ht-e", unclipped=math.nan),
         ])
         nan = math.nan
         aggregate = ScenarioRunResult(
-            name="min-max", replicates=2, estimators=("tpr",),
+            name="min-max",
             truth=np.array([[nan, 0.1], [nan, 0.3]]),
-            estimates={"tpr": np.array([[nan, 0.05], [nan, 0.05]])},
             unclipped={"tpr": np.array([[nan, 0.05], [nan, 0.05]])},
-            covered={"tpr": np.full((2, 2), nan)}, with_intervals=False,
+            covered={"tpr": np.full((2, 2), nan)},
         )
         summary = {"day": 1, "mean_well": 193.0, "mean_infectious": 7.0, "mean_removed": 0.0,
                    "mean_tests": 21.0, "mean_positives": 0.0,

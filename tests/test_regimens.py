@@ -199,7 +199,7 @@ def regimens():
 
 
 class TestExactScheduleMatrixProperties:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(config=regimens(), t=st.integers(1, 25))
     def test_rows_follow_the_hazard_chain(self, config, t):
         for stratum in range(t):

@@ -1,3 +1,4 @@
+import math
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -25,6 +26,7 @@ from prevest.simulate import replicate_bytes, simulate
 from prevest.uncertainty import IntervalSpec
 
 from _oracles import testing_process_oracle
+from test_estimators import panels_and_days
 
 
 class TestBundles:
@@ -102,7 +104,7 @@ class TestKnownWeights:
                 with pytest.raises(ValueError, match=f"stratum {c} on day {t}"):
                     weights(c, t)
 
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=10)
     @given(tau=st.integers(2, 8), seed=st.integers(0, 2**16))
     def test_rotation_zero_probability_lookup_is_config_error(self, tau, seed):
         """Staggered first tests put some before day tau, where the stratum-0 law has none:
@@ -195,10 +197,9 @@ class TestSeriesAssembly:
 class TestRunScenario:
     def test_partitioned_replicates_reproduce_single_run(self):
         spec = IntervalSpec(bootstrap_iterations=19)
-        whole = run_scenario("simple-random", 6, seed=5, population_size=200,
-                             interval_spec=spec)
-        parts = [run_scenario("simple-random", 2, seed=5, population_size=200,
-                              interval_spec=spec, first_replicate=start)
+        bundle = build_scenario("simple-random", population_size=200)
+        whole = run_scenario(bundle, 6, seed=5, interval_spec=spec)
+        parts = [run_scenario(bundle, 2, seed=5, interval_spec=spec, first_replicate=start)
                  for start in (0, 2, 4)]
         joined = ScenarioRunResult.concat(parts)
         assert joined.replicates == whole.replicates == 6
@@ -257,12 +258,12 @@ class TestRunScenario:
     def test_ht_k_unavailable_for_contact_tracing(self):
         with pytest.raises(ConfigError):
             run_scenario("contact-tracing", 2, estimators=("tpr", "ht-k"))
-        result = run_scenario("contact-tracing", 2, seed=1, population_size=100)
+        result = run_scenario(build_scenario("contact-tracing", population_size=100), 2, seed=1)
         assert set(result.estimators) == {"tpr", "ht-e"}
 
     def test_intervals_and_aggregates(self):
         spec = IntervalSpec(bootstrap_iterations=49, jackknife_block_size=10)
-        result = run_scenario("simple-random", 4, seed=3, population_size=200,
+        result = run_scenario(build_scenario("simple-random", population_size=200), 4, seed=3,
                               interval_spec=spec)
         cov = result.coverage("ht-e")[1:]
         assert np.all((cov[~np.isnan(cov)] >= 0) & (cov[~np.isnan(cov)] <= 1))
@@ -334,3 +335,49 @@ def test_series_interval_ordering_enforced(make_input):
     for record in series.records:
         if record.defined and not np.isnan(record.lo):
             assert 0.0 <= record.lo <= record.estimate <= record.hi <= 1.0
+
+
+class TestOneClipStep:
+    """A record's estimate is its unclipped value clipped to [0, 1], and
+    ``estimate_panel_series`` alone clips and widens the interval around it."""
+
+    @settings(max_examples=80)
+    @given(case=panels_and_days(max_n=20), weight=st.floats(1.0, 8.0),
+           min_size=st.integers(1, 3), seed=st.integers(0, 2**16))
+    def test_every_kind_clips_once(self, case, weight, min_size, seed):
+        panel, _ = case
+        series = estimate_panel_series(panel, STUDY_TESTS, ("tpr", "ht-k", "ht-e"),
+                                       IntervalSpec(bootstrap_iterations=19),
+                                       lambda stratum, day: weight, min_size, seed=seed)
+        for record in series.records:
+            if not record.defined:
+                continue
+            assert record.estimate == min(max(record.unclipped, 0.0), 1.0)
+            # a bootstrap whose resamples can leave nobody non-removed yields no ht-e interval
+            if not (record.kind == "ht-e" and math.isnan(record.lo)):
+                assert 0.0 <= record.lo <= record.estimate <= record.hi <= 1.0, record
+
+    @settings(max_examples=60)
+    @given(kinds=st.lists(st.sampled_from(["tpr", "ht-k", "ht-e"]), min_size=1, max_size=3,
+                          unique=True),
+           replicates=st.integers(1, 4), days=st.integers(1, 6), data=st.data())
+    def test_result_fields_derive_from_its_arrays(self, kinds, replicates, days, data):
+        values = st.floats(-2.0, 3.0) | st.just(math.nan)
+
+        def array():
+            cells = data.draw(st.lists(values, min_size=replicates * days,
+                                       max_size=replicates * days))
+            return np.array(cells).reshape(replicates, days)
+
+        unclipped = {kind: array() for kind in kinds}
+        covered = {kind: np.full((replicates, days), math.nan) for kind in kinds}
+        result = ScenarioRunResult(name="min-max", truth=array(), unclipped=unclipped,
+                                   covered=covered)
+        assert result.replicates == replicates
+        assert result.estimators == tuple(kinds)
+        assert not result.with_intervals
+        for kind in kinds:
+            want = [[min(max(x, 0.0), 1.0) for x in row] for row in unclipped[kind].tolist()]
+            np.testing.assert_array_equal(result.estimates[kind], want)
+        covered[kinds[-1]][0, 0] = 1.0
+        assert result.with_intervals

@@ -329,7 +329,7 @@ def stacked_runs(draw):
 
 
 class TestStackedReplicates:
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=120)
     @given(case=stacked_runs())
     def test_stack_equals_one_at_a_time(self, case):
         config, prefix, replicates = case

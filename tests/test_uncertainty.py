@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse, stats
 from scipy.special import betaincinv, ndtr, ndtri
 
@@ -127,14 +129,29 @@ class TestWaldVariance:
         with pytest.raises(ValueError):
             wald_ht_variance(np.array([0.5]), np.array([0.0]), TestCharacteristics())
 
-    def test_prevalence_interval_is_affine_and_clipped(self):
+    def test_prevalence_interval_is_the_raw_affine_map(self):
         lo, hi = wald_prevalence_interval(90.0, 25.0, 100, 0, level=0.95)
         z = stats.norm.ppf(0.975)
         assert hi == pytest.approx((100 - 90 + z * 5) / 100)
-        assert lo == pytest.approx(max((100 - 90 - z * 5) / 100, 0.0))
+        assert lo == pytest.approx((100 - 90 - z * 5) / 100)
         lo, hi = wald_prevalence_interval(99.9, 900.0, 100, 0)
-        assert lo == 0.0
+        assert lo == pytest.approx((100 - 99.9 - z * 30) / 100) and lo < 0.0
         assert math.isnan(wald_prevalence_interval(1.0, 1.0, 10, 10)[0])
+
+    @pytest.mark.parametrize("w_hat", [110.0, -20.0])
+    def test_interval_outside_unit_range_is_not_inverted(self, w_hat):
+        # a well count past either end of 0..100 puts the whole interval outside [0, 1]
+        lo, hi = wald_prevalence_interval(w_hat, 4.0, 100, 0)
+        half = stats.norm.ppf(0.975) * 2.0
+        assert lo <= hi
+        assert (lo, hi) == pytest.approx(((100 - w_hat - half) / 100, (100 - w_hat + half) / 100))
+
+    @settings(max_examples=200)
+    @given(w_hat=st.floats(-1e4, 1e4), variance=st.floats(0.0, 1e6),
+           n_population=st.integers(1, 10_000), level=st.floats(0.01, 0.99))
+    def test_lo_never_exceeds_hi(self, w_hat, variance, n_population, level):
+        lo, hi = wald_prevalence_interval(w_hat, variance, n_population, 0, level)
+        assert lo <= hi
 
 
 class MeanEstimator:
@@ -180,6 +197,29 @@ class TestBcaBootstrap:
         assert out.degenerate
         assert out.lo == out.hi == pytest.approx(0.4)
 
+    def test_degenerate_interval_keeps_the_raw_value(self):
+        spec = IntervalSpec(bootstrap_iterations=99)
+        out = bca_bootstrap(ConstantEstimator(-0.01, 30), 30, spec, seed=1)
+        assert out.degenerate
+        assert out.lo == out.hi == -0.01
+
+    def test_distribution_below_zero_is_not_inverted(self):
+        # every resample mean lies in [-1, -0.5]: the raw interval does too
+        values = np.random.default_rng(2).uniform(-1.0, -0.5, size=40)
+        out = bca_bootstrap(MeanEstimator(values), 40, IntervalSpec(bootstrap_iterations=99), seed=2)
+        assert not out.degenerate
+        assert -1.0 <= out.lo <= out.point <= out.hi <= -0.5
+
+    @settings(max_examples=40)
+    @given(data=st.lists(st.floats(-5.0, 5.0), min_size=4, max_size=30),
+           b_iter=st.integers(2, 60), seed=st.integers(0, 2**16))
+    def test_lo_never_exceeds_hi(self, data, b_iter, seed):
+        values = np.array(data)
+        out = bca_bootstrap(MeanEstimator(values), values.size,
+                            IntervalSpec(bootstrap_iterations=b_iter, jackknife_block_size=3),
+                            seed=seed)
+        assert out.lo <= out.hi
+
     def test_rounding_noise_on_constant_data_is_degenerate(self):
         # counts @ values rounds per row, so the thetas spread by ~1e-16
         spec = IntervalSpec(bootstrap_iterations=99)
@@ -194,7 +234,7 @@ class TestBcaBootstrap:
         values = np.concatenate([np.arange(50) % 7, [100.0]]) / 10
         est = MeanEstimator(values)
         spec = IntervalSpec(bootstrap_iterations=199, jackknife_block_size=5)
-        out = bca_bootstrap(est, values.size, spec, seed=9, clip=None)
+        out = bca_bootstrap(est, values.size, spec, seed=9)
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=9, spawn_key=(0,))))
         idx = rng.integers(0, values.size, size=(199, values.size))
         counts = np.array([np.bincount(row, minlength=values.size) for row in idx], dtype=float)
@@ -241,7 +281,7 @@ class TestBcaBootstrap:
         trials = 300
         for k in range(trials):
             sample = rng.normal(0.5, 0.15, size=40)
-            out = bca_bootstrap(MeanEstimator(sample), 40, spec, seed=k, clip=None)
+            out = bca_bootstrap(MeanEstimator(sample), 40, spec, seed=k)
             hits += out.lo <= 0.5 <= out.hi
         assert 0.90 <= hits / trials <= 0.99
 
@@ -252,7 +292,7 @@ class TestBcaBootstrap:
         spec = IntervalSpec(bootstrap_iterations=19, jackknife_block_size=10)
         tracemalloc.start()
         try:
-            out = bca_bootstrap(est, n, spec, seed=3, clip=None)
+            out = bca_bootstrap(est, n, spec, seed=3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
