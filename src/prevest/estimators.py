@@ -37,7 +37,7 @@ if TYPE_CHECKING:
 _EPS = 1e-12
 # Strata with fewer members are counted whole by ht-e (the headcount fallback).
 MIN_STRATUM_SIZE = 10
-# Byte budget of one (rows x (span + 1) x span) block in DayEvaluator._stratum_probs.
+# Byte budget of the resample rows in flight: totals and packed solve block (chunk_rows).
 _SOLVE_BLOCK_BYTES = 16 << 20
 # Byte budget of one (strata x (span + 1) x span) array in _probability_table; a table
 # is built once per panel or run, so a small budget costs little time and keeps peak RSS down.
@@ -317,32 +317,31 @@ def estimate_schedule_matrix(panel: Panel, stratum: int, t: int) -> ScheduleMatr
     return matrix
 
 
-def _solve_ratio_terms(block: np.ndarray, nu: float) -> tuple[np.ndarray, np.ndarray]:
+def _solve_ratio_terms(column, tail: np.ndarray, nu: float) -> tuple[np.ndarray, np.ndarray]:
     """Numerator and denominator of the testing-probability ratio, batched.
 
-    ``block[b]`` holds rows ``c..t`` of schedule matrix P_b transposed, shape
-    ``(span + 1, span)``, span = t - c + 1: ``block[b, j, i] = P[c + i, c + j]``
-    is the strictly upper-triangular block Q, ``block[b, span]`` the tail
-    column r = P[c..t, t + 1].  Q is nilpotent, so the series sum_k nu^(k-1)
-    (P^k)[c, t] is finite: x = e_c (I - nu Q)^-1 by forward substitution,
-    x_j = nu y_j with y_j = sum_{i<j} x_i Q[i, j].  Numerator = y_t; the
-    denominator sum_k nu^(k-1) (P^k - P^(k-1))[c, t..t+1] = y_t + sum_{j<t} x_j r_j.
+    Row ``b`` is rows ``c..t`` of schedule matrix P_b, span = t - c + 1:
+    ``column(j)`` is the slab ``[b, i] = P[c + i, c + j]``, i < j, of the strictly
+    upper-triangular block Q, and ``tail[b]`` the tail column r = P[c..t, t + 1].
+    Q is nilpotent, so the series sum_k nu^(k-1) (P^k)[c, t] is finite:
+    x = e_c (I - nu Q)^-1 by forward substitution, x_j = nu y_j with
+    y_j = sum_{i<j} x_i Q[i, j].  Numerator = y_t; the denominator
+    sum_k nu^(k-1) (P^k - P^(k-1))[c, t..t+1] = y_t + sum_{j<t} x_j r_j.
     """
-    span = block.shape[2]
-    x, y = _forward_substitute(block, nu)
+    span = tail.shape[1]
+    x, y = _forward_substitute(column, tail.shape[0], span, nu)
     num = y[:, span - 1]
-    return num, num + np.einsum("bi,bi->b", x[:, :-1], block[:, span, :-1])
+    return num, num + np.einsum("bi,bi->b", x[:, :-1], tail[:, :-1])
 
 
-def _forward_substitute(block: np.ndarray, nu: float) -> tuple[np.ndarray, np.ndarray]:
-    """x = e_0 (I - nu Q)^-1 and y = x / nu (y_0 = 0) for each transposed block
-    ``block[b, j, i] = Q[i, j]``, j < ``block.shape[2]``; rows past that are not read."""
-    span = block.shape[2]
-    x = np.zeros((block.shape[0], span))
+def _forward_substitute(column, rows: int, span: int, nu: float) -> tuple[np.ndarray, np.ndarray]:
+    """x = e_0 (I - nu Q)^-1 and y = x / nu (y_0 = 0) for ``rows`` matrices Q of size
+    ``span``, given the ``rows x j`` slab ``column(j)`` of entries Q[i, j], i < j."""
+    x = np.zeros((rows, span))
     y = np.zeros_like(x)
     x[:, 0] = 1.0
     for j in range(1, span):
-        y[:, j] = np.einsum("bi,bi->b", x[:, :j], block[:, j, :j])
+        y[:, j] = np.einsum("bi,bi->b", x[:, :j], column(j))
         x[:, j] = nu * y[:, j]
     return x, y
 
@@ -373,7 +372,7 @@ def _probability_table(strata: np.ndarray, horizon: int, nu: float, rows_of) -> 
         after = np.cumsum(block[:, ::-1], axis=1)[:, ::-1] / norm
         after = np.where(sums == 0, 1.0, after)  # after[:, k, i]: row i's mass on values >= k
         block /= norm
-        x, y = _forward_substitute(block, nu)
+        x, y = _forward_substitute(lambda j: block[:, j, :j], chunk.size, span, nu)
         for m in range(1, span):
             rows = np.searchsorted(chunk, horizon - m, side="right")  # strata with c + m <= horizon
             num = y[:rows, m]
@@ -399,8 +398,10 @@ def known_probability_table(regimen: RegimenConfig, horizon: int, nu: float) -> 
 
 
 def _ratio_terms(mats: np.ndarray, nu: float, c: int, t: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_solve_ratio_terms` over whole ``(t + 2) x (t + 2)`` schedule matrices."""
-    return _solve_ratio_terms(np.swapaxes(mats[:, c : t + 1, c : t + 2], 1, 2), nu)
+    """:func:`_solve_ratio_terms` over whole ``(t + 2) x (t + 2)`` schedule matrices, read
+    through the dense transposed block ``block[b, j, i] = P[c + i, c + j]``."""
+    block = np.swapaxes(mats[:, c : t + 1, c : t + 2], 1, 2)
+    return _solve_ratio_terms(lambda j: block[:, j, :j], block[:, t - c + 1], nu)
 
 
 def testing_probability_from_matrix(matrix: ScheduleMatrix, specificity: float) -> float:
@@ -711,6 +712,27 @@ class DayEvaluator:
         )
         return codes, bounds, contrib
 
+    @cached_property
+    def _packed_layout(self) -> list[tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]:
+        """Per stratum slot, its codes ``lo:hi``, their row offsets and packed positions,
+        and the first code of each observed row.  The packed block holds Q^T's row
+        ``v`` (Q[0..v-1, v]) at ``v(v-1)/2`` and the tail r at ``v = span``."""
+        width = self.day + 2
+        codes, bounds, _ = self._code_space
+        layout = []
+        for j, c in enumerate(self.strata.tolist()):
+            lo, hi = int(bounds[j]), int(bounds[j + 1])
+            row, column = np.divmod(codes[lo:hi] - j * width * width - c, width)  # value - c
+            layout.append((lo, hi, row, column * (column - 1) // 2 + row,
+                           np.flatnonzero(np.diff(row, prepend=-1))))
+        return layout
+
+    @property
+    def chunk_rows(self) -> int:
+        """Resample rows whose totals and widest packed solve block fit ``_SOLVE_BLOCK_BYTES``."""
+        span = self.day - int(self.strata[0]) + 1 if len(self.strata) else 0
+        return max(1, _SOLVE_BLOCK_BYTES // (8 * (self.features.shape[1] + span * (span + 1) // 2)))
+
     def _stratum_probs(self, counts: np.ndarray, need: np.ndarray) -> np.ndarray:
         """Testing probabilities per (multiplicity row, stratum) from per-code counts.
 
@@ -719,35 +741,31 @@ class DayEvaluator:
         else falls back to a headcount.  The needed rows of each stratum go
         through in chunks under ``_SOLVE_BLOCK_BYTES`` (rows are independent):
         the observed codes are normalised in place by their row sums and
-        scattered straight into the transposed Q and r that
-        :func:`_solve_ratio_terms` reads; an unobserved row becomes the tail
-        indicator.
+        scattered by :attr:`_packed_layout` into the packed Q^T and r whose slabs
+        :func:`_solve_ratio_terms` reads (bit-equal to a dense block's); an
+        unobserved row becomes the tail indicator.
         """
         t = self.day
         nu = self.tests.specificity
-        width = t + 2
-        codes, bounds, _ = self._code_space
         probs = np.zeros((counts.shape[0], len(self.strata)))
-        for j, c in enumerate(self.strata):
+        for j, (lo, hi, row, pos, starts) in enumerate(self._packed_layout):
             sel = np.flatnonzero(need[:, j])
             if sel.size == 0:
                 continue
-            span = t - int(c) + 1  # row offsets 0..t-c correspond to matrix rows c..t
-            lo, hi = bounds[j], bounds[j + 1]
-            row, value = np.divmod(codes[lo:hi] - j * width * width, width)
-            pos = (value - c) * span + row  # Q^T[value - c, row]; value t + 1 lands in r
-            starts = np.flatnonzero(np.diff(row, prepend=-1))  # codes are sorted by row
-            step = max(1, _SOLVE_BLOCK_BYTES // (8 * (span + 1) * span))
+            span = t - int(self.strata[j]) + 1  # row offsets 0..t-c are matrix rows c..t
+            tail = span * (span - 1) // 2
+            step = max(1, _SOLVE_BLOCK_BYTES // (8 * (tail + span)))
             for first in range(0, sel.size, step):
                 rows = sel[first : first + step]
                 part = counts[rows, lo:hi]
                 sums = np.zeros((rows.size, span))
                 sums[:, row[starts]] = np.add.reduceat(part, starts, axis=1)
                 part /= np.maximum(sums, 1.0)[:, row]
-                block = np.zeros((rows.size, span + 1, span))
-                block.reshape(rows.size, -1)[:, pos] = part
-                block[:, span][sums == 0] = 1.0  # unobserved row: tail indicator
-                num, den = _solve_ratio_terms(block, nu)
+                block = np.zeros((rows.size, tail + span))
+                block[:, pos] = part
+                block[:, tail:][sums == 0] = 1.0  # unobserved row: tail indicator
+                num, den = _solve_ratio_terms(
+                    lambda v: block[:, v * (v - 1) // 2 : v * (v + 1) // 2], block[:, tail:], nu)
                 probs[rows, j] = np.where(den > _EPS, num / np.maximum(den, _EPS), 0.0)
         return np.minimum(probs, 1.0)
 

@@ -7,7 +7,8 @@ estimated-weight estimator.  Bootstrap quantiles use linear interpolation
 (numpy's default), since BCa endpoints are sensitive to the convention.
 Every interval here is on the unrestricted prevalence scale, where the
 weighted estimators are unbiased; ``scenarios.estimate_panel_series`` is the
-one step that clips an endpoint to [0, 1].
+one step that clips an endpoint to [0, 1].  The bootstrap and its jackknife
+stream their resamples through the estimator a chunk of rows at a time.
 
 Importing the module loads no scipy: each interval imports the
 ``scipy.special`` functions it evaluates, and the jackknife imports
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -113,6 +114,7 @@ class BcaInterval:
     bias_correction: float = 0.0   # z0
     acceleration: float = 0.0      # a
     quantile_levels: tuple[float, float] = (math.nan, math.nan)
+    n_undefined: int = 0           # bootstrap and jackknife statistics that were nan
 
 
 def _jackknife_blocks(n: int, spec: IntervalSpec, order: np.ndarray) -> list[np.ndarray]:
@@ -122,49 +124,59 @@ def _jackknife_blocks(n: int, spec: IntervalSpec, order: np.ndarray) -> list[np.
     return [order[i : i + size] for i in range(0, n, size)]
 
 
-def _bootstrap_totals(features, draws: np.ndarray) -> np.ndarray:
-    """``counts @ features`` for the multiplicity rows of ``draws`` (one resample a row).
+def _bootstrap_totals(features, rng: np.random.Generator, rows: int) -> np.ndarray:
+    """``counts @ features`` for the next ``rows`` resamples of ``rng``, each a row of
+    ``rng.integers(0, n, ...)`` draws.
 
-    The rows go through in chunks under ``_RESAMPLE_BLOCK_BYTES``: a row-major
-    ``bincount`` of the chunk's draws (row ``b`` counts unit ``i`` into
-    ``b * n + i``) is copied transposed into a unit-major float block, which
-    the product over units reads contiguously.  No rows x units matrix of
-    the whole draw is ever built.
+    The rows are drawn and counted in chunks under ``_RESAMPLE_BLOCK_BYTES``: a
+    row-major ``bincount`` of the chunk's draws (row ``b`` counts unit ``i`` into
+    ``b * n + i``) is copied transposed into a unit-major float block, which the
+    product over units reads contiguously.  ``Generator.integers`` draws the same
+    stream in one call or in chunks of rows (pinned by a test), so no split moves a total.
     """
-    b_iter, n_units = draws.shape
+    n_units = features.shape[0]
     by_column = features.T
-    totals = np.empty((b_iter, features.shape[1]))
+    totals = np.empty((rows, features.shape[1]))
     step = max(1, _RESAMPLE_BLOCK_BYTES // (8 * n_units))
-    for first in range(0, b_iter, step):
-        chunk = draws[first : first + step]
-        rows = chunk.shape[0]
-        flat = np.bincount((chunk + (np.arange(rows) * n_units)[:, None]).ravel(),
-                           minlength=rows * n_units)
-        block = np.empty((n_units, rows))
-        block[...] = flat.reshape(rows, n_units).T
-        totals[first : first + rows] = (by_column @ block).T
+    for first in range(0, rows, step):
+        chunk = rng.integers(0, n_units, size=(min(step, rows - first), n_units))
+        size = chunk.shape[0]
+        chunk += (np.arange(size) * n_units)[:, None]
+        flat = np.bincount(chunk.ravel(), minlength=size * n_units)
+        block = np.empty((n_units, size))
+        block[...] = flat.reshape(size, n_units).T
+        totals[first : first + size] = (by_column @ block).T
     return totals
 
 
-def _jackknife_totals(features, blocks: list[np.ndarray], column_totals: np.ndarray) -> np.ndarray:
-    """Leave-block-out totals: the column totals minus each block's own totals.
+def _jackknife_totals(features, blocks: list[np.ndarray], column_totals: np.ndarray,
+                      step: int) -> Iterator[np.ndarray]:
+    """Leave-block-out totals, ``step`` blocks at a time: the column totals minus each
+    block's own totals.
 
-    The blocks partition the units, so one ``bincount`` over the nonzero
-    entries of ``features``, keyed by (block of the entry's unit, column),
-    gives every block's totals in O(nnz + blocks x columns); the
-    subtraction then runs in place.
+    The nonzero entries of ``features`` are sorted stably by their unit's block once
+    (the blocks partition the units); a chunk's totals are then one ``bincount`` over
+    its run of entries, keyed by (block, column).
     """
     from scipy import sparse
 
-    n_units, m = features.shape
-    block_of = np.empty(n_units, dtype=np.intp)
+    m = features.shape[1]
+    # the smallest type that holds a block number: numpy's stable sort of 8/16-bit keys is linear
+    block_of = np.empty(features.shape[0], dtype=np.min_scalar_type(len(blocks)))
     block_of[np.concatenate(blocks)] = np.repeat(np.arange(len(blocks)),
                                                  [block.size for block in blocks])
     cells = sparse.coo_matrix(features)
-    totals = np.bincount(block_of[cells.row] * m + cells.col, weights=cells.data,
-                         minlength=len(blocks) * m)
-    totals = totals.astype(float, copy=False).reshape(len(blocks), m)  # int64 when nnz is 0
-    return np.subtract(column_totals, totals, out=totals)
+    key = block_of[cells.row]
+    order = np.argsort(key, kind="stable")
+    key, column, data = key[order], cells.col[order], cells.data[order]
+    del cells, order
+    for first in range(0, len(blocks), step):
+        rows = min(step, len(blocks) - first)
+        lo, hi = np.searchsorted(key, [first, first + rows])
+        totals = np.bincount((key[lo:hi].astype(np.intp) - first) * m + column[lo:hi],
+                             weights=data[lo:hi], minlength=rows * m)
+        totals = totals.astype(float, copy=False).reshape(rows, m)  # int64 when the run is empty
+        yield np.subtract(column_totals, totals, out=totals)
 
 
 def bca_bootstrap(
@@ -180,18 +192,21 @@ def bca_bootstrap(
     sparse matrix), and the statistic depends on a multiplicity row (how
     many times each unit enters a resample) only through the row's totals
     ``row @ features``; ``estimator.batch`` maps a rows x m matrix of totals
-    to one statistic per row.  The column sums of ``features`` are the
-    original sample.  The bias-correction constant comes from the fraction
-    of the bootstrap distribution below the point estimate, the
+    to one statistic per row, ``estimator.chunk_rows`` at a time: each chunk is
+    drawn and totalled just before its call.  The column sums of ``features``
+    are the original sample.  The bias-correction constant comes from the
+    fraction of the bootstrap distribution below the point estimate, the
     acceleration from a block jackknife (blocks over a seeded shuffle of the
     units, remainder in a final short block), whose totals are the column
     sums minus the left-out block's.  Reproducible bit-for-bit for a given
     seed: the b-th resample counts row b of a single seeded draw.  With 0/1
     features every total is an integer, so the totals are exact whatever
-    the summation order.  A bootstrap distribution whose spread is within
-    1e-12 of its largest magnitude (or of 1) is degenerate and collapses to
-    its first value.  The endpoints are quantiles of the unrestricted
-    bootstrap distribution, never clipped.
+    the summation order.  A nan statistic is dropped from every step and
+    counted in ``n_undefined``.  A bootstrap distribution with no finite
+    value (the interval is nan), or whose spread is within 1e-12 of its
+    largest magnitude (or of 1), is degenerate and collapses to its first
+    value.  The endpoints are quantiles of the unrestricted bootstrap
+    distribution, never clipped.
     """
     from scipy.special import ndtr, ndtri
 
@@ -201,17 +216,19 @@ def bca_bootstrap(
     column_totals = np.asarray(features.sum(axis=0), dtype=float).ravel()
     if point is None:
         point = float(batch(column_totals[None, :])[0])
-    b_iter = spec.bootstrap_iterations
+    b_iter, step = spec.bootstrap_iterations, estimator.chunk_rows
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(0,))))
-    # one call: Generator.integers buffers 32-bit halves within a call, so a chunked draw differs
-    thetas = batch(_bootstrap_totals(features, rng.integers(0, n_units, size=(b_iter, n_units))))
-
-    if np.ptp(thetas) <= 1e-12 * max(1.0, float(np.max(np.abs(thetas)))):
-        value = float(thetas[0])
-        return BcaInterval(lo=value, hi=value, point=point, degenerate=True)
+    thetas = np.concatenate([batch(_bootstrap_totals(features, rng, min(step, b_iter - first)))
+                             for first in range(0, b_iter, step)])
+    thetas = thetas[~np.isnan(thetas)]
+    n_undefined = b_iter - thetas.size
+    if thetas.size == 0 or np.ptp(thetas) <= 1e-12 * max(1.0, float(np.max(np.abs(thetas)))):
+        value = float(thetas[0]) if thetas.size else math.nan
+        return BcaInterval(lo=value, hi=value, point=point, degenerate=True,
+                           n_undefined=n_undefined)
 
     frac = float(np.mean(thetas < point))
-    frac = min(max(frac, 0.5 / b_iter), 1.0 - 0.5 / b_iter)
+    frac = min(max(frac, 0.5 / thetas.size), 1.0 - 0.5 / thetas.size)
     z0 = float(ndtri(frac))
 
     jack_rng = np.random.Generator(
@@ -219,8 +236,11 @@ def bca_bootstrap(
     )
     order = jack_rng.permutation(n_units)
     blocks = _jackknife_blocks(n_units, spec, order)
-    jack = batch(_jackknife_totals(features, blocks, column_totals))
-    centered = jack.mean() - jack
+    jack = np.concatenate([batch(totals)
+                           for totals in _jackknife_totals(features, blocks, column_totals, step)])
+    jack = jack[~np.isnan(jack)]
+    n_undefined += len(blocks) - jack.size
+    centered = (jack.mean() if jack.size else 0.0) - jack
     denom = (centered**2).sum() ** 1.5
     accel = float((centered**3).sum() / (6.0 * denom)) if denom > 0 else 0.0
 
@@ -234,4 +254,5 @@ def bca_bootstrap(
     return BcaInterval(
         lo=float(lo), hi=float(hi), point=point,
         bias_correction=z0, acceleration=accel, quantile_levels=levels,
+        n_undefined=n_undefined,
     )

@@ -162,7 +162,8 @@ def index_bca_bootstrap(ev, n_units, spec, seed, point=None, clip=(0.0, 1.0)):
     Resamples and jackknife keep-sets are index rows (``setdiff1d`` of the
     shuffled order minus each block); equal-length rows are stacked, turned
     into multiplicities by a per-row ``bincount`` and re-estimated with
-    ``ev.estimate`` on the unclipped scale.
+    ``ev.estimate`` on the unclipped scale.  Resamples with a nan estimate
+    (nobody non-removed) are dropped from every step and counted.
     """
     import math
 
@@ -186,18 +187,27 @@ def index_bca_bootstrap(ev, n_units, spec, seed, point=None, clip=(0.0, 1.0)):
     b_iter = spec.bootstrap_iterations
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(0,))))
     thetas = evaluate(list(rng.integers(0, n_units, size=(b_iter, n_units))))
+    defined = [theta for theta in thetas.tolist() if not math.isnan(theta)]
+    undefined = b_iter - len(defined)
+    if not defined:
+        return BcaInterval(lo=math.nan, hi=math.nan, point=point, degenerate=True,
+                           n_undefined=undefined)
+    thetas = np.array(defined)
     if np.ptp(thetas) <= 1e-12 * max(1.0, float(np.max(np.abs(thetas)))):
         value = float(thetas[0])
-        return BcaInterval(lo=value, hi=value, point=point, degenerate=True)
+        return BcaInterval(lo=value, hi=value, point=point, degenerate=True,
+                           n_undefined=undefined)
     frac = float(np.mean(thetas < point))
-    frac = min(max(frac, 0.5 / b_iter), 1.0 - 0.5 / b_iter)
+    frac = min(max(frac, 0.5 / len(defined)), 1.0 - 0.5 / len(defined))
     z0 = float(stats.norm.ppf(frac))
     jack_rng = np.random.Generator(
         np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(1,))))
     order = jack_rng.permutation(n_units)
     blocks = _jackknife_blocks(n_units, spec, order)
     jack = evaluate([np.setdiff1d(order, block, assume_unique=True) for block in blocks])
-    centered = jack.mean() - jack
+    undefined += int(np.isnan(jack).sum())
+    jack = jack[~np.isnan(jack)]
+    centered = (jack.mean() if jack.size else 0.0) - jack
     denom = (centered**2).sum() ** 1.5
     accel = float((centered**3).sum() / (6.0 * denom)) if denom > 0 else 0.0
     alpha = 1.0 - spec.level
@@ -212,7 +222,8 @@ def index_bca_bootstrap(ev, n_units, spec, seed, point=None, clip=(0.0, 1.0)):
     if clip is not None:
         lo, hi = max(lo, clip[0]), min(hi, clip[1])
     return BcaInterval(lo=float(lo), hi=float(hi), point=point,
-                       bias_correction=z0, acceleration=accel, quantile_levels=levels)
+                       bias_correction=z0, acceleration=accel, quantile_levels=levels,
+                       n_undefined=undefined)
 
 
 def full_matrix_ratio_terms(mats, nu, c, t):

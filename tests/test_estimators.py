@@ -523,6 +523,67 @@ class TestDayEvaluatorMatchesReference:
             np.testing.assert_array_equal(batch(day), want, err_msg=str(day))
 
 
+class TestPackedSolveMatchesDenseBlock:
+    """``DayEvaluator._stratum_probs`` (packed Q^T and r, cached decode) pinned bit for bit
+    to :func:`_solve_ratio_terms` over the dense block scattered from the same counts."""
+
+    @staticmethod
+    def dense_probs(ev, counts, nu):
+        """Per (row, stratum slot) testing probability through the dense transposed block."""
+        codes, bounds, _ = ev._code_space
+        t, width = ev.day, ev.day + 2
+        probs = np.zeros((counts.shape[0], len(ev.strata)))
+        for j, c in enumerate(ev.strata.tolist()):
+            span = t - c + 1
+            block = np.zeros((counts.shape[0], span + 1, span))
+            for k in range(bounds[j], bounds[j + 1]):
+                row, value = divmod(int(codes[k]) - j * width * width, width)
+                block[:, value - c, row] = counts[:, k]
+            sums = block.sum(axis=1)
+            block /= np.maximum(sums, 1.0)[:, None, :]
+            block[:, span][sums == 0] = 1.0
+            num, den = estimators._solve_ratio_terms(lambda v: block[:, v, :v], block[:, span], nu)
+            probs[:, j] = np.where(den > 1e-12, num / np.maximum(den, 1e-12), 0.0)
+        return np.minimum(probs, 1.0)
+
+    @settings(max_examples=80)
+    @given(case=panels_and_days(max_n=20), nu=st.sampled_from([1.0, 0.992, 0.7, 0.35]),
+           rows=st.integers(1, 6), seed=st.integers(0, 2**16))
+    def test_random_counts(self, case, nu, rows, seed):
+        panel, day = case
+        ev = DayEvaluator(panel, day, TestCharacteristics(0.9, nu))
+        codes = ev._code_space[0]
+        rng = np.random.default_rng(seed)
+        counts = rng.integers(0, 4, (rows, codes.size)).astype(float)
+        counts[:, rng.random(codes.size) < 0.3] = 0.0  # rows the resample leaves unobserved
+        need = np.ones((rows, len(ev.strata)), dtype=bool)
+        need[rng.random(need.shape) < 0.2] = False
+        want = np.where(need, self.dense_probs(ev, counts, nu), 0.0)
+        for budget in (1, 16 << 20):  # one row a chunk; every row in one chunk
+            with mock.patch.object(estimators, "_SOLVE_BLOCK_BYTES", budget):
+                got = DayEvaluator(panel, day, TestCharacteristics(0.9, nu))._stratum_probs(
+                    counts.copy(), need)
+            np.testing.assert_array_equal(got, want, err_msg=str(budget))
+
+    def test_span_two_stratum(self):
+        # day 3 of this panel has a stratum cleared on day 2: a 2 x 2 block Q
+        tested = np.zeros((12, 5), bool)
+        tested[:, 1] = tested[:6, 3] = tested[6:, 4] = True
+        positive = np.zeros_like(tested)
+        positive[:4, 1] = True
+        removed = np.zeros_like(tested)
+        removed[:4, 2] = True
+        cleared = np.zeros_like(tested)
+        cleared[:4, 2] = True
+        panel = Panel._derived(4, tested, positive, removed, cleared)
+        ev = DayEvaluator(panel, 3, STUDY)
+        assert 2 in ev.strata.tolist()
+        counts = np.random.default_rng(1).integers(0, 3, (5, ev._code_space[0].size)).astype(float)
+        need = np.ones((5, len(ev.strata)), dtype=bool)
+        np.testing.assert_array_equal(ev._stratum_probs(counts.copy(), need),
+                                      self.dense_probs(ev, counts, STUDY.specificity))
+
+
 def assert_same_evaluation(got, want):
     """Every ``Evaluation`` field bit-equal, NaN matching NaN."""
     for name in ("unclipped", "fallback", "members", "need", "probs"):
@@ -532,7 +593,7 @@ def assert_same_evaluation(got, want):
 def assert_same_interval(got, want):
     """Every ``BcaInterval`` field equal, NaN matching NaN."""
     for name in ("lo", "hi", "point", "degenerate", "bias_correction", "acceleration",
-                 "quantile_levels"):
+                 "quantile_levels", "n_undefined"):
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
 
 
@@ -595,18 +656,20 @@ class TestResampleTotalsMatchDenseRoute:
             spec = IntervalSpec(jackknife_block_count=data.draw(st.integers(2, n + 2)))
         else:
             spec = IntervalSpec(jackknife_block_size=data.draw(st.integers(1, n + 1)))
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        rng = np.random.default_rng(seed)
         draws = rng.integers(0, n, size=(b_iter, n))
         blocks = _jackknife_blocks(n, spec, rng.permutation(n))
+        step = data.draw(st.integers(1, len(blocks) + 1), label="blocks a chunk")
 
         with mock.patch.object(uncertainty, "_RESAMPLE_BLOCK_BYTES", budget):
-            boot = _bootstrap_totals(features, draws)
+            boot = _bootstrap_totals(features, np.random.default_rng(seed), b_iter)
         counts = np.array([np.bincount(row, minlength=n) for row in draws], dtype=float)
         keep = np.ones((len(blocks), n))
         for row, block in enumerate(blocks):
             keep[row, block] = 0.0
         column_totals = np.asarray(features.sum(axis=0)).ravel()
-        jack = _jackknife_totals(features, blocks, column_totals)
+        jack = np.concatenate(list(_jackknife_totals(features, blocks, column_totals, step)))
         for got, rows in ((boot, counts), (jack, keep)):
             want = rows @ features
             assert got.shape == want.shape

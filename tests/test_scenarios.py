@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from prevest import scenarios
 from prevest.core import EventHistory, TestCharacteristics
-from prevest.estimators import Panel
+from prevest.estimators import DayEvaluator, Panel
 from prevest.regimens import ConfigError, Overlays, RegimenConfig
 from prevest.scenarios import (
     SCENARIO_NAMES,
@@ -23,7 +23,7 @@ from prevest.scenarios import (
     run_scenario,
 )
 from prevest.simulate import replicate_bytes, simulate
-from prevest.uncertainty import IntervalSpec
+from prevest.uncertainty import IntervalSpec, bca_bootstrap
 
 from _oracles import testing_process_oracle
 from test_estimators import panels_and_days
@@ -337,6 +337,22 @@ def test_series_interval_ordering_enforced(make_input):
             assert 0.0 <= record.lo <= record.estimate <= record.hi <= 1.0
 
 
+def test_resamples_with_nobody_nonremoved_are_dropped():
+    """Two people on day 2, one removed after a positive test on day 1: a resample that
+    draws only the removed one has no estimate.  It is dropped and counted, and the
+    day keeps an interval."""
+    panel = Panel.from_histories([EventHistory(test_times=(2,), test_results=(False,)),
+                                  EventHistory(test_times=(1,), test_results=(True,))], horizon=2)
+    spec = IntervalSpec(bootstrap_iterations=19)
+    record = estimate_panel_series(panel, STUDY_TESTS, ("ht-e",), spec, min_stratum_size=1,
+                                   seed=0).records[1]
+    assert record.defined and 0.0 <= record.lo <= record.estimate <= record.hi <= 1.0, record
+    evaluator = DayEvaluator(panel, 2, STUDY_TESTS, min_stratum_size=1)
+    interval = bca_bootstrap(evaluator.resampler(), 2, spec, seed=(0, 2))
+    assert 0 < interval.n_undefined < spec.bootstrap_iterations
+    assert not interval.degenerate and interval.lo <= interval.hi
+
+
 class TestOneClipStep:
     """A record's estimate is its unclipped value clipped to [0, 1], and
     ``estimate_panel_series`` alone clips and widens the interval around it."""
@@ -353,9 +369,7 @@ class TestOneClipStep:
             if not record.defined:
                 continue
             assert record.estimate == min(max(record.unclipped, 0.0), 1.0)
-            # a bootstrap whose resamples can leave nobody non-removed yields no ht-e interval
-            if not (record.kind == "ht-e" and math.isnan(record.lo)):
-                assert 0.0 <= record.lo <= record.estimate <= record.hi <= 1.0, record
+            assert 0.0 <= record.lo <= record.estimate <= record.hi <= 1.0, record
 
     @settings(max_examples=60)
     @given(kinds=st.lists(st.sampled_from(["tpr", "ht-k", "ht-e"]), min_size=1, max_size=3,

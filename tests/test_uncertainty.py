@@ -9,6 +9,9 @@ from scipy import sparse, stats
 from scipy.special import betaincinv, ndtr, ndtri
 
 from prevest.core import ConfigError, TestCharacteristics
+from prevest.estimators import DayEvaluator
+from prevest.scenarios import build_scenario
+from prevest.simulate import simulate
 from prevest.uncertainty import (
     IntervalSpec,
     _bootstrap_totals,
@@ -158,6 +161,8 @@ class MeanEstimator:
     """Plain resampling statistic over a fixed data vector: a resample's totals are
     its sum of the values and its number of units."""
 
+    chunk_rows = 64  # a bootstrap of more rows streams through several batch calls
+
     def __init__(self, values):
         self.values = np.asarray(values, dtype=float)
         self.features = np.column_stack([self.values, np.ones(self.values.size)])
@@ -173,6 +178,8 @@ class ConstantEstimator:
     values`` rounds differently from row to row.
     """
 
+    chunk_rows = 64
+
     def __init__(self, value, n_units):
         self.value = value
         self.features = np.ones((n_units, 1))
@@ -186,10 +193,31 @@ class TestBcaBootstrap:
     def test_unit_major_counts_equal_row_major_route(self, b_iter, n_units):
         # over identity features a resample's totals are its multiplicity row
         draws = np.random.default_rng(b_iter).integers(0, n_units, size=(b_iter, n_units))
-        counts = _bootstrap_totals(sparse.identity(n_units, format="csc"), draws)
+        counts = _bootstrap_totals(sparse.identity(n_units, format="csc"),
+                                   np.random.default_rng(b_iter), b_iter)
         want = np.array([np.bincount(row, minlength=n_units) for row in draws], dtype=float)
         assert counts.shape == want.shape and counts.dtype == want.dtype
         np.testing.assert_array_equal(counts, want)
+
+    @pytest.mark.parametrize("n_units", [1, 2, 1001, 2000])
+    @pytest.mark.parametrize("step", [1, 65, 399])  # one row; 6 x 65 and a tail of 9; all
+    def test_chunked_draw_equals_one_call(self, n_units, step):
+        # bca_bootstrap draws its resamples a chunk at a time: the installed numpy must give
+        # the stream of one (399, n) call, or every seeded interval would move
+        def stream():
+            return np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+                entropy=(0, 7), spawn_key=(0,))))
+
+        want = stream().integers(0, n_units, size=(399, n_units))
+        chunks, totals = stream(), stream()
+        got = [chunks.integers(0, n_units, size=(min(step, 399 - first), n_units))
+               for first in range(0, 399, step)]
+        np.testing.assert_array_equal(np.concatenate(got), want)
+        identity = sparse.identity(n_units, format="csc")
+        got = [_bootstrap_totals(identity, totals, min(step, 399 - first))
+               for first in range(0, 399, step)]
+        want = np.array([np.bincount(row, minlength=n_units) for row in want], dtype=float)
+        np.testing.assert_array_equal(np.concatenate(got), want)
 
     def test_constant_estimator_degenerates_to_point(self):
         spec = IntervalSpec(bootstrap_iterations=99)
@@ -202,6 +230,12 @@ class TestBcaBootstrap:
         out = bca_bootstrap(ConstantEstimator(-0.01, 30), 30, spec, seed=1)
         assert out.degenerate
         assert out.lo == out.hi == -0.01
+
+    def test_no_defined_resample_gives_a_degenerate_nan_interval(self):
+        spec = IntervalSpec(bootstrap_iterations=99)
+        out = bca_bootstrap(ConstantEstimator(math.nan, 30), 30, spec, seed=1, point=0.2)
+        assert out.degenerate and math.isnan(out.lo) and math.isnan(out.hi)
+        assert out.n_undefined == 99
 
     def test_distribution_below_zero_is_not_inverted(self):
         # every resample mean lies in [-1, -0.5]: the raw interval does too
@@ -298,3 +332,22 @@ class TestBcaBootstrap:
             tracemalloc.stop()
         assert not out.degenerate and out.acceleration != 0.0
         assert peak < 32 * 2**20, peak / 2**20
+
+    def test_evaluator_resamples_stream_under_one_budget(self):
+        # n=4000, T=60, day 60: 4309 total columns, so the 400 jackknife rows alone are
+        # 13 MiB of totals; dense, they and the whole draw peaked at 36 MiB above the
+        # evaluator's own arrays, and streamed under the solve budget they peak at 23 MiB
+        bundle = build_scenario("min-max", population_size=4000, horizon_days=60)
+        panel = simulate(bundle.config, seed=0).panel()
+        ev = DayEvaluator(panel, 60, bundle.config.tests)
+        ev.features  # built once per evaluator, like the panel's own index
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = bca_bootstrap(ev.resampler(), 4000, IntervalSpec(bootstrap_iterations=99),
+                                seed=0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert not out.degenerate and out.lo < out.hi
+        assert peak < 28 * 2**20, peak / 2**20
