@@ -72,7 +72,7 @@ class Panel:
     last_clear: np.ndarray
     next_test: np.ndarray
     assumed_well: np.ndarray
-    _point_probs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_individuals(self) -> int:
@@ -93,7 +93,9 @@ class Panel:
         c = after[individual, s].astype(np.int64)
         next_test = self.next_test[individual, s].astype(np.int64)
         key = c * (self.horizon + 1) + s
-        order = np.argsort(key * (self.horizon + 3) + next_test, kind="stable")
+        # the smallest type that holds every cell key: numpy's stable sort of 16-bit keys is linear
+        dtype = np.min_scalar_type((self.horizon + 1) ** 2 * (self.horizon + 3))
+        order = np.argsort((key * (self.horizon + 3) + next_test).astype(dtype), kind="stable")
         return ContributionIndex(key=key[order], offset=(s - c)[order],
                                  next_test=next_test[order], individual=individual[order])
 
@@ -118,15 +120,43 @@ class Panel:
                          n_tests=per_day[:, :, 2:].sum(axis=(1, 2)),
                          n_positive=per_day[:, :, 1::2].sum(axis=(1, 2)))
 
+    def _table(self, key, build):
+        """The table cached under ``key``, built by ``build()`` on first use."""
+        if key not in self._tables:
+            self._tables[key] = build()
+        return self._tables[key]
+
     def point_probabilities(self, specificity: float) -> np.ndarray:
         """``probs[c, t]``: the estimated testing probability of stratum ``c`` on day
         ``t``, for the panel as observed; built on first use per specificity."""
-        if specificity not in self._point_probs:
-            index, horizon = self.contribution_index, self.horizon
-            self._point_probs[specificity] = _probability_table(
-                np.unique(index.key // (horizon + 1)), horizon, specificity,
-                lambda chunk, span: index.row_counts(chunk, span, horizon))
-        return self._point_probs[specificity]
+        index, horizon = self.contribution_index, self.horizon
+        return self._table(("probs", specificity), lambda: _probability_table(
+            np.unique(index.key // (horizon + 1)), horizon, specificity,
+            lambda chunk, span: index.row_counts(chunk, span, horizon)))
+
+    def known_terms(self, tests: TestCharacteristics) -> np.ndarray:
+        """``[t, c]`` planes of ``ht-k``'s per-stratum numerator ``neg_c - (1 - eta)
+        tested_c`` and variance factor ``eta^2 neg_c + (1 - eta)^2 pos_c``."""
+        counts, eta = self.day_counts, tests.sensitivity
+        return self._table(("known", tests), lambda: np.stack([
+            _numerator(counts.tested, counts.negative, tests),
+            eta**2 * counts.negative + (1.0 - eta) ** 2 * (counts.tested - counts.negative)]))
+
+    def estimated_terms(self, tests: TestCharacteristics,
+                        min_stratum_size: int) -> tuple[np.ndarray, np.ndarray]:
+        """``[t, c]`` planes of the members and ``ht-e``'s probs and terms, and of its need
+        and fallback flags (:func:`_stratum_terms`), so a day's point estimate sums its row."""
+        counts = self.day_counts
+
+        def build():
+            # first, so that no term array is alive while the solve sets the peak memory
+            table = self.point_probabilities(tests.specificity).T
+            need, probs, term, fallback = _stratum_terms(
+                counts.members, counts.tested, _numerator(counts.tested, counts.negative, tests),
+                lambda need: np.where(need, table, 0.0), min_stratum_size, tests)
+            return np.stack([counts.members, probs, term]), np.stack([need, fallback])
+
+        return self._table(("estimated", tests, min_stratum_size), build)
 
     @staticmethod
     def _derived(horizon: int, tested, positive, removed, cleared, assumed_well=None) -> "Panel":
@@ -354,8 +384,9 @@ def _probability_table(strata: np.ndarray, horizon: int, nu: float, rows_of) -> 
     ``[stratum, value, row]``; an empty row has its mass past the horizon.  Day
     ``t = c + m`` reads a prefix of these rows, so one forward substitution serves
     every day: num = y_m, den = y_m + sum_{j<m} x_j r_j(t), r_j(t) row j's mass after
-    ``t`` (:func:`_solve_ratio_terms`).  Chunks are padded to their widest span under
-    ``_TABLE_BLOCK_BYTES``, past each stratum's own rows, which the solve never reads.
+    ``t`` (:func:`_solve_ratio_terms`); one einsum per ``m`` fills ``den``, and the ratios
+    of a chunk are formed and scattered at once.  Chunks are padded to their widest span
+    under ``_TABLE_BLOCK_BYTES``, past each stratum's own rows, which the solve never reads.
     """
     size = horizon + 1
     probs = np.zeros((size, size))
@@ -373,12 +404,14 @@ def _probability_table(strata: np.ndarray, horizon: int, nu: float, rows_of) -> 
         after = np.where(sums == 0, 1.0, after)  # after[:, k, i]: row i's mass on values >= k
         block /= norm
         x, y = _forward_substitute(lambda j: block[:, j, :j], chunk.size, span, nu)
+        den = np.zeros_like(y)
         for m in range(1, span):
             rows = np.searchsorted(chunk, horizon - m, side="right")  # strata with c + m <= horizon
-            num = y[:rows, m]
-            den = num + np.einsum("bi,bi->b", x[:rows, :m], after[:rows, m + 1, :m])
-            probs[chunk[:rows], chunk[:rows] + m] = np.where(
-                den > _EPS, num / np.maximum(den, _EPS), 0.0)
+            den[:rows, m] = np.einsum("bi,bi->b", x[:rows, :m], after[:rows, m + 1, :m])
+        den += y
+        b, m = np.nonzero(chunk[:, None] + np.arange(span) <= horizon)
+        probs[chunk[b], chunk[b] + m] = np.where(
+            den[b, m] > _EPS, y[b, m] / np.maximum(den[b, m], _EPS), 0.0)
     return np.minimum(probs, 1.0)
 
 
@@ -501,13 +534,31 @@ def prevalence_from_w(w_hat: float, n_population: int, removed: int) -> tuple[fl
     return clip_unit(unclipped), unclipped
 
 
-def _stratum_day_sum(n_c, tested_c, neg_c, probs, active, tests: TestCharacteristics):
-    """Well count summed over strata (the last axis): an ``active`` stratum adds
-    :func:`ht_estimate_w` of its members, ``(neg_c - (1 - eta) tested_c) / (youden pi_c)``,
-    and any other stratum counts all ``n_c`` of its members as well."""
-    weighted = (neg_c - (1.0 - tests.sensitivity) * tested_c) / (
-        tests.youden * np.where(active, probs, 1.0))
-    return np.where(active, weighted, n_c).sum(axis=-1)
+def _numerator(tested_c, neg_c, tests: TestCharacteristics):
+    """``neg_c - (1 - eta) tested_c``: a stratum's weighted well count times youden pi_c."""
+    return neg_c - (1.0 - tests.sensitivity) * tested_c
+
+
+def _stratum_terms(n_c, tested_c, numerator, probs_of, min_stratum_size: int,
+                   tests: TestCharacteristics):
+    """``(need, probs, term, fallback)`` per stratum, elementwise: a stratum large enough and
+    tested needs its testing probability ``probs_of(need)``; an active one (needed, probability
+    above zero) adds :func:`ht_estimate_w` of its members, ``numerator / (youden pi_c)``, to
+    the well count, and any other counts its ``n_c`` members whole (a fallback if any)."""
+    need = (n_c >= min_stratum_size) & (tested_c > 0)
+    probs = probs_of(need)
+    active = need & (probs > _EPS)
+    term = np.where(active, numerator / (tests.youden * np.where(active, probs, 1.0)), n_c)
+    return need, probs, term, ~active & (n_c > 0)
+
+
+def _evaluation(nonrem_n, assumed, n_c, need, probs, term, fallback) -> "Evaluation":
+    """The :class:`Evaluation` of ``[rows, S]`` stratum terms: each row's well count is
+    its members assumed well plus its terms' sum."""
+    w_hat = assumed + term.sum(axis=-1)
+    unclipped = np.where(nonrem_n > 0, (nonrem_n - w_hat) / np.maximum(nonrem_n, 1.0), np.nan)
+    return Evaluation(unclipped=unclipped, fallback=fallback.sum(axis=-1), members=n_c,
+                      need=need, probs=probs)
 
 
 def bias_ratio(
@@ -619,10 +670,10 @@ class DayEvaluator:
     """Re-evaluates the estimated-weight estimator for one (panel, day).
 
     Construction only reads the strata in force on the day from the panel's
-    :attr:`Panel.day_counts`.  The point estimate takes its :attr:`headcounts`
-    (shared with :func:`ht_known`) from the same table and each stratum's testing
-    probability from :meth:`Panel.point_probabilities`: one count pass and one
-    solve per stratum per panel serve every day, and no point estimate reads an
+    :attr:`Panel.day_counts`.  The point estimate gathers the day's row of
+    :meth:`Panel.estimated_terms`, built from the same counts and
+    :meth:`Panel.point_probabilities`, and sums it: one count pass and one solve
+    per stratum per panel serve every day, and no point estimate reads an
     individual.  Resampled re-estimation (bootstrap multiplicity
     vectors, jackknife blocks) builds the day's :attr:`features`, its
     indicator columns and next-test contributions, on first use, and
@@ -642,13 +693,6 @@ class DayEvaluator:
         self.tests = tests
         self.min_stratum_size = min_stratum_size
         self.strata = np.flatnonzero(panel.day_counts.members[day, :day] > 0)
-
-    @cached_property
-    def headcounts(self) -> tuple[np.ndarray, ...]:
-        """Members, tested members and negative members per stratum slot, as observed."""
-        counts = self.panel.day_counts
-        return tuple(table[self.day, self.strata]
-                     for table in (counts.members, counts.tested, counts.negative))
 
     def _day_record(self, kind: str, unclipped: float, n_fallback_strata: int = 0) -> DayEstimate:
         """The day's record with its test counts among the non-removed."""
@@ -772,21 +816,21 @@ class DayEvaluator:
     def estimate(self, multiplicity: np.ndarray | None = None) -> Evaluation:
         """The estimator's :class:`Evaluation` for each multiplicity row.
 
-        ``None`` is the panel as observed (one row of 1s), read from
-        the panel's day counts and probability table without building
-        the per-day resampling state.  Multiplicity rows reduce to their
-        totals over :attr:`features`.
+        ``None`` is the panel as observed (one row of 1s): the day's row of
+        the panel's term tables, summed, without building the per-day
+        resampling state.  Multiplicity rows reduce to their totals over
+        :attr:`features`.
         """
         if multiplicity is not None:
             record = self._estimate_totals(multiplicity @ self.features)
         else:
-            n_c, tested_c, neg_c = (count[None, :] for count in self.headcounts)
-            table = self.panel.point_probabilities(self.tests.specificity)
-            counts = self.panel.day_counts
-            record = self._weigh(np.array([counts.nonremoved[self.day]], dtype=float),
-                                 np.array([counts.assumed[self.day]], dtype=float),
-                                 n_c, tested_c, neg_c,
-                                 lambda need: np.where(need, table[self.strata, self.day], 0.0))
+            counts, day = self.panel.day_counts, slice(self.day, self.day + 1)
+            (members, probs, term), (need, fallback) = (
+                table[:, day, self.strata]
+                for table in self.panel.estimated_terms(self.tests, self.min_stratum_size))
+            record = _evaluation(counts.nonremoved[day].astype(float),
+                                 counts.assumed[day].astype(float),
+                                 members, need, probs, term, fallback)
         self._last_fallback = record.fallback  # read only by perfbench/tracing.py
         return record
 
@@ -800,19 +844,9 @@ class DayEvaluator:
         n_c, tested_c, neg_c = totals[:, 2 : 2 + 3 * s_count].reshape(
             len(totals), 3, s_count).transpose(1, 0, 2)
         codes = totals[:, 2 + 3 * s_count :]
-        return self._weigh(totals[:, 0], totals[:, 1], n_c, tested_c, neg_c,
-                           lambda need: self._stratum_probs(codes, need))
-
-    def _weigh(self, nonrem_n, assumed, n_c, tested_c, neg_c, probs_of) -> Evaluation:
-        """The :class:`Evaluation` of the per-stratum day sum over ``[rows, S]`` headcounts;
-        ``probs_of(need)`` gives the testing probabilities of the strata large enough and tested."""
-        need = (n_c >= self.min_stratum_size) & (tested_c > 0)
-        probs = probs_of(need)
-        active = need & (probs > _EPS)
-        w_hat = assumed + _stratum_day_sum(n_c, tested_c, neg_c, probs, active, self.tests)
-        unclipped = np.where(nonrem_n > 0, (nonrem_n - w_hat) / np.maximum(nonrem_n, 1.0), np.nan)
-        return Evaluation(unclipped=unclipped, fallback=(~active & (n_c > 0)).sum(axis=1),
-                          members=n_c, need=need, probs=probs)
+        return _evaluation(totals[:, 0], totals[:, 1], n_c, *_stratum_terms(
+            n_c, tested_c, _numerator(tested_c, neg_c, self.tests),
+            lambda need: self._stratum_probs(codes, need), self.min_stratum_size, self.tests))
 
     def day_estimate(self) -> DayEstimate:
         """The ``ht-e`` record of the panel as observed (no resampling)."""
@@ -866,24 +900,22 @@ def ht_known(panel: Panel, day: int, tests: TestCharacteristics,
     strata with no tests contribute zero to the well count, which is what
     keeps the estimator unbiased and occasionally high-variance.  The Wald
     variance is the per-stratum sum of ``(1 - pi_c) / pi_c^2 (eta^2 neg_c +
-    (1 - eta)^2 pos_c) / youden^2``.  ``evaluator`` (a :class:`DayEvaluator` of
-    the same panel, day and tests) shares its headcounts.
+    (1 - eta)^2 pos_c) / youden^2``; both sums read the day's row of
+    :meth:`Panel.known_terms`.  ``evaluator`` (a :class:`DayEvaluator` of the same
+    panel, day and tests) shares its strata.
     """
     ev = evaluator if evaluator is not None else DayEvaluator(panel, day, tests)
     strata = ev.strata.tolist()
-    weights = np.array([float(weight_for(c, day)) for c in strata])
-    bad = np.flatnonzero(~np.isfinite(weights) | (weights < 1.0))
-    if bad.size:
-        raise ValueError(f"weight for stratum {strata[bad[0]]} must be finite and >= 1, "
-                         f"got {float(weights[bad[0]])}")
-    pi = 1.0 / weights
-    n_c, tested_c, neg_c = ev.headcounts
-    eta = tests.sensitivity
+    weights = [float(weight_for(c, day)) for c in strata]
+    bad = next((j for j, w in enumerate(weights) if not 1.0 <= w < math.inf), None)
+    if bad is not None:
+        raise ValueError(f"weight for stratum {strata[bad]} must be finite and >= 1, "
+                         f"got {weights[bad]}")
+    pi = 1.0 / np.array(weights)
+    numerator, factor = panel.known_terms(tests)[:, day, ev.strata]
     counts = panel.day_counts
-    w_hat = int(counts.assumed[day]) + float(
-        _stratum_day_sum(n_c, tested_c, neg_c, pi, np.ones(pi.shape, dtype=bool), tests))
-    variance = float(((1.0 - pi) / pi**2 * (eta**2 * neg_c + (1.0 - eta) ** 2 * (tested_c - neg_c))
-                      ).sum() / tests.youden**2)
+    w_hat = int(counts.assumed[day]) + float((numerator / (tests.youden * pi)).sum())
+    variance = float(((1.0 - pi) / pi**2 * factor).sum() / tests.youden**2)
     removed = panel.n_individuals - int(counts.nonremoved[day])
     unclipped = prevalence_from_w(w_hat, panel.n_individuals, removed)[1]
     return ev._day_record("ht-k", unclipped), variance

@@ -72,6 +72,14 @@ def _nan_aggregate(func, *args, **kwargs):
         return func(*args, **kwargs)
 
 
+def _mc_se(values: np.ndarray) -> np.ndarray:
+    """Per-day Monte Carlo standard error of the mean over the replicates with a defined
+    value: their sample standard deviation over the root of their count, nan below two."""
+    defined = np.count_nonzero(~np.isnan(values), axis=0)
+    spread = _nan_aggregate(np.nanstd, values, axis=0, ddof=1)
+    return np.where(defined >= 2, spread / np.sqrt(np.maximum(defined, 1)), np.nan)
+
+
 SCENARIO_NAMES = (
     "simple-random",
     "max-gap",
@@ -357,7 +365,7 @@ class ScenarioRunResult:
         return _nan_aggregate(np.nanmean, self.unclipped[kind] - self.truth, axis=0)
 
     def mc_se_unclipped(self, kind: str) -> np.ndarray:
-        return _nan_aggregate(np.nanstd, self.unclipped[kind], axis=0, ddof=1) / math.sqrt(self.replicates)
+        return _mc_se(self.unclipped[kind])
 
     def rmse(self, kind: str) -> np.ndarray:
         return np.sqrt(_nan_aggregate(np.nanmean, (self.estimates[kind] - self.truth) ** 2, axis=0))
@@ -367,7 +375,7 @@ class ScenarioRunResult:
 
     def mc_se(self, kind: str) -> np.ndarray:
         """Monte Carlo standard error of the mean estimate, per day."""
-        return _nan_aggregate(np.nanstd, self.estimates[kind], axis=0, ddof=1) / math.sqrt(self.replicates)
+        return _mc_se(self.estimates[kind])
 
     def rows(self):
         """Tidy aggregate rows (scenario, estimator, day, ...)."""

@@ -525,3 +525,81 @@ def per_day_counts(panel, day):
         "n_tests": int(np.count_nonzero(panel.tested[:, t] & nonremoved)),
         "n_positive": int(np.count_nonzero(panel.positive[:, t] & nonremoved)),
     }
+
+
+def per_day_point_evaluation(ev):
+    """``DayEvaluator.estimate(None)`` computed from the day's own headcounts.
+
+    The route before the panel kept per-(day, stratum) term tables: the day's
+    members, tested members and negatives are read from ``Panel.day_counts``,
+    each needed stratum's probability from ``Panel.point_probabilities``, and the
+    well count is summed over the day's strata with the elementwise formula.
+    """
+    from prevest.estimators import _EPS, Evaluation
+
+    panel, t, tests = ev.panel, ev.day, ev.tests
+    counts = panel.day_counts
+    n_c, tested_c, neg_c = (table[t, ev.strata][None, :]
+                            for table in (counts.members, counts.tested, counts.negative))
+    nonrem_n = np.array([counts.nonremoved[t]], dtype=float)
+    assumed = np.array([counts.assumed[t]], dtype=float)
+    need = (n_c >= ev.min_stratum_size) & (tested_c > 0)
+    probs = np.where(need, panel.point_probabilities(tests.specificity)[ev.strata, t], 0.0)
+    active = need & (probs > _EPS)
+    weighted = (neg_c - (1.0 - tests.sensitivity) * tested_c) / (
+        tests.youden * np.where(active, probs, 1.0))
+    w_hat = assumed + np.where(active, weighted, n_c).sum(axis=-1)
+    unclipped = np.where(nonrem_n > 0, (nonrem_n - w_hat) / np.maximum(nonrem_n, 1.0), np.nan)
+    return Evaluation(unclipped=unclipped, fallback=(~active & (n_c > 0)).sum(axis=1),
+                      members=n_c, need=need, probs=probs)
+
+
+def per_day_ht_known(panel, day, tests, weight_for):
+    """``ht_known``'s ``(unclipped, variance)`` from the day's own headcounts, the route
+    before the panel kept the numerator and variance-factor tables."""
+    from prevest.estimators import DayEvaluator, prevalence_from_w
+
+    strata = DayEvaluator(panel, day, tests).strata
+    counts = panel.day_counts
+    n_c, tested_c, neg_c = (table[day, strata]
+                            for table in (counts.members, counts.tested, counts.negative))
+    pi = 1.0 / np.array([float(weight_for(c, day)) for c in strata.tolist()])
+    eta = tests.sensitivity
+    weighted = (neg_c - (1.0 - eta) * tested_c) / (
+        tests.youden * np.where(np.ones(pi.shape, dtype=bool), pi, 1.0))
+    w_hat = int(counts.assumed[day]) + float(
+        np.where(np.ones(pi.shape, dtype=bool), weighted, n_c).sum(axis=-1))
+    variance = float(((1.0 - pi) / pi**2 * (eta**2 * neg_c + (1.0 - eta) ** 2 * (tested_c - neg_c))
+                      ).sum() / tests.youden**2)
+    removed = panel.n_individuals - int(counts.nonremoved[day])
+    return prevalence_from_w(w_hat, panel.n_individuals, removed)[1], variance
+
+
+def per_offset_probability_table(strata, horizon, nu, rows_of):
+    """``estimators._probability_table`` with each offset ``m``'s ratios formed and
+    scattered inside the loop, the form before one scatter per chunk."""
+    from prevest.estimators import _EPS, _TABLE_BLOCK_BYTES, _forward_substitute
+
+    size = horizon + 1
+    probs = np.zeros((size, size))
+    strata = strata[strata < horizon]
+    first = 0
+    while first < strata.size:
+        span = horizon - int(strata[first]) + 1
+        step = max(1, _TABLE_BLOCK_BYTES // (8 * (span + 1) * span))
+        chunk = strata[first : first + step]
+        first += chunk.size
+        block = rows_of(chunk, span)
+        sums = block.sum(axis=1)[:, None, :]
+        norm = np.where(sums > 0, sums, 1.0)
+        after = np.cumsum(block[:, ::-1], axis=1)[:, ::-1] / norm
+        after = np.where(sums == 0, 1.0, after)
+        block /= norm
+        x, y = _forward_substitute(lambda j: block[:, j, :j], chunk.size, span, nu)
+        for m in range(1, span):
+            rows = np.searchsorted(chunk, horizon - m, side="right")
+            num = y[:rows, m]
+            den = num + np.einsum("bi,bi->b", x[:rows, :m], after[:rows, m + 1, :m])
+            probs[chunk[:rows], chunk[:rows] + m] = np.where(
+                den > _EPS, num / np.maximum(den, _EPS), 0.0)
+    return np.minimum(probs, 1.0)

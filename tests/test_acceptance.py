@@ -10,6 +10,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 from scipy import stats
 
 from prevest.core import TestCharacteristics, reconstruct_state
@@ -35,6 +36,8 @@ from prevest.simulate import ExternalHazard, HazardModel, ScenarioConfig, simula
 from prevest.uncertainty import IntervalSpec, clopper_pearson
 
 from _oracles import fold_states_from_simulation, state_sets, testing_process_oracle
+
+pytestmark = pytest.mark.slow  # the whole suite takes about a minute
 
 BUILTIN_REGIMENS = {
     "simple-random": RegimenConfig.simple_random(1 / 6),

@@ -651,6 +651,7 @@ near_values = st.sampled_from([0, 1, 2, -1, 0.0, 0.5, 1.0, 1.5, -0.5, 1e300, "1"
                                None, [], {}, [1], {"kind": "zero"}])
 
 
+@pytest.mark.slow
 class TestBadInputProperty:
     """One key of a valid config or policy replaced by an arbitrary JSON value: every
     run exits 0 or with a documented bad-input code (2, 3, 4), never 5, and a run

@@ -240,6 +240,7 @@ def random_matrices(draw, max_n, max_days, labelled=False):
     return TestingMatrix(dates, np.array(cells, dtype=np.int8), labels)
 
 
+@pytest.mark.slow
 class TestMatrixFileProperties:
     """The whole-array parser and writer pinned to the per-cell originals."""
 
@@ -469,6 +470,7 @@ def assert_same_adjustment(got, want):
     assert got.tests_per_day.dtype == want.tests_per_day.dtype
 
 
+@pytest.mark.slow
 class TestAdjustmentOracle:
     """The day-loop ``apply_adjustments`` pinned to the row-loop original."""
 

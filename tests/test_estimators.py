@@ -47,6 +47,9 @@ from _oracles import (
     full_matrix_ratio_terms,
     index_bca_bootstrap,
     per_day_counts,
+    per_day_ht_known,
+    per_day_point_evaluation,
+    per_offset_probability_table,
     per_stratum_ht_known,
     testing_process_oracle,
 )
@@ -406,6 +409,7 @@ def panels_and_days(draw, max_n=12, max_horizon=8):
     return Panel._derived(horizon, tested, positive, removed, cleared), day
 
 
+@pytest.mark.slow
 class TestDayEvaluatorMatchesReference:
     """The vectorised evaluator pinned to the per-(stratum, row) and matrix paths."""
 
@@ -460,7 +464,8 @@ class TestDayEvaluatorMatchesReference:
             ev = DayEvaluator(panel, day, tests, min_stratum_size=min_size)
             point = ev.estimate(None)
             assert_same_evaluation(point, ev.estimate(np.ones((1, n))))
-            np.testing.assert_array_equal(point.members[0], ev.headcounts[0])
+            np.testing.assert_array_equal(point.members[0],
+                                          panel.day_counts.members[day, ev.strata])
             need = point.need[0]
             np.testing.assert_array_equal(point.probs[0][need], probs[ev.strata, day][need])
         for c in range(panel.horizon):
@@ -733,15 +738,14 @@ class TestDayCounts:
         assert seen == {"assumed": True, "removed": True, "memberless": True}
 
     def test_evaluator_reads_the_table(self):
-        """The point path of a day reads its row: the strata present, their headcounts
+        """The point path of a day reads its row: the strata present, their members
         and the record's test counts."""
         panel = adjusted_panel(5, 40, True, 2, 3, 6)
         for day in range(1, panel.horizon + 1):
             want = per_day_counts(panel, day)
             ev = DayEvaluator(panel, day, STUDY)
             np.testing.assert_array_equal(ev.strata, np.flatnonzero(want["members"]))
-            for got, name in zip(ev.headcounts, ("members", "tested", "negative")):
-                np.testing.assert_array_equal(got, want[name][ev.strata])
+            np.testing.assert_array_equal(ev.estimate().members[0], want["members"][ev.strata])
             record = ev.day_estimate()
             assert (record.n_tests, record.n_positive) == (want["n_tests"], want["n_positive"])
 
@@ -824,6 +828,74 @@ class TestHtKnown:
                     assert est.unclipped == pytest.approx(
                         (nonremoved - w_hat) / nonremoved, rel=1e-12, abs=1e-12), day
                 assert variance == pytest.approx(want_var, rel=1e-12, abs=1e-12), day
+
+
+def assert_same_bits(got, want, name=""):
+    """Same dtype, shape and bytes: exact equality, NaN matching NaN and -0.0 not 0.0."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+    assert got.tobytes() == want.tobytes(), (name, got, want)
+
+
+class TestPanelTermsMatchPerDayRoute:
+    """Each day's ``ht-e`` point estimate and ``ht-k`` sums gather the day's row of the
+    panel's term tables; pinned bit for bit to the per-day routes in ``tests/_oracles.py``."""
+
+    @settings(max_examples=40)
+    @given(seed=st.integers(0, 2**16), n=st.integers(1, 80), perfect=st.booleans(),
+           min_max=st.booleans(), delay=st.integers(0, 2), exemption=st.integers(0, 8),
+           min_size=st.sampled_from([0, 1, 5, 10]), weight_seed=st.integers(0, 2**16))
+    def test_random_adjusted_panels(self, seed, n, perfect, min_max, delay, exemption,
+                                    min_size, weight_seed):
+        tests = PERFECT if perfect else STUDY
+        panel = adjusted_panel(seed, n, min_max, delay, 4, exemption, perfect)
+        rng = np.random.default_rng(weight_seed)
+        weights = np.where(rng.random((16, 16)) < 0.2, 1.0, rng.uniform(1.0, 30.0, (16, 16)))
+
+        def weight_for(c, t):
+            return float(weights[c, t])
+
+        for day in range(1, panel.horizon + 1):
+            ev = DayEvaluator(panel, day, tests, min_stratum_size=min_size)
+            got, want = ev.estimate(None), per_day_point_evaluation(ev)
+            for name in ("unclipped", "fallback", "members", "need", "probs"):
+                assert_same_bits(getattr(got, name), getattr(want, name), (name, day))
+            assert_same_bits(ev._last_fallback, want.fallback, day)
+            want_known = per_day_ht_known(panel, day, tests, weight_for)
+            for evaluator in (None, ev):
+                est, variance = ht_known(panel, day, tests, weight_for, evaluator=evaluator)
+                assert_same_bits((est.unclipped, variance), want_known, day)
+
+
+class TestProbabilityTableMatchesPerOffsetLoop:
+    """``_probability_table`` forms and scatters a chunk's ratios at once; pinned bit for
+    bit to the loop that did so per offset, on observed and on regimen rows."""
+
+    @settings(max_examples=40)
+    @given(case=panels_and_days(), nu=st.sampled_from([1.0, 0.992, 0.6]),
+           budget=st.sampled_from([estimators._TABLE_BLOCK_BYTES, 64, 2048]))
+    def test_observed_rows(self, case, nu, budget):
+        panel, _ = case
+        index, horizon = panel.contribution_index, panel.horizon
+        strata = np.unique(index.key // (horizon + 1))
+
+        def rows_of(chunk, span):
+            return index.row_counts(chunk, span, horizon)
+
+        with mock.patch.object(estimators, "_TABLE_BLOCK_BYTES", budget):
+            got = estimators._probability_table(strata, horizon, nu, rows_of)
+            want = per_offset_probability_table(strata, horizon, nu, rows_of)
+        assert_same_bits(got, want)
+        assert_same_bits(panel.point_probabilities(nu), per_offset_probability_table(
+            strata, horizon, nu, rows_of))
+
+    @settings(max_examples=40)
+    @given(regimen=regimens(), horizon=st.integers(1, 16), nu=st.floats(0.9, 1.0))
+    def test_regimen_rows(self, regimen, horizon, nu):
+        got = known_probability_table(regimen, horizon, nu)
+        with mock.patch.object(estimators, "_probability_table", per_offset_probability_table):
+            want = known_probability_table(regimen, horizon, nu)
+        assert_same_bits(got, want)
 
 
 class TestBiasRatio:

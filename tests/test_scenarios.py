@@ -1,4 +1,5 @@
 import math
+import statistics
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -194,6 +195,34 @@ class TestSeriesAssembly:
         assert any(r.kind == "ht-e" and r.lo < r.hi for r in by_int.records)
 
 
+    def test_cached_terms_follow_their_key(self):
+        """One panel estimated under minimum stratum sizes 5 then 10, and under test
+        characteristics that differ in sensitivity or in specificity, gives each time the
+        bytes of a freshly derived panel's series."""
+        bundle = build_scenario("min-max", population_size=300)
+        sim = simulate(bundle.config, seed=(4, 0))
+        panel = sim.panel()
+        weights = KnownWeights(bundle)
+
+        def series_bytes(target, tests, min_size):
+            records = estimate_panel_series(target, tests, ("tpr", "ht-k", "ht-e"),
+                                            known_weights=weights,
+                                            min_stratum_size=min_size).records
+            return (np.array([(r.unclipped, r.lo, r.hi) for r in records]).tobytes(),
+                    [(r.day, r.kind, r.n_tests, r.n_positive, r.n_fallback_strata)
+                     for r in records])
+
+        seen = []
+        for tests in (STUDY_TESTS, TestCharacteristics(0.9, STUDY_TESTS.specificity),
+                      TestCharacteristics(0.9, 0.97)):
+            for min_size in (5, 10):
+                got = series_bytes(panel, tests, min_size)
+                assert got == series_bytes(sim.panel(), tests, min_size), (tests, min_size)
+                seen.append(got)
+        # every key gives its own series, so a key that dropped a part would be caught
+        assert all(a != b for i, a in enumerate(seen) for b in seen[i + 1 :])
+
+
 class TestRunScenario:
     def test_partitioned_replicates_reproduce_single_run(self):
         spec = IntervalSpec(bootstrap_iterations=19)
@@ -273,6 +302,30 @@ class TestRunScenario:
         assert np.isfinite(result.mc_se("tpr")[1:]).all()
 
 
+    def test_mc_se_divides_by_each_days_defined_count(self):
+        """Days where some replicates have no estimate: the standard error uses the
+        replicates with a value, and is nan where fewer than two have one."""
+        nan = math.nan
+        unclipped = np.array([[nan, 0.1, 0.2, nan, -0.3],
+                              [nan, 0.3, nan, nan, 1.4],
+                              [nan, 0.5, 0.6, 0.4, 0.2],
+                              [nan, 0.7, nan, nan, 0.9]])
+        result = ScenarioRunResult(name="hand-built", truth=np.zeros((4, 5)),
+                                   unclipped={"ht-e": unclipped},
+                                   covered={"ht-e": np.full((4, 5), nan)})
+        for got, values in ((result.mc_se_unclipped("ht-e"), unclipped),
+                            (result.mc_se("ht-e"), np.clip(unclipped, 0.0, 1.0))):
+            for day in range(5):
+                defined = values[:, day][~np.isnan(values[:, day])].tolist()
+                if len(defined) < 2:
+                    assert math.isnan(got[day]), day
+                else:
+                    want = statistics.stdev(defined) / math.sqrt(len(defined))
+                    assert got[day] == pytest.approx(want, rel=1e-12), day
+        assert result.mc_se("ht-e")[4] < result.mc_se_unclipped("ht-e")[4]
+
+
+@pytest.mark.slow
 class TestStudyScale:
     """Aggregate behaviour of the named scenarios at reduced replicate counts."""
 
@@ -353,6 +406,7 @@ def test_resamples_with_nobody_nonremoved_are_dropped():
     assert not interval.degenerate and interval.lo <= interval.hi
 
 
+@pytest.mark.slow
 class TestOneClipStep:
     """A record's estimate is its unclipped value clipped to [0, 1], and
     ``estimate_panel_series`` alone clips and widens the interval around it."""
