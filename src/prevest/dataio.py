@@ -443,12 +443,13 @@ def anonymize_shuffle(
 
     The suffixes are never copied: ``src[i]`` is the input row whose suffix
     row ``i`` currently holds, so a day's exchange permutes ``src`` and
-    column ``j`` is final once day ``j + 1`` has been shuffled.  Groups take
-    their ``rng.permutation`` in order of first appearance (members
-    ascending), so the output depends only on the seed.
+    column ``j`` is final once day ``j + 1`` has been shuffled.  Groups ``rng.shuffle``
+    their local ``0..size-1`` in place (``rng.permutation``'s draws) in order of first
+    appearance (members ascending), so the output depends only on the seed.
     """
     policy = policy or AdjustmentPolicy()
     rng = np.random.default_rng(seed)
+    shuffle = rng.shuffle
     cells = matrix.cells
     out = np.empty_like(cells)
     n, horizon = cells.shape
@@ -470,18 +471,21 @@ def anonymize_shuffle(
         key = (last_test[rows] * 2 + last_result[rows]) * (horizon + 1) + last_clear[rows]
         key = (key * (horizon + 1) + neg_stratum[rows]) * (
             horizon + policy.result_delay_days + 2) + pending
-        order = np.argsort(key, kind="stable")
+        order = _stable_order(key)
         members = rows[order]  # grouped by key, ascending within a group
         offsets = np.flatnonzero(np.diff(key[order], prepend=-1))
         sizes = np.diff(offsets, append=members.size)
         big = np.flatnonzero(sizes >= 2)
         big = big[np.argsort(order[offsets[big]])]  # groups in order of first appearance
         lengths = sizes[big]
-        perms = [rng.permutation(size) for size in lengths.tolist()]
-        if perms:
+        if lengths.size:
+            ends = np.cumsum(lengths)
+            local = np.arange(ends[-1]) - np.repeat(ends - lengths, lengths)  # 0..size-1 per group
             base = np.repeat(offsets[big], lengths)  # each member's group offset in members
-            at = base + np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-            src[members[at]] = src[members[base + np.concatenate(perms)]]
+            at = base + local
+            for first, last in zip((ends - lengths).tolist(), ends.tolist()):
+                shuffle(local[first:last])
+            src[members[at]] = src[members[base + local]]
         column = out[:, j] = cells[src, j]
         # apply day events from the (possibly swapped) suffixes
         idx = np.flatnonzero(column >= 0)
@@ -495,6 +499,17 @@ def anonymize_shuffle(
 
     order = rng.permutation(n)
     return TestingMatrix(dates=list(matrix.dates), cells=out[order], row_labels=None)
+
+
+def _stable_order(key: np.ndarray) -> np.ndarray:
+    """``np.argsort(key, kind="stable")`` of a non-negative int64 ``key``, by stable
+    sorts (numpy radix-sorts 16 bits) of its 16-bit digits, least significant first."""
+    order = np.argsort(key.astype(np.uint16), kind="stable")
+    shift, top = 16, int(key.max(initial=0))
+    while top >> shift:
+        order = order[np.argsort((key[order] >> shift).astype(np.uint16), kind="stable")]
+        shift += 16
+    return order
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from typing import Optional
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prevest.core import EventHistory, TestCharacteristics
@@ -17,6 +17,7 @@ from prevest.dataio import (
     ParseError,
     TestingMatrix,
     _from_dict,
+    _stable_order,
     anonymize_shuffle,
     apply_adjustments,
     load_adjustment_policy,
@@ -517,6 +518,18 @@ class TestAnonymizerProperties:
             self.series(anonymize_shuffle(matrix, seed, policy), policy, min_size),
             self.series(matrix, policy, min_size))
 
+    @pytest.mark.parametrize("seed", [0, 1, 2, 7])
+    def test_equals_dict_grouping_oracle_at_scale(self, seed):
+        """A simulated min-max matrix: day 1 is one group of every row, and about
+        two thirds of the later groups that shuffle have 2-4 members."""
+        bundle = build_scenario("min-max", population_size=1000, horizon_days=60)
+        policy = AdjustmentPolicy()
+        matrix = apply_adjustments(
+            matrix_from_simulation(simulate(bundle.config, seed=seed)), policy).to_matrix()
+        got = anonymize_shuffle(matrix, seed, policy)
+        assert not np.array_equal(got.cells, matrix.cells)
+        assert got.cells.tobytes() == dict_anonymize_shuffle(matrix, seed, policy).cells.tobytes()
+
     @pytest.mark.parametrize("rows,delay,isolation", [
         # row 0 tests negative while its positive result is pending
         (["PNN ", "NNNN", "NNNN", "NNNN"], 2, 1),
@@ -536,6 +549,40 @@ class TestAnonymizerProperties:
         for seed in range(4):
             got = self.series(anonymize_shuffle(matrix, seed, policy), policy, 1)
             np.testing.assert_array_equal(got, want, err_msg=f"seed {seed}")
+
+
+@st.composite
+def radix_keys(draw):
+    """Non-negative int64 keys whose largest value needs 1 to 4 16-bit digits.
+
+    Keys come from a small pool, so ties are common; each digit is drawn
+    from its extremes or at random, so keys also tie in single digits.
+    """
+    passes = draw(st.integers(1, 4))
+    digit = st.sampled_from([0, 1, 0xFFFF]) | st.integers(0, 0xFFFF)
+    top = st.integers(1, 0x7FFF if passes == 4 else 0xFFFF)  # int64 keeps 63 bits
+    digits = st.tuples(*[digit] * (passes - 1), top)  # least significant first
+    pool = draw(st.lists(digits.map(lambda ds: sum(d << (16 * k) for k, d in enumerate(ds))),
+                         min_size=1, max_size=5))
+    return np.array(draw(st.lists(st.sampled_from(pool), max_size=50)), dtype=np.int64)
+
+
+class TestStableOrder:
+    """The anonymizer's 16-bit radix order pinned to numpy's stable argsort."""
+
+    @settings(max_examples=300)
+    @given(key=radix_keys())
+    @example(key=np.array([], dtype=np.int64))
+    @example(key=np.array([2**40], dtype=np.int64))
+    @example(key=np.full(7, 2**16 + 3, dtype=np.int64))
+    @example(key=np.array([2**62 + 1, 5, 2**62, 2**48, 5, 2**32], dtype=np.int64))
+    def test_equals_stable_argsort(self, key):
+        before = key.copy()
+        got = _stable_order(key)
+        want = np.argsort(key, kind="stable")
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(key, before)  # the caller's key is left alone
 
 
 class TestConfigFiles:
