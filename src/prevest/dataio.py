@@ -7,7 +7,7 @@ empty (no test).  The header row holds ISO dates, optionally preceded by an
 days; internally column ``j`` maps to study day ``j + 1`` (day 0 is the
 pre-surveillance baseline).
 
-Scenario, regimen, adjustment-policy and interval configs are JSON objects;
+Scenario, regimen and adjustment-policy configs are JSON objects;
 see the README for the schema and defaults.
 
 Output tables (estimate series, scenario aggregates, simulation summaries)
@@ -29,7 +29,6 @@ from .core import TestCharacteristics, check_field_types, field_kinds
 from .estimators import Panel
 from .regimens import ConfigError
 from .simulate import ScenarioConfig, SimulationResult
-from .uncertainty import IntervalSpec
 
 ABSENT, NEGATIVE, POSITIVE = -1, 0, 1
 
@@ -125,11 +124,7 @@ def parse_testing_matrix(path) -> TestingMatrix:
         raise ParseError("empty testing-matrix file")
     header_line = lines[0][0]
     header = [h.strip() for h in lines[0][1].split(",")]
-    has_ids = False
-    try:
-        dt.date.fromisoformat(header[0])
-    except ValueError:
-        has_ids = True
+    has_ids = header[0] == "id"  # the writer's id header; any other first cell is a date
     date_cells = header[1:] if has_ids else header
     if not date_cells:
         raise ParseError("header contains no date columns", line=header_line)
@@ -427,9 +422,7 @@ def apply_adjustments(matrix: TestingMatrix, policy: AdjustmentPolicy) -> Adjust
 # Anonymising shuffle
 
 
-def anonymize_shuffle(
-    matrix: TestingMatrix, seed: int, policy: AdjustmentPolicy | None = None
-) -> TestingMatrix:
+def anonymize_shuffle(matrix: TestingMatrix, seed: int, policy: AdjustmentPolicy) -> TestingMatrix:
     """Permute test-sequence suffixes within schedule strata, then shuffle rows.
 
     Iterating forward through the days, non-removed individuals are grouped
@@ -439,7 +432,8 @@ def anonymize_shuffle(
     strata just enough to make every day-level estimator value provably
     invariant under the shuffle; a trailing row permutation then detaches
     rows from their input order.  The removal bookkeeping follows
-    ``policy`` (isolation windows, result delay).
+    ``policy`` (isolation windows, result delay), so the estimates are kept
+    only under the policy that kept the input's tests.
 
     The suffixes are never copied: ``src[i]`` is the input row whose suffix
     row ``i`` currently holds, so a day's exchange permutes ``src`` and
@@ -447,7 +441,6 @@ def anonymize_shuffle(
     their local ``0..size-1`` in place (``rng.permutation``'s draws) in order of first
     appearance (members ascending), so the output depends only on the seed.
     """
-    policy = policy or AdjustmentPolicy()
     rng = np.random.default_rng(seed)
     shuffle = rng.shuffle
     cells = matrix.cells
@@ -553,10 +546,6 @@ def load_scenario_config(path) -> ScenarioConfig:
 
 def load_adjustment_policy(path) -> AdjustmentPolicy:
     return _from_dict(AdjustmentPolicy, _load_json(path), "policy")
-
-
-def load_interval_spec(path) -> IntervalSpec:
-    return _from_dict(IntervalSpec, _load_json(path), "intervals")
 
 
 def _load_json(path) -> dict:

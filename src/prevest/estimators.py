@@ -37,7 +37,8 @@ if TYPE_CHECKING:
 _EPS = 1e-12
 # Strata with fewer members are counted whole by ht-e (the headcount fallback).
 MIN_STRATUM_SIZE = 10
-# Byte budget of the resample rows in flight: totals and packed solve block (chunk_rows).
+# Byte budget of the resample rows in one DayEvaluator.batch call: their totals plus the
+# widest stratum's packed solve block (chunk_rows).
 _SOLVE_BLOCK_BYTES = 16 << 20
 # Byte budget of one (strata x (span + 1) x span) array in _probability_table; a table
 # is built once per panel or run, so a small budget costs little time and keeps peak RSS down.
@@ -632,10 +633,11 @@ class WeightTable:
 
 @dataclass
 class Evaluation:
-    """What :meth:`DayEvaluator.estimate` computed: per multiplicity row the unclipped
-    prevalence and the number of fallback strata (counted whole), and per (row, stratum
-    slot) the members, whether the stratum is weighted by its testing probability
-    (``need``: large enough and tested) and that probability (0 where not needed)."""
+    """What :class:`DayEvaluator` computed: per row (the panel as observed, or one
+    resample's totals) the unclipped prevalence and the number of fallback strata
+    (counted whole), and per (row, stratum slot) the members, whether the stratum is
+    weighted by its testing probability (``need``: large enough and tested) and that
+    probability (0 where not needed)."""
 
     unclipped: np.ndarray   # rows
     fallback: np.ndarray    # rows, int
@@ -674,13 +676,13 @@ class DayEvaluator:
     :meth:`Panel.estimated_terms`, built from the same counts and
     :meth:`Panel.point_probabilities`, and sums it: one count pass and one solve
     per stratum per panel serve every day, and no point estimate reads an
-    individual.  Resampled re-estimation (bootstrap multiplicity
-    vectors, jackknife blocks) builds the day's :attr:`features`, its
-    indicator columns and next-test contributions, on first use, and
-    imports ``scipy.sparse`` only then; a resample's estimate then reads
-    only its totals over them, and reduces to batched triangular solves.
-    :meth:`estimate` returns an :class:`Evaluation` and keeps no per-call state
-    beyond ``_last_fallback``, the copy ``perfbench/tracing.py`` reads.
+    individual.  Resamples (bootstrap draws, jackknife blocks) enter only
+    through :meth:`batch`, as their totals over the day's :attr:`features`
+    (its indicator columns and next-test contributions), which are built on
+    first use, importing ``scipy.sparse`` only then; a resample's estimate
+    reduces to batched triangular solves.  :meth:`estimate` returns an
+    :class:`Evaluation` and keeps no per-call state beyond ``_last_fallback``,
+    the copy ``perfbench/tracing.py`` reads.
     """
 
     def __init__(self, panel: Panel, day: int, tests: TestCharacteristics,
@@ -778,59 +780,49 @@ class DayEvaluator:
         return max(1, _SOLVE_BLOCK_BYTES // (8 * (self.features.shape[1] + span * (span + 1) // 2)))
 
     def _stratum_probs(self, counts: np.ndarray, need: np.ndarray) -> np.ndarray:
-        """Testing probabilities per (multiplicity row, stratum) from per-code counts.
+        """Testing probabilities per (resample row, stratum) from per-code counts.
 
         ``need[b, j]`` marks the pairs whose probability is actually used
         (large-enough resampled stratum with at least one test); everything
         else falls back to a headcount.  The needed rows of each stratum go
-        through in chunks under ``_SOLVE_BLOCK_BYTES`` (rows are independent):
-        the observed codes are normalised in place by their row sums and
-        scattered by :attr:`_packed_layout` into the packed Q^T and r whose slabs
-        :func:`_solve_ratio_terms` reads (bit-equal to a dense block's); an
-        unobserved row becomes the tail indicator.
+        through in one block: the observed codes are normalised in place by
+        their row sums and scattered by :attr:`_packed_layout` into the packed
+        Q^T and r whose slabs :func:`_solve_ratio_terms` reads (bit-equal to a
+        dense block's); an unobserved row becomes the tail indicator.  A call of
+        at most :attr:`chunk_rows` rows keeps every block under ``_SOLVE_BLOCK_BYTES``.
         """
         t = self.day
         nu = self.tests.specificity
         probs = np.zeros((counts.shape[0], len(self.strata)))
         for j, (lo, hi, row, pos, starts) in enumerate(self._packed_layout):
-            sel = np.flatnonzero(need[:, j])
-            if sel.size == 0:
+            rows = np.flatnonzero(need[:, j])
+            if rows.size == 0:
                 continue
             span = t - int(self.strata[j]) + 1  # row offsets 0..t-c are matrix rows c..t
             tail = span * (span - 1) // 2
-            step = max(1, _SOLVE_BLOCK_BYTES // (8 * (tail + span)))
-            for first in range(0, sel.size, step):
-                rows = sel[first : first + step]
-                part = counts[rows, lo:hi]
-                sums = np.zeros((rows.size, span))
-                sums[:, row[starts]] = np.add.reduceat(part, starts, axis=1)
-                part /= np.maximum(sums, 1.0)[:, row]
-                block = np.zeros((rows.size, tail + span))
-                block[:, pos] = part
-                block[:, tail:][sums == 0] = 1.0  # unobserved row: tail indicator
-                num, den = _solve_ratio_terms(
-                    lambda v: block[:, v * (v - 1) // 2 : v * (v + 1) // 2], block[:, tail:], nu)
-                probs[rows, j] = np.where(den > _EPS, num / np.maximum(den, _EPS), 0.0)
+            part = counts[rows, lo:hi]
+            sums = np.zeros((rows.size, span))
+            sums[:, row[starts]] = np.add.reduceat(part, starts, axis=1)
+            part /= np.maximum(sums, 1.0)[:, row]
+            block = np.zeros((rows.size, tail + span))
+            block[:, pos] = part
+            block[:, tail:][sums == 0] = 1.0  # unobserved row: tail indicator
+            num, den = _solve_ratio_terms(
+                lambda v: block[:, v * (v - 1) // 2 : v * (v + 1) // 2], block[:, tail:], nu)
+            probs[rows, j] = np.where(den > _EPS, num / np.maximum(den, _EPS), 0.0)
         return np.minimum(probs, 1.0)
 
-    def estimate(self, multiplicity: np.ndarray | None = None) -> Evaluation:
-        """The estimator's :class:`Evaluation` for each multiplicity row.
-
-        ``None`` is the panel as observed (one row of 1s): the day's row of
-        the panel's term tables, summed, without building the per-day
-        resampling state.  Multiplicity rows reduce to their totals over
-        :attr:`features`.
-        """
-        if multiplicity is not None:
-            record = self._estimate_totals(multiplicity @ self.features)
-        else:
-            counts, day = self.panel.day_counts, slice(self.day, self.day + 1)
-            (members, probs, term), (need, fallback) = (
-                table[:, day, self.strata]
-                for table in self.panel.estimated_terms(self.tests, self.min_stratum_size))
-            record = _evaluation(counts.nonremoved[day].astype(float),
-                                 counts.assumed[day].astype(float),
-                                 members, need, probs, term, fallback)
+    def estimate(self) -> Evaluation:
+        """The estimator's one-row :class:`Evaluation` of the panel as observed: the
+        day's row of the panel's term tables, summed, without building the per-day
+        resampling state."""
+        counts, day = self.panel.day_counts, slice(self.day, self.day + 1)
+        (members, probs, term), (need, fallback) = (
+            table[:, day, self.strata]
+            for table in self.panel.estimated_terms(self.tests, self.min_stratum_size))
+        record = _evaluation(counts.nonremoved[day].astype(float),
+                             counts.assumed[day].astype(float),
+                             members, need, probs, term, fallback)
         self._last_fallback = record.fallback  # read only by perfbench/tracing.py
         return record
 

@@ -274,10 +274,8 @@ def estimate_panel_series(
             elif kind == "ht-e":
                 record = evaluator.day_estimate()
                 if interval_spec is not None:
-                    interval = bca_bootstrap(
-                        evaluator.resampler(), panel.n_individuals, interval_spec,
-                        seed=(*prefix, day), point=record.unclipped,
-                    )
+                    interval = bca_bootstrap(evaluator.resampler(), interval_spec,
+                                             seed=(*prefix, day), point=record.unclipped)
                     record.lo, record.hi = interval.lo, interval.hi
             else:
                 raise ValueError(f"unknown estimator kind {kind!r}")

@@ -181,7 +181,6 @@ def _jackknife_totals(features, blocks: list[np.ndarray], column_totals: np.ndar
 
 def bca_bootstrap(
     estimator,
-    n_units: int,
     spec: IntervalSpec,
     seed: int,
     point: Optional[float] = None,
@@ -211,8 +210,7 @@ def bca_bootstrap(
     from scipy.special import ndtr, ndtri
 
     features, batch = estimator.features, estimator.batch
-    if features.shape[0] != n_units:
-        raise ValueError(f"features have {features.shape[0]} rows for {n_units} units")
+    n_units = features.shape[0]
     column_totals = np.asarray(features.sum(axis=0), dtype=float).ravel()
     if point is None:
         point = float(batch(column_totals[None, :])[0])

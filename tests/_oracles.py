@@ -162,7 +162,7 @@ def index_bca_bootstrap(ev, n_units, spec, seed, point=None, clip=(0.0, 1.0)):
     Resamples and jackknife keep-sets are index rows (``setdiff1d`` of the
     shuffled order minus each block); equal-length rows are stacked, turned
     into multiplicities by a per-row ``bincount`` and re-estimated with
-    ``ev.estimate`` on the unclipped scale.  Resamples with a nan estimate
+    ``ev.batch`` of their totals on the unclipped scale.  Resamples with a nan estimate
     (nobody non-removed) are dropped from every step and counted.
     """
     import math
@@ -179,7 +179,7 @@ def index_bca_bootstrap(ev, n_units, spec, seed, point=None, clip=(0.0, 1.0)):
         for positions in by_len.values():
             counts = np.array([np.bincount(index_rows[p], minlength=n_units)
                                for p in positions], dtype=float)
-            out[positions] = ev.estimate(counts).unclipped
+            out[positions] = ev.batch(counts @ ev.features)
         return out
 
     if point is None:
@@ -528,7 +528,7 @@ def per_day_counts(panel, day):
 
 
 def per_day_point_evaluation(ev):
-    """``DayEvaluator.estimate(None)`` computed from the day's own headcounts.
+    """``DayEvaluator.estimate()`` computed from the day's own headcounts.
 
     The route before the panel kept per-(day, stratum) term tables: the day's
     members, tested members and negatives are read from ``Panel.day_counts``,

@@ -283,6 +283,17 @@ class TestAnalyzeCommand:
         bad.write_text("2020-08-31\nX\n")
         assert main(["analyze", "--matrix", str(bad), "--out", str(tmp_path / "o.csv")]) == 4
 
+    def test_malformed_first_date_is_parse_error(self, tmp_path, capsys):
+        # it once exited 0 with estimates for 2020-09-01, the first column taken as row ids
+        bad = tmp_path / "bad.csv"
+        bad.write_text("2020-8-31,2020-09-01\nN,P\n,N\nP,\n")
+        policy = tmp_path / "policy.json"
+        policy.write_text(json.dumps({"min_daily_tests": 0}))
+        assert main(["analyze", "--matrix", str(bad), "--policy", str(policy),
+                     "--out", str(tmp_path / "o.csv")]) == 4
+        assert "'2020-8-31' in header (line 1, column 1)" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
     def test_non_utf8_matrix_is_parse_error(self, tmp_path, capsys):
         bad = tmp_path / "utf16.csv"
         bad.write_bytes(b"\xff\xfe" + "2020-08-31\nN\n".encode("utf-16-le"))  # a UTF-16 export

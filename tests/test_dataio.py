@@ -21,7 +21,6 @@ from prevest.dataio import (
     anonymize_shuffle,
     apply_adjustments,
     load_adjustment_policy,
-    load_interval_spec,
     load_scenario_config,
     matrix_from_simulation,
     parse_testing_matrix,
@@ -30,7 +29,6 @@ from prevest.dataio import (
 )
 from prevest.estimators import Panel, ht_estimated, tpr_prevalence
 from prevest.scenarios import SCENARIO_NAMES, build_scenario, estimate_panel_series
-from prevest.uncertainty import IntervalSpec
 from prevest.regimens import ConfigError, RegimenConfig
 from prevest.simulate import ExternalHazard, HazardModel, ScenarioConfig, simulate
 
@@ -76,6 +74,12 @@ class TestParsing:
         m = parse_testing_matrix(path)
         assert m.row_labels == ["r1", "r2"]
         assert m.n_days == 2
+
+    def test_malformed_first_date_is_no_id_column(self, tmp_path):
+        # it once parsed as one day, 2020-09-01, with the first column as ids N, '', P
+        path = write(tmp_path, "2020-8-31,2020-09-01\nN,P\n,N\nP,\n")
+        with pytest.raises(ParseError, match=r"'2020-8-31' in header \(line 1, column 1\)"):
+            parse_testing_matrix(path)
 
     def test_empty_file(self, tmp_path):
         with pytest.raises(ParseError, match="empty"):
@@ -345,7 +349,7 @@ class TestAnonymizer:
     def test_single_individual_unchanged(self):
         cells = np.array([[NEGATIVE, ABSENT, POSITIVE]], dtype=np.int8)
         m = TestingMatrix([MONDAY + dt.timedelta(days=j) for j in range(3)], cells)
-        out = anonymize_shuffle(m, seed=3)
+        out = anonymize_shuffle(m, seed=3, policy=AdjustmentPolicy())
         assert np.array_equal(out.cells, m.cells)
 
     def test_daily_counts_preserved(self):
@@ -370,8 +374,8 @@ class TestAnonymizer:
     def test_seeded_shuffle_reproducible(self):
         sim = small_sim(seed=6)
         m = matrix_from_simulation(sim, start_date=MONDAY)
-        a = anonymize_shuffle(m, seed=5)
-        b = anonymize_shuffle(m, seed=5)
+        a = anonymize_shuffle(m, seed=5, policy=AdjustmentPolicy())
+        b = anonymize_shuffle(m, seed=5, policy=AdjustmentPolicy())
         assert np.array_equal(a.cells, b.cells)
         assert a.row_labels is None
 
@@ -626,15 +630,11 @@ class TestConfigFiles:
         with pytest.raises(ConfigError, match=r"line \d"):
             load_scenario_config(path)
 
-    def test_policy_and_interval_loaders(self, tmp_path):
+    def test_policy_loader(self, tmp_path):
         p = tmp_path / "policy.json"
         p.write_text(json.dumps({"result_delay_days": 1, "isolation_days": 5}))
         policy = load_adjustment_policy(p)
         assert policy.isolation_days == 5 and policy.assumed_specificity == 1.0
-        i = tmp_path / "iv.json"
-        i.write_text(json.dumps({"bootstrap_iterations": 199, "jackknife_block_count": 79}))
-        spec = load_interval_spec(i)
-        assert spec.bootstrap_iterations == 199 and spec.jackknife_block_count == 79
 
 
 @dataclasses.dataclass(frozen=True)
@@ -669,13 +669,11 @@ class TestConfigSchema:
         assert any(c.sensitivity_curve is not None for c in configs)
         assert any(c.undetected_recovery_days is not None for c in configs)
 
-    def test_policy_and_interval_spec_round_trip(self, tmp_path):
+    def test_policy_round_trip(self, tmp_path):
         policy = AdjustmentPolicy.for_simulation(build_scenario("min-max").config)
-        spec = IntervalSpec(bootstrap_iterations=199, jackknife_block_count=20)
-        for loader, obj in ((load_adjustment_policy, policy), (load_interval_spec, spec)):
-            path = tmp_path / "config.json"
-            path.write_text(json.dumps(dataclasses.asdict(obj)))
-            assert loader(path) == obj
+        path = tmp_path / "policy.json"
+        path.write_text(json.dumps(dataclasses.asdict(policy)))
+        assert load_adjustment_policy(path) == policy
 
     @pytest.mark.parametrize("key", ["population_size", "horizon_days", "regimen"])
     def test_missing_required_key_is_named(self, key):

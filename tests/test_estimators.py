@@ -354,7 +354,7 @@ class TestHtEstimated:
         idx = rng.integers(0, panel.n_individuals, panel.n_individuals)
         ev = DayEvaluator(panel, day, STUDY, min_stratum_size=5)
         counts = np.bincount(idx, minlength=panel.n_individuals)[None, :].astype(float)
-        via_batch = float(ev.estimate(counts).unclipped[0])
+        via_batch = float(ev.batch(counts @ ev.features)[0])
         resampled = Panel(
             horizon=panel.horizon,
             tested=panel.tested[idx],
@@ -375,7 +375,7 @@ class TestHtEstimated:
         point = float(ev.estimate().unclipped[0])
         n = panel.n_individuals
         rows = np.bincount(np.arange(n), minlength=n)[None, :].astype(float)
-        ident = float(ev.estimate(rows).unclipped[0])
+        ident = float(ev.batch(rows @ ev.features)[0])
         assert point == pytest.approx(ident, abs=1e-14)
 
 
@@ -447,8 +447,9 @@ class TestDayEvaluatorMatchesReference:
                 np.testing.assert_array_equal(got, want)
             assert ev._code_space[2].shape == ref._code_space[2].shape
             np.testing.assert_array_equal(ev._code_space[2].toarray(), ref._code_space[2].toarray())
-            for multiplicity in (None, rows):
-                assert_same_evaluation(ev.estimate(multiplicity), ref.estimate(multiplicity))
+            assert_same_evaluation(ev.estimate(), ref.estimate())
+            assert_same_evaluation(ev._estimate_totals(rows @ ev.features),
+                                   ref._estimate_totals(rows @ ref.features))
 
     @settings(max_examples=60)
     @given(case=panels_and_days(), specificity=st.sampled_from([1.0, 0.992, 0.6]),
@@ -462,8 +463,8 @@ class TestDayEvaluatorMatchesReference:
         probs = panel.point_probabilities(specificity)
         for day in range(1, panel.horizon + 1):
             ev = DayEvaluator(panel, day, tests, min_stratum_size=min_size)
-            point = ev.estimate(None)
-            assert_same_evaluation(point, ev.estimate(np.ones((1, n))))
+            point = ev.estimate()
+            assert_same_evaluation(point, ev._estimate_totals(np.ones((1, n)) @ ev.features))
             np.testing.assert_array_equal(point.members[0],
                                           panel.day_counts.members[day, ev.strata])
             need = point.need[0]
@@ -495,7 +496,7 @@ class TestDayEvaluatorMatchesReference:
         panel, day = case
         ev = DayEvaluator(panel, day, STUDY, min_stratum_size=2)
         point = ev.estimate()
-        batch = ev.estimate(np.ones((copies, panel.n_individuals)))
+        batch = ev._estimate_totals(np.ones((copies, panel.n_individuals)) @ ev.features)
         np.testing.assert_allclose(batch.unclipped, np.repeat(point.unclipped, copies),
                                    rtol=0, atol=1e-12)
         np.testing.assert_array_equal(batch.fallback, np.repeat(point.fallback, copies))
@@ -515,17 +516,23 @@ class TestDayEvaluatorMatchesReference:
 
     @pytest.mark.parametrize("budget", [1, 50_000])
     def test_chunked_solve_equals_one_block(self, monkeypatch, budget):
+        """``bca_bootstrap`` hands the resamples to ``batch`` ``chunk_rows`` at a time: one
+        resample a call (a 1-byte budget) or a few give the default budget's interval."""
         panel = small_simulation(seed=17).panel()
-        rows = np.random.default_rng(4).poisson(1.0, (60, panel.n_individuals)).astype(float)
+        spec = IntervalSpec(bootstrap_iterations=60, jackknife_block_size=7)
 
-        def batch(day):
-            resampler = DayEvaluator(panel, day, STUDY, min_stratum_size=2).resampler()
-            return resampler.batch(rows @ resampler.features)
+        def intervals():
+            evaluators = [DayEvaluator(panel, day, STUDY, min_stratum_size=2)
+                          for day in range(1, panel.horizon + 1)]
+            return evaluators, [bca_bootstrap(ev.resampler(), spec, seed=(4, ev.day))
+                                for ev in evaluators]
 
-        whole = [batch(day) for day in range(1, panel.horizon + 1)]
-        monkeypatch.setattr(estimators, "_SOLVE_BLOCK_BYTES", budget)  # 1 byte: one row a chunk
-        for day, want in enumerate(whole, 1):
-            np.testing.assert_array_equal(batch(day), want, err_msg=str(day))
+        _, whole = intervals()
+        monkeypatch.setattr(estimators, "_SOLVE_BLOCK_BYTES", budget)
+        evaluators, chunked = intervals()
+        assert evaluators[-1].chunk_rows < spec.bootstrap_iterations  # several calls on day 15
+        for got, want in zip(chunked, whole):
+            assert_same_interval(got, want)
 
 
 class TestPackedSolveMatchesDenseBlock:
@@ -564,11 +571,22 @@ class TestPackedSolveMatchesDenseBlock:
         need = np.ones((rows, len(ev.strata)), dtype=bool)
         need[rng.random(need.shape) < 0.2] = False
         want = np.where(need, self.dense_probs(ev, counts, nu), 0.0)
-        for budget in (1, 16 << 20):  # one row a chunk; every row in one chunk
-            with mock.patch.object(estimators, "_SOLVE_BLOCK_BYTES", budget):
-                got = DayEvaluator(panel, day, TestCharacteristics(0.9, nu))._stratum_probs(
-                    counts.copy(), need)
-            np.testing.assert_array_equal(got, want, err_msg=str(budget))
+        np.testing.assert_array_equal(ev._stratum_probs(counts.copy(), need), want)
+
+    @settings(max_examples=80)
+    @given(case=panels_and_days(),
+           budget=st.one_of(st.just(estimators._SOLVE_BLOCK_BYTES), st.integers(1, 1 << 14)))
+    def test_chunk_rows_fit_every_packed_block(self, case, budget):
+        """Why ``_stratum_probs`` solves each stratum in one block: ``chunk_rows`` rows of
+        any stratum's packed block, span (span + 1) / 2 floats a row, fit the budget,
+        unless ``chunk_rows`` is 1."""
+        panel, day = case
+        ev = DayEvaluator(panel, day, STUDY)
+        with mock.patch.object(estimators, "_SOLVE_BLOCK_BYTES", budget):
+            rows = ev.chunk_rows
+        for c in ev.strata.tolist():
+            span = day - c + 1
+            assert rows == 1 or 8 * rows * span * (span + 1) // 2 <= budget, (c, rows)
 
     def test_span_two_stratum(self):
         # day 3 of this panel has a stratum cleared on day 2: a 2 x 2 block Q
@@ -618,7 +636,7 @@ class TestCountSpaceBootstrapMatchesIndexRoute:
                                 jackknife_block_size=data.draw(st.integers(1, n + 1)))
         seed = data.draw(st.integers(0, 2**16))
         ev = DayEvaluator(panel, day, STUDY, min_stratum_size=data.draw(st.integers(1, 3)))
-        assert_same_interval(bca_bootstrap(ev.resampler(), n, spec, seed),
+        assert_same_interval(bca_bootstrap(ev.resampler(), spec, seed),
                              index_bca_bootstrap(ev, n, spec, seed, clip=None))
 
     @pytest.mark.parametrize("spec", [
@@ -629,7 +647,7 @@ class TestCountSpaceBootstrapMatchesIndexRoute:
         panel = small_simulation(seed=17).panel()
         ev = DayEvaluator(panel, 9, STUDY, min_stratum_size=5)
         point = float(ev.resampler().batch(np.ones((1, panel.n_individuals)) @ ev.features)[0])
-        got = bca_bootstrap(ev.resampler(), panel.n_individuals, spec, seed=(3, 9), point=point)
+        got = bca_bootstrap(ev.resampler(), spec, seed=(3, 9), point=point)
         want = index_bca_bootstrap(ev, panel.n_individuals, spec, seed=(3, 9), point=point,
                                    clip=None)
         assert not got.degenerate and got.acceleration != 0.0
@@ -857,7 +875,7 @@ class TestPanelTermsMatchPerDayRoute:
 
         for day in range(1, panel.horizon + 1):
             ev = DayEvaluator(panel, day, tests, min_stratum_size=min_size)
-            got, want = ev.estimate(None), per_day_point_evaluation(ev)
+            got, want = ev.estimate(), per_day_point_evaluation(ev)
             for name in ("unclipped", "fallback", "members", "need", "probs"):
                 assert_same_bits(getattr(got, name), getattr(want, name), (name, day))
             assert_same_bits(ev._last_fallback, want.fallback, day)

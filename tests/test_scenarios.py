@@ -401,7 +401,7 @@ def test_resamples_with_nobody_nonremoved_are_dropped():
                                    seed=0).records[1]
     assert record.defined and 0.0 <= record.lo <= record.estimate <= record.hi <= 1.0, record
     evaluator = DayEvaluator(panel, 2, STUDY_TESTS, min_stratum_size=1)
-    interval = bca_bootstrap(evaluator.resampler(), 2, spec, seed=(0, 2))
+    interval = bca_bootstrap(evaluator.resampler(), spec, seed=(0, 2))
     assert 0 < interval.n_undefined < spec.bootstrap_iterations
     assert not interval.degenerate and interval.lo <= interval.hi
 

@@ -221,26 +221,26 @@ class TestBcaBootstrap:
 
     def test_constant_estimator_degenerates_to_point(self):
         spec = IntervalSpec(bootstrap_iterations=99)
-        out = bca_bootstrap(ConstantEstimator(0.4, 30), 30, spec, seed=1)
+        out = bca_bootstrap(ConstantEstimator(0.4, 30), spec, seed=1)
         assert out.degenerate
         assert out.lo == out.hi == pytest.approx(0.4)
 
     def test_degenerate_interval_keeps_the_raw_value(self):
         spec = IntervalSpec(bootstrap_iterations=99)
-        out = bca_bootstrap(ConstantEstimator(-0.01, 30), 30, spec, seed=1)
+        out = bca_bootstrap(ConstantEstimator(-0.01, 30), spec, seed=1)
         assert out.degenerate
         assert out.lo == out.hi == -0.01
 
     def test_no_defined_resample_gives_a_degenerate_nan_interval(self):
         spec = IntervalSpec(bootstrap_iterations=99)
-        out = bca_bootstrap(ConstantEstimator(math.nan, 30), 30, spec, seed=1, point=0.2)
+        out = bca_bootstrap(ConstantEstimator(math.nan, 30), spec, seed=1, point=0.2)
         assert out.degenerate and math.isnan(out.lo) and math.isnan(out.hi)
         assert out.n_undefined == 99
 
     def test_distribution_below_zero_is_not_inverted(self):
         # every resample mean lies in [-1, -0.5]: the raw interval does too
         values = np.random.default_rng(2).uniform(-1.0, -0.5, size=40)
-        out = bca_bootstrap(MeanEstimator(values), 40, IntervalSpec(bootstrap_iterations=99), seed=2)
+        out = bca_bootstrap(MeanEstimator(values), IntervalSpec(bootstrap_iterations=99), seed=2)
         assert not out.degenerate
         assert -1.0 <= out.lo <= out.point <= out.hi <= -0.5
 
@@ -249,7 +249,7 @@ class TestBcaBootstrap:
            b_iter=st.integers(2, 60), seed=st.integers(0, 2**16))
     def test_lo_never_exceeds_hi(self, data, b_iter, seed):
         values = np.array(data)
-        out = bca_bootstrap(MeanEstimator(values), values.size,
+        out = bca_bootstrap(MeanEstimator(values),
                             IntervalSpec(bootstrap_iterations=b_iter, jackknife_block_size=3),
                             seed=seed)
         assert out.lo <= out.hi
@@ -257,7 +257,7 @@ class TestBcaBootstrap:
     def test_rounding_noise_on_constant_data_is_degenerate(self):
         # counts @ values rounds per row, so the thetas spread by ~1e-16
         spec = IntervalSpec(bootstrap_iterations=99)
-        out = bca_bootstrap(MeanEstimator(np.full(30, 0.4)), 30, spec, seed=1)
+        out = bca_bootstrap(MeanEstimator(np.full(30, 0.4)), spec, seed=1)
         assert out.degenerate
         assert out.bias_correction == 0.0 and out.acceleration == 0.0
         assert out.lo == out.hi == pytest.approx(0.4)
@@ -268,7 +268,7 @@ class TestBcaBootstrap:
         values = np.concatenate([np.arange(50) % 7, [100.0]]) / 10
         est = MeanEstimator(values)
         spec = IntervalSpec(bootstrap_iterations=199, jackknife_block_size=5)
-        out = bca_bootstrap(est, values.size, spec, seed=9)
+        out = bca_bootstrap(est, spec, seed=9)
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=9, spawn_key=(0,))))
         idx = rng.integers(0, values.size, size=(199, values.size))
         counts = np.array([np.bincount(row, minlength=values.size) for row in idx], dtype=float)
@@ -284,25 +284,25 @@ class TestBcaBootstrap:
         values = np.random.default_rng(3).random(60)
         est = MeanEstimator(values)
         spec = IntervalSpec(bootstrap_iterations=149, jackknife_block_size=10)
-        a = bca_bootstrap(est, 60, spec, seed=5)
-        b = bca_bootstrap(est, 60, spec, seed=5)
+        a = bca_bootstrap(est, spec, seed=5)
+        b = bca_bootstrap(est, spec, seed=5)
         assert (a.lo, a.hi) == (b.lo, b.hi)
-        c = bca_bootstrap(est, 60, spec, seed=6)
+        c = bca_bootstrap(est, spec, seed=6)
         assert (a.lo, a.hi) != (c.lo, c.hi)
 
     def test_interval_brackets_point_and_clips(self):
         values = np.random.default_rng(8).random(80)
         est = MeanEstimator(values)
-        out = bca_bootstrap(est, 80, IntervalSpec(bootstrap_iterations=199), seed=2)
+        out = bca_bootstrap(est, IntervalSpec(bootstrap_iterations=199), seed=2)
         assert 0.0 <= out.lo <= out.point <= out.hi <= 1.0
 
     def test_block_count_mode_and_remainder_blocks(self):
         values = np.random.default_rng(1).random(47)  # 47 = 4 blocks of 10 + short block
         est = MeanEstimator(values)
-        by_size = bca_bootstrap(est, 47, IntervalSpec(bootstrap_iterations=99,
-                                                      jackknife_block_size=10), seed=4)
-        by_count = bca_bootstrap(est, 47, IntervalSpec(bootstrap_iterations=99,
-                                                       jackknife_block_count=5), seed=4)
+        by_size = bca_bootstrap(est, IntervalSpec(bootstrap_iterations=99,
+                                                  jackknife_block_size=10), seed=4)
+        by_count = bca_bootstrap(est, IntervalSpec(bootstrap_iterations=99,
+                                                   jackknife_block_count=5), seed=4)
         for out in (by_size, by_count):
             assert out.lo <= out.hi
         assert by_size.acceleration != 0.0
@@ -315,7 +315,7 @@ class TestBcaBootstrap:
         trials = 300
         for k in range(trials):
             sample = rng.normal(0.5, 0.15, size=40)
-            out = bca_bootstrap(MeanEstimator(sample), 40, spec, seed=k)
+            out = bca_bootstrap(MeanEstimator(sample), spec, seed=k)
             hits += out.lo <= 0.5 <= out.hi
         assert 0.90 <= hits / trials <= 0.99
 
@@ -326,7 +326,7 @@ class TestBcaBootstrap:
         spec = IntervalSpec(bootstrap_iterations=19, jackknife_block_size=10)
         tracemalloc.start()
         try:
-            out = bca_bootstrap(est, n, spec, seed=3)
+            out = bca_bootstrap(est, spec, seed=3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -344,8 +344,7 @@ class TestBcaBootstrap:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            out = bca_bootstrap(ev.resampler(), 4000, IntervalSpec(bootstrap_iterations=99),
-                                seed=0)
+            out = bca_bootstrap(ev.resampler(), IntervalSpec(bootstrap_iterations=99), seed=0)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
