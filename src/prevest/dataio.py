@@ -257,12 +257,16 @@ def matrix_from_simulation(
     sim: SimulationResult, start_date: dt.date = dt.date(2020, 8, 31)
 ) -> TestingMatrix:
     """Export simulated tests: column ``j`` is study day ``j + 1``."""
-    horizon = sim.horizon
-    cells = np.full((sim.population_size, horizon), ABSENT, dtype=np.int8)
-    tested = sim.tested[1:].T  # [n, horizon]
-    cells[tested] = np.where(sim.positive[1:].T[tested], POSITIVE, NEGATIVE)
-    dates = [start_date + dt.timedelta(days=j) for j in range(horizon)]
-    return TestingMatrix(dates=dates, cells=cells)
+    dates = [start_date + dt.timedelta(days=j) for j in range(sim.horizon)]
+    return TestingMatrix(dates=dates, cells=_cells(sim.tested, sim.positive))
+
+
+def _cells(tested: np.ndarray, positive: np.ndarray) -> np.ndarray:
+    """The ``[individual, day]`` cells of study days 1..horizon from bool day-major
+    ``(horizon + 1) x n`` event arrays: a tested cell holds its result, 0 (NEGATIVE)
+    or 1 (POSITIVE), and any other ABSENT."""
+    cells = np.where(tested[1:], positive[1:].view(np.int8), np.int8(ABSENT))
+    return np.ascontiguousarray(cells.T)
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +329,10 @@ class AdjustmentPolicy:
 class AdjustedData:
     """Panel-ready view of an adjusted testing matrix.
 
-    The event arrays are bool [individuals, day 0..horizon].  The :attr:`panel`
-    is derived from them on first use: :meth:`to_matrix` needs only the tests.
+    The event arrays are bool and day-major, ``[day 0..horizon, individual]``
+    (``tested[t, i]``), the layout of :class:`Panel`, which takes them without a
+    copy.  The :attr:`panel` is derived from them on first use: :meth:`to_matrix`
+    needs only the tests.
     """
 
     tested: np.ndarray
@@ -341,12 +347,12 @@ class AdjustedData:
 
     @property
     def horizon(self) -> int:
-        return self.tested.shape[1] - 1
+        return self.tested.shape[0] - 1
 
     @property
     def tests_per_day(self) -> np.ndarray:
         """Retained tests per study day 0..horizon."""
-        return self.tested.sum(axis=0)
+        return self.tested.sum(axis=1)
 
     @cached_property
     def panel(self) -> Panel:
@@ -354,16 +360,16 @@ class AdjustedData:
                               self.cleared, self.assumed_well)
 
     def to_matrix(self, row_labels=None) -> TestingMatrix:
-        tested, positive = self.tested[:, 1:], self.positive[:, 1:]
-        cells = np.full(tested.shape, ABSENT, dtype=np.int8)
-        cells[tested] = np.where(positive[tested], POSITIVE, NEGATIVE)
-        return TestingMatrix(dates=list(self.dates), cells=cells, row_labels=row_labels)
+        return TestingMatrix(dates=list(self.dates), cells=_cells(self.tested, self.positive),
+                             row_labels=row_labels)
 
 
 def apply_adjustments(matrix: TestingMatrix, policy: AdjustmentPolicy) -> AdjustedData:
     """Derive per-individual event histories and per-day exclusion flags.
 
-    One pass over the days on n-vectors.  Per individual it tracks the week
+    One pass over the days on n-vectors, each reading one row of a day-major
+    copy of ``matrix.cells`` and writing one row of each day-major event
+    array.  Per individual it tracks the week
     of the last test the weekly rule let through, the active removal episode
     (``rem_start``..``rem_end``, its result pending before ``rem_start``) and
     the exemption ends of that episode and the one before it: an exemption
@@ -372,7 +378,8 @@ def apply_adjustments(matrix: TestingMatrix, policy: AdjustmentPolicy) -> Adjust
     n, horizon = matrix.n_individuals, matrix.n_days
     delay, isolation = policy.result_delay_days, policy.isolation_days
     tested, positive, removed, cleared, assumed = (
-        np.zeros((n, horizon + 1), dtype=bool) for _ in range(5))
+        np.zeros((horizon + 1, n), dtype=bool) for _ in range(5))
+    columns = np.ascontiguousarray(matrix.cells.T)  # row j: study day j + 1
     first = matrix.dates[0].toordinal() if horizon else 1
     week = (first - 1 + np.arange(horizon)) // 7  # Monday-to-Sunday weeks: ordinal 1 is a Monday
 
@@ -384,10 +391,10 @@ def apply_adjustments(matrix: TestingMatrix, policy: AdjustmentPolicy) -> Adjust
     dropped_weekly = 0
     dropped_isolation = 0
     for day in range(1, horizon + 1):
-        removed[:, day] = in_removal = (rem_start <= day) & (day <= rem_end)
-        cleared[:, day] = rem_end == day
-        assumed[:, day] = (day <= earlier_exempt_end) | ((rem_end < day) & (day <= exempt_end))
-        column = matrix.cells[:, day - 1]
+        removed[day] = in_removal = (rem_start <= day) & (day <= rem_end)
+        cleared[day] = rem_end == day
+        assumed[day] = (day <= earlier_exempt_end) | ((rem_end < day) & (day <= exempt_end))
+        column = columns[day - 1]
         test = column >= 0
         if policy.keep_first_test_per_week:
             repeat = test & (last_week == week[day - 1])
@@ -396,14 +403,14 @@ def apply_adjustments(matrix: TestingMatrix, policy: AdjustmentPolicy) -> Adjust
             last_week[test] = week[day - 1]
         dropped_isolation += int(np.count_nonzero(test & in_removal))
         # a removed individual cannot be in the tested set
-        kept = tested[:, day] = test & ~in_removal
-        result = positive[:, day] = kept & (column == POSITIVE)
+        kept = tested[day] = test & ~in_removal
+        result = positive[day] = kept & (column == POSITIVE)
         start = result & (rem_end < day)  # pendency blocks a nested episode
         earlier_exempt_end[start] = exempt_end[start]
         rem_start[start] = day + delay + 1
         rem_end[start] = day + delay + isolation
         exempt_end[start] = day + policy.post_isolation_exemption_days
-    excluded = tested.sum(axis=0) < policy.min_daily_tests
+    excluded = tested.sum(axis=1) < policy.min_daily_tests
     excluded[0] = True  # day 0 is the baseline, never estimated
     return AdjustedData(
         tested=tested,
@@ -437,15 +444,16 @@ def anonymize_shuffle(matrix: TestingMatrix, seed: int, policy: AdjustmentPolicy
 
     The suffixes are never copied: ``src[i]`` is the input row whose suffix
     row ``i`` currently holds, so a day's exchange permutes ``src`` and
-    column ``j`` is final once day ``j + 1`` has been shuffled.  Groups ``rng.shuffle``
+    column ``j`` is final once day ``j + 1`` has been shuffled; columns are gathered and
+    written as rows of day-major copies of the cells.  Groups ``rng.shuffle``
     their local ``0..size-1`` in place (``rng.permutation``'s draws) in order of first
     appearance (members ascending), so the output depends only on the seed.
     """
     rng = np.random.default_rng(seed)
     shuffle = rng.shuffle
-    cells = matrix.cells
-    out = np.empty_like(cells)
-    n, horizon = cells.shape
+    n, horizon = matrix.cells.shape
+    columns = np.ascontiguousarray(matrix.cells.T)  # row j: study day j + 1
+    out = np.empty_like(columns)
 
     src = np.arange(n)
     last_test = np.zeros(n, dtype=np.int64)
@@ -479,7 +487,7 @@ def anonymize_shuffle(matrix: TestingMatrix, seed: int, policy: AdjustmentPolicy
             for first, last in zip((ends - lengths).tolist(), ends.tolist()):
                 shuffle(local[first:last])
             src[members[at]] = src[members[base + local]]
-        column = out[:, j] = cells[src, j]
+        column = out[j] = columns[j, src]
         # apply day events from the (possibly swapped) suffixes
         idx = np.flatnonzero(column >= 0)
         last_test[idx] = day
@@ -491,7 +499,7 @@ def anonymize_shuffle(matrix: TestingMatrix, seed: int, policy: AdjustmentPolicy
         rem_end[starts] = day + policy.result_delay_days + policy.isolation_days
 
     order = rng.permutation(n)
-    return TestingMatrix(dates=list(matrix.dates), cells=out[order], row_labels=None)
+    return TestingMatrix(dates=list(matrix.dates), cells=out.T[order], row_labels=None)
 
 
 def _stable_order(key: np.ndarray) -> np.ndarray:

@@ -58,11 +58,13 @@ class Panel:
     """Day-by-individual view of the observable testing record.
 
     All estimator inputs are derived from observables only: test days,
-    results, and clearance days.  ``last_clear[i, t]`` is the last clearance
-    day strictly before ``t`` (0 when none), ``next_test[i, s]`` the first
-    test day strictly after ``s`` (``horizon + 2`` when none).
-    ``assumed_well`` marks days on which an individual is counted as well by
-    fiat (post-isolation testing exemptions) instead of being weighted.
+    results, and clearance days.  Every array is day-major, shaped
+    ``(horizon + 1, n)``, so a day's pass reads one contiguous row:
+    ``last_clear[t, i]`` is individual ``i``'s last clearance day strictly
+    before ``t`` (0 when none), ``next_test[s, i]`` the first test day strictly
+    after ``s`` (``horizon + 2`` when none).  ``assumed_well`` marks days on
+    which an individual is counted as well by fiat (post-isolation testing
+    exemptions) instead of being weighted.
     """
 
     horizon: int
@@ -77,22 +79,22 @@ class Panel:
 
     @property
     def n_individuals(self) -> int:
-        return self.tested.shape[0]
+        return self.tested.shape[1]
 
     def stratum_after(self, s: int) -> np.ndarray:
         """Last clearance day <= s, i.e. the stratum in force on day s + 1."""
-        return np.where(self.cleared[:, s], s, self.last_clear[:, s])
+        return np.where(self.cleared[s], s, self.last_clear[s])
 
     @cached_property
     def contribution_index(self) -> "ContributionIndex":
         """Every next-test cell of the panel, built on first use in one pass over
-        the n x (horizon + 1) arrays and shared by all days."""
-        days = np.arange(self.horizon + 1, dtype=self.last_clear.dtype)
+        the (horizon + 1) x n arrays and shared by all days."""
+        days = np.arange(self.horizon + 1, dtype=self.last_clear.dtype)[:, None]
         after = np.where(self.cleared, days, self.last_clear)
         keep = (after == days) | (self.tested & ~self.positive)
-        individual, s = np.nonzero(keep)
-        c = after[individual, s].astype(np.int64)
-        next_test = self.next_test[individual, s].astype(np.int64)
+        s, individual = np.nonzero(keep)  # individuals ascend within each day s
+        c = after[s, individual].astype(np.int64)
+        next_test = self.next_test[s, individual].astype(np.int64)
         key = c * (self.horizon + 1) + s
         # the smallest type that holds every cell key: numpy's stable sort of 16-bit keys is linear
         dtype = np.min_scalar_type((self.horizon + 1) ** 2 * (self.horizon + 3))
@@ -103,9 +105,9 @@ class Panel:
     @cached_property
     def day_counts(self) -> "DayCounts":
         """Per-(day, stratum) headcounts, built on first use in one ``bincount`` over the
-        n x (horizon + 1) cells keyed by (day t, ``last_clear[i, t]``, cell kind)."""
+        (horizon + 1) x n cells keyed by (day t, ``last_clear[t, i]``, cell kind)."""
         size = self.horizon + 1
-        key = np.arange(size) * size + self.last_clear
+        key = np.arange(size)[:, None] * size + self.last_clear
         key *= 8
         for weight, flag in ((4, self.assumed_well), (2, self.tested), (1, self.positive)):
             np.add(key, weight, out=key, where=flag)  # in place: one int64 per cell
@@ -161,15 +163,15 @@ class Panel:
 
     @staticmethod
     def _derived(horizon: int, tested, positive, removed, cleared, assumed_well=None) -> "Panel":
-        n = tested.shape[0]
-        last_clear = np.zeros((n, horizon + 1), dtype=np.int32)
-        running = np.zeros(n, dtype=np.int32)
-        for t in range(horizon + 1):
-            last_clear[:, t] = running
-            running = np.where(cleared[:, t], t, running)
-        next_test = np.full((n, horizon + 1), horizon + 2, dtype=np.int32)
+        """The panel of day-major ``(horizon + 1) x n`` event arrays, which it keeps
+        without copying, with ``last_clear`` and ``next_test`` derived row by row."""
+        n = tested.shape[1]
+        last_clear = np.zeros((horizon + 1, n), dtype=np.int32)
+        for t in range(1, horizon + 1):
+            last_clear[t] = np.where(cleared[t - 1], t - 1, last_clear[t - 1])
+        next_test = np.full((horizon + 1, n), horizon + 2, dtype=np.int32)
         for s in range(horizon - 1, -1, -1):
-            next_test[:, s] = np.where(tested[:, s + 1], s + 1, next_test[:, s + 1])
+            next_test[s] = np.where(tested[s + 1], s + 1, next_test[s + 1])
         if assumed_well is None:
             assumed_well = np.zeros_like(tested)
         return Panel(
@@ -185,37 +187,29 @@ class Panel:
 
     @staticmethod
     def from_simulation(sim) -> "Panel":
-        return Panel._derived(
-            horizon=sim.horizon,
-            tested=np.ascontiguousarray(sim.tested.T),
-            positive=np.ascontiguousarray(sim.positive.T),
-            removed=np.ascontiguousarray(sim.removed.T),
-            cleared=np.ascontiguousarray(sim.cleared.T),
-        )
+        return Panel._derived(sim.horizon, sim.tested, sim.positive, sim.removed, sim.cleared)
 
     @staticmethod
     def from_histories(histories: Sequence[EventHistory], horizon: int) -> "Panel":
         n = len(histories)
-        tested = np.zeros((n, horizon + 1), dtype=bool)
-        positive = np.zeros((n, horizon + 1), dtype=bool)
-        removed = np.zeros((n, horizon + 1), dtype=bool)
-        cleared = np.zeros((n, horizon + 1), dtype=bool)
+        tested, positive, removed, cleared = (
+            np.zeros((horizon + 1, n), dtype=bool) for _ in range(4))
         for i, h in enumerate(histories):
             h.validate()
             for z, y in zip(h.test_times, h.test_results):
                 if z <= horizon:
-                    tested[i, z] = True
-                    positive[i, z] = y
+                    tested[z, i] = True
+                    positive[z, i] = y
             for c in h.clearance_times:
                 if c <= horizon:
-                    cleared[i, c] = True
+                    cleared[c, i] = True
             # removal spans: day after a positive test through the next clearance
             for z, y in zip(h.test_times, h.test_results):
                 if not y or z >= horizon:
                     continue
                 later = [c for c in h.clearance_times if c > z]
                 end = min(later[0], horizon) if later else horizon
-                removed[i, z + 1 : end + 1] = True
+                removed[z + 1 : end + 1, i] = True
         return Panel._derived(horizon, tested, positive, removed, cleared)
 
 
@@ -223,7 +217,8 @@ class Panel:
 class DayCounts:
     """Headcounts of a panel: ``[t, c]`` over the non-removed members of stratum ``c`` on
     day ``t`` who are not assumed well (``members``, and how many were ``tested`` and
-    tested ``negative``), and per day ``t`` over the non-removed."""
+    tested ``negative``), and per day ``t`` over the non-removed.  Row ``t`` counts the
+    cells ``[t, i]`` of the panel's day-major arrays, with ``c = last_clear[t, i]``."""
 
     members: np.ndarray      # float, (horizon + 1) x (horizon + 1)
     tested: np.ndarray
@@ -238,11 +233,11 @@ class DayCounts:
 class ContributionIndex:
     """The next-test cells of a panel, sorted by (stratum, row day, next test).
 
-    A cell is an individual ``i`` and a row day ``s`` on which ``i`` enters row
-    ``s`` of the schedule matrix of stratum ``c = stratum_after(s)``: the
-    clearance itself (``s == c``) or a negative test on ``s``.  ``key`` is
-    ``c * (horizon + 1) + s``, so the cells a day ``t`` uses from stratum ``c``
-    are the contiguous run of keys ``c * (horizon + 1) + [c, t]``.
+    A cell is an entry ``[s, i]`` of the panel's day-major arrays, a row day ``s``
+    on which individual ``i`` enters row ``s`` of the schedule matrix of stratum
+    ``c = stratum_after(s)[i]``: the clearance itself (``s == c``) or a negative
+    test on ``s``.  ``key`` is ``c * (horizon + 1) + s``, so the cells a day ``t``
+    uses from stratum ``c`` are the contiguous run of keys ``c * (horizon + 1) + [c, t]``.
     """
 
     key: np.ndarray          # int64, non-decreasing
@@ -337,10 +332,10 @@ def estimate_schedule_matrix(panel: Panel, stratum: int, t: int) -> ScheduleMatr
         if s == c:
             sel = panel.stratum_after(c) == c
         else:
-            sel = panel.tested[:, s] & ~panel.positive[:, s] & (panel.stratum_after(s) == c)
+            sel = panel.tested[s] & ~panel.positive[s] & (panel.stratum_after(s) == c)
         if not np.any(sel):
             continue
-        values = np.minimum(panel.next_test[sel, s], t + 1)
+        values = np.minimum(panel.next_test[s, sel], t + 1)
         counts = np.bincount(values, minlength=t + 2).astype(float)
         entries[s] = counts / counts.sum()
     matrix = ScheduleMatrix(stratum=c, horizon=t, entries=entries)
@@ -712,12 +707,12 @@ class DayEvaluator:
         from scipy import sparse
 
         panel, t, s_count = self.panel, self.day, len(self.strata)
-        nonremoved = np.flatnonzero(~panel.removed[:, t])
-        assumed = nonremoved[panel.assumed_well[nonremoved, t]]
-        idx = nonremoved[~panel.assumed_well[nonremoved, t]]  # the strata's members
-        slot = 2 + np.searchsorted(self.strata, panel.last_clear[idx, t])
-        tested = panel.tested[idx, t]
-        negative = tested & ~panel.positive[idx, t]
+        nonremoved = np.flatnonzero(~panel.removed[t])
+        assumed = nonremoved[panel.assumed_well[t, nonremoved]]
+        idx = nonremoved[~panel.assumed_well[t, nonremoved]]  # the strata's members
+        slot = 2 + np.searchsorted(self.strata, panel.last_clear[t, idx])
+        tested = panel.tested[t, idx]
+        negative = tested & ~panel.positive[t, idx]
         rows = np.concatenate([nonremoved, assumed, idx, idx[tested], idx[negative]])
         cols = np.concatenate([np.zeros(nonremoved.size, dtype=np.intp),
                                np.ones(assumed.size, dtype=np.intp),

@@ -149,8 +149,8 @@ def contribution_counts(panel, day, strata):
             if s == c:
                 sel = panel.stratum_after(c) == c
             else:
-                sel = panel.tested[:, s] & ~panel.positive[:, s] & (panel.stratum_after(s) == c)
-            values = np.minimum(panel.next_test[sel, s], t + 1)
+                sel = panel.tested[s] & ~panel.positive[s] & (panel.stratum_after(s) == c)
+            values = np.minimum(panel.next_test[s, sel], t + 1)
             for value, count in zip(*np.unique(values, return_counts=True)):
                 counts[int((j * width + (s - c)) * width + value)] = int(count)
     return counts
@@ -258,18 +258,18 @@ def per_stratum_ht_known(panel, day, tests, weight_for):
     (1 - pi_c) / pi_c^2 / youden^2`` to the variance.
     """
     t = day
-    nonrem = ~panel.removed[:, t]
-    assumed = panel.assumed_well[:, t] & nonrem
+    nonrem = ~panel.removed[t]
+    assumed = panel.assumed_well[t] & nonrem
     member = nonrem & ~assumed
-    strat = panel.last_clear[:, t]
+    strat = panel.last_clear[t]
     eta, youden = tests.sensitivity, tests.youden
     w_hat = float(assumed.sum())
     variance = 0.0
     for c in np.unique(strat[member]):
         in_c = member & (strat == c)
         weight = float(weight_for(int(c), t))
-        tested_c = int((in_c & panel.tested[:, t]).sum())
-        pos_c = int((in_c & panel.tested[:, t] & panel.positive[:, t]).sum())
+        tested_c = int((in_c & panel.tested[t]).sum())
+        pos_c = int((in_c & panel.tested[t] & panel.positive[t]).sum())
         neg_c = tested_c - pos_c
         w_hat += weight * (neg_c - (1.0 - eta) * tested_c) / youden
         pi = 1.0 / weight
@@ -280,7 +280,7 @@ def per_stratum_ht_known(panel, day, tests, weight_for):
 def dense_contribution_scan(panel, day, strata):
     """``DayEvaluator._code_space``, ``(codes, bounds, contrib)``, from a dense scan of the panel.
 
-    Scans every (individual, row day s <= day) cell of the n x (day + 1)
+    Scans every (row day s <= day, individual) cell of the (day + 1) x n
     arrays for the clearance or negative-test cells of the strata in
     ``strata``, and compacts the codes with ``np.unique``; ``contrib`` is the
     individuals x codes 0/1 matrix.
@@ -292,13 +292,13 @@ def dense_contribution_scan(panel, day, strata):
     width = t + 2
     slot_of = np.full(t + 1, -1)
     slot_of[strata] = np.arange(len(strata))
-    days = np.arange(t + 1, dtype=panel.last_clear.dtype)
-    after = np.where(panel.cleared[:, : t + 1], days, panel.last_clear[:, : t + 1])
-    negative = panel.tested[:, : t + 1] & ~panel.positive[:, : t + 1]
+    days = np.arange(t + 1, dtype=panel.last_clear.dtype)[:, None]
+    after = np.where(panel.cleared[: t + 1], days, panel.last_clear[: t + 1])
+    negative = panel.tested[: t + 1] & ~panel.positive[: t + 1]
     keep = ((after == days) | negative) & (slot_of >= 0)[after]
-    cell_i, cell_s = np.nonzero(keep)
-    c = after[cell_i, cell_s]
-    values = np.minimum(panel.next_test[cell_i, cell_s], t + 1)
+    cell_s, cell_i = np.nonzero(keep)
+    c = after[cell_s, cell_i]
+    values = np.minimum(panel.next_test[cell_s, cell_i], t + 1)
     codes, code_col = np.unique((slot_of[c] * width + (cell_s - c)) * width + values,
                                 return_inverse=True)
     bounds = np.searchsorted(codes, np.arange(len(strata) + 1) * width * width)
@@ -453,11 +453,11 @@ def row_loop_apply_adjustments(matrix, policy):
     from prevest.dataio import POSITIVE, AdjustedData
 
     n, horizon = matrix.n_individuals, matrix.n_days
-    tested = np.zeros((n, horizon + 1), dtype=bool)
-    positive = np.zeros((n, horizon + 1), dtype=bool)
-    removed = np.zeros((n, horizon + 1), dtype=bool)
-    cleared = np.zeros((n, horizon + 1), dtype=bool)
-    assumed = np.zeros((n, horizon + 1), dtype=bool)
+    tested = np.zeros((horizon + 1, n), dtype=bool)
+    positive = np.zeros((horizon + 1, n), dtype=bool)
+    removed = np.zeros((horizon + 1, n), dtype=bool)
+    cleared = np.zeros((horizon + 1, n), dtype=bool)
+    assumed = np.zeros((horizon + 1, n), dtype=bool)
     week_of_day = [d.isocalendar()[:2] for d in matrix.dates]
 
     dropped_weekly = 0
@@ -477,20 +477,20 @@ def row_loop_apply_adjustments(matrix, policy):
             if rem_start <= day <= rem_end:
                 dropped_isolation += 1
                 continue
-            tested[i, day] = True
+            tested[day, i] = True
             result = matrix.cells[i, j] == POSITIVE
-            positive[i, day] = result
+            positive[day, i] = result
             if result and rem_end < day:
                 rem_start = day + policy.result_delay_days + 1
                 rem_end = day + policy.result_delay_days + policy.isolation_days
                 exempt_until = day + policy.post_isolation_exemption_days
                 if rem_start <= horizon:
-                    removed[i, rem_start : min(rem_end, horizon) + 1] = True
+                    removed[rem_start : min(rem_end, horizon) + 1, i] = True
                 if rem_end <= horizon:
-                    cleared[i, rem_end] = True
+                    cleared[rem_end, i] = True
                 if exempt_until > rem_end and rem_end + 1 <= horizon:
-                    assumed[i, rem_end + 1 : min(exempt_until, horizon) + 1] = True
-    tests_per_day = tested.sum(axis=0)
+                    assumed[rem_end + 1 : min(exempt_until, horizon) + 1, i] = True
+    tests_per_day = tested.sum(axis=1)
     excluded = tests_per_day < policy.min_daily_tests
     excluded[0] = True
     return AdjustedData(tested=tested, positive=positive, removed=removed, cleared=cleared,
@@ -508,12 +508,12 @@ def per_day_counts(panel, day):
     """
     t = day
     size = panel.horizon + 1
-    nonremoved = ~panel.removed[:, t]
-    assumed = panel.assumed_well[:, t] & nonremoved
+    nonremoved = ~panel.removed[t]
+    assumed = panel.assumed_well[t] & nonremoved
     member = np.flatnonzero(nonremoved & ~assumed)
-    strat = panel.last_clear[member, t]
-    tested = panel.tested[member, t]
-    negative = tested & ~panel.positive[member, t]
+    strat = panel.last_clear[t, member]
+    tested = panel.tested[t, member]
+    negative = tested & ~panel.positive[t, member]
     members, tested_c, negative_c = (np.bincount(strat[mask], minlength=size).astype(float)
                                      for mask in (slice(None), tested, negative))
     return {
@@ -522,8 +522,8 @@ def per_day_counts(panel, day):
         "negative": negative_c,
         "nonremoved": int(np.count_nonzero(nonremoved)),
         "assumed": int(np.count_nonzero(assumed)),
-        "n_tests": int(np.count_nonzero(panel.tested[:, t] & nonremoved)),
-        "n_positive": int(np.count_nonzero(panel.positive[:, t] & nonremoved)),
+        "n_tests": int(np.count_nonzero(panel.tested[t] & nonremoved)),
+        "n_positive": int(np.count_nonzero(panel.positive[t] & nonremoved)),
     }
 
 
@@ -603,3 +603,55 @@ def per_offset_probability_table(strata, horizon, nu, rows_of):
             probs[chunk[:rows], chunk[:rows] + m] = np.where(
                 den > _EPS, num / np.maximum(den, _EPS), 0.0)
     return np.minimum(probs, 1.0)
+
+
+def individual_major_derived(horizon, tested, cleared):
+    """``Panel._derived``'s ``(last_clear, next_test)`` as first written, over
+    individual-major ``n x (horizon + 1)`` event arrays: one strided column a day."""
+    n = tested.shape[0]
+    last_clear = np.zeros((n, horizon + 1), dtype=np.int32)
+    running = np.zeros(n, dtype=np.int32)
+    for t in range(horizon + 1):
+        last_clear[:, t] = running
+        running = np.where(cleared[:, t], t, running)
+    next_test = np.full((n, horizon + 1), horizon + 2, dtype=np.int32)
+    for s in range(horizon - 1, -1, -1):
+        next_test[:, s] = np.where(tested[:, s + 1], s + 1, next_test[:, s + 1])
+    return last_clear, next_test
+
+
+def individual_major_tables(horizon, tested, positive, removed, cleared, assumed_well):
+    """``Panel.contribution_index`` and ``Panel.day_counts`` as first written, over
+    individual-major event arrays: ``np.nonzero`` yields the cells individual by
+    individual, and the stable sort breaks ties in that order."""
+    from prevest.estimators import ContributionIndex, DayCounts
+
+    last_clear, next_test_of = individual_major_derived(horizon, tested, cleared)
+    days = np.arange(horizon + 1, dtype=last_clear.dtype)
+    after = np.where(cleared, days, last_clear)
+    keep = (after == days) | (tested & ~positive)
+    individual, s = np.nonzero(keep)
+    c = after[individual, s].astype(np.int64)
+    next_test = next_test_of[individual, s].astype(np.int64)
+    key = c * (horizon + 1) + s
+    dtype = np.min_scalar_type((horizon + 1) ** 2 * (horizon + 3))
+    order = np.argsort((key * (horizon + 3) + next_test).astype(dtype), kind="stable")
+    index = ContributionIndex(key=key[order], offset=(s - c)[order],
+                              next_test=next_test[order], individual=individual[order])
+
+    size = horizon + 1
+    key = np.arange(size) * size + last_clear
+    key *= 8
+    for weight, flag in ((4, assumed_well), (2, tested), (1, positive)):
+        np.add(key, weight, out=key, where=flag)
+    key[removed] = size * size * 8
+    cells = np.bincount(key.ravel(), minlength=size * size * 8 + 1)[:-1]
+    cells = cells.reshape(size, size, 2, 4)
+    members, per_day = cells[:, :, 0], cells.sum(axis=1)
+    counts = DayCounts(members=members.sum(axis=2).astype(float),
+                       tested=members[:, :, 2:].sum(axis=2).astype(float),
+                       negative=members[:, :, 2].astype(float),
+                       nonremoved=per_day.sum(axis=(1, 2)), assumed=per_day[:, 1].sum(axis=1),
+                       n_tests=per_day[:, :, 2:].sum(axis=(1, 2)),
+                       n_positive=per_day[:, :, 1::2].sum(axis=(1, 2)))
+    return index, counts

@@ -150,7 +150,7 @@ def test_criterion_05_perfect_specificity_denominator_is_one():
         sim = simulate(bundle.config, seed=(900, r))
         panel = sim.panel()
         for t in (8, 14, 21):
-            for c in np.unique(panel.last_clear[:, t]):
+            for c in np.unique(panel.last_clear[t]):
                 if c >= t:
                     continue
                 try:
@@ -266,9 +266,9 @@ def test_criterion_09_anonymiser_leaves_estimates_unchanged():
             panel = apply_adjustments(m, policy).panel
             out = []
             for day in range(1, config.horizon_days + 1):
-                nonrem = ~panel.removed[:, day]
-                n_tests = int((panel.tested[:, day] & nonrem).sum())
-                n_pos = int((panel.positive[:, day] & nonrem).sum())
+                nonrem = ~panel.removed[day]
+                n_tests = int((panel.tested[day] & nonrem).sum())
+                n_pos = int((panel.positive[day] & nonrem).sum())
                 est, _ = ht_estimated(panel, day, config.tests, min_stratum_size=5)
                 out.append((n_tests, n_pos,
                             tpr_prevalence(n_pos, n_tests, config.tests),

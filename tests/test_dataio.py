@@ -284,11 +284,11 @@ class TestAdjustments:
                                                     post_isolation_exemption_days=90,
                                                     keep_first_test_per_week=False,
                                                     min_daily_tests=0))
-        removed = adj.panel.removed[0]
+        removed = adj.panel.removed[:, 0]
         assert not removed[5] and removed[6] and removed[15]  # days 6..15 removed
         assert not removed[16]
-        assert adj.panel.cleared[0, 15]
-        assert adj.panel.assumed_well[0, 16] and adj.panel.assumed_well[0, 20]
+        assert adj.panel.cleared[15, 0]
+        assert adj.panel.assumed_well[16, 0] and adj.panel.assumed_well[20, 0]
 
     def test_weekly_filter_keeps_first_test(self):
         cells = np.full((1, 14), ABSENT, dtype=np.int8)
@@ -298,7 +298,7 @@ class TestAdjustments:
         m = TestingMatrix([MONDAY + dt.timedelta(days=j) for j in range(14)], cells)
         adj = apply_adjustments(m, AdjustmentPolicy(min_daily_tests=0))
         assert adj.n_dropped_weekly == 1
-        assert list(np.flatnonzero(adj.panel.tested[0])) == [2, 8]
+        assert list(np.flatnonzero(adj.panel.tested[:, 0])) == [2, 8]
 
     def test_min_daily_tests_exclusion(self):
         cells = np.full((99, 2), NEGATIVE, dtype=np.int8)
@@ -333,13 +333,26 @@ class TestAdjustments:
             b, _ = ht_estimated(direct, day, sim.config.tests)
             assert a.estimate == b.estimate
 
+    def test_event_arrays_are_day_major(self):
+        """Each event array holds one C-contiguous row per day, and the panel takes them
+        without a copy."""
+        sim = small_sim(seed=9)
+        matrix = matrix_from_simulation(sim, start_date=MONDAY)
+        adj = apply_adjustments(matrix, AdjustmentPolicy(min_daily_tests=0))
+        for name in ("tested", "positive", "removed", "cleared", "assumed_well"):
+            array = getattr(adj, name)
+            assert array.shape == (matrix.n_days + 1, matrix.n_individuals), name
+            assert array.flags.c_contiguous, name
+            assert getattr(adj.panel, name) is array, name
+        assert adj.to_matrix().cells.flags.c_contiguous
+
 
 def series_fingerprint(panel, tests, days):
     out = []
     for day in days:
-        nonrem = ~panel.removed[:, day]
-        n_tests = int((panel.tested[:, day] & nonrem).sum())
-        n_pos = int((panel.positive[:, day] & nonrem).sum())
+        nonrem = ~panel.removed[day]
+        n_tests = int((panel.tested[day] & nonrem).sum())
+        n_pos = int((panel.positive[day] & nonrem).sum())
         est, _ = ht_estimated(panel, day, tests, min_stratum_size=5)
         out.append((n_tests, n_pos, tpr_prevalence(n_pos, n_tests, tests)[0], est.estimate))
     return out

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 from unittest import mock
 
@@ -46,6 +47,8 @@ from _oracles import (
     dense_contribution_scan,
     full_matrix_ratio_terms,
     index_bca_bootstrap,
+    individual_major_derived,
+    individual_major_tables,
     per_day_counts,
     per_day_ht_known,
     per_day_point_evaluation,
@@ -305,9 +308,9 @@ class TestHtEstimated:
         sim = small_simulation(regimen=RegimenConfig.simple_random(1.0), tests=PERFECT)
         panel = sim.panel()
         for day in range(1, 16):
-            nonrem = ~panel.removed[:, day]
-            n_tests = int((panel.tested[:, day] & nonrem).sum())
-            n_pos = int((panel.positive[:, day] & nonrem).sum())
+            nonrem = ~panel.removed[day]
+            n_tests = int((panel.tested[day] & nonrem).sum())
+            n_pos = int((panel.positive[day] & nonrem).sum())
             # every stratum weighted: the headcount fallback is a deliberate
             # departure from pure weighting, so it is disabled here
             est, table = ht_estimated(panel, day, PERFECT, min_stratum_size=1)
@@ -357,13 +360,13 @@ class TestHtEstimated:
         via_batch = float(ev.batch(counts @ ev.features)[0])
         resampled = Panel(
             horizon=panel.horizon,
-            tested=panel.tested[idx],
-            positive=panel.positive[idx],
-            removed=panel.removed[idx],
-            cleared=panel.cleared[idx],
-            last_clear=panel.last_clear[idx],
-            next_test=panel.next_test[idx],
-            assumed_well=panel.assumed_well[idx],
+            tested=panel.tested[:, idx],
+            positive=panel.positive[:, idx],
+            removed=panel.removed[:, idx],
+            cleared=panel.cleared[:, idx],
+            last_clear=panel.last_clear[:, idx],
+            next_test=panel.next_test[:, idx],
+            assumed_well=panel.assumed_well[:, idx],
         )
         direct, _ = ht_estimated(resampled, day, STUDY, min_stratum_size=5)
         assert via_batch == pytest.approx(direct.unclipped, abs=1e-12)
@@ -392,17 +395,17 @@ def panels_and_days(draw, max_n=12, max_horizon=8):
     isolation = draw(st.integers(1, 3))
     cells = draw(st.lists(st.text(" NP", min_size=horizon, max_size=horizon),
                           min_size=n, max_size=n))
-    tested, positive, removed, cleared = (np.zeros((n, horizon + 1), bool) for _ in range(4))
+    tested, positive, removed, cleared = (np.zeros((horizon + 1, n), bool) for _ in range(4))
     for i, row in enumerate(cells):
         t = 1
         while t <= horizon:
-            tested[i, t] = row[t - 1] != " "
+            tested[t, i] = row[t - 1] != " "
             if row[t - 1] == "P":
-                positive[i, t] = True
+                positive[t, i] = True
                 end = t + isolation
-                removed[i, t + 1 : end + 1] = True
+                removed[t + 1 : end + 1, i] = True
                 if end <= horizon:
-                    cleared[i, end] = True
+                    cleared[end, i] = True
                 t = end
             t += 1
     day = draw(st.integers(1, horizon))
@@ -506,8 +509,9 @@ class TestDayEvaluatorMatchesReference:
     def test_row_permutation_leaves_estimate_unchanged(self, case, data):
         panel, day = case
         order = np.array(data.draw(st.permutations(range(panel.n_individuals))))
-        permuted = Panel._derived(panel.horizon, panel.tested[order], panel.positive[order],
-                                  panel.removed[order], panel.cleared[order])
+        permuted = Panel._derived(panel.horizon, panel.tested[:, order],
+                                  panel.positive[:, order], panel.removed[:, order],
+                                  panel.cleared[:, order])
         est, _ = ht_estimated(panel, day, STUDY, min_stratum_size=2)
         est_perm, _ = ht_estimated(permuted, day, STUDY, min_stratum_size=2)
         assert est_perm.unclipped == pytest.approx(est.unclipped, abs=1e-12, nan_ok=True)
@@ -590,14 +594,14 @@ class TestPackedSolveMatchesDenseBlock:
 
     def test_span_two_stratum(self):
         # day 3 of this panel has a stratum cleared on day 2: a 2 x 2 block Q
-        tested = np.zeros((12, 5), bool)
-        tested[:, 1] = tested[:6, 3] = tested[6:, 4] = True
+        tested = np.zeros((5, 12), bool)
+        tested[1] = tested[3, :6] = tested[4, 6:] = True
         positive = np.zeros_like(tested)
-        positive[:4, 1] = True
+        positive[1, :4] = True
         removed = np.zeros_like(tested)
-        removed[:4, 2] = True
+        removed[2, :4] = True
         cleared = np.zeros_like(tested)
-        cleared[:4, 2] = True
+        cleared[2, :4] = True
         panel = Panel._derived(4, tested, positive, removed, cleared)
         ev = DayEvaluator(panel, 3, STUDY)
         assert 2 in ev.strata.tolist()
@@ -814,7 +818,7 @@ class TestHtKnown:
         for day in range(1, panel.horizon + 1):
             est, variance = ht_known(panel, day, tests, weight_for)
             w_hat, want_var = per_stratum_ht_known(panel, day, tests, weight_for)
-            nonremoved = int((~panel.removed[:, day]).sum())
+            nonremoved = int((~panel.removed[day]).sum())
             assert est.unclipped == pytest.approx((nonremoved - w_hat) / nonremoved,
                                                   rel=1e-12, abs=1e-12), day
             assert variance == pytest.approx(want_var, rel=1e-12), day
@@ -836,7 +840,7 @@ class TestHtKnown:
 
         for day in range(1, panel.horizon + 1):
             w_hat, want_var = per_stratum_ht_known(panel, day, tests, weight_for)
-            nonremoved = int((~panel.removed[:, day]).sum())
+            nonremoved = int((~panel.removed[day]).sum())
             shared = DayEvaluator(panel, day, tests)
             for evaluator in (None, shared):
                 est, variance = ht_known(panel, day, tests, weight_for, evaluator=evaluator)
@@ -883,6 +887,51 @@ class TestPanelTermsMatchPerDayRoute:
             for evaluator in (None, ev):
                 est, variance = ht_known(panel, day, tests, weight_for, evaluator=evaluator)
                 assert_same_bits((est.unclipped, variance), want_known, day)
+
+
+class TestDayMajorLayout:
+    """The panel's day-major ``(horizon + 1) x n`` arrays give the tables the individual-major
+    arrays gave, bit for bit: the derived arrays are the oracle's transposed, and the
+    contribution index keeps its tie order."""
+
+    @staticmethod
+    def check(panel):
+        tested, positive, removed, cleared, assumed_well = (
+            getattr(panel, name).T for name in ("tested", "positive", "removed", "cleared",
+                                                "assumed_well"))
+        last_clear, next_test = individual_major_derived(panel.horizon, tested, cleared)
+        assert_same_bits(panel.last_clear, last_clear.T, "last_clear")
+        assert_same_bits(panel.next_test, next_test.T, "next_test")
+        index, counts = individual_major_tables(panel.horizon, tested, positive, removed,
+                                                cleared, assumed_well)
+        for f in dataclasses.fields(index):
+            assert_same_bits(getattr(panel.contribution_index, f.name), getattr(index, f.name),
+                             f.name)
+        for f in dataclasses.fields(counts):
+            assert_same_bits(getattr(panel.day_counts, f.name), getattr(counts, f.name), f.name)
+
+    @settings(max_examples=100)
+    @given(case=panels_and_days(max_n=20, max_horizon=10))
+    def test_random_panels(self, case):
+        self.check(case[0])
+
+    @settings(max_examples=40)
+    @given(seed=st.integers(0, 2**16), n=st.integers(1, 60), min_max=st.booleans(),
+           delay=st.integers(0, 2), exemption=st.integers(0, 8))
+    def test_adjusted_panels(self, seed, n, min_max, delay, exemption):
+        """Panels with members assumed well and delayed removals."""
+        self.check(adjusted_panel(seed, n, min_max, delay, 3, exemption))
+
+    def test_replicate_panel_shares_the_simulation_arrays(self):
+        """A replicate split from a stack is a column view of it, and its panel keeps the
+        simulation's event arrays without a copy."""
+        cfg = ScenarioConfig(population_size=30, horizon_days=8, regimen=SIMPLE, tests=STUDY,
+                             seed=4)
+        for sim in simulate(cfg, replicates=range(3)).split():
+            panel = sim.panel()
+            for name in ("tested", "positive", "removed", "cleared"):
+                assert np.shares_memory(getattr(panel, name), getattr(sim, name)), name
+                assert getattr(panel, name).shape == (cfg.horizon_days + 1, 30), name
 
 
 class TestProbabilityTableMatchesPerOffsetLoop:

@@ -148,7 +148,7 @@ class TestDynamics:
 
         for t in range(1, sim.horizon + 1):
             state = reconstruct_state(sim.histories, t)
-            assert np.array_equal(state.removed, panel.removed[:, t])
+            assert np.array_equal(state.removed, panel.removed[t])
             assert np.array_equal(state.removed, sim.removed[t])
 
 
