@@ -107,10 +107,13 @@ class Panel:
         """Per-(day, stratum) headcounts, built on first use in one ``bincount`` over the
         (horizon + 1) x n cells keyed by (day t, ``last_clear[t, i]``, cell kind)."""
         size = self.horizon + 1
-        key = np.arange(size)[:, None] * size + self.last_clear
+        # int32 holds every key: a horizon past it would need a bincount of over 16 GiB
+        key = np.arange(size, dtype=np.int32)[:, None] * size + self.last_clear
         key *= 8
-        for weight, flag in ((4, self.assumed_well), (2, self.tested), (1, self.positive)):
-            np.add(key, weight, out=key, where=flag)  # in place: one int64 per cell
+        flags = self.assumed_well.view(np.uint8) * np.uint8(4)
+        flags += self.tested.view(np.uint8) * np.uint8(2)
+        flags += self.positive.view(np.uint8)
+        key += flags
         key[self.removed] = size * size * 8  # one bin past the table for every removed cell
         cells = np.bincount(key.ravel(), minlength=size * size * 8 + 1)[:-1]
         # cells[t, c, assumed well, 2 tested + positive], over the non-removed
@@ -343,23 +346,6 @@ def estimate_schedule_matrix(panel: Panel, stratum: int, t: int) -> ScheduleMatr
     return matrix
 
 
-def _solve_ratio_terms(column, tail: np.ndarray, nu: float) -> tuple[np.ndarray, np.ndarray]:
-    """Numerator and denominator of the testing-probability ratio, batched.
-
-    Row ``b`` is rows ``c..t`` of schedule matrix P_b, span = t - c + 1:
-    ``column(j)`` is the slab ``[b, i] = P[c + i, c + j]``, i < j, of the strictly
-    upper-triangular block Q, and ``tail[b]`` the tail column r = P[c..t, t + 1].
-    Q is nilpotent, so the series sum_k nu^(k-1) (P^k)[c, t] is finite:
-    x = e_c (I - nu Q)^-1 by forward substitution, x_j = nu y_j with
-    y_j = sum_{i<j} x_i Q[i, j].  Numerator = y_t; the denominator
-    sum_k nu^(k-1) (P^k - P^(k-1))[c, t..t+1] = y_t + sum_{j<t} x_j r_j.
-    """
-    span = tail.shape[1]
-    x, y = _forward_substitute(column, tail.shape[0], span, nu)
-    num = y[:, span - 1]
-    return num, num + np.einsum("bi,bi->b", x[:, :-1], tail[:, :-1])
-
-
 def _forward_substitute(column, rows: int, span: int, nu: float) -> tuple[np.ndarray, np.ndarray]:
     """x = e_0 (I - nu Q)^-1 and y = x / nu (y_0 = 0) for ``rows`` matrices Q of size
     ``span``, given the ``rows x j`` slab ``column(j)`` of entries Q[i, j], i < j."""
@@ -372,16 +358,30 @@ def _forward_substitute(column, rows: int, span: int, nu: float) -> tuple[np.nda
     return x, y
 
 
+def _offset_probabilities(column, rows: int, span: int, nu: float) -> np.ndarray:
+    """Testing probability ``[b, m]`` of day ``c + m``, ``m < span``, for ``rows`` strata.
+
+    ``column(j)`` is the ``rows x j`` slab of entries Q[i, j], i < j, of each stratum's
+    normalised schedule rows ``c..c + span - 1``.  Every row sums to 1 (an unobserved one
+    lies past the horizon), so :func:`_ratio_terms`' ratio is y_m over den = 1 - (1 - nu)
+    sum_{v<m} y_v, one cumulative sum for every day: exactly 1 at nu = 1, and a difference
+    that loses digits as it shrinks (low nu, long chains of tests).
+    """
+    _, y = _forward_substitute(column, rows, span, nu)
+    below = np.zeros_like(y)
+    np.cumsum(y[:, :-1], axis=1, out=below[:, 1:])
+    den = 1.0 - (1.0 - nu) * below
+    return np.where(den > _EPS, y / np.maximum(den, _EPS), 0.0)
+
+
 def _probability_table(strata: np.ndarray, horizon: int, nu: float, rows_of) -> np.ndarray:
     """Testing probability ``probs[c, t]`` of each stratum ``c`` in ``strata`` on every day.
 
     ``rows_of(chunk, span)`` weighs rows ``c..horizon`` of the strata ``chunk`` on
     the values ``0..span`` (day ``c + value``, ``span`` past the horizon), shaped
-    ``[stratum, value, row]``; an empty row has its mass past the horizon.  Day
-    ``t = c + m`` reads a prefix of these rows, so one forward substitution serves
-    every day: num = y_m, den = y_m + sum_{j<m} x_j r_j(t), r_j(t) row j's mass after
-    ``t`` (:func:`_solve_ratio_terms`); one einsum per ``m`` fills ``den``, and the ratios
-    of a chunk are formed and scattered at once.  Chunks are padded to their widest span
+    ``[stratum, value, row]``.  Day ``t = c + m`` reads a prefix of these rows, so one
+    :func:`_offset_probabilities` of the normalised block serves every day, and the
+    ratios of a chunk are scattered at once.  Chunks are padded to their widest span
     under ``_TABLE_BLOCK_BYTES``, past each stratum's own rows, which the solve never reads.
     """
     size = horizon + 1
@@ -395,19 +395,10 @@ def _probability_table(strata: np.ndarray, horizon: int, nu: float, rows_of) -> 
         first += chunk.size
         block = rows_of(chunk, span)
         sums = block.sum(axis=1)[:, None, :]
-        norm = np.where(sums > 0, sums, 1.0)
-        after = np.cumsum(block[:, ::-1], axis=1)[:, ::-1] / norm
-        after = np.where(sums == 0, 1.0, after)  # after[:, k, i]: row i's mass on values >= k
-        block /= norm
-        x, y = _forward_substitute(lambda j: block[:, j, :j], chunk.size, span, nu)
-        den = np.zeros_like(y)
-        for m in range(1, span):
-            rows = np.searchsorted(chunk, horizon - m, side="right")  # strata with c + m <= horizon
-            den[:rows, m] = np.einsum("bi,bi->b", x[:rows, :m], after[:rows, m + 1, :m])
-        den += y
+        block /= np.where(sums > 0, sums, 1.0)
+        ratio = _offset_probabilities(lambda j: block[:, j, :j], chunk.size, span, nu)
         b, m = np.nonzero(chunk[:, None] + np.arange(span) <= horizon)
-        probs[chunk[b], chunk[b] + m] = np.where(
-            den[b, m] > _EPS, y[b, m] / np.maximum(den[b, m], _EPS), 0.0)
+        probs[chunk[b], chunk[b] + m] = ratio[b, m]
     return np.minimum(probs, 1.0)
 
 
@@ -427,10 +418,22 @@ def known_probability_table(regimen: RegimenConfig, horizon: int, nu: float) -> 
 
 
 def _ratio_terms(mats: np.ndarray, nu: float, c: int, t: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_solve_ratio_terms` over whole ``(t + 2) x (t + 2)`` schedule matrices, read
-    through the dense transposed block ``block[b, j, i] = P[c + i, c + j]``."""
+    """Numerator and denominator of the testing-probability ratio of whole ``(t + 2) x
+    (t + 2)`` schedule matrices P_b, in the explicit form :func:`_offset_probabilities`
+    shortens.
+
+    Rows ``c..t`` of P_b, read through the dense transposed block ``block[b, j, i] =
+    P[c + i, c + j]``, give the strictly upper-triangular Q and the tail column
+    r = P[c..t, t + 1].  Q is nilpotent, so the series sum_k nu^(k-1) (P^k)[c, t] is
+    finite: x = e_c (I - nu Q)^-1 by forward substitution, x_j = nu y_j with
+    y_j = sum_{i<j} x_i Q[i, j].  Numerator = y_t; the denominator
+    sum_k nu^(k-1) (P^k - P^(k-1))[c, t..t+1] = y_t + sum_{j<t} x_j r_j.
+    """
     block = np.swapaxes(mats[:, c : t + 1, c : t + 2], 1, 2)
-    return _solve_ratio_terms(lambda j: block[:, j, :j], block[:, t - c + 1], nu)
+    span = t - c + 1
+    x, y = _forward_substitute(lambda j: block[:, j, :j], len(mats), span, nu)
+    num = y[:, span - 1]
+    return num, num + np.einsum("bi,bi->b", x[:, :-1], block[:, span, :-1])
 
 
 def testing_probability_from_matrix(matrix: ScheduleMatrix, specificity: float) -> float:
@@ -754,23 +757,28 @@ class DayEvaluator:
         return codes, bounds, contrib
 
     @cached_property
-    def _packed_layout(self) -> list[tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]:
-        """Per stratum slot, its codes ``lo:hi``, their row offsets and packed positions,
-        and the first code of each observed row.  The packed block holds Q^T's row
-        ``v`` (Q[0..v-1, v]) at ``v(v-1)/2`` and the tail r at ``v = span``."""
+    def _packed_layout(self) -> list[tuple[int, int, np.ndarray, np.ndarray, np.ndarray,
+                                           np.ndarray]]:
+        """Per stratum slot, its codes ``lo:hi``, the first code of each observed row and
+        the row's code count, and the codes whose next test falls on or before the day with
+        their packed positions: the packed block holds Q^T's row ``v`` (Q[0..v-1, v]) at
+        ``v(v-1)/2``."""
         width = self.day + 2
         codes, bounds, _ = self._code_space
         layout = []
         for j, c in enumerate(self.strata.tolist()):
             lo, hi = int(bounds[j]), int(bounds[j + 1])
             row, column = np.divmod(codes[lo:hi] - j * width * width - c, width)  # value - c
-            layout.append((lo, hi, row, column * (column - 1) // 2 + row,
-                           np.flatnonzero(np.diff(row, prepend=-1))))
+            starts = np.flatnonzero(np.diff(row, prepend=-1))
+            inner = np.flatnonzero(column <= self.day - c)
+            layout.append((lo, hi, starts, np.diff(starts, append=hi - lo), inner,
+                           (column * (column - 1) // 2 + row)[inner]))
         return layout
 
     @property
     def chunk_rows(self) -> int:
-        """Resample rows whose totals and widest packed solve block fit ``_SOLVE_BLOCK_BYTES``."""
+        """Resample rows whose totals and widest stratum solve fit ``_SOLVE_BLOCK_BYTES``: span
+        (span + 1) / 2 floats a row, its packed block and a span-wide row of the solve."""
         span = self.day - int(self.strata[0]) + 1 if len(self.strata) else 0
         return max(1, _SOLVE_BLOCK_BYTES // (8 * (self.features.shape[1] + span * (span + 1) // 2)))
 
@@ -781,30 +789,26 @@ class DayEvaluator:
         (large-enough resampled stratum with at least one test); everything
         else falls back to a headcount.  The needed rows of each stratum go
         through in one block: the observed codes are normalised in place by
-        their row sums and scattered by :attr:`_packed_layout` into the packed
-        Q^T and r whose slabs :func:`_solve_ratio_terms` reads (bit-equal to a
-        dense block's); an unobserved row becomes the tail indicator.  A call of
-        at most :attr:`chunk_rows` rows keeps every block under ``_SOLVE_BLOCK_BYTES``.
+        their row sums, and those on or before the day are scattered by
+        :attr:`_packed_layout` into the packed Q^T whose slabs
+        :func:`_offset_probabilities` reads (bit-equal to a dense block's); its
+        last column is the day.  A call of at most :attr:`chunk_rows` rows keeps
+        every block under ``_SOLVE_BLOCK_BYTES``.
         """
         t = self.day
         nu = self.tests.specificity
         probs = np.zeros((counts.shape[0], len(self.strata)))
-        for j, (lo, hi, row, pos, starts) in enumerate(self._packed_layout):
+        for j, (lo, hi, starts, sizes, inner, pos) in enumerate(self._packed_layout):
             rows = np.flatnonzero(need[:, j])
             if rows.size == 0:
                 continue
             span = t - int(self.strata[j]) + 1  # row offsets 0..t-c are matrix rows c..t
-            tail = span * (span - 1) // 2
             part = counts[rows, lo:hi]
-            sums = np.zeros((rows.size, span))
-            sums[:, row[starts]] = np.add.reduceat(part, starts, axis=1)
-            part /= np.maximum(sums, 1.0)[:, row]
-            block = np.zeros((rows.size, tail + span))
-            block[:, pos] = part
-            block[:, tail:][sums == 0] = 1.0  # unobserved row: tail indicator
-            num, den = _solve_ratio_terms(
-                lambda v: block[:, v * (v - 1) // 2 : v * (v + 1) // 2], block[:, tail:], nu)
-            probs[rows, j] = np.where(den > _EPS, num / np.maximum(den, _EPS), 0.0)
+            part /= np.repeat(np.maximum(np.add.reduceat(part, starts, axis=1), 1.0), sizes, axis=1)
+            block = np.zeros((rows.size, span * (span - 1) // 2))
+            block[:, pos] = part[:, inner]
+            probs[rows, j] = _offset_probabilities(
+                lambda v: block[:, v * (v - 1) // 2 : v * (v + 1) // 2], rows.size, span, nu)[:, -1]
         return np.minimum(probs, 1.0)
 
     def estimate(self) -> Evaluation:

@@ -36,7 +36,6 @@ class IntervalSpec:
     level: float = 0.95
     bootstrap_iterations: int = 399
     jackknife_block_size: int = 10
-    jackknife_block_count: Optional[int] = None  # overrides the size when set
 
     def __post_init__(self):
         check_field_types(self)
@@ -46,8 +45,6 @@ class IntervalSpec:
             raise ValueError("need at least one bootstrap iteration")
         if self.jackknife_block_size < 1:
             raise ValueError("jackknife block size must be >= 1")
-        if self.jackknife_block_count is not None and self.jackknife_block_count < 2:
-            raise ValueError("jackknife block count must be >= 2")
 
 
 def clopper_pearson(positives: int, tested: int, level: float = 0.95) -> tuple[float, float]:
@@ -118,8 +115,6 @@ class BcaInterval:
 
 
 def _jackknife_blocks(n: int, spec: IntervalSpec, order: np.ndarray) -> list[np.ndarray]:
-    if spec.jackknife_block_count is not None:
-        return [b for b in np.array_split(order, spec.jackknife_block_count) if b.size]
     size = spec.jackknife_block_size
     return [order[i : i + size] for i in range(0, n, size)]
 

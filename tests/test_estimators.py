@@ -246,6 +246,34 @@ class TestMatrixWalkMatchesFullMatrixOracle:
             want, rel=1e-12, abs=1e-12)
 
 
+class TestClosedFormDenominator:
+    """:func:`_offset_probabilities` (den = 1 - (1 - nu) sum_{v<m} y_v) against the
+    explicit ratio of :func:`_ratio_terms` (den = y_m + sum_{j<m} x_j r_j) of the matrix
+    cut at each day ``c + m``: rows with no observed test are the tail indicator."""
+
+    @settings(max_examples=200)
+    @given(matrix=schedule_matrices(max_horizon=12), nu=st.sampled_from([1.0, 0.992, 0.6]))
+    def test_every_offset_equals_the_explicit_ratio(self, matrix, nu):
+        c, t, p = matrix.stratum, matrix.horizon, matrix.entries
+        span = t - c + 1
+        block = np.swapaxes(p[None, c : t + 1, c : t + 1], 1, 2)  # [b, value, row], values <= t
+        got = estimators._offset_probabilities(lambda j: block[:, j, :j], 1, span, nu)
+        assert got[0, 0] == 0.0
+        for m in range(1, span):
+            day = c + m
+            cut = np.zeros((day + 2, day + 2))
+            cut[:, : day + 1] = p[: day + 2, : day + 1]
+            cut[:, day + 1] = p[: day + 2, day + 1 :].sum(axis=1)
+            cut[day + 1] = 0.0
+            cut[day + 1, day + 1] = 1.0
+            num, den = estimators._ratio_terms(cut[None], nu, c, day)
+            want = np.where(den > estimators._EPS, num / np.maximum(den, estimators._EPS), 0.0)
+            np.testing.assert_allclose(got[:, m], want, rtol=0, atol=1e-14, err_msg=str(m))
+        if nu == 1.0:  # den is exactly 1: the ratio is the numerator itself
+            _, y = estimators._forward_substitute(lambda j: block[:, j, :j], 1, span, nu)
+            np.testing.assert_array_equal(got, y)
+
+
 BUILTIN_REGIMENS = (
     SIMPLE,
     RegimenConfig.max_gap(10),
@@ -540,8 +568,8 @@ class TestDayEvaluatorMatchesReference:
 
 
 class TestPackedSolveMatchesDenseBlock:
-    """``DayEvaluator._stratum_probs`` (packed Q^T and r, cached decode) pinned bit for bit
-    to :func:`_solve_ratio_terms` over the dense block scattered from the same counts."""
+    """``DayEvaluator._stratum_probs`` (packed Q^T, cached decode) pinned bit for bit to
+    :func:`_offset_probabilities` over the dense block scattered from the same counts."""
 
     @staticmethod
     def dense_probs(ev, counts, nu):
@@ -555,11 +583,9 @@ class TestPackedSolveMatchesDenseBlock:
             for k in range(bounds[j], bounds[j + 1]):
                 row, value = divmod(int(codes[k]) - j * width * width, width)
                 block[:, value - c, row] = counts[:, k]
-            sums = block.sum(axis=1)
-            block /= np.maximum(sums, 1.0)[:, None, :]
-            block[:, span][sums == 0] = 1.0
-            num, den = estimators._solve_ratio_terms(lambda v: block[:, v, :v], block[:, span], nu)
-            probs[:, j] = np.where(den > 1e-12, num / np.maximum(den, 1e-12), 0.0)
+            block /= np.maximum(block.sum(axis=1), 1.0)[:, None, :]
+            probs[:, j] = estimators._offset_probabilities(
+                lambda v: block[:, v, :v], counts.shape[0], span, nu)[:, -1]
         return np.minimum(probs, 1.0)
 
     @settings(max_examples=80)
@@ -582,8 +608,8 @@ class TestPackedSolveMatchesDenseBlock:
            budget=st.one_of(st.just(estimators._SOLVE_BLOCK_BYTES), st.integers(1, 1 << 14)))
     def test_chunk_rows_fit_every_packed_block(self, case, budget):
         """Why ``_stratum_probs`` solves each stratum in one block: ``chunk_rows`` rows of
-        any stratum's packed block, span (span + 1) / 2 floats a row, fit the budget,
-        unless ``chunk_rows`` is 1."""
+        any stratum's solve, span (span + 1) / 2 floats a row (its packed block and a
+        span-wide row), fit the budget, unless ``chunk_rows`` is 1."""
         panel, day = case
         ev = DayEvaluator(panel, day, STUDY)
         with mock.patch.object(estimators, "_SOLVE_BLOCK_BYTES", budget):
@@ -632,12 +658,8 @@ class TestCountSpaceBootstrapMatchesIndexRoute:
     def test_random_panels(self, case, data):
         panel, day = case
         n = panel.n_individuals
-        if data.draw(st.booleans(), label="block count mode"):
-            spec = IntervalSpec(bootstrap_iterations=data.draw(st.integers(2, 40)),
-                                jackknife_block_count=data.draw(st.integers(2, 6)))
-        else:
-            spec = IntervalSpec(bootstrap_iterations=data.draw(st.integers(2, 40)),
-                                jackknife_block_size=data.draw(st.integers(1, n + 1)))
+        spec = IntervalSpec(bootstrap_iterations=data.draw(st.integers(2, 40)),
+                            jackknife_block_size=data.draw(st.integers(1, n + 1)))
         seed = data.draw(st.integers(0, 2**16))
         ev = DayEvaluator(panel, day, STUDY, min_stratum_size=data.draw(st.integers(1, 3)))
         assert_same_interval(bca_bootstrap(ev.resampler(), spec, seed),
@@ -645,7 +667,7 @@ class TestCountSpaceBootstrapMatchesIndexRoute:
 
     @pytest.mark.parametrize("spec", [
         IntervalSpec(bootstrap_iterations=99, jackknife_block_size=7),  # 200 = 28 x 7 + 4
-        IntervalSpec(bootstrap_iterations=99, jackknife_block_count=9),
+        IntervalSpec(bootstrap_iterations=99, jackknife_block_size=23),  # 200 = 8 x 23 + 16
     ])
     def test_simulated_panel_with_short_block(self, spec):
         panel = small_simulation(seed=17).panel()
@@ -679,10 +701,7 @@ class TestResampleTotalsMatchDenseRoute:
         # 1 byte gives one row a chunk; the top of the range one chunk for every row
         budget = data.draw(st.one_of(st.just(1), st.integers(1, 8 * n * (b_iter + 1))),
                            label="byte budget")
-        if data.draw(st.booleans(), label="block count mode"):
-            spec = IntervalSpec(jackknife_block_count=data.draw(st.integers(2, n + 2)))
-        else:
-            spec = IntervalSpec(jackknife_block_size=data.draw(st.integers(1, n + 1)))
+        spec = IntervalSpec(jackknife_block_size=data.draw(st.integers(1, n + 1)))
         seed = data.draw(st.integers(0, 2**16), label="seed")
         rng = np.random.default_rng(seed)
         draws = rng.integers(0, n, size=(b_iter, n))
@@ -935,8 +954,11 @@ class TestDayMajorLayout:
 
 
 class TestProbabilityTableMatchesPerOffsetLoop:
-    """``_probability_table`` forms and scatters a chunk's ratios at once; pinned bit for
-    bit to the loop that did so per offset, on observed and on regimen rows."""
+    """``_probability_table`` forms a chunk's ratios by the closed-form denominator and
+    scatters them at once; pinned to the loop that formed each offset's denominator from
+    the explicit tail masses, on observed and on regimen rows.  The closed form subtracts
+    from 1, so where den is small it keeps fewer digits than the oracle's sum of positive
+    terms; on these small panels the two agree to 1e-14 absolute."""
 
     @settings(max_examples=40)
     @given(case=panels_and_days(), nu=st.sampled_from([1.0, 0.992, 0.6]),
@@ -952,8 +974,8 @@ class TestProbabilityTableMatchesPerOffsetLoop:
         with mock.patch.object(estimators, "_TABLE_BLOCK_BYTES", budget):
             got = estimators._probability_table(strata, horizon, nu, rows_of)
             want = per_offset_probability_table(strata, horizon, nu, rows_of)
-        assert_same_bits(got, want)
-        assert_same_bits(panel.point_probabilities(nu), per_offset_probability_table(
+        assert_same_table(got, want)
+        assert_same_table(panel.point_probabilities(nu), per_offset_probability_table(
             strata, horizon, nu, rows_of))
 
     @settings(max_examples=40)
@@ -962,7 +984,13 @@ class TestProbabilityTableMatchesPerOffsetLoop:
         got = known_probability_table(regimen, horizon, nu)
         with mock.patch.object(estimators, "_probability_table", per_offset_probability_table):
             want = known_probability_table(regimen, horizon, nu)
-        assert_same_bits(got, want)
+        assert_same_table(got, want)
+
+
+def assert_same_table(got, want):
+    """Probability tables equal to rounding: zero exactly where the oracle's is zero."""
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+    np.testing.assert_array_equal(got == 0.0, want == 0.0)
 
 
 class TestBiasRatio:

@@ -28,11 +28,11 @@ class TestIntervalSpec:
             IntervalSpec(level=1.0)
         with pytest.raises(ValueError):
             IntervalSpec(bootstrap_iterations=0)
-        IntervalSpec(jackknife_block_count=79)
+        with pytest.raises(ValueError):
+            IntervalSpec(jackknife_block_size=0)
 
     @pytest.mark.parametrize("field,value", [
         ("level", "0.9"), ("bootstrap_iterations", 99.0), ("jackknife_block_size", True),
-        ("jackknife_block_count", 2.5),
     ])
     def test_mistyped_field_is_named(self, field, value):
         with pytest.raises(ConfigError, match=field):
@@ -296,16 +296,13 @@ class TestBcaBootstrap:
         out = bca_bootstrap(est, IntervalSpec(bootstrap_iterations=199), seed=2)
         assert 0.0 <= out.lo <= out.point <= out.hi <= 1.0
 
-    def test_block_count_mode_and_remainder_blocks(self):
+    def test_remainder_block(self):
         values = np.random.default_rng(1).random(47)  # 47 = 4 blocks of 10 + short block
         est = MeanEstimator(values)
-        by_size = bca_bootstrap(est, IntervalSpec(bootstrap_iterations=99,
-                                                  jackknife_block_size=10), seed=4)
-        by_count = bca_bootstrap(est, IntervalSpec(bootstrap_iterations=99,
-                                                   jackknife_block_count=5), seed=4)
-        for out in (by_size, by_count):
-            assert out.lo <= out.hi
-        assert by_size.acceleration != 0.0
+        out = bca_bootstrap(est, IntervalSpec(bootstrap_iterations=99,
+                                              jackknife_block_size=10), seed=4)
+        assert out.lo <= out.hi
+        assert out.acceleration != 0.0
 
     def test_coverage_on_normal_mean(self):
         # 300 draws of n=40 normal samples: BCa should cover the true mean ~95%
