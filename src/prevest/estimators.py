@@ -118,10 +118,8 @@ class Panel:
         cells = np.bincount(key.ravel(), minlength=size * size * 8 + 1)[:-1]
         # cells[t, c, assumed well, 2 tested + positive], over the non-removed
         cells = cells.reshape(size, size, 2, 4)
-        members, per_day = cells[:, :, 0], cells.sum(axis=1)
-        return DayCounts(members=members.sum(axis=2).astype(float),
-                         tested=members[:, :, 2:].sum(axis=2).astype(float),
-                         negative=members[:, :, 2].astype(float),
+        per_day = cells.sum(axis=1)
+        return DayCounts(*(table.astype(float) for table in _class_counts(cells[:, :, 0])),
                          nonremoved=per_day.sum(axis=(1, 2)), assumed=per_day[:, 1].sum(axis=1),
                          n_tests=per_day[:, :, 2:].sum(axis=(1, 2)),
                          n_positive=per_day[:, :, 1::2].sum(axis=(1, 2)))
@@ -365,7 +363,9 @@ def _offset_probabilities(column, rows: int, span: int, nu: float) -> np.ndarray
     normalised schedule rows ``c..c + span - 1``.  Every row sums to 1 (an unobserved one
     lies past the horizon), so :func:`_ratio_terms`' ratio is y_m over den = 1 - (1 - nu)
     sum_{v<m} y_v, one cumulative sum for every day: exactly 1 at nu = 1, and a difference
-    that loses digits as it shrinks (low nu, long chains of tests).
+    that loses digits as it shrinks (low nu, long chains of tests).  A running product of
+    the surviving mass keeps some: rows that sum to 1 only to rounding still err by about
+    (1 - nu) / den times that rounding, and only the explicit tail form avoids it.
     """
     _, y = _forward_substitute(column, rows, span, nu)
     below = np.zeros_like(y)
@@ -533,6 +533,12 @@ def prevalence_from_w(w_hat: float, n_population: int, removed: int) -> tuple[fl
     return clip_unit(unclipped), unclipped
 
 
+def _class_counts(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(members, tested, negative)`` of ``[..., stratum, kind]`` headcounts of the members
+    not assumed well, by kind ``2 tested + positive``."""
+    return cells.sum(axis=-1), cells[..., 2:].sum(axis=-1), cells[..., 2]
+
+
 def _numerator(tested_c, neg_c, tests: TestCharacteristics):
     """``neg_c - (1 - eta) tested_c``: a stratum's weighted well count times youden pi_c."""
     return neg_c - (1.0 - tests.sensitivity) * tested_c
@@ -676,11 +682,11 @@ class DayEvaluator:
     per stratum per panel serve every day, and no point estimate reads an
     individual.  Resamples (bootstrap draws, jackknife blocks) enter only
     through :meth:`batch`, as their totals over the day's :attr:`features`
-    (its indicator columns and next-test contributions), which are built on
-    first use, importing ``scipy.sparse`` only then; a resample's estimate
-    reduces to batched triangular solves.  :meth:`estimate` returns an
-    :class:`Evaluation` and keeps no per-call state beyond ``_last_fallback``,
-    the copy ``perfbench/tracing.py`` reads.
+    (one headcount class per non-removed individual, and the next-test
+    contributions), which are built on first use, importing ``scipy.sparse``
+    only then; a resample's estimate reduces to batched triangular solves.
+    :meth:`estimate` returns an :class:`Evaluation` and keeps no per-call state
+    beyond ``_last_fallback``, the copy ``perfbench/tracing.py`` reads.
     """
 
     def __init__(self, panel: Panel, day: int, tests: TestCharacteristics,
@@ -703,26 +709,21 @@ class DayEvaluator:
 
     @cached_property
     def features(self) -> sparse.csc_matrix:
-        """The individuals x (2 + 3S + codes) 0/1 columns whose multiplicity-weighted totals
-        are all a resample's estimate reads: non-removed, assumed well, then stratum member,
-        tested and tested negative, one column per stratum slot each, then the next-test
-        contribution columns of :attr:`_code_space`."""
+        """The individuals x (1 + 4S + codes) 0/1 columns whose multiplicity-weighted totals
+        are all a resample's estimate reads: the headcount classes, then the next-test
+        contribution columns of :attr:`_code_space`.  Each non-removed individual has one
+        class: column 0 if assumed well, else ``1 + 4 slot + kind`` by its stratum slot and
+        kind ``2 tested + positive``, the cells :attr:`Panel.day_counts` bins."""
         from scipy import sparse
 
-        panel, t, s_count = self.panel, self.day, len(self.strata)
+        panel, t = self.panel, self.day
         nonremoved = np.flatnonzero(~panel.removed[t])
-        assumed = nonremoved[panel.assumed_well[t, nonremoved]]
-        idx = nonremoved[~panel.assumed_well[t, nonremoved]]  # the strata's members
-        slot = 2 + np.searchsorted(self.strata, panel.last_clear[t, idx])
-        tested = panel.tested[t, idx]
-        negative = tested & ~panel.positive[t, idx]
-        rows = np.concatenate([nonremoved, assumed, idx, idx[tested], idx[negative]])
-        cols = np.concatenate([np.zeros(nonremoved.size, dtype=np.intp),
-                               np.ones(assumed.size, dtype=np.intp),
-                               slot, s_count + slot[tested], 2 * s_count + slot[negative]])
-        indicators = sparse.csc_matrix((np.ones(rows.size), (rows, cols)),
-                                       shape=(panel.n_individuals, 2 + 3 * s_count))
-        return sparse.hstack([indicators, self._code_space[2]], format="csc")
+        slot = np.searchsorted(self.strata, panel.last_clear[t, nonremoved])
+        kind = 2 * panel.tested[t, nonremoved] + panel.positive[t, nonremoved]
+        column = np.where(panel.assumed_well[t, nonremoved], 0, 1 + 4 * slot + kind)
+        classes = sparse.csc_matrix((np.ones(nonremoved.size), (nonremoved, column)),
+                                    shape=(panel.n_individuals, 1 + 4 * len(self.strata)))
+        return sparse.hstack([classes, self._code_space[2]], format="csc")
 
     @cached_property
     def _code_space(self) -> tuple[np.ndarray, np.ndarray, sparse.csc_matrix]:
@@ -828,14 +829,14 @@ class DayEvaluator:
     def _estimate_totals(self, totals: np.ndarray) -> Evaluation:
         """The :class:`Evaluation` of each row of a rows x features matrix of totals.
 
-        Every total is an integer, so rows from any product order give the
-        same estimates; the code columns are read as a view.
+        The class totals reduce as :attr:`Panel.day_counts`' do (:func:`_class_counts`), and
+        the non-removed count is their sum.  Every total is an integer, so rows from any
+        product order give the same estimates; the code columns are read as a view.
         """
         s_count = len(self.strata)
-        n_c, tested_c, neg_c = totals[:, 2 : 2 + 3 * s_count].reshape(
-            len(totals), 3, s_count).transpose(1, 0, 2)
-        codes = totals[:, 2 + 3 * s_count :]
-        return _evaluation(totals[:, 0], totals[:, 1], n_c, *_stratum_terms(
+        classes, codes = totals[:, : 1 + 4 * s_count], totals[:, 1 + 4 * s_count :]
+        n_c, tested_c, neg_c = _class_counts(classes[:, 1:].reshape(len(totals), s_count, 4))
+        return _evaluation(classes.sum(axis=1), totals[:, 0], n_c, *_stratum_terms(
             n_c, tested_c, _numerator(tested_c, neg_c, self.tests),
             lambda need: self._stratum_probs(codes, need), self.min_stratum_size, self.tests))
 
@@ -851,13 +852,9 @@ class DayEvaluator:
         return self._estimate_totals(totals).unclipped
 
     def resampler(self) -> "DayEvaluator":
-        """The evaluator itself, for interval construction: its :attr:`features` and
-        :meth:`batch` re-estimate on the unclipped scale.
-
-        Bootstrap machinery runs on the unrestricted estimates (clipping
-        piles mass at the boundary and corrupts the bias-correction
-        constant); interval endpoints are clipped afterwards.
-        """
+        """The evaluator itself, for interval construction: :meth:`batch` re-estimates on
+        the unclipped scale, since clipping piles mass at the boundary and corrupts the
+        bias-correction constant; interval endpoints are clipped afterwards."""
         return self
 
 

@@ -8,12 +8,12 @@ estimated-weight estimator.  Bootstrap quantiles use linear interpolation
 Every interval here is on the unrestricted prevalence scale, where the
 weighted estimators are unbiased; ``scenarios.estimate_panel_series`` is the
 one step that clips an endpoint to [0, 1].  The bootstrap and its jackknife
-stream their resamples through the estimator a chunk of rows at a time.
+stream their resamples through the estimator a chunk of rows at a time; the
+jackknife's totals are one sparse product of a block indicator and the features.
 
 Importing the module loads no scipy: each interval imports the
-``scipy.special`` functions it evaluates, and the jackknife imports
-``scipy.sparse``, on first use, so a run that computes no interval never
-loads either.
+``scipy.special`` functions it evaluates, and the jackknife ``scipy.sparse``,
+on first use, so a run that computes no interval never loads either.
 """
 
 from __future__ import annotations
@@ -114,11 +114,6 @@ class BcaInterval:
     n_undefined: int = 0           # bootstrap and jackknife statistics that were nan
 
 
-def _jackknife_blocks(n: int, spec: IntervalSpec, order: np.ndarray) -> list[np.ndarray]:
-    size = spec.jackknife_block_size
-    return [order[i : i + size] for i in range(0, n, size)]
-
-
 def _bootstrap_totals(features, rng: np.random.Generator, rows: int) -> np.ndarray:
     """``counts @ features`` for the next ``rows`` resamples of ``rng``, each a row of
     ``rng.integers(0, n, ...)`` draws.
@@ -144,33 +139,22 @@ def _bootstrap_totals(features, rng: np.random.Generator, rows: int) -> np.ndarr
     return totals
 
 
-def _jackknife_totals(features, blocks: list[np.ndarray], column_totals: np.ndarray,
+def _jackknife_totals(features, order: np.ndarray, size: int, column_totals: np.ndarray,
                       step: int) -> Iterator[np.ndarray]:
-    """Leave-block-out totals, ``step`` blocks at a time: the column totals minus each
-    block's own totals.
+    """Leave-block-out totals ``column_totals - J @ features``, ``step`` blocks at a time.
 
-    The nonzero entries of ``features`` are sorted stably by their unit's block once
-    (the blocks partition the units); a chunk's totals are then one ``bincount`` over
-    its run of entries, keyed by (block, column).
+    ``J`` is the blocks x units 0/1 indicator whose row ``k`` marks the units
+    ``order[k * size : (k + 1) * size]``, the last block short: in CSR form its indices
+    are ``order`` and its row pointer steps by ``size``.
     """
     from scipy import sparse
 
-    m = features.shape[1]
-    # the smallest type that holds a block number: numpy's stable sort of 8/16-bit keys is linear
-    block_of = np.empty(features.shape[0], dtype=np.min_scalar_type(len(blocks)))
-    block_of[np.concatenate(blocks)] = np.repeat(np.arange(len(blocks)),
-                                                 [block.size for block in blocks])
-    cells = sparse.coo_matrix(features)
-    key = block_of[cells.row]
-    order = np.argsort(key, kind="stable")
-    key, column, data = key[order], cells.col[order], cells.data[order]
-    del cells, order
-    for first in range(0, len(blocks), step):
-        rows = min(step, len(blocks) - first)
-        lo, hi = np.searchsorted(key, [first, first + rows])
-        totals = np.bincount((key[lo:hi].astype(np.intp) - first) * m + column[lo:hi],
-                             weights=data[lo:hi], minlength=rows * m)
-        totals = totals.astype(float, copy=False).reshape(rows, m)  # int64 when the run is empty
+    n = order.size
+    indicator = sparse.csr_matrix((np.ones(n), order, np.append(np.arange(0, n, size), n)),
+                                  shape=(-(-n // size), n))
+    by_unit = sparse.csr_matrix(features)
+    for first in range(0, indicator.shape[0], step):
+        totals = (indicator[first : first + step] @ by_unit).toarray()
         yield np.subtract(column_totals, totals, out=totals)
 
 
@@ -192,8 +176,9 @@ def bca_bootstrap(
     fraction of the bootstrap distribution below the point estimate, the
     acceleration from a block jackknife (blocks over a seeded shuffle of the
     units, remainder in a final short block), whose totals are the column
-    sums minus the left-out block's.  Reproducible bit-for-bit for a given
-    seed: the b-th resample counts row b of a single seeded draw.  With 0/1
+    sums minus :func:`_jackknife_totals`' block-indicator product.  Reproducible
+    bit-for-bit for a given seed: the b-th resample counts row b of a single
+    seeded draw, and the shuffle comes from a second spawned stream.  With 0/1
     features every total is an integer, so the totals are exact whatever
     the summation order.  A nan statistic is dropped from every step and
     counted in ``n_undefined``.  A bootstrap distribution with no finite
@@ -210,7 +195,8 @@ def bca_bootstrap(
     if point is None:
         point = float(batch(column_totals[None, :])[0])
     b_iter, step = spec.bootstrap_iterations, estimator.chunk_rows
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(0,))))
+    rng, jack_rng = (np.random.Generator(np.random.PCG64(stream))
+                     for stream in np.random.SeedSequence(entropy=seed).spawn(2))
     thetas = np.concatenate([batch(_bootstrap_totals(features, rng, min(step, b_iter - first)))
                              for first in range(0, b_iter, step)])
     thetas = thetas[~np.isnan(thetas)]
@@ -224,15 +210,10 @@ def bca_bootstrap(
     frac = min(max(frac, 0.5 / thetas.size), 1.0 - 0.5 / thetas.size)
     z0 = float(ndtri(frac))
 
-    jack_rng = np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
-    )
-    order = jack_rng.permutation(n_units)
-    blocks = _jackknife_blocks(n_units, spec, order)
-    jack = np.concatenate([batch(totals)
-                           for totals in _jackknife_totals(features, blocks, column_totals, step)])
+    jack = np.concatenate([batch(totals) for totals in _jackknife_totals(
+        features, jack_rng.permutation(n_units), spec.jackknife_block_size, column_totals, step)])
+    n_undefined += int(np.isnan(jack).sum())
     jack = jack[~np.isnan(jack)]
-    n_undefined += len(blocks) - jack.size
     centered = (jack.mean() if jack.size else 0.0) - jack
     denom = (centered**2).sum() ** 1.5
     accel = float((centered**3).sum() / (6.0 * denom)) if denom > 0 else 0.0

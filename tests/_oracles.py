@@ -169,7 +169,7 @@ def index_bca_bootstrap(ev, n_units, spec, seed, point=None, clip=(0.0, 1.0)):
 
     from scipy import stats
 
-    from prevest.uncertainty import BcaInterval, _jackknife_blocks
+    from prevest.uncertainty import BcaInterval
 
     def evaluate(index_rows):
         out = np.empty(len(index_rows))
@@ -203,7 +203,8 @@ def index_bca_bootstrap(ev, n_units, spec, seed, point=None, clip=(0.0, 1.0)):
     jack_rng = np.random.Generator(
         np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(1,))))
     order = jack_rng.permutation(n_units)
-    blocks = _jackknife_blocks(n_units, spec, order)
+    size = spec.jackknife_block_size
+    blocks = [order[i : i + size] for i in range(0, n_units, size)]
     jack = evaluate([np.setdiff1d(order, block, assume_unique=True) for block in blocks])
     undefined += int(np.isnan(jack).sum())
     jack = jack[~np.isnan(jack)]

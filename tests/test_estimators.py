@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import functools
 import math
 from unittest import mock
 
@@ -35,7 +36,6 @@ from prevest.simulate import ScenarioConfig, HazardModel, ExternalHazard, simula
 from prevest.uncertainty import (
     IntervalSpec,
     _bootstrap_totals,
-    _jackknife_blocks,
     _jackknife_totals,
     bca_bootstrap,
 )
@@ -701,11 +701,12 @@ class TestResampleTotalsMatchDenseRoute:
         # 1 byte gives one row a chunk; the top of the range one chunk for every row
         budget = data.draw(st.one_of(st.just(1), st.integers(1, 8 * n * (b_iter + 1))),
                            label="byte budget")
-        spec = IntervalSpec(jackknife_block_size=data.draw(st.integers(1, n + 1)))
+        size = data.draw(st.integers(1, n + 1), label="block size")
         seed = data.draw(st.integers(0, 2**16), label="seed")
         rng = np.random.default_rng(seed)
         draws = rng.integers(0, n, size=(b_iter, n))
-        blocks = _jackknife_blocks(n, spec, rng.permutation(n))
+        order = rng.permutation(n)
+        blocks = [order[i : i + size] for i in range(0, n, size)]
         step = data.draw(st.integers(1, len(blocks) + 1), label="blocks a chunk")
 
         with mock.patch.object(uncertainty, "_RESAMPLE_BLOCK_BYTES", budget):
@@ -715,7 +716,7 @@ class TestResampleTotalsMatchDenseRoute:
         for row, block in enumerate(blocks):
             keep[row, block] = 0.0
         column_totals = np.asarray(features.sum(axis=0)).ravel()
-        jack = np.concatenate(list(_jackknife_totals(features, blocks, column_totals, step)))
+        jack = np.concatenate(list(_jackknife_totals(features, order, size, column_totals, step)))
         for got, rows in ((boot, counts), (jack, keep)):
             want = rows @ features
             assert got.shape == want.shape
@@ -958,7 +959,8 @@ class TestProbabilityTableMatchesPerOffsetLoop:
     scatters them at once; pinned to the loop that formed each offset's denominator from
     the explicit tail masses, on observed and on regimen rows.  The closed form subtracts
     from 1, so where den is small it keeps fewer digits than the oracle's sum of positive
-    terms; on these small panels the two agree to 1e-14 absolute."""
+    terms; on these panels, the small ones and a 120-day one, the two agree to 1e-14
+    absolute."""
 
     @settings(max_examples=40)
     @given(case=panels_and_days(), nu=st.sampled_from([1.0, 0.992, 0.6]),
@@ -978,6 +980,17 @@ class TestProbabilityTableMatchesPerOffsetLoop:
         assert_same_table(panel.point_probabilities(nu), per_offset_probability_table(
             strata, horizon, nu, rows_of))
 
+    @pytest.mark.parametrize("nu", [1.0, 0.992, 0.9])
+    def test_long_horizon_panel(self, nu):
+        """A simulated min-max panel at n=2000, T=120, where the longest chains of tests
+        shrink den the most (the largest move at nu = 0.9 was 1.0e-15)."""
+        panel = long_minmax_panel()
+        index, horizon = panel.contribution_index, panel.horizon
+        want = per_offset_probability_table(
+            np.unique(index.key // (horizon + 1)), horizon, nu,
+            lambda chunk, span: index.row_counts(chunk, span, horizon))
+        assert_same_table(panel.point_probabilities(nu), want)
+
     @settings(max_examples=40)
     @given(regimen=regimens(), horizon=st.integers(1, 16), nu=st.floats(0.9, 1.0))
     def test_regimen_rows(self, regimen, horizon, nu):
@@ -985,6 +998,14 @@ class TestProbabilityTableMatchesPerOffsetLoop:
         with mock.patch.object(estimators, "_probability_table", per_offset_probability_table):
             want = known_probability_table(regimen, horizon, nu)
         assert_same_table(got, want)
+
+
+@functools.lru_cache(maxsize=1)
+def long_minmax_panel():
+    from prevest.scenarios import build_scenario
+
+    return simulate(build_scenario("min-max", population_size=2000, horizon_days=120).config,
+                    seed=0).panel()
 
 
 def assert_same_table(got, want):
