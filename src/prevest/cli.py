@@ -260,7 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--bootstrap", type=_positive_int, default=spec.bootstrap_iterations,
                        help="bootstrap iterations with --intervals (default %(default)s)")
         p.add_argument("--block-size", type=_positive_int, default=spec.jackknife_block_size,
-                       help="jackknife block size for the acceleration (default %(default)s)")
+                       help="jackknife block size for the acceleration (default max(10, "
+                            "ceil(n / 200)): at most 200 blocks)")
 
     p_sim = sub.add_parser("simulate", help="run a scenario config and write summaries")
     p_sim.add_argument("--config", required=True, help="scenario config (JSON)")

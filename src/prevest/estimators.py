@@ -45,6 +45,13 @@ _SOLVE_BLOCK_BYTES = 16 << 20
 _TABLE_BLOCK_BYTES = 1 << 20
 
 
+def _count_dtype(n_units: int) -> type:
+    """The dtype of 0/1 resampling features over ``n_units`` units: float32 when it is exact
+    for them, since a resample of n draws has integer counts and totals of at most n, and
+    float32 holds every integer up to 2^24; float64 beyond."""
+    return np.float32 if n_units <= 1 << 24 else np.float64
+
+
 class DegenerateStratumError(ValueError):
     """The schedule matrix cannot identify a positive testing probability."""
 
@@ -713,7 +720,9 @@ class DayEvaluator:
         are all a resample's estimate reads: the headcount classes, then the next-test
         contribution columns of :attr:`_code_space`.  Each non-removed individual has one
         class: column 0 if assumed well, else ``1 + 4 slot + kind`` by its stratum slot and
-        kind ``2 tested + positive``, the cells :attr:`Panel.day_counts` bins."""
+        kind ``2 tested + positive``, the cells :attr:`Panel.day_counts` bins.  Stored as
+        float32 up to 2^24 individuals (:func:`_count_dtype`), where every resample total is
+        still exact, so the bootstrap's product reads half the bytes."""
         from scipy import sparse
 
         panel, t = self.panel, self.day
@@ -723,7 +732,8 @@ class DayEvaluator:
         column = np.where(panel.assumed_well[t, nonremoved], 0, 1 + 4 * slot + kind)
         classes = sparse.csc_matrix((np.ones(nonremoved.size), (nonremoved, column)),
                                     shape=(panel.n_individuals, 1 + 4 * len(self.strata)))
-        return sparse.hstack([classes, self._code_space[2]], format="csc")
+        return sparse.hstack([classes, self._code_space[2]], format="csc",
+                             dtype=_count_dtype(panel.n_individuals))
 
     @cached_property
     def _code_space(self) -> tuple[np.ndarray, np.ndarray, sparse.csc_matrix]:

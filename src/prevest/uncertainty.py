@@ -8,12 +8,15 @@ estimated-weight estimator.  Bootstrap quantiles use linear interpolation
 Every interval here is on the unrestricted prevalence scale, where the
 weighted estimators are unbiased; ``scenarios.estimate_panel_series`` is the
 one step that clips an endpoint to [0, 1].  The bootstrap and its jackknife
-stream their resamples through the estimator a chunk of rows at a time; the
-jackknife's totals are one sparse product of a block indicator and the features.
+stream their resamples through the estimator a chunk of rows at a time, and
+each chunk's totals take one counting pass: ``np.add.at`` of the draws into a
+units x rows count block, then one product with the features, for the
+bootstrap; a ``bincount`` of (block, column) keys over the features' nonzeros
+for the jackknife.
 
 Importing the module loads no scipy: each interval imports the
-``scipy.special`` functions it evaluates, and the jackknife ``scipy.sparse``,
-on first use, so a run that computes no interval never loads either.
+``scipy.special`` functions it evaluates on first use, so a run that computes
+no interval never loads it.
 """
 
 from __future__ import annotations
@@ -26,16 +29,19 @@ import numpy as np
 
 from .core import TestCharacteristics, check_field_types
 
-# Byte budget of one unit-major float block of bootstrap counts in _bootstrap_totals;
-# a block this size stays in L2 while the product over units reads it.
+# Byte budget of one chunk of int64 draws in _bootstrap_totals; its unit-major count
+# block is no larger, and stays in L2 while the product over units reads it.
 _RESAMPLE_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
 class IntervalSpec:
+    """BCa settings.  ``jackknife_block_size=None`` sizes the jackknife blocks by the
+    sample (:meth:`block_size`); an int fixes them."""
+
     level: float = 0.95
     bootstrap_iterations: int = 399
-    jackknife_block_size: int = 10
+    jackknife_block_size: Optional[int] = None
 
     def __post_init__(self):
         check_field_types(self)
@@ -43,8 +49,15 @@ class IntervalSpec:
             raise ValueError(f"confidence level must be in (0, 1), got {self.level}")
         if self.bootstrap_iterations < 1:
             raise ValueError("need at least one bootstrap iteration")
-        if self.jackknife_block_size < 1:
+        if self.jackknife_block_size is not None and self.jackknife_block_size < 1:
             raise ValueError("jackknife block size must be >= 1")
+
+    def block_size(self, n_units: int) -> int:
+        """The jackknife block size over ``n_units`` units: the fixed size, or by default
+        max(10, ceil(n / 200)), at most 200 blocks and size 10 for every n <= 2000."""
+        if self.jackknife_block_size is not None:
+            return self.jackknife_block_size
+        return max(10, -(-n_units // 200))
 
 
 def clopper_pearson(positives: int, tested: int, level: float = 0.95) -> tuple[float, float]:
@@ -118,43 +131,59 @@ def _bootstrap_totals(features, rng: np.random.Generator, rows: int) -> np.ndarr
     """``counts @ features`` for the next ``rows`` resamples of ``rng``, each a row of
     ``rng.integers(0, n, ...)`` draws.
 
-    The rows are drawn and counted in chunks under ``_RESAMPLE_BLOCK_BYTES``: a
-    row-major ``bincount`` of the chunk's draws (row ``b`` counts unit ``i`` into
-    ``b * n + i``) is copied transposed into a unit-major float block, which the
-    product over units reads contiguously.  ``Generator.integers`` draws the same
-    stream in one call or in chunks of rows (pinned by a test), so no split moves a total.
+    The rows are drawn and counted in chunks under ``_RESAMPLE_BLOCK_BYTES``.  A chunk's
+    draws are keyed unit-major in place (unit ``i`` of row ``b`` counts into
+    ``i * rows + b``), so one ``np.add.at`` of ones counts them straight into the units x
+    rows block, in the features' dtype, that the product over units reads contiguously:
+    no transposed copy and no int64 count array.  For 0/1 float32 features every count
+    and total is an integer at most n <= 2^24, so exact.
+    ``Generator.integers`` draws the same stream in one call or in chunks of rows
+    (pinned by a test), so no split moves a total.
     """
     n_units = features.shape[0]
     by_column = features.T
     totals = np.empty((rows, features.shape[1]))
+    one = features.dtype.type(1)  # a Python 1 would send add.at down its slow casting loop
     step = max(1, _RESAMPLE_BLOCK_BYTES // (8 * n_units))
     for first in range(0, rows, step):
-        chunk = rng.integers(0, n_units, size=(min(step, rows - first), n_units))
-        size = chunk.shape[0]
-        chunk += (np.arange(size) * n_units)[:, None]
-        flat = np.bincount(chunk.ravel(), minlength=size * n_units)
-        block = np.empty((n_units, size))
-        block[...] = flat.reshape(size, n_units).T
+        size = min(step, rows - first)
+        keys = rng.integers(0, n_units, size=(size, n_units))
+        keys *= size
+        keys += np.arange(size)[:, None]
+        block = np.zeros((n_units, size), dtype=features.dtype)
+        np.add.at(block.reshape(-1), keys.reshape(-1), one)
         totals[first : first + size] = (by_column @ block).T
     return totals
 
 
 def _jackknife_totals(features, order: np.ndarray, size: int, column_totals: np.ndarray,
                       step: int) -> Iterator[np.ndarray]:
-    """Leave-block-out totals ``column_totals - J @ features``, ``step`` blocks at a time.
+    """Leave-block-out totals, ``step`` blocks at a time: ``column_totals`` minus each
+    block's totals, where block ``k`` holds the units ``order[k * size : (k + 1) * size]``
+    (the last block short).
 
-    ``J`` is the blocks x units 0/1 indicator whose row ``k`` marks the units
-    ``order[k * size : (k + 1) * size]``, the last block short: in CSR form its indices
-    are ``order`` and its row pointer steps by ``size``.
+    Each nonzero of ``features`` (an ndarray or a scipy sparse matrix) is keyed by its
+    unit's block and its column, so a chunk's block totals are one ``bincount`` of the
+    keys that fall in it.  Each chunk scans the keys once and holds ``step`` x m totals,
+    so a day whose blocks fit one chunk costs O(nnz + blocks x m).
     """
-    from scipy import sparse
-
-    n = order.size
-    indicator = sparse.csr_matrix((np.ones(n), order, np.append(np.arange(0, n, size), n)),
-                                  shape=(-(-n // size), n))
-    by_unit = sparse.csr_matrix(features)
-    for first in range(0, indicator.shape[0], step):
-        totals = (indicator[first : first + step] @ by_unit).toarray()
+    n, m = features.shape
+    block = np.empty(n, dtype=np.intp)
+    block[order] = np.arange(n) // size
+    if isinstance(features, np.ndarray):
+        units, columns = np.nonzero(features)
+        values = features[units, columns]
+    else:
+        nonzeros = features.tocoo()
+        units, columns, values = nonzeros.row, nonzeros.col, nonzeros.data
+    keys = block[units] * m + columns
+    n_blocks = -(-n // size)
+    for first in range(0, n_blocks, step):
+        lo, hi = first * m, min(first + step, n_blocks) * m
+        inside = (keys >= lo) & (keys < hi)
+        totals = np.bincount(keys[inside] - lo, values[inside], minlength=hi - lo)
+        # float even for a chunk of units without nonzeros, where bincount returns ints
+        totals = totals.astype(float, copy=False).reshape(-1, m)
         yield np.subtract(column_totals, totals, out=totals)
 
 
@@ -174,13 +203,14 @@ def bca_bootstrap(
     drawn and totalled just before its call.  The column sums of ``features``
     are the original sample.  The bias-correction constant comes from the
     fraction of the bootstrap distribution below the point estimate, the
-    acceleration from a block jackknife (blocks over a seeded shuffle of the
-    units, remainder in a final short block), whose totals are the column
-    sums minus :func:`_jackknife_totals`' block-indicator product.  Reproducible
-    bit-for-bit for a given seed: the b-th resample counts row b of a single
-    seeded draw, and the shuffle comes from a second spawned stream.  With 0/1
-    features every total is an integer, so the totals are exact whatever
-    the summation order.  A nan statistic is dropped from every step and
+    acceleration from a block jackknife (blocks of ``spec.block_size(n)`` over a
+    seeded shuffle of the units, remainder in a final short block; at most 200
+    blocks by default), whose totals are the column sums minus each block's
+    (:func:`_jackknife_totals`).  Reproducible bit-for-bit for a given seed: the
+    b-th resample counts row b of a single seeded draw, and the shuffle comes
+    from a second spawned stream.  With 0/1 features every total is an integer,
+    so the totals are exact whatever the summation order, in float32 too up to
+    2^24 units.  A nan statistic is dropped from every step and
     counted in ``n_undefined``.  A bootstrap distribution with no finite
     value (the interval is nan), or whose spread is within 1e-12 of its
     largest magnitude (or of 1), is degenerate and collapses to its first
@@ -211,7 +241,7 @@ def bca_bootstrap(
     z0 = float(ndtri(frac))
 
     jack = np.concatenate([batch(totals) for totals in _jackknife_totals(
-        features, jack_rng.permutation(n_units), spec.jackknife_block_size, column_totals, step)])
+        features, jack_rng.permutation(n_units), spec.block_size(n_units), column_totals, step)])
     n_undefined += int(np.isnan(jack).sum())
     jack = jack[~np.isnan(jack)]
     centered = (jack.mean() if jack.size else 0.0) - jack

@@ -203,7 +203,7 @@ def index_bca_bootstrap(ev, n_units, spec, seed, point=None, clip=(0.0, 1.0)):
     jack_rng = np.random.Generator(
         np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(1,))))
     order = jack_rng.permutation(n_units)
-    size = spec.jackknife_block_size
+    size = spec.block_size(n_units)
     blocks = [order[i : i + size] for i in range(0, n_units, size)]
     jack = evaluate([np.setdiff1d(order, block, assume_unique=True) for block in blocks])
     undefined += int(np.isnan(jack).sum())

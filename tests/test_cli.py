@@ -84,7 +84,11 @@ class TestSimulateCommand:
             path.write_text(json.dumps(dict(SCENARIO_JSON, seed=seed)))
             out = tmp_path / name
             assert main(["simulate", "--config", str(path), "--out", str(out), *flags]) == 0
-            return (out / "summary.csv").read_bytes(), capsys.readouterr().out.splitlines()[-1]
+            # the report line without its wall time, which differs between runs
+            last, timed = re.subn(r"done in \S+ s", "done",
+                                  capsys.readouterr().out.splitlines()[-1])
+            assert timed == 1, last
+            return (out / "summary.csv").read_bytes(), last
 
         three, three_log = run("three", 3)
         assert run("seven", 7)[0] != three

@@ -681,21 +681,51 @@ class TestCountSpaceBootstrapMatchesIndexRoute:
 
 
 class TestResampleTotalsMatchDenseRoute:
-    """The chunked bootstrap totals and the subtractive jackknife totals pinned to the dense
-    multiplicity rows they replace: a ``bincount`` per row of the draw, and ones with zeros
-    on each left-out block, each times the features."""
+    """The chunked bootstrap totals and the keyed jackknife totals pinned to the dense
+    float64 multiplicity rows they replace: a ``bincount`` per row of the draw, and ones
+    with zeros on each left-out block, each times the features."""
 
-    @settings(max_examples=120)
+    FEATURES = ("float32 sparse", "float64 sparse", "float64 dense", "normal dense")
+
+    @staticmethod
+    def features(panel, day, kind):
+        """The features of one kind: a ``DayEvaluator``'s own float32 0/1 matrix, the same
+        0/1 columns in float64 (sparse or an ndarray), or normal columns (an ndarray)."""
+        if kind == "normal dense":
+            m = 1 + day % 4
+            return np.random.default_rng(day).normal(0.0, 3.0, (panel.n_individuals, m))
+        features = DayEvaluator(panel, day, STUDY).features
+        assert features.dtype == np.float32
+        if kind == "float64 sparse":
+            return features.astype(np.float64)
+        return features.toarray().astype(np.float64) if kind == "float64 dense" else features
+
+    @staticmethod
+    def check(got, rows, features, exact):
+        """``got`` against the float64 product of the dense rows: bit-equal for 0/1
+        features, whose totals are integers exact in any order, else to 1e-12 a unit."""
+        want = rows @ features.astype(np.float64)
+        assert got.dtype == np.float64 and got.shape == want.shape
+        if exact:
+            np.testing.assert_array_equal(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * max(1.0, rows.shape[1]))
+
+    @staticmethod
+    def dense_rows(n, draws, blocks):
+        """The bootstrap's multiplicity rows and the jackknife's keep rows."""
+        counts = np.array([np.bincount(row, minlength=n) for row in draws], dtype=float)
+        keep = np.ones((len(blocks), n))
+        for row, block in enumerate(blocks):
+            keep[row, block] = 0.0
+        return counts, keep
+
+    @settings(max_examples=150)
     @given(case=panels_and_days(max_n=30), data=st.data())
     def test_random_panels_and_dense_features(self, case, data):
         panel, day = case
-        if data.draw(st.booleans(), label="DayEvaluator features"):
-            features = DayEvaluator(panel, day, STUDY).features
-            tol = 0.0  # 0/1 features: every total is an integer, exact in any order
-        else:
-            m = data.draw(st.integers(1, 4), label="columns")
-            features = np.random.default_rng(day).normal(0.0, 3.0, (panel.n_individuals, m))
-            tol = 1e-12
+        kind = data.draw(st.sampled_from(self.FEATURES), label="features")
+        features = self.features(panel, day, kind)
         n = features.shape[0]
         b_iter = data.draw(st.integers(1, 40), label="resamples")
         # 1 byte gives one row a chunk; the top of the range one chunk for every row
@@ -711,19 +741,52 @@ class TestResampleTotalsMatchDenseRoute:
 
         with mock.patch.object(uncertainty, "_RESAMPLE_BLOCK_BYTES", budget):
             boot = _bootstrap_totals(features, np.random.default_rng(seed), b_iter)
-        counts = np.array([np.bincount(row, minlength=n) for row in draws], dtype=float)
-        keep = np.ones((len(blocks), n))
-        for row, block in enumerate(blocks):
-            keep[row, block] = 0.0
-        column_totals = np.asarray(features.sum(axis=0)).ravel()
+        column_totals = np.asarray(features.sum(axis=0), dtype=float).ravel()
         jack = np.concatenate(list(_jackknife_totals(features, order, size, column_totals, step)))
-        for got, rows in ((boot, counts), (jack, keep)):
-            want = rows @ features
-            assert got.shape == want.shape
-            if tol:
-                np.testing.assert_allclose(got, want, rtol=0, atol=tol * max(1.0, n))
-            else:
-                np.testing.assert_array_equal(got, want)
+        counts, keep = self.dense_rows(n, draws, blocks)
+        self.check(boot, counts, features, kind != "normal dense")
+        self.check(jack, keep, features, kind != "normal dense")
+
+    @pytest.mark.parametrize("kind", FEATURES[:3])
+    def test_simulated_panel_at_every_budget_and_step(self, kind):
+        """n=200: every byte budget from one row a chunk to all rows in one, and every
+        jackknife chunk from one block to all of them, give the float64 route's totals."""
+        panel = small_simulation(seed=17).panel()
+        features = self.features(panel, 9, kind)
+        n, b_iter, size = panel.n_individuals, 99, 7
+        rng = np.random.default_rng(5)
+        draws = rng.integers(0, n, size=(b_iter, n))
+        order = rng.permutation(n)
+        counts, keep = self.dense_rows(n, draws, [order[i : i + size] for i in range(0, n, size)])
+        for budget in (1, 8 * n * 10, uncertainty._RESAMPLE_BLOCK_BYTES, 8 * n * b_iter):
+            with mock.patch.object(uncertainty, "_RESAMPLE_BLOCK_BYTES", budget):
+                boot = _bootstrap_totals(features, np.random.default_rng(5), b_iter)
+            self.check(boot, counts, features, True)
+        column_totals = np.asarray(features.sum(axis=0), dtype=float).ravel()
+        for step in (1, 5, len(keep) - 1, len(keep)):
+            jack = _jackknife_totals(features, order, size, column_totals, step)
+            self.check(np.concatenate(list(jack)), keep, features, True)
+
+    @pytest.mark.parametrize("n_units, dtype", [
+        (1, np.float32), (1 << 24, np.float32), ((1 << 24) + 1, np.float64)])
+    def test_float32_features_while_every_total_is_exact(self, n_units, dtype):
+        """A resample of n draws has integer counts and totals of at most n, and float32
+        holds every integer only up to 2^24: 2^24 + 1 rounds to 2^24."""
+        assert estimators._count_dtype(n_units) is dtype
+        assert (int(np.float32(n_units)) == n_units) == (dtype is np.float32)
+        panel = small_simulation(seed=17).panel()
+        assert DayEvaluator(panel, 9, STUDY).features.dtype == estimators._count_dtype(
+            panel.n_individuals)
+
+    @given(n=st.integers(1, 10**9))
+    def test_default_partition_has_at_most_200_blocks(self, n):
+        """max(10, ceil(n / 200)): the smallest size of at least 10 that leaves at most 200
+        blocks, so size 10 (the earlier fixed default) for every n <= 2000."""
+        size = IntervalSpec().block_size(n)
+        assert -(-n // size) <= 200
+        assert size == 10 or -(-n // (size - 1)) > 200
+        assert (size == 10) == (n <= 2000)
+        assert IntervalSpec(jackknife_block_size=7).block_size(n) == 7
 
 
 def adjusted_panel(seed, n, min_max, delay, isolation, exemption, perfect=False):
