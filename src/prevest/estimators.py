@@ -690,8 +690,10 @@ class DayEvaluator:
     individual.  Resamples (bootstrap draws, jackknife blocks) enter only
     through :meth:`batch`, as their totals over the day's :attr:`features`
     (one headcount class per non-removed individual, and the next-test
-    contributions), which are built on first use, importing ``scipy.sparse``
-    only then; a resample's estimate reduces to batched triangular solves.
+    contributions of :attr:`_code_space`, plain CSC arrays sliced from
+    :attr:`Panel.contribution_index`), which are built on first use by one CSC
+    constructor, importing ``scipy.sparse`` only then; a resample's estimate
+    reduces to batched triangular solves, :attr:`chunk_rows` rows at a time.
     :meth:`estimate` returns an :class:`Evaluation` and keeps no per-call state
     beyond ``_last_fallback``, the copy ``perfbench/tracing.py`` reads.
     """
@@ -720,33 +722,39 @@ class DayEvaluator:
         are all a resample's estimate reads: the headcount classes, then the next-test
         contribution columns of :attr:`_code_space`.  Each non-removed individual has one
         class: column 0 if assumed well, else ``1 + 4 slot + kind`` by its stratum slot and
-        kind ``2 tested + positive``, the cells :attr:`Panel.day_counts` bins.  Stored as
-        float32 up to 2^24 individuals (:func:`_count_dtype`), where every resample total is
-        still exact, so the bootstrap's product reads half the bytes."""
+        kind ``2 tested + positive``, the cells :attr:`Panel.day_counts` bins.  Built by one
+        CSC constructor: the class columns hold the non-removed individuals stably sorted
+        by class (their starts the cumulative class counts), and the code columns follow
+        as :attr:`_code_space` gives them.  Stored as float32 up to 2^24 individuals
+        (:func:`_count_dtype`), where every resample total is still exact, so the
+        bootstrap's product reads half the bytes."""
         from scipy import sparse
 
         panel, t = self.panel, self.day
+        n_classes = 1 + 4 * len(self.strata)
         nonremoved = np.flatnonzero(~panel.removed[t])
         slot = np.searchsorted(self.strata, panel.last_clear[t, nonremoved])
         kind = 2 * panel.tested[t, nonremoved] + panel.positive[t, nonremoved]
         column = np.where(panel.assumed_well[t, nonremoved], 0, 1 + 4 * slot + kind)
-        classes = sparse.csc_matrix((np.ones(nonremoved.size), (nonremoved, column)),
-                                    shape=(panel.n_individuals, 1 + 4 * len(self.strata)))
-        return sparse.hstack([classes, self._code_space[2]], format="csc",
-                             dtype=_count_dtype(panel.n_individuals))
+        codes, _, individuals, starts = self._code_space
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(column, minlength=n_classes)),
+                                 nonremoved.size + starts[1:]))
+        indices = np.concatenate((nonremoved[np.argsort(column, kind="stable")], individuals))
+        return sparse.csc_matrix(
+            (np.ones(indices.size, dtype=_count_dtype(panel.n_individuals)), indices, indptr),
+            shape=(panel.n_individuals, n_classes + codes.size))
 
     @cached_property
-    def _code_space(self) -> tuple[np.ndarray, np.ndarray, sparse.csc_matrix]:
-        """``(codes, bounds, contrib)``: the next-test contributions of the day.
+    def _code_space(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(codes, bounds, individuals, starts)``: the next-test contributions of the day.
 
         They are the index cells with row day s <= t of the strata in force at
         t.  Codes are (stratum slot, row offset, value), value = min(next_test,
         t + 1); the index order makes them sorted, so compaction keeps the
         first code of each run, and the runs are the columns of the
-        individuals x codes matrix in CSC form.
+        individuals x codes 0/1 matrix, given as CSC arrays: code ``k`` holds
+        ``individuals[starts[k] : starts[k + 1]]``.
         """
-        from scipy import sparse
-
         panel, t = self.panel, self.day
         s_count = len(self.strata)
         width = t + 2
@@ -761,11 +769,7 @@ class DayEvaluator:
         codes = codes[runs]
         # stratum j owns the contiguous slice bounds[j]:bounds[j + 1] of the codes
         bounds = np.searchsorted(codes, np.arange(s_count + 1) * width * width)
-        contrib = sparse.csc_matrix(
-            (np.ones(sel.size), index.individual[sel], np.append(runs, sel.size)),
-            shape=(panel.n_individuals, codes.size),
-        )
-        return codes, bounds, contrib
+        return codes, bounds, index.individual[sel], np.append(runs, sel.size)
 
     @cached_property
     def _packed_layout(self) -> list[tuple[int, int, np.ndarray, np.ndarray, np.ndarray,
@@ -775,7 +779,7 @@ class DayEvaluator:
         their packed positions: the packed block holds Q^T's row ``v`` (Q[0..v-1, v]) at
         ``v(v-1)/2``."""
         width = self.day + 2
-        codes, bounds, _ = self._code_space
+        codes, bounds = self._code_space[:2]
         layout = []
         for j, c in enumerate(self.strata.tolist()):
             lo, hi = int(bounds[j]), int(bounds[j + 1])
@@ -788,10 +792,14 @@ class DayEvaluator:
 
     @property
     def chunk_rows(self) -> int:
-        """Resample rows whose totals and widest stratum solve fit ``_SOLVE_BLOCK_BYTES``: span
-        (span + 1) / 2 floats a row, its packed block and a span-wide row of the solve."""
+        """Resample rows that fit ``_SOLVE_BLOCK_BYTES`` with all that :meth:`batch` holds for
+        them: their totals, the widest stratum's solve (span (span + 1) / 2 floats a row, its
+        packed block and a span-wide row) and the stratum with the most codes' gathered code
+        counts and their normalisation temporary (2 floats a code)."""
         span = self.day - int(self.strata[0]) + 1 if len(self.strata) else 0
-        return max(1, _SOLVE_BLOCK_BYTES // (8 * (self.features.shape[1] + span * (span + 1) // 2)))
+        codes = int(np.diff(self._code_space[1]).max(initial=0))
+        row_floats = self.features.shape[1] + span * (span + 1) // 2 + 2 * codes
+        return max(1, _SOLVE_BLOCK_BYTES // (8 * row_floats))
 
     def _stratum_probs(self, counts: np.ndarray, need: np.ndarray) -> np.ndarray:
         """Testing probabilities per (resample row, stratum) from per-code counts.

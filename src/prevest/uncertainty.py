@@ -162,10 +162,12 @@ def _jackknife_totals(features, order: np.ndarray, size: int, column_totals: np.
     block's totals, where block ``k`` holds the units ``order[k * size : (k + 1) * size]``
     (the last block short).
 
-    Each nonzero of ``features`` (an ndarray or a scipy sparse matrix) is keyed by its
-    unit's block and its column, so a chunk's block totals are one ``bincount`` of the
-    keys that fall in it.  Each chunk scans the keys once and holds ``step`` x m totals,
-    so a day whose blocks fit one chunk costs O(nnz + blocks x m).
+    Each nonzero of ``features`` is keyed by its unit's block and its column, so a chunk's
+    block totals are one ``bincount`` of the keys that fall in it.  An ndarray's nonzeros
+    come from ``np.nonzero``; a scipy sparse matrix is read through its CSC arrays (no
+    copy for the evaluator's CSC features), each column index repeated over its stored
+    entries.  Each chunk scans the keys once and holds ``step`` x m totals, so a day whose
+    blocks fit one chunk costs O(nnz + blocks x m).
     """
     n, m = features.shape
     block = np.empty(n, dtype=np.intp)
@@ -174,8 +176,9 @@ def _jackknife_totals(features, order: np.ndarray, size: int, column_totals: np.
         units, columns = np.nonzero(features)
         values = features[units, columns]
     else:
-        nonzeros = features.tocoo()
-        units, columns, values = nonzeros.row, nonzeros.col, nonzeros.data
+        by_column = features.tocsc()
+        units, values = by_column.indices, by_column.data
+        columns = np.repeat(np.arange(m), np.diff(by_column.indptr))
     keys = block[units] * m + columns
     n_blocks = -(-n // size)
     for first in range(0, n_blocks, step):

@@ -279,17 +279,15 @@ def per_stratum_ht_known(panel, day, tests, weight_for):
 
 
 def dense_contribution_scan(panel, day, strata):
-    """``DayEvaluator._code_space``, ``(codes, bounds, contrib)``, from a dense scan of the panel.
+    """``DayEvaluator._code_space``, ``(codes, bounds, individuals, starts)``, from a dense
+    scan of the panel.
 
     Scans every (row day s <= day, individual) cell of the (day + 1) x n
     arrays for the clearance or negative-test cells of the strata in
-    ``strata``, and compacts the codes with ``np.unique``; ``contrib`` is the
-    individuals x codes 0/1 matrix.
+    ``strata``, and compacts the codes with ``np.unique``; code ``k``'s
+    individuals, ascending, are ``individuals[starts[k] : starts[k + 1]]``.
     """
-    from scipy import sparse
-
     t = day
-    n = panel.n_individuals
     width = t + 2
     slot_of = np.full(t + 1, -1)
     slot_of[strata] = np.arange(len(strata))
@@ -303,9 +301,31 @@ def dense_contribution_scan(panel, day, strata):
     codes, code_col = np.unique((slot_of[c] * width + (cell_s - c)) * width + values,
                                 return_inverse=True)
     bounds = np.searchsorted(codes, np.arange(len(strata) + 1) * width * width)
-    contrib = sparse.csr_matrix((np.ones(cell_i.size), (cell_i, code_col)),
-                                shape=(n, codes.size))
-    return codes, bounds, contrib
+    order = np.lexsort((cell_i, code_col))
+    starts = np.searchsorted(code_col[order], np.arange(codes.size + 1))
+    return codes, bounds, cell_i[order], starts
+
+
+def hstack_features(ev):
+    """``DayEvaluator.features`` as first written: a class matrix from (unit, class) pairs,
+    a code matrix from :attr:`DayEvaluator._code_space`, joined by ``sparse.hstack`` and
+    cast to the count dtype."""
+    from scipy import sparse
+
+    from prevest.estimators import _count_dtype
+
+    panel, t = ev.panel, ev.day
+    nonremoved = np.flatnonzero(~panel.removed[t])
+    slot = np.searchsorted(ev.strata, panel.last_clear[t, nonremoved])
+    kind = 2 * panel.tested[t, nonremoved] + panel.positive[t, nonremoved]
+    column = np.where(panel.assumed_well[t, nonremoved], 0, 1 + 4 * slot + kind)
+    classes = sparse.csc_matrix((np.ones(nonremoved.size), (nonremoved, column)),
+                                shape=(panel.n_individuals, 1 + 4 * len(ev.strata)))
+    codes, _, individuals, starts = ev._code_space
+    contrib = sparse.csc_matrix((np.ones(individuals.size), individuals, starts),
+                                shape=(panel.n_individuals, codes.size))
+    return sparse.hstack([classes, contrib], format="csc",
+                         dtype=_count_dtype(panel.n_individuals))
 
 
 def dict_anonymize_shuffle(

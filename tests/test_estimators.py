@@ -46,6 +46,7 @@ from _oracles import (
     contribution_counts,
     dense_contribution_scan,
     full_matrix_ratio_terms,
+    hstack_features,
     index_bca_bootstrap,
     individual_major_derived,
     individual_major_tables,
@@ -446,9 +447,8 @@ class TestDayEvaluatorMatchesReference:
 
     @staticmethod
     def observed_counts(ev):
-        codes, _, contrib = ev._code_space
-        counts = np.asarray(contrib.sum(axis=0)).ravel()
-        return dict(zip(codes.tolist(), counts.astype(int).tolist()))
+        codes, _, _, starts = ev._code_space
+        return dict(zip(codes.tolist(), np.diff(starts).tolist()))
 
     def test_contribution_counts_on_simulation(self):
         panel = small_simulation(seed=13).panel()
@@ -474,10 +474,13 @@ class TestDayEvaluatorMatchesReference:
             ev = DayEvaluator(panel, day, STUDY, min_stratum_size=min_size)
             ref = copy.copy(ev)
             ref._code_space = dense_contribution_scan(panel, day, ev.strata)
-            for got, want in zip(ev._code_space[:2], ref._code_space[:2]):
+            codes, bounds, individuals, starts = ev._code_space
+            for got, want in zip((codes, bounds, starts), ref._code_space[:2] + ref._code_space[3:]):
                 np.testing.assert_array_equal(got, want)
-            assert ev._code_space[2].shape == ref._code_space[2].shape
-            np.testing.assert_array_equal(ev._code_space[2].toarray(), ref._code_space[2].toarray())
+            # the dense scan lists each code's individuals ascending
+            column = np.repeat(np.arange(codes.size), np.diff(starts))
+            np.testing.assert_array_equal(individuals[np.lexsort((individuals, column))],
+                                          ref._code_space[2])
             assert_same_evaluation(ev.estimate(), ref.estimate())
             assert_same_evaluation(ev._estimate_totals(rows @ ev.features),
                                    ref._estimate_totals(rows @ ref.features))
@@ -567,6 +570,21 @@ class TestDayEvaluatorMatchesReference:
             assert_same_interval(got, want)
 
 
+class TestFeaturesMatchHstackRoute:
+    """``DayEvaluator.features``, one CSC constructor over the class order and the code
+    arrays, pinned to the class matrix and code matrix joined by ``sparse.hstack``."""
+
+    @settings(max_examples=80)
+    @given(case=panels_and_days())
+    def test_random_panels(self, case):
+        panel, day = case
+        ev = DayEvaluator(panel, day, STUDY)
+        got, want = ev.features, hstack_features(ev)
+        assert got.format == "csc"
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert (got != want).nnz == 0
+
+
 class TestPackedSolveMatchesDenseBlock:
     """``DayEvaluator._stratum_probs`` (packed Q^T, cached decode) pinned bit for bit to
     :func:`_offset_probabilities` over the dense block scattered from the same counts."""
@@ -574,7 +592,7 @@ class TestPackedSolveMatchesDenseBlock:
     @staticmethod
     def dense_probs(ev, counts, nu):
         """Per (row, stratum slot) testing probability through the dense transposed block."""
-        codes, bounds, _ = ev._code_space
+        codes, bounds, _, _ = ev._code_space
         t, width = ev.day, ev.day + 2
         probs = np.zeros((counts.shape[0], len(ev.strata)))
         for j, c in enumerate(ev.strata.tolist()):
@@ -742,10 +760,13 @@ class TestResampleTotalsMatchDenseRoute:
         with mock.patch.object(uncertainty, "_RESAMPLE_BLOCK_BYTES", budget):
             boot = _bootstrap_totals(features, np.random.default_rng(seed), b_iter)
         column_totals = np.asarray(features.sum(axis=0), dtype=float).ravel()
-        jack = np.concatenate(list(_jackknife_totals(features, order, size, column_totals, step)))
         counts, keep = self.dense_rows(n, draws, blocks)
         self.check(boot, counts, features, kind != "normal dense")
-        self.check(jack, keep, features, kind != "normal dense")
+        # a sparse input of any format is read through its CSC arrays
+        copies = [features] if "dense" in kind else [features, features.tocsr(), features.tocoo()]
+        for form in copies:
+            jack = _jackknife_totals(form, order, size, column_totals, step)
+            self.check(np.concatenate(list(jack)), keep, features, kind != "normal dense")
 
     @pytest.mark.parametrize("kind", FEATURES[:3])
     def test_simulated_panel_at_every_budget_and_step(self, kind):
