@@ -31,6 +31,7 @@ from .scenarios import (
     run_scenario,
     simulated_replicates,
 )
+from .simulate import seed_prefix
 from .uncertainty import IntervalSpec
 
 USAGE_EXIT, CONFIG_EXIT, PARSE_EXIT, RUNTIME_EXIT = 2, 3, 4, 5
@@ -100,7 +101,7 @@ def cmd_simulate(args, report: RunReport) -> None:
         args.seed = config.seed
         report.seed = args.seed
         report.config_digest = _config_digest(args)
-    prefix = (args.seed,) if isinstance(args.seed, int) else tuple(args.seed)
+    prefix = seed_prefix(args.seed)
     os.makedirs(args.out, exist_ok=True)
     horizon = config.horizon_days
     totals = np.zeros((horizon + 1, 6))

@@ -19,6 +19,7 @@ from __future__ import annotations
 import datetime as dt
 import json
 import math
+import re
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from functools import cached_property
 from typing import Iterable, Optional
@@ -131,6 +132,9 @@ def parse_testing_matrix(path) -> TestingMatrix:
     dates = []
     for j, cell in enumerate(date_cells):
         try:
+            # YYYY-MM-DD only: Python 3.11's fromisoformat also reads 20200831 and 2020-W36-1
+            if not re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", cell):
+                raise ValueError(cell)
             dates.append(dt.date.fromisoformat(cell))
         except ValueError:
             raise ParseError(f"bad date {cell!r} in header", line=header_line,

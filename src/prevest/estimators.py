@@ -92,6 +92,20 @@ class Panel:
         """Last clearance day <= s, i.e. the stratum in force on day s + 1."""
         return np.where(self.cleared[s], s, self.last_clear[s])
 
+    def day_strata(self, day: int) -> np.ndarray:
+        """The strata in force on ``day``: ascending last-clearance days with a member
+        who is non-removed and not assumed well on it (a headcount is never negative)."""
+        if not 1 <= day <= self.horizon:
+            raise ValueError(f"day {day} outside 1..{self.horizon}")
+        return self.day_counts.members[day, :day].nonzero()[0]
+
+    def day_record(self, day: int, kind: str, unclipped: float = math.nan,
+                   n_fallback_strata: int = 0) -> "DayEstimate":
+        """The ``kind`` record of ``day`` with its test counts among the non-removed."""
+        counts = self.day_counts
+        return DayEstimate(day, kind, unclipped=unclipped, n_fallback_strata=n_fallback_strata,
+                           n_tests=int(counts.n_tests[day]), n_positive=int(counts.n_positive[day]))
+
     @cached_property
     def contribution_index(self) -> "ContributionIndex":
         """Every next-test cell of the panel, built on first use in one pass over
@@ -485,23 +499,22 @@ def clip_unit(value: float) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-def tpr_prevalence(positives: int, tested: int, tests: TestCharacteristics) -> tuple[float, float]:
-    """TPR mapped to the prevalence scale for an imperfect test, (clipped, raw).
+def tpr_prevalence(positives: int, tested: int, tests: TestCharacteristics) -> float:
+    """TPR mapped to the (unclipped) prevalence scale for an imperfect test.
 
     Inverts rate = eta * prev + (1 - nu) * (1 - prev); reduces to the raw
-    rate under a perfect test.
+    rate under a perfect test.  An untested day returns ``math.nan`` itself.
     """
     rate = tpr(positives, tested)
     if math.isnan(rate):
-        return math.nan, math.nan
+        return math.nan
     return prevalence_from_rate(rate, tests)
 
 
-def prevalence_from_rate(rate: float, tests: TestCharacteristics) -> tuple[float, float]:
-    """Positive rate mapped to (clipped, unclipped) prevalence for an imperfect test."""
+def prevalence_from_rate(rate: float, tests: TestCharacteristics) -> float:
+    """Positive rate mapped to unclipped prevalence for an imperfect test."""
     tests.require_informative()
-    unclipped = (rate - (1.0 - tests.specificity)) / tests.youden
-    return clip_unit(unclipped), unclipped
+    return (rate - (1.0 - tests.specificity)) / tests.youden
 
 
 def ht_estimate_w(
@@ -527,17 +540,12 @@ def ht_estimate_w(
     return neg_sum / y - (1.0 - tests.sensitivity) * all_sum / y
 
 
-def prevalence_from_w(w_hat: float, n_population: int, removed: int) -> tuple[float, float]:
-    """Map an estimated well count to (clipped, unclipped) prevalence.
-
-    Prevalence is taken over the non-removed population; an empty
-    non-removed population yields nan markers.
-    """
-    nonremoved = n_population - removed
+def prevalence_from_w(w_hat: float, nonremoved: int) -> float:
+    """Map an estimated well count to unclipped prevalence among the ``nonremoved``;
+    an empty non-removed population yields nan."""
     if nonremoved <= 0:
-        return math.nan, math.nan
-    unclipped = (nonremoved - w_hat) / nonremoved
-    return clip_unit(unclipped), unclipped
+        return math.nan
+    return (nonremoved - w_hat) / nonremoved
 
 
 def _class_counts(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -682,10 +690,10 @@ class EstimateSeries:
 class DayEvaluator:
     """Re-evaluates the estimated-weight estimator for one (panel, day).
 
-    Construction only reads the strata in force on the day from the panel's
-    :attr:`Panel.day_counts`.  The point estimate gathers the day's row of
-    :meth:`Panel.estimated_terms`, built from the same counts and
-    :meth:`Panel.point_probabilities`, and sums it: one count pass and one solve
+    Construction only reads the strata in force on the day
+    (:meth:`Panel.day_strata`).  The point estimate gathers the day's row of
+    :meth:`Panel.estimated_terms`, built from the panel's :attr:`Panel.day_counts`
+    and :meth:`Panel.point_probabilities`, and sums it: one count pass and one solve
     per stratum per panel serve every day, and no point estimate reads an
     individual.  Resamples (bootstrap draws, jackknife blocks) enter only
     through :meth:`batch`, as their totals over the day's :attr:`features`
@@ -700,21 +708,12 @@ class DayEvaluator:
 
     def __init__(self, panel: Panel, day: int, tests: TestCharacteristics,
                  min_stratum_size: int = MIN_STRATUM_SIZE):
-        if not 1 <= day <= panel.horizon:
-            raise ValueError(f"day {day} outside 1..{panel.horizon}")
+        self.strata = panel.day_strata(day)
         tests.require_informative()
         self.panel = panel
         self.day = day
         self.tests = tests
         self.min_stratum_size = min_stratum_size
-        self.strata = np.flatnonzero(panel.day_counts.members[day, :day] > 0)
-
-    def _day_record(self, kind: str, unclipped: float, n_fallback_strata: int = 0) -> DayEstimate:
-        """The day's record with its test counts among the non-removed."""
-        counts = self.panel.day_counts
-        return DayEstimate(self.day, kind, unclipped=unclipped, n_fallback_strata=n_fallback_strata,
-                           n_tests=int(counts.n_tests[self.day]),
-                           n_positive=int(counts.n_positive[self.day]))
 
     @cached_property
     def features(self) -> sparse.csc_matrix:
@@ -861,7 +860,8 @@ class DayEvaluator:
     def day_estimate(self) -> DayEstimate:
         """The ``ht-e`` record of the panel as observed (no resampling)."""
         record = self.estimate()
-        return self._day_record("ht-e", float(record.unclipped[0]), int(record.fallback[0]))
+        return self.panel.day_record(self.day, "ht-e", float(record.unclipped[0]),
+                                     int(record.fallback[0]))
 
     # -- resampling (bootstrap over individuals)
 
@@ -891,37 +891,34 @@ def ht_estimated(panel: Panel, day: int, tests: TestCharacteristics,
             table.add(c, max(1.0 / prob, 1.0), "estimated")
         elif members > 0:
             table.add(c, None, "fallback")
-    est = ev._day_record("ht-e", float(record.unclipped[0]), int(record.fallback[0]))
+    est = panel.day_record(day, "ht-e", float(record.unclipped[0]), int(record.fallback[0]))
     return est, table
 
 
 def ht_known(panel: Panel, day: int, tests: TestCharacteristics,
-             weight_for: Callable[[int, int], float], *,
-             evaluator: Optional[DayEvaluator] = None) -> tuple[DayEstimate, float]:
+             weight_for: Callable[[int, int], float]) -> tuple[DayEstimate, float]:
     """Known-weight prevalence estimate and the variance of its well count.
 
     ``weight_for(c, t)`` supplies the reciprocal testing probability for
     stratum ``c`` on day ``t``, finite and >= 1 (else ``ValueError``), and is
-    called once per stratum present.  Every stratum is weighted (no fallback):
-    strata with no tests contribute zero to the well count, which is what
-    keeps the estimator unbiased and occasionally high-variance.  The Wald
-    variance is the per-stratum sum of ``(1 - pi_c) / pi_c^2 (eta^2 neg_c +
-    (1 - eta)^2 pos_c) / youden^2``; both sums read the day's row of
-    :meth:`Panel.known_terms`.  ``evaluator`` (a :class:`DayEvaluator` of the same
-    panel, day and tests) shares its strata.
+    called once per stratum in force (:meth:`Panel.day_strata`).  Every stratum
+    is weighted (no fallback): strata with no tests contribute zero to the well
+    count, which is what keeps the estimator unbiased and occasionally
+    high-variance.  The Wald variance is the per-stratum sum of ``(1 - pi_c) /
+    pi_c^2 (eta^2 neg_c + (1 - eta)^2 pos_c) / youden^2``; both sums read the
+    day's row of :meth:`Panel.known_terms`.
     """
-    ev = evaluator if evaluator is not None else DayEvaluator(panel, day, tests)
-    strata = ev.strata.tolist()
-    weights = [float(weight_for(c, day)) for c in strata]
+    strata = panel.day_strata(day)
+    tests.require_informative()
+    weights = [float(weight_for(c, day)) for c in strata.tolist()]
     bad = next((j for j, w in enumerate(weights) if not 1.0 <= w < math.inf), None)
     if bad is not None:
         raise ValueError(f"weight for stratum {strata[bad]} must be finite and >= 1, "
                          f"got {weights[bad]}")
     pi = 1.0 / np.array(weights)
-    numerator, factor = panel.known_terms(tests)[:, day, ev.strata]
+    numerator, factor = panel.known_terms(tests)[:, day, strata]
     counts = panel.day_counts
     w_hat = int(counts.assumed[day]) + float((numerator / (tests.youden * pi)).sum())
     variance = float(((1.0 - pi) / pi**2 * factor).sum() / tests.youden**2)
-    removed = panel.n_individuals - int(counts.nonremoved[day])
-    unclipped = prevalence_from_w(w_hat, panel.n_individuals, removed)[1]
-    return ev._day_record("ht-k", unclipped), variance
+    unclipped = prevalence_from_w(w_hat, int(counts.nonremoved[day]))
+    return panel.day_record(day, "ht-k", unclipped), variance

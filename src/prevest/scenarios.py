@@ -36,7 +36,6 @@ import numpy as np
 from .core import TestCharacteristics
 from .estimators import (
     MIN_STRATUM_SIZE,
-    DayEstimate,
     DayEvaluator,
     EstimateSeries,
     Panel,
@@ -56,6 +55,7 @@ from .simulate import (
     SensitivityCurve,
     SimulationResult,
     replicate_bytes,
+    seed_prefix,
     simulate,
 )
 from .uncertainty import (
@@ -242,36 +242,30 @@ def estimate_panel_series(
     """
     if "ht-k" in estimators and known_weights is None:
         raise ValueError("ht-k requires known testing-probability weights")
-    prefix = (seed,) if isinstance(seed, int) else tuple(seed)
+    prefix = seed_prefix(seed)
     series = EstimateSeries()
     counts = panel.day_counts
     for day in range(1, panel.horizon + 1):
-        n_tests, n_pos = int(counts.n_tests[day]), int(counts.n_positive[day])
-        if n_tests == 0 or (excluded_days is not None and excluded_days[day]):
+        if counts.n_tests[day] == 0 or (excluded_days is not None and excluded_days[day]):
             for kind in estimators:
-                series.append(DayEstimate(day=day, kind=kind, n_tests=n_tests, n_positive=n_pos))
+                series.append(panel.day_record(day, kind))
             continue
-        evaluator = None  # built on first use, shared by ht-k and ht-e
         for kind in estimators:
-            if kind in ("ht-k", "ht-e"):
-                evaluator = evaluator or DayEvaluator(panel, day, tests, min_stratum_size)
             if kind == "tpr":
-                record = DayEstimate(day=day, kind="tpr", n_tests=n_tests, n_positive=n_pos,
-                                     unclipped=tpr_prevalence(n_pos, n_tests, tests)[1])
+                n_tests, n_pos = int(counts.n_tests[day]), int(counts.n_positive[day])
+                record = panel.day_record(day, "tpr", tpr_prevalence(n_pos, n_tests, tests))
                 if interval_spec is not None:
                     lo, hi = clopper_pearson(n_pos, n_tests, interval_spec.level)
-                    record.lo = prevalence_from_rate(lo, tests)[1]
-                    record.hi = prevalence_from_rate(hi, tests)[1]
+                    record.lo = prevalence_from_rate(lo, tests)
+                    record.hi = prevalence_from_rate(hi, tests)
             elif kind == "ht-k":
-                record, variance = ht_known(panel, day, tests, known_weights,
-                                            evaluator=evaluator)
+                record, variance = ht_known(panel, day, tests, known_weights)
                 if interval_spec is not None:
-                    nonremoved = int(counts.nonremoved[day])
                     record.lo, record.hi = wald_prevalence_interval(
-                        (1.0 - record.unclipped) * nonremoved, variance,
-                        panel.n_individuals, panel.n_individuals - nonremoved,
+                        record.unclipped, variance, int(counts.nonremoved[day]),
                         interval_spec.level)
             elif kind == "ht-e":
+                evaluator = DayEvaluator(panel, day, tests, min_stratum_size)
                 record = evaluator.day_estimate()
                 if interval_spec is not None:
                     interval = bca_bootstrap(evaluator.resampler(), interval_spec,

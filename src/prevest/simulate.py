@@ -180,6 +180,11 @@ class ScenarioConfig:
         return np.repeat(np.arange(self.n_clusters), self.cluster_size)
 
 
+def seed_prefix(seed) -> tuple:
+    """``seed`` as a tuple prefix: an int or numpy integer is one part, a sequence its parts."""
+    return (int(seed),) if isinstance(seed, (int, np.integer)) else tuple(seed)
+
+
 def _purpose_streams(seed_entropy) -> dict[str, np.random.Generator]:
     root = np.random.SeedSequence(seed_entropy)
     names = ("init", "testing", "results", "exposure_ext", "exposure_cluster", "overlay")
@@ -343,7 +348,7 @@ def simulate(config: ScenarioConfig, seed=None, replicates: Optional[range] = No
     if replicates is None:
         seeds = [seed]
     else:
-        seed = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
+        seed = seed_prefix(seed)
         seeds = [(*seed, r) for r in replicates]
     stack = [_purpose_streams(s) for s in seeds]
     n = config.population_size * len(stack)

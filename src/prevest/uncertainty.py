@@ -96,23 +96,18 @@ def wald_ht_variance(
     return float(contrib.sum() / tests.youden**2)
 
 
-def wald_prevalence_interval(
-    w_hat: float,
-    variance: float,
-    n_population: int,
-    removed: int,
-    level: float = 0.95,
-) -> tuple[float, float]:
-    """Normal interval on the well count, mapped affinely to prevalence (unclipped)."""
+def wald_prevalence_interval(estimate: float, variance: float, nonremoved: int,
+                             level: float = 0.95) -> tuple[float, float]:
+    """Normal interval on the well count, mapped affinely to prevalence (unclipped):
+    ``estimate -+ z sqrt(variance) / nonremoved``, where ``estimate`` is the unclipped
+    prevalence and ``variance`` that of the well count among the ``nonremoved``."""
     from scipy.special import ndtri
 
-    nonremoved = n_population - removed
     if nonremoved <= 0:
         return math.nan, math.nan
     z = float(ndtri(0.5 + level / 2.0))
-    half = z * math.sqrt(max(variance, 0.0))
-    # prevalence = (nonremoved - w) / nonremoved is decreasing in w
-    return (nonremoved - (w_hat + half)) / nonremoved, (nonremoved - (w_hat - half)) / nonremoved
+    half = z * math.sqrt(max(variance, 0.0)) / nonremoved
+    return estimate - half, estimate + half
 
 
 @dataclass

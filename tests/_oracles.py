@@ -592,8 +592,7 @@ def per_day_ht_known(panel, day, tests, weight_for):
         np.where(np.ones(pi.shape, dtype=bool), weighted, n_c).sum(axis=-1))
     variance = float(((1.0 - pi) / pi**2 * (eta**2 * neg_c + (1.0 - eta) ** 2 * (tested_c - neg_c))
                       ).sum() / tests.youden**2)
-    removed = panel.n_individuals - int(counts.nonremoved[day])
-    return prevalence_from_w(w_hat, panel.n_individuals, removed)[1], variance
+    return prevalence_from_w(w_hat, int(counts.nonremoved[day])), variance
 
 
 def per_offset_probability_table(strata, horizon, nu, rows_of):

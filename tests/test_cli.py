@@ -298,6 +298,21 @@ class TestAnalyzeCommand:
         assert "'2020-8-31' in header (line 1, column 1)" in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize("first,second", [("20200831", "20200901"),
+                                              ("2020-W36-1", "2020-W36-2")],
+                             ids=["basic-format", "week-date"])
+    def test_only_extended_calendar_dates_parse(self, tmp_path, capsys, first, second):
+        """Header dates are YYYY-MM-DD on every Python version: 3.11's fromisoformat
+        also reads the basic and week forms, which 3.10's rejects."""
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"{first},{second}\nN,P\n,N\nP,\n")
+        policy = tmp_path / "policy.json"
+        policy.write_text(json.dumps({"min_daily_tests": 0}))
+        assert main(["analyze", "--matrix", str(bad), "--policy", str(policy),
+                     "--out", str(tmp_path / "o.csv")]) == 4
+        assert f"bad date '{first}' in header (line 1, column 1)" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
     def test_non_utf8_matrix_is_parse_error(self, tmp_path, capsys):
         bad = tmp_path / "utf16.csv"
         bad.write_bytes(b"\xff\xfe" + "2020-08-31\nN\n".encode("utf-16-le"))  # a UTF-16 export

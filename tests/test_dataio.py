@@ -27,7 +27,7 @@ from prevest.dataio import (
     scenario_config_from_dict,
     write_testing_matrix,
 )
-from prevest.estimators import Panel, ht_estimated, tpr_prevalence
+from prevest.estimators import Panel, clip_unit, ht_estimated, tpr_prevalence
 from prevest.scenarios import SCENARIO_NAMES, build_scenario, estimate_panel_series
 from prevest.regimens import ConfigError, RegimenConfig
 from prevest.simulate import ExternalHazard, HazardModel, ScenarioConfig, simulate
@@ -354,7 +354,7 @@ def series_fingerprint(panel, tests, days):
         n_tests = int((panel.tested[day] & nonrem).sum())
         n_pos = int((panel.positive[day] & nonrem).sum())
         est, _ = ht_estimated(panel, day, tests, min_stratum_size=5)
-        out.append((n_tests, n_pos, tpr_prevalence(n_pos, n_tests, tests)[0], est.estimate))
+        out.append((n_tests, n_pos, clip_unit(tpr_prevalence(n_pos, n_tests, tests)), est.estimate))
     return out
 
 

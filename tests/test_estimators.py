@@ -77,12 +77,14 @@ class TestTpr:
             tpr(5, 3)
 
     def test_prevalence_adjustment_inverts_test_errors(self):
-        clipped, raw = tpr_prevalence(50, 1000, STUDY)
         # rate = eta * prev + (1 - nu) * (1 - prev) solved for prev
-        assert raw == pytest.approx((0.05 - 0.008) / 0.824)
-        assert clipped == raw
-        clipped, raw = tpr_prevalence(0, 1000, STUDY)
-        assert raw < 0.0 and clipped == 0.0
+        assert tpr_prevalence(50, 1000, STUDY) == pytest.approx((0.05 - 0.008) / 0.824)
+        # the map is unclipped: a rate below the false-positive rate maps below 0
+        assert tpr_prevalence(0, 1000, STUDY) == pytest.approx(-0.008 / 0.824)
+
+    def test_untested_day_is_the_nan_object(self):
+        """Untested days return ``math.nan`` itself, so tuples holding it compare equal."""
+        assert tpr_prevalence(0, 0, STUDY) is math.nan
 
 
 class TestHtEstimateW:
@@ -127,20 +129,19 @@ class TestHtEstimateW:
 
 class TestPrevalenceFromW:
     def test_direct(self):
-        assert prevalence_from_w(8.0, 10, 0) == (pytest.approx(0.2), pytest.approx(0.2))
+        assert prevalence_from_w(8.0, 10) == pytest.approx(0.2)
 
     def test_clipping(self):
-        clipped, raw = prevalence_from_w(1005.0, 1000, 0)
+        """The map is unclipped; only the record's ``estimate`` clips."""
+        raw = prevalence_from_w(1005.0, 1000)
         assert raw == pytest.approx(-0.005)
-        assert clipped == 0.0
+        assert DayEstimate(day=1, kind="ht-k", unclipped=raw).estimate == 0.0
 
     def test_continues_census_example(self):
-        clipped, _ = prevalence_from_w(949.0291262135922, 1000, 0)
-        assert clipped == pytest.approx(0.05097, abs=5e-5)
+        assert prevalence_from_w(949.0291262135922, 1000) == pytest.approx(0.05097, abs=5e-5)
 
     def test_empty_population_is_undefined(self):
-        clipped, raw = prevalence_from_w(1.0, 10, 10)
-        assert math.isnan(clipped) and math.isnan(raw)
+        assert math.isnan(prevalence_from_w(1.0, 0))
 
 
 class TestScheduleMatrices:
@@ -912,6 +913,24 @@ class TestHtKnown:
         est, _ = ht_known(panel, 6, STUDY, lambda c, t: 6.0)
         assert est.kind == "ht-k" and not math.isnan(est.unclipped)
 
+    def test_rejects_days_off_the_panel_and_uninformative_tests(self):
+        """Day 0, day T + 1 and uninformative tests raise the errors the evaluator's
+        construction raised, before any weight is asked for."""
+        panel = small_simulation(seed=8).panel()
+
+        def weight_for(c, t):
+            raise AssertionError("no weight is needed")
+
+        for day in (0, panel.horizon + 1):
+            with pytest.raises(ValueError, match=rf"^day {day} outside 1\.\.{panel.horizon}$"):
+                ht_known(panel, day, STUDY, weight_for)
+        uninformative = TestCharacteristics(0.5, 0.5)
+        with pytest.raises(ValueError) as info:
+            ht_known(panel, 6, uninformative, weight_for)
+        with pytest.raises(ValueError) as want:
+            uninformative.require_informative()
+        assert str(info.value) == str(want.value)
+
     @pytest.mark.parametrize("tests", [PERFECT, STUDY], ids=["perfect", "imperfect"])
     def test_matches_per_stratum_formula(self, tests):
         panel = small_simulation(seed=13, tests=tests).panel()
@@ -945,15 +964,13 @@ class TestHtKnown:
         for day in range(1, panel.horizon + 1):
             w_hat, want_var = per_stratum_ht_known(panel, day, tests, weight_for)
             nonremoved = int((~panel.removed[day]).sum())
-            shared = DayEvaluator(panel, day, tests)
-            for evaluator in (None, shared):
-                est, variance = ht_known(panel, day, tests, weight_for, evaluator=evaluator)
-                if nonremoved == 0:
-                    assert math.isnan(est.unclipped), day
-                else:
-                    assert est.unclipped == pytest.approx(
-                        (nonremoved - w_hat) / nonremoved, rel=1e-12, abs=1e-12), day
-                assert variance == pytest.approx(want_var, rel=1e-12, abs=1e-12), day
+            est, variance = ht_known(panel, day, tests, weight_for)
+            if nonremoved == 0:
+                assert math.isnan(est.unclipped), day
+            else:
+                assert est.unclipped == pytest.approx(
+                    (nonremoved - w_hat) / nonremoved, rel=1e-12, abs=1e-12), day
+            assert variance == pytest.approx(want_var, rel=1e-12, abs=1e-12), day
 
 
 def assert_same_bits(got, want, name=""):
@@ -987,10 +1004,11 @@ class TestPanelTermsMatchPerDayRoute:
             for name in ("unclipped", "fallback", "members", "need", "probs"):
                 assert_same_bits(getattr(got, name), getattr(want, name), (name, day))
             assert_same_bits(ev._last_fallback, want.fallback, day)
-            want_known = per_day_ht_known(panel, day, tests, weight_for)
-            for evaluator in (None, ev):
-                est, variance = ht_known(panel, day, tests, weight_for, evaluator=evaluator)
-                assert_same_bits((est.unclipped, variance), want_known, day)
+            est, variance = ht_known(panel, day, tests, weight_for)
+            assert_same_bits((est.unclipped, variance),
+                             per_day_ht_known(panel, day, tests, weight_for), day)
+            ht_e = ev.day_estimate()
+            assert (est.n_tests, est.n_positive) == (ht_e.n_tests, ht_e.n_positive), day
 
 
 class TestDayMajorLayout:

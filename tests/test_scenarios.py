@@ -23,7 +23,7 @@ from prevest.scenarios import (
     renewal_fire_probabilities,
     run_scenario,
 )
-from prevest.simulate import replicate_bytes, simulate
+from prevest.simulate import replicate_bytes, seed_prefix, simulate
 from prevest.uncertainty import IntervalSpec, bca_bootstrap
 
 from _oracles import testing_process_oracle
@@ -193,6 +193,52 @@ class TestSeriesAssembly:
         for a, b in zip(by_int.records, by_tuple.records):
             assert astuple(a) == pytest.approx(astuple(b), abs=0, nan_ok=True)
         assert any(r.kind == "ht-e" and r.lo < r.hi for r in by_int.records)
+
+    @pytest.mark.parametrize("spec", [None, IntervalSpec(bootstrap_iterations=19)],
+                             ids=["point", "intervals"])
+    def test_numpy_int_seed_is_an_int_prefix(self, spec):
+        """A numpy integer seed, which ``ScenarioConfig`` and ``simulate`` accept, is the
+        prefix of one its int value gives, for a series and for a stack of replicates."""
+        assert seed_prefix(np.int64(7)) == seed_prefix(7) == seed_prefix([7]) == (7,)
+        bundle = build_scenario("min-max", population_size=200)
+        panel = simulate(bundle.config, seed=(3, 0)).panel()
+        by_numpy, by_int = (
+            estimate_panel_series(panel, bundle.assumed_tests, ("tpr", "ht-e"), spec, seed=seed)
+            for seed in (np.int64(7), 7))
+        for a, b in zip(by_numpy.records, by_int.records, strict=True):
+            assert astuple(a) == pytest.approx(astuple(b), abs=0, nan_ok=True)
+        by_numpy, by_int = (simulate(bundle.config, seed=seed, replicates=range(2))
+                            for seed in (np.int64(3), 3))
+        np.testing.assert_array_equal(by_numpy.tested, by_int.tested)
+        np.testing.assert_array_equal(by_numpy.positive, by_int.positive)
+
+    def test_ht_k_builds_no_evaluator(self, monkeypatch):
+        """``ht-k`` reads the panel's tables without a :class:`DayEvaluator`; its records
+        are the ones a series that also runs ``ht-e`` gives."""
+        bundle = build_scenario("min-max", population_size=200)
+        panel = simulate(bundle.config, seed=(5, 0)).panel()
+        built = []
+        init = DayEvaluator.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args[1])
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(DayEvaluator, "__init__", counted)
+        spec = IntervalSpec(bootstrap_iterations=19)
+
+        def ht_k(kinds):
+            records = estimate_panel_series(panel, bundle.assumed_tests, kinds, spec,
+                                            KnownWeights(bundle)).records
+            return [r for r in records if r.kind == "ht-k"]
+
+        alone = ht_k(("tpr", "ht-k"))
+        assert built == []
+        beside = ht_k(("tpr", "ht-k", "ht-e"))
+        assert built
+        assert len(alone) == panel.horizon and any(r.defined for r in alone)
+        for a, b in zip(alone, beside, strict=True):
+            assert astuple(a) == pytest.approx(astuple(b), abs=0, nan_ok=True)
 
 
     def test_cached_terms_follow_their_key(self):

@@ -133,27 +133,29 @@ class TestWaldVariance:
             wald_ht_variance(np.array([0.5]), np.array([0.0]), TestCharacteristics())
 
     def test_prevalence_interval_is_the_raw_affine_map(self):
-        lo, hi = wald_prevalence_interval(90.0, 25.0, 100, 0, level=0.95)
+        # estimate 0.1 among 100 non-removed: well count 90 with variance 25
+        lo, hi = wald_prevalence_interval(0.1, 25.0, 100, level=0.95)
         z = stats.norm.ppf(0.975)
         assert hi == pytest.approx((100 - 90 + z * 5) / 100)
         assert lo == pytest.approx((100 - 90 - z * 5) / 100)
-        lo, hi = wald_prevalence_interval(99.9, 900.0, 100, 0)
+        lo, hi = wald_prevalence_interval(0.001, 900.0, 100)
         assert lo == pytest.approx((100 - 99.9 - z * 30) / 100) and lo < 0.0
-        assert math.isnan(wald_prevalence_interval(1.0, 1.0, 10, 10)[0])
+        assert math.isnan(wald_prevalence_interval(math.nan, 1.0, 0)[0])
 
     @pytest.mark.parametrize("w_hat", [110.0, -20.0])
     def test_interval_outside_unit_range_is_not_inverted(self, w_hat):
         # a well count past either end of 0..100 puts the whole interval outside [0, 1]
-        lo, hi = wald_prevalence_interval(w_hat, 4.0, 100, 0)
+        estimate = (100 - w_hat) / 100
+        lo, hi = wald_prevalence_interval(estimate, 4.0, 100)
         half = stats.norm.ppf(0.975) * 2.0
         assert lo <= hi
-        assert (lo, hi) == pytest.approx(((100 - w_hat - half) / 100, (100 - w_hat + half) / 100))
+        assert (lo, hi) == pytest.approx((estimate - half / 100, estimate + half / 100))
 
     @settings(max_examples=200)
-    @given(w_hat=st.floats(-1e4, 1e4), variance=st.floats(0.0, 1e6),
-           n_population=st.integers(1, 10_000), level=st.floats(0.01, 0.99))
-    def test_lo_never_exceeds_hi(self, w_hat, variance, n_population, level):
-        lo, hi = wald_prevalence_interval(w_hat, variance, n_population, 0, level)
+    @given(estimate=st.floats(-100.0, 100.0), variance=st.floats(0.0, 1e6),
+           nonremoved=st.integers(1, 10_000), level=st.floats(0.01, 0.99))
+    def test_lo_never_exceeds_hi(self, estimate, variance, nonremoved, level):
+        lo, hi = wald_prevalence_interval(estimate, variance, nonremoved, level)
         assert lo <= hi
 
 
