@@ -213,6 +213,11 @@ def cmd_analyze(args, report: RunReport) -> None:
 
 def cmd_anonymize(args, report: RunReport) -> None:
     matrix = parse_testing_matrix(args.matrix)
+    if matrix.n_days == 1 and (untested := matrix.cells[:, 0] == dataio.ABSENT).any():
+        # the anonymized matrix has no row ids, so an untested row of one day would be a blank line
+        raise ParseError("a one-day matrix with an untested row cannot be anonymized: the "
+                         "output has no row ids, so the row's line would be blank",
+                         line=dataio.row_line(args.matrix, int(untested.argmax())))
     policy = dataio.load_adjustment_policy(args.policy) if args.policy else AdjustmentPolicy()
     shuffled = dataio.anonymize_shuffle(_retained_tests(matrix, policy, report),
                                         seed=args.seed, policy=policy)

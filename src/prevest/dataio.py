@@ -118,8 +118,7 @@ def parse_testing_matrix(path) -> TestingMatrix:
         before = exc.object[: exc.start].decode("utf-8")  # after any BOM, like exc.start
         raise ParseError(f"byte 0x{exc.object[exc.start]:02x} is not UTF-8 text",
                          line=len((before + "x").splitlines())) from None
-    # blank lines are skipped; errors keep reporting the file's own line numbers
-    lines = [(k, ln) for k, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    lines = _lines(text)
     del raw, text
     if not lines:
         raise ParseError("empty testing-matrix file")
@@ -178,6 +177,18 @@ def parse_testing_matrix(path) -> TestingMatrix:
     if not cell_text:
         raise ParseError("testing-matrix file has a header but no rows")
     return TestingMatrix(dates=dates, cells=cells, row_labels=labels if has_ids else None)
+
+
+def _lines(text: str) -> list[tuple[int, str]]:
+    """The non-blank lines of ``text`` with their 1-based numbers: blank lines are
+    skipped, and errors keep reporting the file's own line numbers."""
+    return [(k, ln) for k, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+
+
+def row_line(path, row: int) -> int:
+    """The file line of data row ``row`` (0-based) of a matrix file that parses."""
+    with open(path, "rb") as fh:
+        return _lines(fh.read().decode("utf-8-sig"))[row + 1][0]
 
 
 def _parse_cells(rows: list[str], n_days: int) -> tuple[np.ndarray, int | None]:
@@ -449,33 +460,39 @@ def anonymize_shuffle(matrix: TestingMatrix, seed: int, policy: AdjustmentPolicy
     The suffixes are never copied: ``src[i]`` is the input row whose suffix
     row ``i`` currently holds, so a day's exchange permutes ``src`` and
     column ``j`` is final once day ``j + 1`` has been shuffled; columns are gathered and
-    written as rows of day-major copies of the cells.  Groups ``rng.shuffle``
-    their local ``0..size-1`` in place (``rng.permutation``'s draws) in order of first
-    appearance (members ascending), so the output depends only on the seed.
+    written as rows of day-major copies of the cells.  Each group of two or more
+    is permuted by the draws ``rng.shuffle`` (and ``rng.permutation``) would make on
+    its local ``0..size-1``, groups in order of first appearance (members
+    ascending), so the output depends only on the seed.  One call draws a whole
+    day's swaps (see ``_group_shuffles``); there is no per-group call.  A row's
+    key, less a pending removal, is one integer updated on its test and clearance
+    days only.
     """
     rng = np.random.default_rng(seed)
-    shuffle = rng.shuffle
+    legacy = np.random.RandomState(rng.bit_generator)  # shares rng's state
     n, horizon = matrix.cells.shape
     columns = np.ascontiguousarray(matrix.cells.T)  # row j: study day j + 1
     out = np.empty_like(columns)
 
     src = np.arange(n)
-    last_test = np.zeros(n, dtype=np.int64)
-    last_result = np.zeros(n, dtype=np.int64)
+    width, span = horizon + 1, horizon + policy.result_delay_days + 2
+    # a row's key less its pending part: ((last test day, its result), last clearance
+    # day, stratum of a negative last test) as one number, a multiple of span
+    state = np.zeros(n, dtype=np.int64)
     last_clear = np.zeros(n, dtype=np.int64)
-    neg_stratum = np.zeros(n, dtype=np.int64)  # stratum of a negative last test
     rem_start = np.zeros(n, dtype=np.int64)
     rem_end = np.zeros(n, dtype=np.int64)
+    cleared_on: dict[int, np.ndarray] = {}  # the rows whose removal ended the day before
 
     for day in range(1, horizon + 1):
         j = day - 1
-        cleared_now = (rem_end > 0) & (rem_end == day - 1)
-        last_clear[cleared_now] = rem_end[cleared_now]
+        cleared = cleared_on.pop(day, None)
+        if cleared is not None:
+            state[cleared] += (day - 1 - last_clear[cleared]) * (width * span)
+            last_clear[cleared] = day - 1
         rows = np.flatnonzero((day < rem_start) | (day > rem_end))
-        pending = np.where(rem_end[rows] >= day, rem_start[rows], 0)  # result not yet back
-        key = (last_test[rows] * 2 + last_result[rows]) * (horizon + 1) + last_clear[rows]
-        key = (key * (horizon + 1) + neg_stratum[rows]) * (
-            horizon + policy.result_delay_days + 2) + pending
+        # the state plus the start of a removal whose result is not yet back
+        key = state[rows] + np.where(rem_end[rows] >= day, rem_start[rows], 0)
         order = _stable_order(key)
         members = rows[order]  # grouped by key, ascending within a group
         offsets = np.flatnonzero(np.diff(key[order], prepend=-1))
@@ -485,25 +502,76 @@ def anonymize_shuffle(matrix: TestingMatrix, seed: int, policy: AdjustmentPolicy
         lengths = sizes[big]
         if lengths.size:
             ends = np.cumsum(lengths)
-            local = np.arange(ends[-1]) - np.repeat(ends - lengths, lengths)  # 0..size-1 per group
-            base = np.repeat(offsets[big], lengths)  # each member's group offset in members
-            at = base + local
-            for first, last in zip((ends - lengths).tolist(), ends.tolist()):
-                shuffle(local[first:last])
-            src[members[at]] = src[members[base + local]]
+            at = members[np.repeat(offsets[big] - ends + lengths, lengths) + np.arange(ends[-1])]
+            src[at] = src[_group_shuffles(legacy, at, lengths)]  # groups laid end to end
         column = out[j] = columns[j, src]
         # apply day events from the (possibly swapped) suffixes
         idx = np.flatnonzero(column >= 0)
-        last_test[idx] = day
-        last_result[idx] = (column[idx] == POSITIVE).astype(np.int64)
-        neg_stratum[idx] = np.where(last_result[idx] == 0, last_clear[idx], 0)
-        pos = idx[column[idx] == POSITIVE]
+        positive = column[idx] == POSITIVE
+        clear = last_clear[idx]
+        state[idx] = (((2 * day + positive) * width + clear) * width
+                      + np.where(positive, 0, clear)) * span
+        pos = idx[positive]
         starts = pos[rem_end[pos] < day]  # pendency/removal blocks a nested episode
-        rem_start[starts] = day + policy.result_delay_days + 1
-        rem_end[starts] = day + policy.result_delay_days + policy.isolation_days
+        if starts.size:
+            rem_start[starts] = day + policy.result_delay_days + 1
+            rem_end[starts] = day + policy.result_delay_days + policy.isolation_days
+            cleared_on[day + policy.result_delay_days + policy.isolation_days + 1] = starts
 
     order = rng.permutation(n)
     return TestingMatrix(dates=list(matrix.dates), cells=out.T[order], row_labels=None)
+
+
+def _group_shuffles(legacy: np.random.RandomState, values: np.ndarray,
+                    lengths: np.ndarray) -> np.ndarray:
+    """A copy of ``values`` whose runs of ``lengths`` are each shuffled as consecutive
+    ``Generator.shuffle`` calls on them would, from one draw call.
+
+    ``Generator.shuffle`` is Fisher-Yates from a run's last slot down to its second,
+    swapping each with a slot drawn at or below it by masked rejection on 32-bit
+    draws.  ``legacy`` is a ``RandomState`` on the same bit generator; its ``randint``
+    with array bounds draws each bound the same way (a bound of 1 draws nothing), so
+    one call makes every run's draws in order and leaves the generator where the
+    calls would.
+
+    The swaps are then resolved as arrays, naming each slot by the step that owns it.
+    A step's slot ends up with what the slot it visits (swaps with) held just before
+    the step.  Of the steps that visit one slot, in the order they ran, the first
+    finds the slot's own value and each later one what the one before it brought:
+    what that visitor's own slot held just before its step.  That is what the last
+    step to visit that slot brought, or the slot's own value if none did.  These
+    links point to earlier steps, so pointer doubling follows them in O(log size)
+    passes.  A step that visits its own slot visits it last, so what its slot held
+    before it is never asked for.
+    """
+    ends = np.cumsum(lengths)
+    size = int(ends[-1])
+    ends_at = np.repeat(ends, lengths)
+    step = np.arange(size)
+    # step k (run by run, slots last to first) owns slot end - 1 - k and visits the slot of
+    # step aim[k]
+    aim = ends_at - 1 - legacy.randint(0, ends_at - step)
+    order = _stable_order(aim)  # steps by the slot they visit, each slot's in the order they ran
+    visited = aim[order]
+    first = np.empty(size, dtype=bool)  # the first visitor of its slot
+    first[0] = True
+    np.not_equal(visited[1:], visited[:-1], out=first[1:])
+    final = np.flatnonzero(first) - 1  # each slot's last visitor
+    final[0] = size - 1
+    # held[k]: the step whose own value step k's slot holds just before step k
+    held = step.copy()
+    held[visited[final]] = order[final]
+    hop = held[held]
+    while (hop != held).any():
+        held = hop
+        hop = held[held]
+    found = np.empty(size, dtype=np.int64)  # the step whose own value each step's slot ends with
+    found[order[0]] = visited[0]
+    found[order[1:]] = np.where(first[1:], visited[1:], held[order[:-1]])
+    flip = np.repeat(2 * ends - lengths - 1, lengths) - step  # step k's slot
+    out = np.empty_like(values)
+    out[flip] = values[flip][found]
+    return out
 
 
 def _stable_order(key: np.ndarray) -> np.ndarray:

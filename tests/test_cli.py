@@ -415,6 +415,24 @@ class TestAnonymizeCommand:
         assert "warning: 1 repeat within-week test(s) dropped" in out
         assert "warning: 1 test(s) during isolation windows dropped" in out
 
+    def test_one_day_matrix_with_an_untested_row_is_parse_error(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        """The anonymized matrix has no row ids, so it cannot hold an untested row of a
+        one-day matrix.  This exited 5 after shuffling; it is refused before."""
+        src = tmp_path / "one_day.csv"
+        src.write_text("id,2020-08-31\na,N\n\nb,\nc,\nd,P\n")
+        out = tmp_path / "anon.csv"
+        monkeypatch.setattr(prevest.dataio, "anonymize_shuffle", None)  # never reached
+        assert main(["anonymize", "--matrix", str(src), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "one-day matrix with an untested row cannot be anonymized" in err
+        assert "(line 4)" in err  # row b; the blank line 3 is skipped but counted
+        assert not out.exists()
+        monkeypatch.undo()
+        src.write_text("id,2020-08-31\na,N\nd,P\n")
+        assert main(["anonymize", "--matrix", str(src), "--out", str(out)]) == 0
+        assert sorted(out.read_text().splitlines()[1:]) == ["N", "P"]
+
 
 class TestDeskScaleTimings:
     def test_study_size_single_replicate_is_fast(self, tmp_path):

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import datetime as dt
 import json
@@ -17,6 +18,7 @@ from prevest.dataio import (
     ParseError,
     TestingMatrix,
     _from_dict,
+    _group_shuffles,
     _stable_order,
     anonymize_shuffle,
     apply_adjustments,
@@ -392,6 +394,22 @@ class TestAnonymizer:
         assert np.array_equal(a.cells, b.cells)
         assert a.row_labels is None
 
+    def test_one_draw_call_per_day(self, monkeypatch):
+        """A day's groups are drawn by one call, not one ``shuffle`` call per group."""
+        calls = []
+
+        class CountingRandomState(np.random.RandomState):
+            def randint(self, *args, **kwargs):
+                calls.append(args)
+                return super().randint(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "RandomState", CountingRandomState)
+        sim = small_sim(seed=4)
+        m = matrix_from_simulation(sim, start_date=MONDAY)
+        out = anonymize_shuffle(m, seed=8, policy=AdjustmentPolicy.for_simulation(sim.config))
+        assert not np.array_equal(out.cells, m.cells)
+        assert 0 < len(calls) <= m.n_days
+
 
 @st.composite
 def policy_matrices(draw, max_n=30, max_days=28, **fixed):
@@ -566,6 +584,32 @@ class TestAnonymizerProperties:
         for seed in range(4):
             got = self.series(anonymize_shuffle(matrix, seed, policy), policy, 1)
             np.testing.assert_array_equal(got, want, err_msg=f"seed {seed}")
+
+
+class TestGroupShuffles:
+    """The anonymizer's one draw call per day pinned to the per-group
+    ``Generator.shuffle`` calls it replaces: the same shuffled buffer, and the
+    generator left where those calls leave it."""
+
+    @settings(max_examples=200)
+    @given(lengths=st.lists(st.integers(2, 6) | st.integers(2, 400), min_size=1, max_size=40),
+           seed=st.integers(0, 2**32 - 1))
+    @example(lengths=[2000], seed=0)  # a first day: one group of every row
+    @example(lengths=[2] * 1000, seed=1)
+    @example(lengths=[2, 3, 2, 1500, 4, 2, 3], seed=2)
+    def test_equals_per_group_shuffle_calls(self, lengths, seed):
+        lengths = np.array(lengths)
+        rng = np.random.default_rng(seed)
+        reference = copy.deepcopy(rng)
+        values = np.arange(lengths.sum(), dtype=np.int64) * 3 + 1
+        want = values.copy()
+        ends = np.cumsum(lengths)
+        for first, last in zip(ends - lengths, ends):
+            reference.shuffle(want[first:last])
+        got = _group_shuffles(np.random.RandomState(rng.bit_generator), values, lengths)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(values, np.arange(lengths.sum()) * 3 + 1)  # a copy
+        assert rng.integers(0, 2**62) == reference.integers(0, 2**62)
 
 
 @st.composite
