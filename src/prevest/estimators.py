@@ -37,11 +37,11 @@ if TYPE_CHECKING:
 _EPS = 1e-12
 # Strata with fewer members are counted whole by ht-e (the headcount fallback).
 MIN_STRATUM_SIZE = 10
-# Byte budget of the resample rows in one DayEvaluator.batch call: their totals plus the
-# widest stratum's packed solve block (chunk_rows).
+# Byte budget of the resample rows in one DayEvaluator.batch call: their totals, normalised
+# code counts and push solve (chunk_rows).
 _SOLVE_BLOCK_BYTES = 16 << 20
-# Byte budget of one (strata x (span + 1) x span) array in _probability_table; a table
-# is built once per panel or run, so a small budget costs little time and keeps peak RSS down.
+# Byte budget of one (strata x (span + 1) x span) block of regimen rows in _probability_table;
+# a known table is built once per run, so a small budget costs little time and peak RSS.
 _TABLE_BLOCK_BYTES = 1 << 20
 
 
@@ -153,11 +153,26 @@ class Panel:
 
     def point_probabilities(self, specificity: float) -> np.ndarray:
         """``probs[c, t]``: the estimated testing probability of stratum ``c`` on day
-        ``t``, for the panel as observed; built on first use per specificity."""
-        index, horizon = self.contribution_index, self.horizon
-        return self._table(("probs", specificity), lambda: _probability_table(
-            np.unique(index.key // (horizon + 1)), horizon, specificity,
-            lambda chunk, span: index.row_counts(chunk, span, horizon)))
+        ``t``, for the panel as observed; built on first use per specificity.
+
+        One :class:`_PushSolve` over the full-horizon codes of every stratum, counted by
+        their runs: day t's codes of stratum c differ only past t, so entry ``[c, t]`` is
+        bit-equal to what :meth:`DayEvaluator.batch` gives a resample of multiplicity 1."""
+
+        def build():
+            index, horizon = self.contribution_index, self.horizon
+            strata = np.unique(index.key // (horizon + 1))
+            strata = strata[strata < horizon]  # a clearance on the last day weighs no day
+            codes, _, _, starts = index.codes(strata, horizon, horizon)
+            ratios = _PushSolve.of(codes, strata, horizon).ratios(
+                np.diff(starts)[:, None].astype(float), specificity)[:, 0]
+            # the packed positions in order: row offsets ascending, then the strata with one
+            offset, slot = np.nonzero(np.arange(horizon + 1)[:, None] < horizon + 1 - strata)
+            probs = np.zeros((horizon + 1, horizon + 1))
+            probs[strata[slot], strata[slot] + offset] = ratios
+            return np.minimum(probs, 1.0)
+
+        return self._table(("probs", specificity), build)
 
     def known_terms(self, tests: TestCharacteristics) -> np.ndarray:
         """``[t, c]`` planes of ``ht-k``'s per-stratum numerator ``neg_c - (1 - eta)
@@ -255,28 +270,37 @@ class DayCounts:
 class ContributionIndex:
     """The next-test cells of a panel, sorted by (stratum, row day, next test).
 
-    A cell is an entry ``[s, i]`` of the panel's day-major arrays, a row day ``s``
-    on which individual ``i`` enters row ``s`` of the schedule matrix of stratum
-    ``c = stratum_after(s)[i]``: the clearance itself (``s == c``) or a negative
-    test on ``s``.  ``key`` is ``c * (horizon + 1) + s``, so the cells a day ``t``
-    uses from stratum ``c`` are the contiguous run of keys ``c * (horizon + 1) + [c, t]``.
-    """
+    A cell is an entry ``[s, i]`` of the panel's day-major arrays, a row day ``s`` on which
+    individual ``i`` enters row ``s`` of the schedule matrix of stratum ``c =
+    stratum_after(s)[i]``: the clearance itself (``s == c``) or a negative test on ``s``.
+    ``key`` is ``c * (horizon + 1) + s``, so the cells day ``t`` uses from stratum ``c`` are
+    the run of keys ``c * (horizon + 1) + [c, t]``, and :meth:`codes` reads the runs both of
+    one day's strata and, at ``t = horizon``, of the point table's full-horizon rows."""
 
     key: np.ndarray          # int64, non-decreasing
     offset: np.ndarray       # s - c, the row within the stratum's matrix
     next_test: np.ndarray    # first test day after s (horizon + 2 when none)
     individual: np.ndarray   # ascending within equal (key, next_test)
 
-    def row_counts(self, chunk: np.ndarray, span: int, horizon: int) -> np.ndarray:
-        """Cell counts ``[stratum, value, row]`` of the ascending strata ``chunk``: value
-        ``next_test - c``, or ``span`` after the horizon (rows for :func:`_probability_table`)."""
-        size = horizon + 1
-        lo, hi = np.searchsorted(self.key, [chunk[0] * size, (chunk[-1] + 1) * size])
-        c = self.key[lo:hi] // size
-        value = np.where(self.next_test[lo:hi] > horizon, span, self.next_test[lo:hi] - c)
-        flat = (np.searchsorted(chunk, c) * (span + 1) + value) * span + self.offset[lo:hi]
-        counts = np.bincount(flat, minlength=chunk.size * (span + 1) * span).astype(float)
-        return counts.reshape(chunk.size, span + 1, span)
+    def codes(self, strata: np.ndarray, t: int,
+              horizon: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(codes, bounds, individuals, starts)``: the cells of the ascending ``strata``
+        with row day s <= t, as codes (stratum slot, row offset, min(next_test, t + 1)).
+        The index order sorts them, so compaction keeps the first code of each run, and the
+        runs are the columns of the individuals x codes 0/1 matrix as CSC arrays: code ``k``
+        holds ``individuals[starts[k] : starts[k + 1]]``."""
+        width = t + 2
+        first_key = strata.astype(np.int64) * (horizon + 1)
+        lo = np.searchsorted(self.key, first_key)
+        sizes = np.searchsorted(self.key, first_key + t, side="right") - lo
+        sel = np.repeat(lo - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
+        slot = np.repeat(np.arange(strata.size), sizes)
+        codes = (slot * width + self.offset[sel]) * width + np.minimum(self.next_test[sel], t + 1)
+        runs = np.flatnonzero(np.diff(codes, prepend=-1))
+        codes = codes[runs]
+        # stratum j owns the contiguous slice bounds[j]:bounds[j + 1] of the codes
+        bounds = np.searchsorted(codes, np.arange(strata.size + 1) * width * width)
+        return codes, bounds, self.individual[sel], np.append(runs, sel.size)
 
 
 # ---------------------------------------------------------------------------
@@ -378,16 +402,11 @@ def _forward_substitute(column, rows: int, span: int, nu: float) -> tuple[np.nda
 
 
 def _offset_probabilities(column, rows: int, span: int, nu: float) -> np.ndarray:
-    """Testing probability ``[b, m]`` of day ``c + m``, ``m < span``, for ``rows`` strata.
-
-    ``column(j)`` is the ``rows x j`` slab of entries Q[i, j], i < j, of each stratum's
-    normalised schedule rows ``c..c + span - 1``.  Every row sums to 1 (an unobserved one
-    lies past the horizon), so :func:`_ratio_terms`' ratio is y_m over den = 1 - (1 - nu)
-    sum_{v<m} y_v, one cumulative sum for every day: exactly 1 at nu = 1, and a difference
-    that loses digits as it shrinks (low nu, long chains of tests).  A running product of
-    the surviving mass keeps some: rows that sum to 1 only to rounding still err by about
-    (1 - nu) / den times that rounding, and only the explicit tail form avoids it.
-    """
+    """Testing probability ``[b, m]`` of day ``c + m``, ``m < span``, for ``rows`` strata,
+    given the ``rows x j`` slab ``column(j)`` of each one's normalised rows Q[i, j], i < j.
+    Every row sums to 1 (an unobserved one lies past the horizon), so :func:`_ratio_terms`'
+    ratio is y_m over den = 1 - (1 - nu) sum_{v<m} y_v: exactly 1 at nu = 1, and a
+    difference that loses digits as it shrinks (low nu, long chains of tests)."""
     _, y = _forward_substitute(column, rows, span, nu)
     below = np.zeros_like(y)
     np.cumsum(y[:, :-1], axis=1, out=below[:, 1:])
@@ -395,16 +414,71 @@ def _offset_probabilities(column, rows: int, span: int, nu: float) -> np.ndarray
     return np.where(den > _EPS, y / np.maximum(den, _EPS), 0.0)
 
 
+@dataclass(frozen=True)
+class _PushSolve:
+    """One push-form forward substitution over the observed codes of many strata at once.
+
+    Slot j holds the rows of one stratum, offsets ``0..span - 1``; the strata ascend, so
+    the slots with a row r are a prefix and y is packed offset-major, (r, j) at ``starts[r]
+    + j``.  :meth:`ratios` pushes row by row: once y_r is complete, x_r = nu y_r (x_0 = 1)
+    times each of row r's inner codes (value offset v < span) is added into y_v of its slot,
+    one fancy add since the targets are distinct, and :func:`_offset_probabilities`' den
+    sums y in v order.  An addition depends only on rows up to r, so the solve of rows
+    ``c..t`` is bit-equal to a prefix of the solve of rows ``c..T`` from the same counts.
+    """
+
+    starts: np.ndarray      # packed position of (r, slot 0); starts[-1] sums the spans
+    last: np.ndarray        # the packed position of each slot's last row
+    row_starts: np.ndarray  # the first code of each (slot, row) run
+    take: np.ndarray        # the inner codes, by ascending row offset
+    group: np.ndarray       # the (slot, row) run of each
+    source: np.ndarray      # its packed position (r, slot), x_r's entry
+    target: np.ndarray      # its packed position (v, slot)
+    bounds: np.ndarray      # take[bounds[r] : bounds[r + 1]] have row offset r
+
+    @staticmethod
+    def of(codes: np.ndarray, strata: np.ndarray, t: int) -> "_PushSolve":
+        """The solve of :meth:`ContributionIndex.codes` of ``strata`` on day ``t``: slot j
+        holds rows ``c..t`` of stratum c, span t - c + 1."""
+        run, value = np.divmod(codes, t + 2)  # run: (slot, row offset), sorted
+        new_row = np.diff(run, prepend=-1) != 0
+        inner = np.flatnonzero(value <= t)
+        take = inner[np.argsort(run[inner] % (t + 2), kind="stable")]
+        slot, row = np.divmod(run[take], t + 2)
+        spans = t + 1 - strata
+        starts = np.append(0, np.cumsum(np.count_nonzero(  # row 0 exists even with no slot
+            spans[:, None] > np.arange(spans.max(initial=1)), axis=0)))
+        return _PushSolve(starts, starts[spans - 1] + np.arange(spans.size),
+                          np.flatnonzero(new_row), take, (np.cumsum(new_row) - 1)[take],
+                          starts[row] + slot, starts[value[take] - strata[slot]] + slot,
+                          np.searchsorted(row, np.arange(starts.size)))
+
+    def ratios(self, counts: np.ndarray, nu: float, positions=slice(None)) -> np.ndarray:
+        """``[position, b]``: the ratio y / den at the packed ``positions`` on column ``b``
+        of the codes x rows ``counts``, each code normalised by its row's sum (1 if none)."""
+        q = counts[self.take]
+        q /= np.maximum(np.add.reduceat(counts, self.row_starts, axis=0), 1.0)[self.group]
+        starts, bounds = self.starts.tolist(), self.bounds.tolist()
+        source, target = self.source, self.target
+        y = np.zeros((starts[-1], counts.shape[1]))
+        below = np.zeros_like(y)  # sum_{v<r} y_v of each position
+        y[target[: bounds[1]]] = q[: bounds[1]]  # row 0: y_0 = 0, x_0 = 1 and below = 0
+        for r in range(1, len(starts) - 1):
+            lo, hi, prev = starts[r], starts[r + 1], starts[r - 1]
+            np.add(below[prev : prev + hi - lo], y[prev : prev + hi - lo], out=below[lo:hi])
+            first, last = bounds[r], bounds[r + 1]
+            y[target[first:last]] += nu * y[source[first:last]] * q[first:last]
+        den = 1.0 - (1.0 - nu) * below[positions]
+        return np.where(den > _EPS, y[positions] / np.maximum(den, _EPS), 0.0)
+
+
 def _probability_table(strata: np.ndarray, horizon: int, nu: float, rows_of) -> np.ndarray:
     """Testing probability ``probs[c, t]`` of each stratum ``c`` in ``strata`` on every day.
 
-    ``rows_of(chunk, span)`` weighs rows ``c..horizon`` of the strata ``chunk`` on
-    the values ``0..span`` (day ``c + value``, ``span`` past the horizon), shaped
-    ``[stratum, value, row]``.  Day ``t = c + m`` reads a prefix of these rows, so one
-    :func:`_offset_probabilities` of the normalised block serves every day, and the
-    ratios of a chunk are scattered at once.  Chunks are padded to their widest span
-    under ``_TABLE_BLOCK_BYTES``, past each stratum's own rows, which the solve never reads.
-    """
+    ``rows_of(chunk, span)`` weighs rows ``c..horizon`` of the strata ``chunk`` on the values
+    ``0..span`` (day ``c + value``, ``span`` past the horizon) as a dense ``[stratum, value,
+    row]`` block; day ``c + m`` reads a prefix, so one :func:`_offset_probabilities` serves
+    every day.  Chunks under ``_TABLE_BLOCK_BYTES`` are padded to their widest span."""
     size = horizon + 1
     probs = np.zeros((size, size))
     strata = strata[strata < horizon]
@@ -690,20 +764,15 @@ class EstimateSeries:
 class DayEvaluator:
     """Re-evaluates the estimated-weight estimator for one (panel, day).
 
-    Construction only reads the strata in force on the day
-    (:meth:`Panel.day_strata`).  The point estimate gathers the day's row of
-    :meth:`Panel.estimated_terms`, built from the panel's :attr:`Panel.day_counts`
-    and :meth:`Panel.point_probabilities`, and sums it: one count pass and one solve
-    per stratum per panel serve every day, and no point estimate reads an
-    individual.  Resamples (bootstrap draws, jackknife blocks) enter only
-    through :meth:`batch`, as their totals over the day's :attr:`features`
-    (one headcount class per non-removed individual, and the next-test
-    contributions of :attr:`_code_space`, plain CSC arrays sliced from
-    :attr:`Panel.contribution_index`), which are built on first use by one CSC
-    constructor, importing ``scipy.sparse`` only then; a resample's estimate
-    reduces to batched triangular solves, :attr:`chunk_rows` rows at a time.
-    :meth:`estimate` returns an :class:`Evaluation` and keeps no per-call state
-    beyond ``_last_fallback``, the copy ``perfbench/tracing.py`` reads.
+    Construction only reads the strata in force on the day (:meth:`Panel.day_strata`).
+    The point estimate sums the day's row of :meth:`Panel.estimated_terms`: one count pass
+    and one push solve per panel serve every day, and no point estimate reads an
+    individual.  Resamples (bootstrap draws, jackknife blocks) enter only through
+    :meth:`batch`, as their totals over the day's :attr:`features` (built on first use,
+    importing ``scipy.sparse`` only then); each call runs one :class:`_PushSolve` of the
+    day's codes over all its rows and strata, :attr:`chunk_rows` rows at a time.
+    :meth:`estimate` returns an :class:`Evaluation` and keeps no per-call state beyond
+    ``_last_fallback``, the copy ``perfbench/tracing.py`` reads.
     """
 
     def __init__(self, panel: Panel, day: int, tests: TestCharacteristics,
@@ -718,15 +787,11 @@ class DayEvaluator:
     @cached_property
     def features(self) -> sparse.csc_matrix:
         """The individuals x (1 + 4S + codes) 0/1 columns whose multiplicity-weighted totals
-        are all a resample's estimate reads: the headcount classes, then the next-test
-        contribution columns of :attr:`_code_space`.  Each non-removed individual has one
-        class: column 0 if assumed well, else ``1 + 4 slot + kind`` by its stratum slot and
-        kind ``2 tested + positive``, the cells :attr:`Panel.day_counts` bins.  Built by one
-        CSC constructor: the class columns hold the non-removed individuals stably sorted
-        by class (their starts the cumulative class counts), and the code columns follow
-        as :attr:`_code_space` gives them.  Stored as float32 up to 2^24 individuals
-        (:func:`_count_dtype`), where every resample total is still exact, so the
-        bootstrap's product reads half the bytes."""
+        are all a resample's estimate reads, built by one CSC constructor: each non-removed
+        individual's headcount class (column 0 if assumed well, else ``1 + 4 slot + kind``,
+        kind ``2 tested + positive``, the cells :attr:`Panel.day_counts` bins), stably
+        sorted by class, then the code columns of :attr:`_code_space`.  Stored as float32
+        up to 2^24 individuals (:func:`_count_dtype`), where every total is still exact."""
         from scipy import sparse
 
         panel, t = self.panel, self.day
@@ -745,89 +810,27 @@ class DayEvaluator:
 
     @cached_property
     def _code_space(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """``(codes, bounds, individuals, starts)``: the next-test contributions of the day.
-
-        They are the index cells with row day s <= t of the strata in force at
-        t.  Codes are (stratum slot, row offset, value), value = min(next_test,
-        t + 1); the index order makes them sorted, so compaction keeps the
-        first code of each run, and the runs are the columns of the
-        individuals x codes 0/1 matrix, given as CSC arrays: code ``k`` holds
-        ``individuals[starts[k] : starts[k + 1]]``.
-        """
-        panel, t = self.panel, self.day
-        s_count = len(self.strata)
-        width = t + 2
-        index = panel.contribution_index
-        first_key = self.strata.astype(np.int64) * (panel.horizon + 1)
-        lo = np.searchsorted(index.key, first_key)
-        sizes = np.searchsorted(index.key, first_key + t, side="right") - lo
-        sel = np.repeat(lo - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
-        slot = np.repeat(np.arange(s_count), sizes)
-        codes = (slot * width + index.offset[sel]) * width + np.minimum(index.next_test[sel], t + 1)
-        runs = np.flatnonzero(np.diff(codes, prepend=-1))
-        codes = codes[runs]
-        # stratum j owns the contiguous slice bounds[j]:bounds[j + 1] of the codes
-        bounds = np.searchsorted(codes, np.arange(s_count + 1) * width * width)
-        return codes, bounds, index.individual[sel], np.append(runs, sel.size)
+        """:meth:`ContributionIndex.codes` of the day's strata."""
+        return self.panel.contribution_index.codes(self.strata, self.day, self.panel.horizon)
 
     @cached_property
-    def _packed_layout(self) -> list[tuple[int, int, np.ndarray, np.ndarray, np.ndarray,
-                                           np.ndarray]]:
-        """Per stratum slot, its codes ``lo:hi``, the first code of each observed row and
-        the row's code count, and the codes whose next test falls on or before the day with
-        their packed positions: the packed block holds Q^T's row ``v`` (Q[0..v-1, v]) at
-        ``v(v-1)/2``."""
-        width = self.day + 2
-        codes, bounds = self._code_space[:2]
-        layout = []
-        for j, c in enumerate(self.strata.tolist()):
-            lo, hi = int(bounds[j]), int(bounds[j + 1])
-            row, column = np.divmod(codes[lo:hi] - j * width * width - c, width)  # value - c
-            starts = np.flatnonzero(np.diff(row, prepend=-1))
-            inner = np.flatnonzero(column <= self.day - c)
-            layout.append((lo, hi, starts, np.diff(starts, append=hi - lo), inner,
-                           (column * (column - 1) // 2 + row)[inner]))
-        return layout
+    def _solve(self) -> _PushSolve:
+        return _PushSolve.of(self._code_space[0], self.strata, self.day)
 
     @property
     def chunk_rows(self) -> int:
         """Resample rows that fit ``_SOLVE_BLOCK_BYTES`` with all that :meth:`batch` holds for
-        them: their totals, the widest stratum's solve (span (span + 1) / 2 floats a row, its
-        packed block and a span-wide row) and the stratum with the most codes' gathered code
-        counts and their normalisation temporary (2 floats a code)."""
-        span = self.day - int(self.strata[0]) + 1 if len(self.strata) else 0
-        codes = int(np.diff(self._code_space[1]).max(initial=0))
-        row_floats = self.features.shape[1] + span * (span + 1) // 2 + 2 * codes
+        them: their totals, normalised code counts with their normalisation temporary (2
+        floats a code), and the solve's y and running sums (2 floats a position)."""
+        row_floats = (self.features.shape[1] + 2 * self._code_space[0].size
+                      + 2 * int(self._solve.starts[-1]))
         return max(1, _SOLVE_BLOCK_BYTES // (8 * row_floats))
 
     def _stratum_probs(self, counts: np.ndarray, need: np.ndarray) -> np.ndarray:
-        """Testing probabilities per (resample row, stratum) from per-code counts.
-
-        ``need[b, j]`` marks the pairs whose probability is actually used
-        (large-enough resampled stratum with at least one test); everything
-        else falls back to a headcount.  The needed rows of each stratum go
-        through in one block: the observed codes are normalised in place by
-        their row sums, and those on or before the day are scattered by
-        :attr:`_packed_layout` into the packed Q^T whose slabs
-        :func:`_offset_probabilities` reads (bit-equal to a dense block's); its
-        last column is the day.  A call of at most :attr:`chunk_rows` rows keeps
-        every block under ``_SOLVE_BLOCK_BYTES``.
-        """
-        t = self.day
-        nu = self.tests.specificity
-        probs = np.zeros((counts.shape[0], len(self.strata)))
-        for j, (lo, hi, starts, sizes, inner, pos) in enumerate(self._packed_layout):
-            rows = np.flatnonzero(need[:, j])
-            if rows.size == 0:
-                continue
-            span = t - int(self.strata[j]) + 1  # row offsets 0..t-c are matrix rows c..t
-            part = counts[rows, lo:hi]
-            part /= np.repeat(np.maximum(np.add.reduceat(part, starts, axis=1), 1.0), sizes, axis=1)
-            block = np.zeros((rows.size, span * (span - 1) // 2))
-            block[:, pos] = part[:, inner]
-            probs[rows, j] = _offset_probabilities(
-                lambda v: block[:, v * (v - 1) // 2 : v * (v + 1) // 2], rows.size, span, nu)[:, -1]
-        return np.minimum(probs, 1.0)
+        """Testing probability per (resample row, stratum) from per-code counts: one :attr:`_solve`
+        of the call, read at each stratum's last row (the day) where ``need[b, j]``."""
+        ratios = self._solve.ratios(counts.T, self.tests.specificity, self._solve.last).T
+        return np.where(need, np.minimum(ratios, 1.0), 0.0)
 
     def estimate(self) -> Evaluation:
         """The estimator's one-row :class:`Evaluation` of the panel as observed: the

@@ -1,22 +1,19 @@
 """Confidence-interval machinery for the three estimators.
 
-Clopper-Pearson exact binomial intervals back the test-positive rate, Wald
-intervals from the weighted-count variance back the known-weight estimator,
-and a bias-corrected accelerated (BCa) bootstrap over individuals backs the
-estimated-weight estimator.  Bootstrap quantiles use linear interpolation
-(numpy's default), since BCa endpoints are sensitive to the convention.
-Every interval here is on the unrestricted prevalence scale, where the
-weighted estimators are unbiased; ``scenarios.estimate_panel_series`` is the
-one step that clips an endpoint to [0, 1].  The bootstrap and its jackknife
-stream their resamples through the estimator a chunk of rows at a time, and
-each chunk's totals take one counting pass: ``np.add.at`` of the draws into a
-units x rows count block, then one product with the features, for the
-bootstrap; a ``bincount`` of (block, column) keys over the features' nonzeros
-for the jackknife.
+Clopper-Pearson exact binomial intervals back the test-positive rate, Wald intervals from
+the weighted-count variance back the known-weight estimator, and a bias-corrected
+accelerated (BCa) bootstrap over individuals backs the estimated-weight estimator.
+Bootstrap quantiles use linear interpolation (numpy's default), since BCa endpoints are
+sensitive to the convention.  Every interval here is on the unrestricted prevalence scale,
+where the weighted estimators are unbiased; ``scenarios.estimate_panel_series`` is the one
+step that clips an endpoint to [0, 1].  The bootstrap and its jackknife stream their
+resamples through the estimator a chunk of rows at a time, and each chunk's totals take one
+counting pass: ``np.add.at`` of its int32 draws into a units x rows count block (one buffer
+per call), then one product with the features, for the bootstrap; a ``bincount`` of (block,
+column) keys over the features' nonzeros for the jackknife.
 
-Importing the module loads no scipy: each interval imports the
-``scipy.special`` functions it evaluates on first use, so a run that computes
-no interval never loads it.
+Importing the module loads no scipy: each interval imports the ``scipy.special`` functions
+it evaluates on first use, so a run that computes no interval never loads it.
 """
 
 from __future__ import annotations
@@ -29,8 +26,8 @@ import numpy as np
 
 from .core import TestCharacteristics, check_field_types
 
-# Byte budget of one chunk of int64 draws in _bootstrap_totals; its unit-major count
-# block is no larger, and stays in L2 while the product over units reads it.
+# Byte budget of one chunk of _bootstrap_totals: its int32 draws and its unit-major float32
+# count block, 4 bytes a cell each, which stays in L2 while the product over units reads it.
 _RESAMPLE_BLOCK_BYTES = 1 << 20
 
 
@@ -124,30 +121,32 @@ class BcaInterval:
 
 def _bootstrap_totals(features, rng: np.random.Generator, rows: int) -> np.ndarray:
     """``counts @ features`` for the next ``rows`` resamples of ``rng``, each a row of
-    ``rng.integers(0, n, ...)`` draws.
+    ``rng.integers(0, n, ...)`` draws, which numpy gives alike in one call or in chunks of
+    rows and as int32 or int64 (both pinned by a test).
 
-    The rows are drawn and counted in chunks under ``_RESAMPLE_BLOCK_BYTES``.  A chunk's
-    draws are keyed unit-major in place (unit ``i`` of row ``b`` counts into
-    ``i * rows + b``), so one ``np.add.at`` of ones counts them straight into the units x
-    rows block, in the features' dtype, that the product over units reads contiguously:
-    no transposed copy and no int64 count array.  For 0/1 float32 features every count
-    and total is an integer at most n <= 2^24, so exact.
-    ``Generator.integers`` draws the same stream in one call or in chunks of rows
-    (pinned by a test), so no split moves a total.
+    The rows are drawn as int32 in chunks under ``_RESAMPLE_BLOCK_BYTES`` (every key, at
+    most max(n, 2^17), fits) and keyed unit-major in place (unit ``i`` of row ``b`` counts
+    into ``i * rows + b``), so one ``np.add.at`` of ones counts them straight into the units
+    x rows block, in the features' dtype, that the product over units reads contiguously.
+    Every chunk counts into one buffer allocated per call, so that a run of chunks maps no
+    fresh pages whatever the allocator's mmap threshold.  For 0/1 float32 features every
+    count and total is an integer at most n <= 2^24, so exact.
     """
     n_units = features.shape[0]
     by_column = features.T
     totals = np.empty((rows, features.shape[1]))
     one = features.dtype.type(1)  # a Python 1 would send add.at down its slow casting loop
     step = max(1, _RESAMPLE_BLOCK_BYTES // (8 * n_units))
+    buffer = np.empty(n_units * min(step, rows), dtype=features.dtype)
     for first in range(0, rows, step):
         size = min(step, rows - first)
-        keys = rng.integers(0, n_units, size=(size, n_units))
+        keys = rng.integers(0, n_units, size=(size, n_units), dtype=np.int32)
         keys *= size
-        keys += np.arange(size)[:, None]
-        block = np.zeros((n_units, size), dtype=features.dtype)
-        np.add.at(block.reshape(-1), keys.reshape(-1), one)
-        totals[first : first + size] = (by_column @ block).T
+        keys += np.arange(size, dtype=np.int32)[:, None]
+        block = buffer[: n_units * size]
+        block.fill(0)
+        np.add.at(block, keys.reshape(-1), one)
+        totals[first : first + size] = (by_column @ block.reshape(n_units, size)).T
     return totals
 
 
@@ -193,27 +192,24 @@ def bca_bootstrap(
 ) -> BcaInterval:
     """BCa interval for a statistic of resampled units (whole individual histories).
 
-    ``estimator.features`` is a units x m matrix (an ndarray or a scipy
-    sparse matrix), and the statistic depends on a multiplicity row (how
-    many times each unit enters a resample) only through the row's totals
-    ``row @ features``; ``estimator.batch`` maps a rows x m matrix of totals
-    to one statistic per row, ``estimator.chunk_rows`` at a time: each chunk is
-    drawn and totalled just before its call.  The column sums of ``features``
-    are the original sample.  The bias-correction constant comes from the
-    fraction of the bootstrap distribution below the point estimate, the
-    acceleration from a block jackknife (blocks of ``spec.block_size(n)`` over a
-    seeded shuffle of the units, remainder in a final short block; at most 200
-    blocks by default), whose totals are the column sums minus each block's
-    (:func:`_jackknife_totals`).  Reproducible bit-for-bit for a given seed: the
-    b-th resample counts row b of a single seeded draw, and the shuffle comes
-    from a second spawned stream.  With 0/1 features every total is an integer,
-    so the totals are exact whatever the summation order, in float32 too up to
-    2^24 units.  A nan statistic is dropped from every step and
-    counted in ``n_undefined``.  A bootstrap distribution with no finite
-    value (the interval is nan), or whose spread is within 1e-12 of its
-    largest magnitude (or of 1), is degenerate and collapses to its first
-    value.  The endpoints are quantiles of the unrestricted bootstrap
-    distribution, never clipped.
+    ``estimator.features`` is a units x m matrix (an ndarray or a scipy sparse matrix), and
+    the statistic depends on a multiplicity row (how many times each unit enters a
+    resample) only through the row's totals ``row @ features``; ``estimator.batch`` maps a
+    rows x m matrix of totals to one statistic per row, ``estimator.chunk_rows`` at a time:
+    each chunk is drawn and totalled just before its call.  The column sums of
+    ``features`` are the original sample.  The bias-correction constant comes from the
+    fraction of the bootstrap distribution below the point estimate, the acceleration from
+    a block jackknife (blocks of ``spec.block_size(n)`` over a seeded shuffle of the units,
+    remainder in a final short block; at most 200 blocks by default), whose totals are the
+    column sums minus each block's (:func:`_jackknife_totals`).  Reproducible bit-for-bit
+    for a given seed: the b-th resample counts row b of a single seeded draw, and the
+    shuffle comes from a second spawned stream.  With 0/1 features every total is an
+    integer, exact in any summation order (in float32 too up to 2^24 units).  A nan
+    statistic is dropped from every step and counted in ``n_undefined``.  A bootstrap
+    distribution with no finite value (the interval is nan), or whose spread is within
+    1e-12 of its largest magnitude (or of 1), is degenerate and collapses to its first
+    value.  The endpoints are quantiles of the unrestricted bootstrap distribution, never
+    clipped.
     """
     from scipy.special import ndtr, ndtri
 

@@ -625,6 +625,44 @@ def per_offset_probability_table(strata, horizon, nu, rows_of):
     return np.minimum(probs, 1.0)
 
 
+def row_counts(index, chunk, span, horizon):
+    """Cell counts ``[stratum, value, row]`` of the ascending strata ``chunk`` in a panel's
+    contribution index: value ``next_test - c``, or ``span`` after the horizon, the dense
+    full-horizon rows ``estimators._probability_table`` reads (the point table's input
+    before the push solve read the index's codes)."""
+    size = horizon + 1
+    lo, hi = np.searchsorted(index.key, [chunk[0] * size, (chunk[-1] + 1) * size])
+    c = index.key[lo:hi] // size
+    value = np.where(index.next_test[lo:hi] > horizon, span, index.next_test[lo:hi] - c)
+    flat = (np.searchsorted(chunk, c) * (span + 1) + value) * span + index.offset[lo:hi]
+    counts = np.bincount(flat, minlength=chunk.size * (span + 1) * span).astype(float)
+    return counts.reshape(chunk.size, span + 1, span)
+
+
+def count_matrix_probabilities(ev, counts, nu):
+    """Per (row, stratum slot) testing probability of a ``DayEvaluator``'s day from the
+    code counts ``counts`` (rows x codes), through whole schedule matrices: row ``c + r``
+    of stratum ``c``'s ``(t + 2) x (t + 2)`` matrix is its codes' counts over their sum,
+    or the tail indicator when it has none, and ``_ratio_terms`` gives num and den."""
+    from prevest.estimators import _EPS, _ratio_terms
+
+    codes, bounds = ev._code_space[:2]
+    t, width = ev.day, ev.day + 2
+    rows = counts.shape[0]
+    probs = np.zeros((rows, len(ev.strata)))
+    for j, c in enumerate(ev.strata.tolist()):
+        mats = np.zeros((rows, t + 2, t + 2))
+        for k in range(bounds[j], bounds[j + 1]):
+            row, value = divmod(int(codes[k]) - j * width * width, width)
+            mats[:, c + row, value] = counts[:, k]
+        sums = mats.sum(axis=2)
+        mats[:, :, t + 1] += sums == 0
+        mats /= np.maximum(sums, 1.0)[:, :, None]
+        num, den = _ratio_terms(mats, nu, c, t)
+        probs[:, j] = np.where(den > _EPS, num / np.maximum(den, _EPS), 0.0)
+    return np.minimum(probs, 1.0)
+
+
 def individual_major_derived(horizon, tested, cleared):
     """``Panel._derived``'s ``(last_clear, next_test)`` as first written, over
     individual-major ``n x (horizon + 1)`` event arrays: one strided column a day."""

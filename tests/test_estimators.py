@@ -44,6 +44,7 @@ from test_regimens import regimens
 
 from _oracles import (
     contribution_counts,
+    count_matrix_probabilities,
     dense_contribution_scan,
     full_matrix_ratio_terms,
     hstack_features,
@@ -55,6 +56,7 @@ from _oracles import (
     per_day_point_evaluation,
     per_offset_probability_table,
     per_stratum_ht_known,
+    row_counts,
     testing_process_oracle,
 )
 
@@ -587,8 +589,11 @@ class TestFeaturesMatchHstackRoute:
 
 
 class TestPackedSolveMatchesDenseBlock:
-    """``DayEvaluator._stratum_probs`` (packed Q^T, cached decode) pinned bit for bit to
-    :func:`_offset_probabilities` over the dense block scattered from the same counts."""
+    """``DayEvaluator._stratum_probs`` (one push-form solve of every stratum) pinned to
+    :func:`_offset_probabilities` over each stratum's dense block scattered from the same
+    counts, and to ``_ratio_terms`` of the whole schedule matrices.  The push adds each
+    y_v's terms in ascending row order, the dense solve by einsum, so the two agree to
+    rounding (2.2e-16 the largest gap seen), not bit for bit."""
 
     @staticmethod
     def dense_probs(ev, counts, nu):
@@ -607,35 +612,72 @@ class TestPackedSolveMatchesDenseBlock:
                 lambda v: block[:, v, :v], counts.shape[0], span, nu)[:, -1]
         return np.minimum(probs, 1.0)
 
+    @staticmethod
+    def random_counts(ev, rows, seed):
+        rng = np.random.default_rng(seed)
+        counts = rng.integers(0, 4, (rows, ev._code_space[0].size)).astype(float)
+        counts[:, rng.random(counts.shape[1]) < 0.3] = 0.0  # rows the resample leaves unobserved
+        return counts
+
     @settings(max_examples=80)
     @given(case=panels_and_days(max_n=20), nu=st.sampled_from([1.0, 0.992, 0.7, 0.35]),
            rows=st.integers(1, 6), seed=st.integers(0, 2**16))
     def test_random_counts(self, case, nu, rows, seed):
         panel, day = case
         ev = DayEvaluator(panel, day, TestCharacteristics(0.9, nu))
-        codes = ev._code_space[0]
-        rng = np.random.default_rng(seed)
-        counts = rng.integers(0, 4, (rows, codes.size)).astype(float)
-        counts[:, rng.random(codes.size) < 0.3] = 0.0  # rows the resample leaves unobserved
+        counts = self.random_counts(ev, rows, seed)
         need = np.ones((rows, len(ev.strata)), dtype=bool)
-        need[rng.random(need.shape) < 0.2] = False
+        need[np.random.default_rng(seed + 1).random(need.shape) < 0.2] = False
         want = np.where(need, self.dense_probs(ev, counts, nu), 0.0)
-        np.testing.assert_array_equal(ev._stratum_probs(counts.copy(), need), want)
+        np.testing.assert_allclose(ev._stratum_probs(counts.copy(), need), want,
+                                   rtol=0, atol=1e-12)
+
+    @settings(max_examples=80)
+    @given(case=panels_and_days(max_n=20, max_horizon=10),
+           nu=st.sampled_from([1.0, 0.992, 0.9]), rows=st.integers(1, 4),
+           seed=st.integers(0, 2**16))
+    def test_matches_ratio_terms_of_the_count_matrices(self, case, nu, rows, seed):
+        """Every (row, stratum) of random counts against ``_ratio_terms`` of the schedule
+        matrices those counts make, a solve that shares no code with the push."""
+        panel, day = case
+        ev = DayEvaluator(panel, day, TestCharacteristics(0.9, nu))
+        counts = self.random_counts(ev, rows, seed)
+        need = np.ones((rows, len(ev.strata)), dtype=bool)
+        np.testing.assert_allclose(ev._stratum_probs(counts.copy(), need),
+                                   count_matrix_probabilities(ev, counts, nu),
+                                   rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("nu", [1.0, 0.992, 0.9])
+    def test_long_horizon_panel(self, nu):
+        """Day 120 of a simulated n=2000 min-max panel, many strata in one push, both
+        routes on resampled counts."""
+        panel = long_minmax_panel()
+        ev = DayEvaluator(panel, panel.horizon, TestCharacteristics(0.832, nu))
+        assert len(ev.strata) >= 20
+        rng = np.random.default_rng(11)
+        totals = rng.poisson(1.0, (4, panel.n_individuals)).astype(float) @ ev.features
+        counts = totals[:, 1 + 4 * len(ev.strata):]
+        need = np.ones((4, len(ev.strata)), dtype=bool)
+        np.testing.assert_allclose(ev._stratum_probs(counts.copy(), need),
+                                   self.dense_probs(ev, counts, nu), rtol=0, atol=1e-12)
 
     @settings(max_examples=80)
     @given(case=panels_and_days(),
            budget=st.one_of(st.just(estimators._SOLVE_BLOCK_BYTES), st.integers(1, 1 << 14)))
-    def test_chunk_rows_fit_every_packed_block(self, case, budget):
-        """Why ``_stratum_probs`` solves each stratum in one block: ``chunk_rows`` rows of
-        any stratum's solve, span (span + 1) / 2 floats a row (its packed block and a
-        span-wide row), fit the budget, unless ``chunk_rows`` is 1."""
+    def test_chunk_rows_fit_the_solve(self, case, budget):
+        """Why one push solves a whole ``batch`` call: ``chunk_rows`` rows of its totals,
+        normalised code counts with their normalisation temporary (2 floats a code), and y
+        with its running sums (2 floats a packed position, one per row of each stratum's
+        matrix), fit the budget unless ``chunk_rows`` is 1, and one row more would not."""
         panel, day = case
         ev = DayEvaluator(panel, day, STUDY)
         with mock.patch.object(estimators, "_SOLVE_BLOCK_BYTES", budget):
             rows = ev.chunk_rows
-        for c in ev.strata.tolist():
-            span = day - c + 1
-            assert rows == 1 or 8 * rows * span * (span + 1) // 2 <= budget, (c, rows)
+        positions = int(ev._solve.starts[-1])
+        assert positions == sum(day - c + 1 for c in ev.strata.tolist())
+        row_bytes = 8 * (ev.features.shape[1] + 2 * ev._code_space[0].size + 2 * positions)
+        assert rows == 1 or rows * row_bytes <= budget
+        assert (rows + 1) * row_bytes > budget
 
     def test_span_two_stratum(self):
         # day 3 of this panel has a stratum cleared on day 2: a 2 x 2 block Q
@@ -652,8 +694,9 @@ class TestPackedSolveMatchesDenseBlock:
         assert 2 in ev.strata.tolist()
         counts = np.random.default_rng(1).integers(0, 3, (5, ev._code_space[0].size)).astype(float)
         need = np.ones((5, len(ev.strata)), dtype=bool)
-        np.testing.assert_array_equal(ev._stratum_probs(counts.copy(), need),
-                                      self.dense_probs(ev, counts, STUDY.specificity))
+        np.testing.assert_allclose(ev._stratum_probs(counts.copy(), need),
+                                   self.dense_probs(ev, counts, STUDY.specificity),
+                                   rtol=0, atol=1e-12)
 
 
 def assert_same_evaluation(got, want):
@@ -1057,12 +1100,12 @@ class TestDayMajorLayout:
 
 
 class TestProbabilityTableMatchesPerOffsetLoop:
-    """``_probability_table`` forms a chunk's ratios by the closed-form denominator and
-    scatters them at once; pinned to the loop that formed each offset's denominator from
-    the explicit tail masses, on observed and on regimen rows.  The closed form subtracts
-    from 1, so where den is small it keeps fewer digits than the oracle's sum of positive
-    terms; on these panels, the small ones and a 120-day one, the two agree to 1e-14
-    absolute."""
+    """``_probability_table`` (dense rows) and ``Panel.point_probabilities`` (the push solve
+    of the observed codes) form every day's ratio by the closed-form denominator; pinned to
+    the loop that formed each offset's denominator from the explicit tail masses, on
+    observed and on regimen rows.  The closed form subtracts from 1, so where den is small
+    it keeps fewer digits than the oracle's sum of positive terms; on these panels, the
+    small ones and a 120-day one, the two agree to 1e-14 absolute."""
 
     @settings(max_examples=40)
     @given(case=panels_and_days(), nu=st.sampled_from([1.0, 0.992, 0.6]),
@@ -1073,7 +1116,7 @@ class TestProbabilityTableMatchesPerOffsetLoop:
         strata = np.unique(index.key // (horizon + 1))
 
         def rows_of(chunk, span):
-            return index.row_counts(chunk, span, horizon)
+            return row_counts(index, chunk, span, horizon)
 
         with mock.patch.object(estimators, "_TABLE_BLOCK_BYTES", budget):
             got = estimators._probability_table(strata, horizon, nu, rows_of)
@@ -1090,7 +1133,7 @@ class TestProbabilityTableMatchesPerOffsetLoop:
         index, horizon = panel.contribution_index, panel.horizon
         want = per_offset_probability_table(
             np.unique(index.key // (horizon + 1)), horizon, nu,
-            lambda chunk, span: index.row_counts(chunk, span, horizon))
+            lambda chunk, span: row_counts(index, chunk, span, horizon))
         assert_same_table(panel.point_probabilities(nu), want)
 
     @settings(max_examples=40)

@@ -204,17 +204,20 @@ class TestBcaBootstrap:
     @pytest.mark.parametrize("n_units", [1, 2, 1001, 2000])
     @pytest.mark.parametrize("step", [1, 65, 399])  # one row; 6 x 65 and a tail of 9; all
     def test_chunked_draw_equals_one_call(self, n_units, step):
-        # bca_bootstrap draws its resamples a chunk at a time: the installed numpy must give
-        # the stream of one (399, n) call, or every seeded interval would move
+        # bca_bootstrap draws its resamples a chunk at a time and as int32: the installed
+        # numpy must give the stream of one (399, n) int64 call, or every seeded interval
+        # would move
         def stream():
             return np.random.Generator(np.random.PCG64(np.random.SeedSequence(
                 entropy=(0, 7), spawn_key=(0,))))
 
         want = stream().integers(0, n_units, size=(399, n_units))
-        chunks, totals = stream(), stream()
-        got = [chunks.integers(0, n_units, size=(min(step, 399 - first), n_units))
-               for first in range(0, 399, step)]
-        np.testing.assert_array_equal(np.concatenate(got), want)
+        for dtype in (np.int64, np.int32):
+            chunks = stream()
+            got = [chunks.integers(0, n_units, size=(min(step, 399 - first), n_units),
+                                   dtype=dtype) for first in range(0, 399, step)]
+            np.testing.assert_array_equal(np.concatenate(got), want, err_msg=str(dtype))
+        totals = stream()
         identity = sparse.identity(n_units, format="csc")
         got = [_bootstrap_totals(identity, totals, min(step, 399 - first))
                for first in range(0, 399, step)]
