@@ -194,6 +194,7 @@ def cmd_analyze(args, report: RunReport) -> None:
     matrix = parse_testing_matrix(args.matrix)
     policy = dataio.load_adjustment_policy(args.policy) if args.policy else AdjustmentPolicy()
     adjusted = dataio.apply_adjustments(matrix, policy)
+    del matrix  # only the adjusted arrays are read from here on
     series = estimate_panel_series(
         adjusted.panel,
         policy.tests,

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -40,9 +40,24 @@ MIN_STRATUM_SIZE = 10
 # Byte budget of the resample rows in one DayEvaluator.batch call: their totals, normalised
 # code counts and push solve (chunk_rows).
 _SOLVE_BLOCK_BYTES = 16 << 20
-# Byte budget of one (strata x (span + 1) x span) block of regimen rows in _probability_table;
-# a known table is built once per run, so a small budget costs little time and peak RSS.
+# Byte budget of one (strata x (span + 1) x span) block of regimen rows in _probability_table,
+# and of one block of day rows of a panel's count and index passes (_day_blocks); each runs
+# once per table or panel, so a small budget costs little time and peak RSS.
 _TABLE_BLOCK_BYTES = 1 << 20
+
+
+def _day_dtype(horizon: int) -> type:
+    """The dtype of a panel's day values ``0..horizon + 2``: the smallest signed type that
+    holds them, int16 at the least, so int16 up to 32,765 days and int32 beyond."""
+    return np.int16 if horizon + 2 <= np.iinfo(np.int16).max else np.int32
+
+
+def _day_blocks(horizon: int, n: int) -> Iterator[slice]:
+    """Consecutive slices of the days ``0..horizon``, each as many day rows (one at the
+    least) as a rows x ``n`` intp array that fits ``_TABLE_BLOCK_BYTES`` holds."""
+    step = max(1, _TABLE_BLOCK_BYTES // (np.dtype(np.intp).itemsize * max(n, 1)))
+    for first in range(0, horizon + 1, step):
+        yield slice(first, min(first + step, horizon + 1))
 
 
 def _count_dtype(n_units: int) -> type:
@@ -72,6 +87,12 @@ class Panel:
     after ``s`` (``horizon + 2`` when none).  ``assumed_well`` marks days on
     which an individual is counted as well by fiat (post-isolation testing
     exemptions) instead of being weighted.
+
+    The event arrays are bool.  ``last_clear`` and ``next_test`` hold days in the
+    smallest signed type that holds ``horizon + 2`` (:func:`_day_dtype`): int16 up to
+    32,765 days, int32 beyond.  Arithmetic on them that can pass ``horizon + 2``
+    (products, keys) widens first, since numpy 1.25 and numpy 2 promote a small
+    integer array with a Python or numpy scalar differently.
     """
 
     horizon: int
@@ -108,35 +129,54 @@ class Panel:
 
     @cached_property
     def contribution_index(self) -> "ContributionIndex":
-        """Every next-test cell of the panel, built on first use in one pass over
-        the (horizon + 1) x n arrays and shared by all days."""
-        days = np.arange(self.horizon + 1, dtype=self.last_clear.dtype)[:, None]
-        after = np.where(self.cleared, days, self.last_clear)
-        keep = (after == days) | (self.tested & ~self.positive)
-        s, individual = np.nonzero(keep)  # individuals ascend within each day s
-        c = after[s, individual].astype(np.int64)
-        next_test = self.next_test[s, individual].astype(np.int64)
-        key = c * (self.horizon + 1) + s
-        # the smallest type that holds every cell key: numpy's stable sort of 16-bit keys is linear
-        dtype = np.min_scalar_type((self.horizon + 1) ** 2 * (self.horizon + 3))
-        order = np.argsort((key * (self.horizon + 3) + next_test).astype(dtype), kind="stable")
-        return ContributionIndex(key=key[order], offset=(s - c)[order],
-                                 next_test=next_test[order], individual=individual[order])
+        """Every next-test cell of the panel, built on first use and shared by all days.
+
+        Each block of day rows (:func:`_day_blocks`) adds its cells' sort keys (stratum, row
+        day, next test) and int32 individuals; one stable sort orders them all, so the
+        individuals ascend within equal keys, and the keys give the index's fields."""
+        horizon, size = self.horizon, self.horizon + 1
+        # the smallest type that holds every sort key: numpy's stable sort of 16-bit keys is linear
+        sort_dtype = np.min_scalar_type(size**2 * (horizon + 3))
+        sort_keys, individuals = [], []
+        for rows in _day_blocks(horizon, self.n_individuals):
+            days = np.arange(rows.start, rows.stop, dtype=self.last_clear.dtype)[:, None]
+            after = np.where(self.cleared[rows], days, self.last_clear[rows])
+            keep = (after == days) | (self.tested[rows] & ~self.positive[rows])
+            s, individual = np.nonzero(keep)  # individuals ascend within each day s
+            key = after[s, individual].astype(np.int64) * size + (s + rows.start)
+            key = key * (horizon + 3) + self.next_test[rows][s, individual]
+            sort_keys.append(key.astype(sort_dtype))
+            individuals.append(individual.astype(np.int32))
+        sort_key, individual = np.concatenate(sort_keys), np.concatenate(individuals)
+        del sort_keys, individuals
+        order = np.argsort(sort_key, kind="stable")
+        individual, sort_key = individual[order], sort_key[order]
+        del order
+        key, next_test = np.divmod(sort_key, horizon + 3)
+        del sort_key
+        # int32 holds every key below 46,340 days, where the day-count table alone is 128 GiB
+        key, next_test = key.astype(np.int32), next_test.astype(self.next_test.dtype)
+        return ContributionIndex(key=key, offset=(key % size - key // size).astype(next_test.dtype),
+                                 next_test=next_test, individual=individual)
 
     @cached_property
     def day_counts(self) -> "DayCounts":
-        """Per-(day, stratum) headcounts, built on first use in one ``bincount`` over the
-        (horizon + 1) x n cells keyed by (day t, ``last_clear[t, i]``, cell kind)."""
+        """Per-(day, stratum) headcounts, built on first use by one ``bincount`` per block
+        of day rows (:func:`_day_blocks`), its cells keyed by (day t, ``last_clear[t, i]``,
+        cell kind), into one table."""
         size = self.horizon + 1
-        # int32 holds every key: a horizon past it would need a bincount of over 16 GiB
-        key = np.arange(size, dtype=np.int32)[:, None] * size + self.last_clear
-        key *= 8
-        flags = self.assumed_well.view(np.uint8) * np.uint8(4)
-        flags += self.tested.view(np.uint8) * np.uint8(2)
-        flags += self.positive.view(np.uint8)
-        key += flags
-        key[self.removed] = size * size * 8  # one bin past the table for every removed cell
-        cells = np.bincount(key.ravel(), minlength=size * size * 8 + 1)[:-1]
+        cells = np.empty((size, size * 8), dtype=np.intp)
+        for rows in _day_blocks(self.horizon, self.n_individuals):
+            count = rows.stop - rows.start
+            key = np.arange(count, dtype=np.intp)[:, None] * size + self.last_clear[rows]
+            key *= 8
+            flags = self.assumed_well[rows].view(np.uint8) * np.uint8(4)
+            flags += self.tested[rows].view(np.uint8) * np.uint8(2)
+            flags += self.positive[rows].view(np.uint8)
+            key += flags
+            key[self.removed[rows]] = count * size * 8  # one bin past the block's rows
+            cells[rows] = np.bincount(key.ravel(), minlength=count * size * 8 + 1)[:-1].reshape(
+                count, size * 8)
         # cells[t, c, assumed well, 2 tested + positive], over the non-removed
         cells = cells.reshape(size, size, 2, 4)
         per_day = cells.sum(axis=1)
@@ -161,8 +201,9 @@ class Panel:
 
         def build():
             index, horizon = self.contribution_index, self.horizon
-            strata = np.unique(index.key // (horizon + 1))
-            strata = strata[strata < horizon]  # a clearance on the last day weighs no day
+            # the strata with a cell, less a clearance on the last day, which weighs no day
+            strata = np.flatnonzero(np.diff(np.searchsorted(
+                index.key, np.arange(horizon + 1, dtype=index.key.dtype) * (horizon + 1))))
             codes, _, _, starts = index.codes(strata, horizon, horizon)
             ratios = _PushSolve.of(codes, strata, horizon).ratios(
                 np.diff(starts)[:, None].astype(float), specificity)[:, 0]
@@ -202,11 +243,11 @@ class Panel:
     def _derived(horizon: int, tested, positive, removed, cleared, assumed_well=None) -> "Panel":
         """The panel of day-major ``(horizon + 1) x n`` event arrays, which it keeps
         without copying, with ``last_clear`` and ``next_test`` derived row by row."""
-        n = tested.shape[1]
-        last_clear = np.zeros((horizon + 1, n), dtype=np.int32)
+        n, dtype = tested.shape[1], _day_dtype(horizon)
+        last_clear = np.zeros((horizon + 1, n), dtype=dtype)
         for t in range(1, horizon + 1):
             last_clear[t] = np.where(cleared[t - 1], t - 1, last_clear[t - 1])
-        next_test = np.full((horizon + 1, n), horizon + 2, dtype=np.int32)
+        next_test = np.full((horizon + 1, n), horizon + 2, dtype=dtype)
         for s in range(horizon - 1, -1, -1):
             next_test[s] = np.where(tested[s + 1], s + 1, next_test[s + 1])
         if assumed_well is None:
@@ -275,32 +316,44 @@ class ContributionIndex:
     stratum_after(s)[i]``: the clearance itself (``s == c``) or a negative test on ``s``.
     ``key`` is ``c * (horizon + 1) + s``, so the cells day ``t`` uses from stratum ``c`` are
     the run of keys ``c * (horizon + 1) + [c, t]``, and :meth:`codes` reads the runs both of
-    one day's strata and, at ``t = horizon``, of the point table's full-horizon rows."""
+    one day's strata and, at ``t = horizon``, of the point table's full-horizon rows.
+    Offsets and next tests are in the panel's day dtype (:func:`_day_dtype`)."""
 
-    key: np.ndarray          # int64, non-decreasing
+    key: np.ndarray          # int32, non-decreasing
     offset: np.ndarray       # s - c, the row within the stratum's matrix
     next_test: np.ndarray    # first test day after s (horizon + 2 when none)
-    individual: np.ndarray   # ascending within equal (key, next_test)
+    individual: np.ndarray   # int32, ascending within equal (key, next_test)
 
     def codes(self, strata: np.ndarray, t: int,
-              horizon: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """``(codes, bounds, individuals, starts)``: the cells of the ascending ``strata``
-        with row day s <= t, as codes (stratum slot, row offset, min(next_test, t + 1)).
-        The index order sorts them, so compaction keeps the first code of each run, and the
-        runs are the columns of the individuals x codes 0/1 matrix as CSC arrays: code ``k``
-        holds ``individuals[starts[k] : starts[k + 1]]``."""
+              horizon: int) -> tuple[np.ndarray, np.ndarray, slice | np.ndarray, np.ndarray]:
+        """``(codes, bounds, cells, starts)``: the cells of the ascending ``strata`` with
+        row day s <= t, as codes (stratum slot, row offset, min(next_test, t + 1)).  The
+        index order sorts them, so compaction keeps the first code of each run, and the runs
+        are the columns of the individuals x codes 0/1 matrix as CSC arrays: code ``k``
+        holds the index positions ``cells[starts[k] : starts[k + 1]]``, whose individuals
+        are ``individual[cells]``.  ``cells`` is a slice of the index when the strata's runs
+        join, as every stratum's do at ``t = horizon``, so that nothing is gathered."""
         width = t + 2
-        first_key = strata.astype(np.int64) * (horizon + 1)
+        first_key = strata.astype(self.key.dtype) * (horizon + 1)
         lo = np.searchsorted(self.key, first_key)
-        sizes = np.searchsorted(self.key, first_key + t, side="right") - lo
-        sel = np.repeat(lo - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
-        slot = np.repeat(np.arange(strata.size), sizes)
-        codes = (slot * width + self.offset[sel]) * width + np.minimum(self.next_test[sel], t + 1)
-        runs = np.flatnonzero(np.diff(codes, prepend=-1))
-        codes = codes[runs]
+        hi = np.searchsorted(self.key, first_key + t, side="right")
+        if lo.size and np.array_equal(lo[1:], hi[:-1]):
+            cells = slice(lo[0], hi[-1])
+        else:
+            sizes = hi - lo
+            cells = np.repeat(lo - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
+        key, offset = self.key[cells], self.offset[cells]
+        value = np.minimum(self.next_test[cells], t + 1)
+        # a code starts where (stratum, row day) or the value changes
+        new = np.ones(key.size, dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=new[1:])
+        new[1:] |= value[1:] != value[:-1]
+        runs = np.flatnonzero(new)
+        slot = np.searchsorted(strata, key[runs] // (horizon + 1))
+        codes = (slot * width + offset[runs]) * width + value[runs]
         # stratum j owns the contiguous slice bounds[j]:bounds[j + 1] of the codes
         bounds = np.searchsorted(codes, np.arange(strata.size + 1) * width * width)
-        return codes, bounds, self.individual[sel], np.append(runs, sel.size)
+        return codes, bounds, cells, np.append(runs, key.size)
 
 
 # ---------------------------------------------------------------------------
@@ -810,8 +863,11 @@ class DayEvaluator:
 
     @cached_property
     def _code_space(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`ContributionIndex.codes` of the day's strata."""
-        return self.panel.contribution_index.codes(self.strata, self.day, self.panel.horizon)
+        """:meth:`ContributionIndex.codes` of the day's strata, with the individuals of
+        their cells in place of the index positions."""
+        index = self.panel.contribution_index
+        codes, bounds, cells, starts = index.codes(self.strata, self.day, self.panel.horizon)
+        return codes, bounds, index.individual[cells], starts
 
     @cached_property
     def _solve(self) -> _PushSolve:

@@ -5,6 +5,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import weakref
 from dataclasses import asdict
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import prevest
+from prevest import cli
 from prevest.cli import main
 from prevest.dataio import matrix_from_simulation, write_testing_matrix
 from prevest.scenarios import build_scenario
@@ -276,6 +278,29 @@ class TestAnalyzeCommand:
         lines = out.read_text().splitlines()
         assert lines[0] == "day,kind,estimate,lo,hi,n_tests,n_pos,n_fallback_strata"
         assert len(lines) == 1 + 2 * 21
+
+    def test_parsed_matrix_is_released_before_estimation(self, tmp_path, matrix_path,
+                                                         monkeypatch):
+        """Only the adjusted arrays are read once the adjustments have run, so the parsed
+        matrix (n x T int8 cells, 21 MiB at n=60000, T=365) is not held through estimation."""
+        parsed, alive = [], []
+        parse_testing_matrix, estimate_panel_series = (cli.parse_testing_matrix,
+                                                       cli.estimate_panel_series)
+
+        def parse(path):
+            matrix = parse_testing_matrix(path)
+            parsed.append(weakref.ref(matrix))
+            return matrix
+
+        def series(*args, **kwargs):
+            alive.append(parsed[0]() is not None)
+            return estimate_panel_series(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "parse_testing_matrix", parse)
+        monkeypatch.setattr(cli, "estimate_panel_series", series)
+        assert main(["analyze", "--matrix", str(matrix_path), "--policy",
+                     str(sim_policy_path(tmp_path)), "--out", str(tmp_path / "est.csv")]) == 0
+        assert alive == [False]
 
     def test_default_policy_excludes_sparse_days(self, tmp_path, matrix_path, capsys):
         out = tmp_path / "est.csv"

@@ -32,6 +32,7 @@ from prevest.estimators import (
     tpr_prevalence,
 )
 from prevest.regimens import RegimenConfig
+from prevest.scenarios import estimate_panel_series
 from prevest.simulate import ScenarioConfig, HazardModel, ExternalHazard, simulate
 from prevest.uncertainty import (
     IntervalSpec,
@@ -1054,23 +1055,38 @@ class TestPanelTermsMatchPerDayRoute:
             assert (est.n_tests, est.n_positive) == (ht_e.n_tests, ht_e.n_positive), day
 
 
+def exact_cast(values, dtype, name=""):
+    """``values`` cast to ``dtype``, after checking that the cast keeps every value."""
+    values = np.asarray(values)
+    cast = values.astype(dtype)
+    np.testing.assert_array_equal(cast, values, err_msg=f"{name} does not fit {dtype}")
+    return cast
+
+
 class TestDayMajorLayout:
     """The panel's day-major ``(horizon + 1) x n`` arrays give the tables the individual-major
     arrays gave, bit for bit: the derived arrays are the oracle's transposed, and the
-    contribution index keeps its tie order."""
+    contribution index keeps its tie order.  The oracle's values are compared after an
+    exact cast to the documented dtypes: days in :func:`estimators._day_dtype`, the index's
+    keys and individuals in int32."""
 
     @staticmethod
     def check(panel):
         tested, positive, removed, cleared, assumed_well = (
             getattr(panel, name).T for name in ("tested", "positive", "removed", "cleared",
                                                 "assumed_well"))
+        day = estimators._day_dtype(panel.horizon)
+        assert (panel.last_clear.dtype, panel.next_test.dtype) == (day, day)
         last_clear, next_test = individual_major_derived(panel.horizon, tested, cleared)
-        assert_same_bits(panel.last_clear, last_clear.T, "last_clear")
-        assert_same_bits(panel.next_test, next_test.T, "next_test")
+        assert_same_bits(panel.last_clear, exact_cast(last_clear.T, day), "last_clear")
+        assert_same_bits(panel.next_test, exact_cast(next_test.T, day), "next_test")
         index, counts = individual_major_tables(panel.horizon, tested, positive, removed,
                                                 cleared, assumed_well)
+        documented = {"key": np.int32, "offset": day, "next_test": day, "individual": np.int32}
         for f in dataclasses.fields(index):
-            assert_same_bits(getattr(panel.contribution_index, f.name), getattr(index, f.name),
+            got = getattr(panel.contribution_index, f.name)
+            assert got.dtype == documented[f.name], f.name
+            assert_same_bits(got, exact_cast(getattr(index, f.name), documented[f.name], f.name),
                              f.name)
         for f in dataclasses.fields(counts):
             assert_same_bits(getattr(panel.day_counts, f.name), getattr(counts, f.name), f.name)
@@ -1097,6 +1113,67 @@ class TestDayMajorLayout:
             for name in ("tested", "positive", "removed", "cleared"):
                 assert np.shares_memory(getattr(panel, name), getattr(sim, name)), name
                 assert getattr(panel, name).shape == (cfg.horizon_days + 1, 30), name
+
+
+def long_adjusted_data(seed, n, horizon, exemption):
+    """A simulated min-max panel of ``horizon`` days, passed through a policy that delays
+    removals by a day and marks members assumed well after a clearance: a horizon past 127
+    gives strata, keys and next tests past int8."""
+    from prevest.dataio import AdjustmentPolicy, apply_adjustments, matrix_from_simulation
+
+    cfg = ScenarioConfig(
+        population_size=n, horizon_days=horizon, regimen=RegimenConfig.min_max(6, 3),
+        tests=STUDY, hazard=HazardModel(external=ExternalHazard(kind="constant", rate=0.02),
+                                        initial_prevalence=0.1),
+        removal_duration_days=4, seed=seed)
+    policy = AdjustmentPolicy(
+        result_delay_days=1, isolation_days=4, post_isolation_exemption_days=exemption,
+        keep_first_test_per_week=False, min_daily_tests=0,
+        assumed_sensitivity=STUDY.sensitivity, assumed_specificity=STUDY.specificity)
+    return apply_adjustments(matrix_from_simulation(simulate(cfg)), policy)
+
+
+class TestDayDtype:
+    """A panel holds its days in :func:`estimators._day_dtype` of its horizon, and the dtype
+    moves no count, index value, probability or estimate: the same panel built with int32
+    days gives the same values everywhere."""
+
+    def test_int16_up_to_32765_days(self):
+        assert np.iinfo(np.int16).max == 32765 + 2
+        for horizon, dtype in ((1, np.int16), (125, np.int16), (126, np.int16),
+                               (32765, np.int16), (32766, np.int32), (10**6, np.int32)):
+            assert estimators._day_dtype(horizon) is dtype, horizon
+
+    @settings(max_examples=12)
+    @given(seed=st.integers(0, 2**16), n=st.integers(1, 40),
+           horizon=st.one_of(st.integers(2, 12), st.integers(126, 200)),
+           exemption=st.integers(0, 8))
+    def test_outputs_do_not_depend_on_it(self, seed, n, horizon, exemption):
+        data = long_adjusted_data(seed, n, horizon, exemption)
+        panel = data.panel
+        with mock.patch.object(estimators, "_day_dtype", lambda horizon: np.int32):
+            wide = Panel._derived(horizon, data.tested, data.positive, data.removed,
+                                  data.cleared, data.assumed_well)
+        assert wide.last_clear.dtype == np.int32
+        for name in ("last_clear", "next_test"):
+            np.testing.assert_array_equal(getattr(panel, name), getattr(wide, name), name)
+        for f in dataclasses.fields(panel.day_counts):
+            assert_same_bits(getattr(panel.day_counts, f.name), getattr(wide.day_counts, f.name),
+                             f.name)
+        for f in dataclasses.fields(panel.contribution_index):
+            np.testing.assert_array_equal(getattr(panel.contribution_index, f.name),
+                                          getattr(wide.contribution_index, f.name), f.name)
+        assert_same_bits(panel.point_probabilities(STUDY.specificity),
+                         wide.point_probabilities(STUDY.specificity), "point table")
+        # intervals on a few days, the last among them, read the per-day codes and features
+        excluded = np.ones(horizon + 1, dtype=bool)
+        excluded[[horizon // 2, horizon - 1, horizon]] = False
+        for spec, skip in ((None, data.excluded_days), (IntervalSpec(bootstrap_iterations=19),
+                                                        excluded)):
+            series = [repr(list(estimate_panel_series(p, STUDY, ("tpr", "ht-e"), spec,
+                                                      excluded_days=skip, seed=seed).rows()))
+                      for p in (panel, wide)]
+            assert series[0] == series[1], spec
 
 
 class TestProbabilityTableMatchesPerOffsetLoop:

@@ -84,3 +84,17 @@ def test_stacked_scenario_peak_follows_the_stack_budget(monkeypatch, budget):
     result, peak = traced_run(lambda: run_scenario(bundle, 30, seed=0))
     assert result.replicates == 30
     assert peak <= budget + budget // 2 + (1 << 19), f"traced peak {peak / 2**20:.2f} MiB"
+
+
+def test_point_path_peak_follows_the_panel():
+    """A min-max panel at n=20000, T=200 (34.5 MiB of its own arrays, int16 days): its count
+    pass, contribution index and point table work a block of day rows at a time, so their
+    traced peak (16.0 MiB measured, 7.0 of it the index they keep) stays under 0.6 times the
+    panel's arrays (20.7 MiB); one bincount of the whole key peaks at 40.8 MiB."""
+    bundle = build_scenario("min-max", population_size=20000, horizon_days=200)
+    panel = simulate(bundle.config, seed=0).panel()
+    own = sum(getattr(panel, name).nbytes for name in (
+        "tested", "positive", "removed", "cleared", "assumed_well", "last_clear", "next_test"))
+    _, peak = traced_run(lambda: (panel.day_counts, panel.contribution_index,
+                                  panel.point_probabilities(bundle.config.tests.specificity)))
+    assert peak <= 0.6 * own, f"traced peak {peak / 2**20:.1f} MiB, panel {own / 2**20:.1f} MiB"
