@@ -34,6 +34,8 @@ from .regimens import RegimenConfig, next_test_pmf
 if TYPE_CHECKING:
     from scipy import sparse
 
+    from .uncertainty import ResampleWorkspace
+
 _EPS = 1e-12
 # Strata with fewer members are counted whole by ht-e (the headcount fallback).
 MIN_STRATUM_SIZE = 10
@@ -506,11 +508,23 @@ class _PushSolve:
                           starts[row] + slot, starts[value[take] - strata[slot]] + slot,
                           np.searchsorted(row, np.arange(starts.size)))
 
-    def ratios(self, counts: np.ndarray, nu: float, positions=slice(None)) -> np.ndarray:
+    def ratios(self, counts: np.ndarray, nu: float, positions=slice(None),
+               workspace: Optional[ResampleWorkspace] = None) -> np.ndarray:
         """``[position, b]``: the ratio y / den at the packed ``positions`` on column ``b``
-        of the codes x rows ``counts``, each code normalised by its row's sum (1 if none)."""
-        q = counts[self.take]
-        q /= np.maximum(np.add.reduceat(counts, self.row_starts, axis=0), 1.0)[self.group]
+        of the codes x rows ``counts``, each code normalised by its row's sum (1 if none).
+
+        The gathered codes and their row sums are written into the arena of ``workspace``
+        when one is given, and allocated when not; the ratios are the same bits either
+        way.  The gather clips rather than raises, since numpy buffers a raising gather's
+        whole output, and :meth:`of` keeps every index in range."""
+        q = norm = None
+        if workspace is not None:
+            arena = workspace.arena((self.take.size + self.row_starts.size, counts.shape[1]),
+                                    np.float64)
+            q, norm = arena[: self.take.size], arena[self.take.size :]
+        q = np.take(counts, self.take, axis=0, out=q, mode="clip")
+        norm = np.add.reduceat(counts, self.row_starts, axis=0, out=norm)
+        q /= np.maximum(norm, 1.0, out=norm)[self.group]
         starts, bounds = self.starts.tolist(), self.bounds.tolist()
         source, target = self.source, self.target
         y = np.zeros((starts[-1], counts.shape[1]))
@@ -823,19 +837,24 @@ class DayEvaluator:
     individual.  Resamples (bootstrap draws, jackknife blocks) enter only through
     :meth:`batch`, as their totals over the day's :attr:`features` (built on first use,
     importing ``scipy.sparse`` only then); each call runs one :class:`_PushSolve` of the
-    day's codes over all its rows and strata, :attr:`chunk_rows` rows at a time.
-    :meth:`estimate` returns an :class:`Evaluation` and keeps no per-call state beyond
-    ``_last_fallback``, the copy ``perfbench/tracing.py`` reads.
+    day's codes over all its rows and strata, :attr:`chunk_rows` rows at a time.  A
+    ``workspace`` (:class:`~prevest.uncertainty.ResampleWorkspace`) lends that solve its
+    gathered code counts from the arena the bootstrap's count block also uses, so a series
+    that shares one across its days maps them once; without one, each call allocates
+    them.  :meth:`estimate` returns an :class:`Evaluation`; ``_last_fallback``, the copy
+    ``perfbench/tracing.py`` reads, is the only state a call leaves behind.
     """
 
     def __init__(self, panel: Panel, day: int, tests: TestCharacteristics,
-                 min_stratum_size: int = MIN_STRATUM_SIZE):
+                 min_stratum_size: int = MIN_STRATUM_SIZE,
+                 workspace: Optional[ResampleWorkspace] = None):
         self.strata = panel.day_strata(day)
         tests.require_informative()
         self.panel = panel
         self.day = day
         self.tests = tests
         self.min_stratum_size = min_stratum_size
+        self.workspace = workspace
 
     @cached_property
     def features(self) -> sparse.csc_matrix:
@@ -885,7 +904,8 @@ class DayEvaluator:
     def _stratum_probs(self, counts: np.ndarray, need: np.ndarray) -> np.ndarray:
         """Testing probability per (resample row, stratum) from per-code counts: one :attr:`_solve`
         of the call, read at each stratum's last row (the day) where ``need[b, j]``."""
-        ratios = self._solve.ratios(counts.T, self.tests.specificity, self._solve.last).T
+        ratios = self._solve.ratios(counts.T, self.tests.specificity, self._solve.last,
+                                    self.workspace).T
         return np.where(need, np.minimum(ratios, 1.0), 0.0)
 
     def estimate(self) -> Evaluation:

@@ -8,9 +8,12 @@ sensitive to the convention.  Every interval here is on the unrestricted prevale
 where the weighted estimators are unbiased; ``scenarios.estimate_panel_series`` is the one
 step that clips an endpoint to [0, 1].  The bootstrap and its jackknife stream their
 resamples through the estimator a chunk of rows at a time, and each chunk's totals take one
-counting pass: ``np.add.at`` of its int32 draws into a units x rows count block (one buffer
-per call), then one product with the features, for the bootstrap; a ``bincount`` of (block,
-column) keys over the features' nonzeros for the jackknife.
+counting pass: ``np.add.at`` of its int32 draws into a units x rows count block, then one
+product with the features, for the bootstrap; a ``bincount`` of (block, column) keys over
+the features' nonzeros for the jackknife.  A :class:`ResampleWorkspace` passed to
+:func:`bca_bootstrap` holds every chunk's totals, the count block and whatever the
+estimator keeps in its arena, for a whole series of intervals, so that their pages fault in
+once per series rather than once per call; without one, each call allocates its own.
 
 Importing the module loads no scipy: each interval imports the ``scipy.special`` functions
 it evaluates on first use, so a run that computes no interval never loads it.
@@ -119,7 +122,49 @@ class BcaInterval:
     n_undefined: int = 0           # bootstrap and jackknife statistics that were nan
 
 
-def _bootstrap_totals(features, rng: np.random.Generator, rows: int) -> np.ndarray:
+class ResampleWorkspace:
+    """Scratch memory that one series of bootstrap intervals reuses, chunk after chunk and
+    day after day: the totals of a chunk of bootstrap or jackknife rows (:meth:`totals`),
+    and an arena (:meth:`arena`) that holds first :func:`_bootstrap_totals`' count block
+    and then, while the estimator's ``batch`` reads those totals, the estimator's own
+    scratch (the push solve's normalised code counts, ``estimators._PushSolve.ratios``):
+    two arrays that are never live at once.
+
+    A fresh array is a fresh mapping whenever glibc's dynamic mmap threshold sits below its
+    size, and its pages then fault in again on every call.  Here each buffer is kept, and
+    is replaced only when a request outgrows it, by one of at least twice its size and at
+    least ``_RESAMPLE_BLOCK_BYTES``, so the small early days of a series share their first
+    mapping and later days grow it a few times.  Pages are touched only as far as requests
+    reach, so what stays resident is the series' largest chunk, which the callers' byte
+    budgets (``_RESAMPLE_BLOCK_BYTES``, ``estimators._SOLVE_BLOCK_BYTES``) already bound.
+    A view is valid until the next request for its buffer: no caller keeps one, and an
+    estimator's ``batch`` must not return a view of its totals.  Not thread-safe: each
+    series, and so each thread, owns its own.
+    """
+
+    def __init__(self):
+        self._memory = {"totals": np.empty(0, dtype=np.uint8),
+                        "arena": np.empty(0, dtype=np.uint8)}
+
+    def totals(self, rows: int, columns: int) -> np.ndarray:
+        """A rows x columns float64 array in the totals buffer; its values are undefined."""
+        return self._view("totals", (rows, columns), np.dtype(np.float64))
+
+    def arena(self, shape: tuple[int, ...], dtype) -> np.ndarray:
+        """An array of ``shape`` and ``dtype`` in the arena; its values are undefined."""
+        return self._view("arena", shape, np.dtype(dtype))
+
+    def _view(self, name: str, shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
+        nbytes = math.prod(shape) * dtype.itemsize
+        memory = self._memory[name]
+        if memory.size < nbytes:
+            memory = self._memory[name] = np.empty(
+                max(nbytes, 2 * memory.size, _RESAMPLE_BLOCK_BYTES), np.uint8)
+        return memory[:nbytes].view(dtype).reshape(shape)
+
+
+def _bootstrap_totals(features, rng: np.random.Generator, rows: int,
+                      workspace: Optional[ResampleWorkspace] = None) -> np.ndarray:
     """``counts @ features`` for the next ``rows`` resamples of ``rng``, each a row of
     ``rng.integers(0, n, ...)`` draws, which numpy gives alike in one call or in chunks of
     rows and as int32 or int64 (both pinned by a test).
@@ -128,16 +173,21 @@ def _bootstrap_totals(features, rng: np.random.Generator, rows: int) -> np.ndarr
     most max(n, 2^17), fits) and keyed unit-major in place (unit ``i`` of row ``b`` counts
     into ``i * rows + b``), so one ``np.add.at`` of ones counts them straight into the units
     x rows block, in the features' dtype, that the product over units reads contiguously.
-    Every chunk counts into one buffer allocated per call, so that a run of chunks maps no
-    fresh pages whatever the allocator's mmap threshold.  For 0/1 float32 features every
-    count and total is an integer at most n <= 2^24, so exact.
+    Every chunk counts into one block, zeroed per chunk, and the totals fill one array:
+    both allocated once per call, or, given a ``workspace``, its arena and totals buffer, so
+    that a series passing one maps no fresh pages for either whatever the allocator's mmap
+    threshold.  For 0/1 float32 features every count and total is an integer at most
+    n <= 2^24, so exact.
     """
-    n_units = features.shape[0]
+    n_units, m = features.shape
     by_column = features.T
-    totals = np.empty((rows, features.shape[1]))
     one = features.dtype.type(1)  # a Python 1 would send add.at down its slow casting loop
     step = max(1, _RESAMPLE_BLOCK_BYTES // (8 * n_units))
-    buffer = np.empty(n_units * min(step, rows), dtype=features.dtype)
+    cells = n_units * min(step, rows)
+    if workspace is None:
+        totals, buffer = np.empty((rows, m)), np.empty(cells, dtype=features.dtype)
+    else:
+        totals, buffer = workspace.totals(rows, m), workspace.arena((cells,), features.dtype)
     for first in range(0, rows, step):
         size = min(step, rows - first)
         keys = rng.integers(0, n_units, size=(size, n_units), dtype=np.int32)
@@ -151,7 +201,8 @@ def _bootstrap_totals(features, rng: np.random.Generator, rows: int) -> np.ndarr
 
 
 def _jackknife_totals(features, order: np.ndarray, size: int, column_totals: np.ndarray,
-                      step: int) -> Iterator[np.ndarray]:
+                      step: int, workspace: Optional[ResampleWorkspace] = None
+                      ) -> Iterator[np.ndarray]:
     """Leave-block-out totals, ``step`` blocks at a time: ``column_totals`` minus each
     block's totals, where block ``k`` holds the units ``order[k * size : (k + 1) * size]``
     (the last block short).
@@ -161,7 +212,10 @@ def _jackknife_totals(features, order: np.ndarray, size: int, column_totals: np.
     come from ``np.nonzero``; a scipy sparse matrix is read through its CSC arrays (no
     copy for the evaluator's CSC features), each column index repeated over its stored
     entries.  Each chunk scans the keys once and holds ``step`` x m totals, so a day whose
-    blocks fit one chunk costs O(nnz + blocks x m).
+    blocks fit one chunk costs O(nnz + blocks x m).  Given a ``workspace``, each chunk's
+    totals are written into its totals buffer, where the bootstrap's lie, and the block
+    sums are freed before the chunk is yielded; a yielded chunk is then valid until the
+    next is asked for.
     """
     n, m = features.shape
     block = np.empty(n, dtype=np.intp)
@@ -178,10 +232,13 @@ def _jackknife_totals(features, order: np.ndarray, size: int, column_totals: np.
     for first in range(0, n_blocks, step):
         lo, hi = first * m, min(first + step, n_blocks) * m
         inside = (keys >= lo) & (keys < hi)
-        totals = np.bincount(keys[inside] - lo, values[inside], minlength=hi - lo)
+        sums = np.bincount(keys[inside] - lo, values[inside], minlength=hi - lo)
         # float even for a chunk of units without nonzeros, where bincount returns ints
-        totals = totals.astype(float, copy=False).reshape(-1, m)
-        yield np.subtract(column_totals, totals, out=totals)
+        sums = sums.astype(float, copy=False).reshape(-1, m)
+        totals = sums if workspace is None else workspace.totals(len(sums), m)
+        np.subtract(column_totals, sums, out=totals)
+        del sums
+        yield totals
 
 
 def bca_bootstrap(
@@ -189,6 +246,7 @@ def bca_bootstrap(
     spec: IntervalSpec,
     seed: int,
     point: Optional[float] = None,
+    workspace: Optional[ResampleWorkspace] = None,
 ) -> BcaInterval:
     """BCa interval for a statistic of resampled units (whole individual histories).
 
@@ -209,7 +267,10 @@ def bca_bootstrap(
     distribution with no finite value (the interval is nan), or whose spread is within
     1e-12 of its largest magnitude (or of 1), is degenerate and collapses to its first
     value.  The endpoints are quantiles of the unrestricted bootstrap distribution, never
-    clipped.
+    clipped.  Every chunk's totals, and the bootstrap's count block, lie in ``workspace``
+    when one is given (:class:`ResampleWorkspace`; the caller may share it with the
+    estimator's own scratch), so a series of intervals that passes one keeps its pages;
+    without one, each chunk allocates its own.  The interval is the same bits either way.
     """
     from scipy.special import ndtr, ndtri
 
@@ -221,7 +282,8 @@ def bca_bootstrap(
     b_iter, step = spec.bootstrap_iterations, estimator.chunk_rows
     rng, jack_rng = (np.random.Generator(np.random.PCG64(stream))
                      for stream in np.random.SeedSequence(entropy=seed).spawn(2))
-    thetas = np.concatenate([batch(_bootstrap_totals(features, rng, min(step, b_iter - first)))
+    thetas = np.concatenate([batch(_bootstrap_totals(features, rng, min(step, b_iter - first),
+                                                     workspace))
                              for first in range(0, b_iter, step)])
     thetas = thetas[~np.isnan(thetas)]
     n_undefined = b_iter - thetas.size
@@ -235,7 +297,8 @@ def bca_bootstrap(
     z0 = float(ndtri(frac))
 
     jack = np.concatenate([batch(totals) for totals in _jackknife_totals(
-        features, jack_rng.permutation(n_units), spec.block_size(n_units), column_totals, step)])
+        features, jack_rng.permutation(n_units), spec.block_size(n_units), column_totals, step,
+        workspace)])
     n_undefined += int(np.isnan(jack).sum())
     jack = jack[~np.isnan(jack)]
     centered = (jack.mean() if jack.size else 0.0) - jack

@@ -268,6 +268,27 @@ class TestScenarioCommand:
         main(args + ["--out", str(out2), "--jobs", "2"])
         assert (out1 / "simple-random.csv").read_bytes() == (out2 / "simple-random.csv").read_bytes()
 
+    def test_jobs_do_not_change_intervals(self, tmp_path):
+        """Each thread's series owns its resample workspace, so bootstrap intervals run on
+        two threads, or on more threads than cores (up to 16 cores), write the bytes one
+        thread does.  A short switch interval interleaves the threads often enough that a
+        buffer shared between them would mix their resamples.  Every job count gets at
+        least two replicates a thread, below which ``scenario`` runs on one thread."""
+        many = min(os.cpu_count() or 1, 16) + 1
+        args = ["scenario", "--name", "min-max", "--replicates", str(2 * many),
+                "--population", "200", "--intervals", "--bootstrap", "19", "--seed", "5"]
+        written = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for jobs in (1, 2, many):
+                out = tmp_path / f"j{jobs}"
+                assert main(args + ["--out", str(out), "--jobs", str(jobs)]) == 0
+                written.append((out / "min-max.csv").read_bytes())
+        finally:
+            sys.setswitchinterval(interval)
+        assert written[1] == written[0] and written[2] == written[0]
+
 
 class TestAnalyzeCommand:
     def test_estimates_from_matrix(self, tmp_path, matrix_path):

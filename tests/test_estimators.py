@@ -42,6 +42,7 @@ from prevest.uncertainty import (
 )
 
 from test_regimens import regimens
+from test_uncertainty import PoisonedWorkspace
 
 from _oracles import (
     contribution_counts,
@@ -622,16 +623,23 @@ class TestPackedSolveMatchesDenseBlock:
 
     @settings(max_examples=80)
     @given(case=panels_and_days(max_n=20), nu=st.sampled_from([1.0, 0.992, 0.7, 0.35]),
-           rows=st.integers(1, 6), seed=st.integers(0, 2**16))
-    def test_random_counts(self, case, nu, rows, seed):
+           rows=st.integers(1, 6), seed=st.integers(0, 2**16), held=st.integers(0, 1 << 21))
+    def test_random_counts(self, case, nu, rows, seed, held):
+        """Against the dense blocks; and the solve that gathers its code counts into a
+        workspace's arena, one some earlier call left ``held`` bytes long and poisoned at
+        every request, gives the allocating solve's bits."""
         panel, day = case
         ev = DayEvaluator(panel, day, TestCharacteristics(0.9, nu))
         counts = self.random_counts(ev, rows, seed)
         need = np.ones((rows, len(ev.strata)), dtype=bool)
         need[np.random.default_rng(seed + 1).random(need.shape) < 0.2] = False
         want = np.where(need, self.dense_probs(ev, counts, nu), 0.0)
-        np.testing.assert_allclose(ev._stratum_probs(counts.copy(), need), want,
-                                   rtol=0, atol=1e-12)
+        got = ev._stratum_probs(counts.copy(), need)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        workspace = PoisonedWorkspace()
+        workspace.arena((held,), np.uint8)
+        reused = DayEvaluator(panel, day, TestCharacteristics(0.9, nu), workspace=workspace)
+        assert reused._stratum_probs(counts.copy(), need).tobytes() == got.tobytes()
 
     @settings(max_examples=80)
     @given(case=panels_and_days(max_n=20, max_horizon=10),
@@ -802,16 +810,31 @@ class TestResampleTotalsMatchDenseRoute:
         blocks = [order[i : i + size] for i in range(0, n, size)]
         step = data.draw(st.integers(1, len(blocks) + 1), label="blocks a chunk")
 
+        # a workspace that an earlier call left with buffers of these sizes, poisoned at
+        # every request: its bootstrap and jackknife totals must be the allocating route's
+        workspace = PoisonedWorkspace()
+        workspace.totals(data.draw(st.integers(0, 2 * b_iter), label="rows held"),
+                         features.shape[1])
+        workspace.arena((data.draw(st.integers(0, 8 * n * b_iter), label="bytes held"),),
+                        np.uint8)
+
         with mock.patch.object(uncertainty, "_RESAMPLE_BLOCK_BYTES", budget):
             boot = _bootstrap_totals(features, np.random.default_rng(seed), b_iter)
+            reused = _bootstrap_totals(features, np.random.default_rng(seed), b_iter,
+                                       workspace)
         column_totals = np.asarray(features.sum(axis=0), dtype=float).ravel()
         counts, keep = self.dense_rows(n, draws, blocks)
         self.check(boot, counts, features, kind != "normal dense")
+        assert reused.shape == boot.shape and reused.tobytes() == boot.tobytes()
         # a sparse input of any format is read through its CSC arrays
         copies = [features] if "dense" in kind else [features, features.tocsr(), features.tocoo()]
         for form in copies:
-            jack = _jackknife_totals(form, order, size, column_totals, step)
-            self.check(np.concatenate(list(jack)), keep, features, kind != "normal dense")
+            jack = np.concatenate(list(_jackknife_totals(form, order, size, column_totals, step)))
+            self.check(jack, keep, features, kind != "normal dense")
+            # a yielded chunk in the workspace lives until the next is asked for
+            reused = [chunk.copy() for chunk in _jackknife_totals(
+                form, order, size, column_totals, step, workspace)]
+            assert np.concatenate(reused).tobytes() == jack.tobytes()
 
     @pytest.mark.parametrize("kind", FEATURES[:3])
     def test_simulated_panel_at_every_budget_and_step(self, kind):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prevest import scenarios
+from prevest import estimators, scenarios
 from prevest.core import EventHistory, TestCharacteristics
 from prevest.estimators import DayEvaluator, Panel
 from prevest.regimens import ConfigError, Overlays, RegimenConfig
@@ -28,6 +28,7 @@ from prevest.uncertainty import IntervalSpec, bca_bootstrap
 
 from _oracles import testing_process_oracle
 from test_estimators import panels_and_days
+from test_uncertainty import PoisonedWorkspace
 
 
 class TestBundles:
@@ -240,6 +241,53 @@ class TestSeriesAssembly:
         for a, b in zip(alone, beside, strict=True):
             assert astuple(a) == pytest.approx(astuple(b), abs=0, nan_ok=True)
 
+
+    def test_reused_workspace_gives_the_fresh_buffer_intervals(self, monkeypatch):
+        """One workspace serves every chunk and day of a series.  On a multi-stratum panel
+        whose chunks grow and shrink (a small solve budget splits the 39 resamples into
+        chunks of 1 to 39 rows as the days lengthen), a workspace poisoned with NaN at every
+        request gives every ``ht-e`` interval the bits of the route that allocates each
+        buffer afresh."""
+        bundle = build_scenario("min-max", population_size=400, horizon_days=120)
+        panel = simulate(bundle.config, seed=(6, 0)).panel()
+        spec = IntervalSpec(bootstrap_iterations=39)
+        rows = []
+        batch = DayEvaluator.batch
+
+        def counted(ev, totals):
+            rows.append(len(totals))
+            return batch(ev, totals)
+
+        def intervals(workspace):
+            monkeypatch.setattr(scenarios, "ResampleWorkspace", workspace)
+            records = estimate_panel_series(panel, bundle.assumed_tests, ("ht-e",), spec,
+                                            seed=3).records
+            return np.array([(r.unclipped, r.lo, r.hi) for r in records])
+
+        monkeypatch.setattr(DayEvaluator, "batch", counted)
+        monkeypatch.setattr(estimators, "_SOLVE_BLOCK_BYTES", 1 << 17)
+        fresh = intervals(lambda: None)
+        assert min(rows) == 1 and 39 in rows and len(set(rows)) > 5
+        poisoned = intervals(PoisonedWorkspace)
+        assert np.isfinite(fresh).all() and (fresh[:, 1] < fresh[:, 2]).sum() > 100
+        assert poisoned.tobytes() == fresh.tobytes()
+
+    def test_days_share_one_workspace(self, monkeypatch):
+        """Day 2's bootstrap totals lie in the memory of day 1's: the series keeps one
+        workspace for all its days, not a buffer per call."""
+        bundle = build_scenario("min-max", population_size=200)
+        panel = simulate(bundle.config, seed=(3, 0)).panel()
+        first = {}
+        batch = DayEvaluator.batch
+
+        def kept(ev, totals):
+            first.setdefault(ev.day, totals)  # held, so no later array can reuse its memory
+            return batch(ev, totals)
+
+        monkeypatch.setattr(DayEvaluator, "batch", kept)
+        estimate_panel_series(panel, bundle.assumed_tests, ("ht-e",),
+                              IntervalSpec(bootstrap_iterations=19))
+        assert np.shares_memory(first[1], first[2])
 
     def test_cached_terms_follow_their_key(self):
         """One panel estimated under minimum stratum sizes 5 then 10, and under test

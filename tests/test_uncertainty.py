@@ -14,6 +14,7 @@ from prevest.scenarios import build_scenario
 from prevest.simulate import simulate
 from prevest.uncertainty import (
     IntervalSpec,
+    ResampleWorkspace,
     _bootstrap_totals,
     bca_bootstrap,
     clopper_pearson,
@@ -188,6 +189,17 @@ class ConstantEstimator:
 
     def batch(self, totals):
         return np.full(totals.shape[0], self.value)
+
+
+class PoisonedWorkspace(ResampleWorkspace):
+    """A workspace that fills a buffer with all-ones bytes, a NaN in every float dtype,
+    each time it hands out a view of it: a caller that read a value it had not written
+    since its request would carry the NaN into its result."""
+
+    def _view(self, name, shape, dtype):
+        view = super()._view(name, shape, dtype)
+        self._memory[name].fill(0xFF)
+        return view
 
 
 class TestBcaBootstrap:
