@@ -28,13 +28,12 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Optiona
 
 import numpy as np
 
+from . import uncertainty
 from .core import EventHistory, TestCharacteristics
 from .regimens import RegimenConfig, next_test_pmf
 
 if TYPE_CHECKING:
     from scipy import sparse
-
-    from .uncertainty import ResampleWorkspace
 
 _EPS = 1e-12
 # Strata with fewer members are counted whole by ht-e (the headcount fallback).
@@ -206,7 +205,7 @@ class Panel:
             # the strata with a cell, less a clearance on the last day, which weighs no day
             strata = np.flatnonzero(np.diff(np.searchsorted(
                 index.key, np.arange(horizon + 1, dtype=index.key.dtype) * (horizon + 1))))
-            codes, _, _, starts = index.codes(strata, horizon, horizon)
+            codes, _, starts = index.codes(strata, horizon, horizon)
             ratios = _PushSolve.of(codes, strata, horizon).ratios(
                 np.diff(starts)[:, None].astype(float), specificity)[:, 0]
             # the packed positions in order: row offsets ascending, then the strata with one
@@ -327,8 +326,8 @@ class ContributionIndex:
     individual: np.ndarray   # int32, ascending within equal (key, next_test)
 
     def codes(self, strata: np.ndarray, t: int,
-              horizon: int) -> tuple[np.ndarray, np.ndarray, slice | np.ndarray, np.ndarray]:
-        """``(codes, bounds, cells, starts)``: the cells of the ascending ``strata`` with
+              horizon: int) -> tuple[np.ndarray, slice | np.ndarray, np.ndarray]:
+        """``(codes, cells, starts)``: the cells of the ascending ``strata`` with
         row day s <= t, as codes (stratum slot, row offset, min(next_test, t + 1)).  The
         index order sorts them, so compaction keeps the first code of each run, and the runs
         are the columns of the individuals x codes 0/1 matrix as CSC arrays: code ``k``
@@ -353,9 +352,7 @@ class ContributionIndex:
         runs = np.flatnonzero(new)
         slot = np.searchsorted(strata, key[runs] // (horizon + 1))
         codes = (slot * width + offset[runs]) * width + value[runs]
-        # stratum j owns the contiguous slice bounds[j]:bounds[j + 1] of the codes
-        bounds = np.searchsorted(codes, np.arange(strata.size + 1) * width * width)
-        return codes, bounds, cells, np.append(runs, key.size)
+        return codes, cells, np.append(runs, key.size)
 
 
 # ---------------------------------------------------------------------------
@@ -508,22 +505,19 @@ class _PushSolve:
                           starts[row] + slot, starts[value[take] - strata[slot]] + slot,
                           np.searchsorted(row, np.arange(starts.size)))
 
-    def ratios(self, counts: np.ndarray, nu: float, positions=slice(None),
-               workspace: Optional[ResampleWorkspace] = None) -> np.ndarray:
+    def ratios(self, counts: np.ndarray, nu: float, positions=slice(None)) -> np.ndarray:
         """``[position, b]``: the ratio y / den at the packed ``positions`` on column ``b``
         of the codes x rows ``counts``, each code normalised by its row's sum (1 if none).
 
-        The gathered codes and their row sums are written into the arena of ``workspace``
-        when one is given, and allocated when not; the ratios are the same bits either
-        way.  The gather clips rather than raises, since numpy buffers a raising gather's
-        whole output, and :meth:`of` keeps every index in range."""
-        q = norm = None
-        if workspace is not None:
-            arena = workspace.arena((self.take.size + self.row_starts.size, counts.shape[1]),
-                                    np.float64)
-            q, norm = arena[: self.take.size], arena[self.take.size :]
-        q = np.take(counts, self.take, axis=0, out=q, mode="clip")
-        norm = np.add.reduceat(counts, self.row_starts, axis=0, out=norm)
+        The gathered codes and their row sums are written into the arena of the thread's
+        :class:`~prevest.uncertainty.ResampleWorkspace`.  The gather clips rather than
+        raises, since numpy buffers a raising gather's whole output, and :meth:`of` keeps
+        every index in range."""
+        arena = uncertainty._workspace.arena(
+            (self.take.size + self.row_starts.size, counts.shape[1]), np.float64)
+        q, norm = arena[: self.take.size], arena[self.take.size :]
+        np.take(counts, self.take, axis=0, out=q, mode="clip")
+        np.add.reduceat(counts, self.row_starts, axis=0, out=norm)
         q /= np.maximum(norm, 1.0, out=norm)[self.group]
         starts, bounds = self.starts.tolist(), self.bounds.tolist()
         source, target = self.source, self.target
@@ -837,24 +831,20 @@ class DayEvaluator:
     individual.  Resamples (bootstrap draws, jackknife blocks) enter only through
     :meth:`batch`, as their totals over the day's :attr:`features` (built on first use,
     importing ``scipy.sparse`` only then); each call runs one :class:`_PushSolve` of the
-    day's codes over all its rows and strata, :attr:`chunk_rows` rows at a time.  A
-    ``workspace`` (:class:`~prevest.uncertainty.ResampleWorkspace`) lends that solve its
-    gathered code counts from the arena the bootstrap's count block also uses, so a series
-    that shares one across its days maps them once; without one, each call allocates
-    them.  :meth:`estimate` returns an :class:`Evaluation`; ``_last_fallback``, the copy
-    ``perfbench/tracing.py`` reads, is the only state a call leaves behind.
+    day's codes over all its rows and strata, :attr:`chunk_rows` rows at a time, with its
+    gathered code counts in the calling thread's resample workspace.  :meth:`estimate`
+    returns an :class:`Evaluation`; ``_last_fallback``, the copy ``perfbench/tracing.py``
+    reads, is the only state a call leaves behind.
     """
 
     def __init__(self, panel: Panel, day: int, tests: TestCharacteristics,
-                 min_stratum_size: int = MIN_STRATUM_SIZE,
-                 workspace: Optional[ResampleWorkspace] = None):
+                 min_stratum_size: int = MIN_STRATUM_SIZE):
         self.strata = panel.day_strata(day)
         tests.require_informative()
         self.panel = panel
         self.day = day
         self.tests = tests
         self.min_stratum_size = min_stratum_size
-        self.workspace = workspace
 
     @cached_property
     def features(self) -> sparse.csc_matrix:
@@ -872,7 +862,7 @@ class DayEvaluator:
         slot = np.searchsorted(self.strata, panel.last_clear[t, nonremoved])
         kind = 2 * panel.tested[t, nonremoved] + panel.positive[t, nonremoved]
         column = np.where(panel.assumed_well[t, nonremoved], 0, 1 + 4 * slot + kind)
-        codes, _, individuals, starts = self._code_space
+        codes, individuals, starts = self._code_space
         indptr = np.concatenate(([0], np.cumsum(np.bincount(column, minlength=n_classes)),
                                  nonremoved.size + starts[1:]))
         indices = np.concatenate((nonremoved[np.argsort(column, kind="stable")], individuals))
@@ -881,12 +871,12 @@ class DayEvaluator:
             shape=(panel.n_individuals, n_classes + codes.size))
 
     @cached_property
-    def _code_space(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def _code_space(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """:meth:`ContributionIndex.codes` of the day's strata, with the individuals of
         their cells in place of the index positions."""
         index = self.panel.contribution_index
-        codes, bounds, cells, starts = index.codes(self.strata, self.day, self.panel.horizon)
-        return codes, bounds, index.individual[cells], starts
+        codes, cells, starts = index.codes(self.strata, self.day, self.panel.horizon)
+        return codes, index.individual[cells], starts
 
     @cached_property
     def _solve(self) -> _PushSolve:
@@ -904,8 +894,7 @@ class DayEvaluator:
     def _stratum_probs(self, counts: np.ndarray, need: np.ndarray) -> np.ndarray:
         """Testing probability per (resample row, stratum) from per-code counts: one :attr:`_solve`
         of the call, read at each stratum's last row (the day) where ``need[b, j]``."""
-        ratios = self._solve.ratios(counts.T, self.tests.specificity, self._solve.last,
-                                    self.workspace).T
+        ratios = self._solve.ratios(counts.T, self.tests.specificity, self._solve.last).T
         return np.where(need, np.minimum(ratios, 1.0), 0.0)
 
     def estimate(self) -> Evaluation:

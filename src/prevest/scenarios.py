@@ -60,7 +60,6 @@ from .simulate import (
 )
 from .uncertainty import (
     IntervalSpec,
-    ResampleWorkspace,
     bca_bootstrap,
     clopper_pearson,
     wald_prevalence_interval,
@@ -239,16 +238,15 @@ def estimate_panel_series(
     estimator.  ``seed`` is a prefix: day ``t``'s bootstrap is seeded with
     ``(*seed, t)``, so an int ``s`` gives ``(s, t)``.  Every interval, a
     degenerate bootstrap's too, is clipped to [0, 1] and widened to contain
-    its estimate: the one step that clips an interval endpoint.  Every ``ht-e`` bootstrap
-    of the call shares one :class:`ResampleWorkspace`, which the call owns: its pages fault
-    in once for the series, and threads running separate series share nothing.
+    its estimate: the one step that clips an interval endpoint.  The ``ht-e`` bootstraps
+    reuse the calling thread's resample scratch, so threads running separate series
+    share no buffer.
     """
     if "ht-k" in estimators and known_weights is None:
         raise ValueError("ht-k requires known testing-probability weights")
     prefix = seed_prefix(seed)
     series = EstimateSeries()
     counts = panel.day_counts
-    workspace = ResampleWorkspace()
     for day in range(1, panel.horizon + 1):
         if counts.n_tests[day] == 0 or (excluded_days is not None and excluded_days[day]):
             for kind in estimators:
@@ -269,13 +267,11 @@ def estimate_panel_series(
                         record.unclipped, variance, int(counts.nonremoved[day]),
                         interval_spec.level)
             elif kind == "ht-e":
-                evaluator = DayEvaluator(panel, day, tests, min_stratum_size,
-                                         workspace=workspace)
+                evaluator = DayEvaluator(panel, day, tests, min_stratum_size)
                 record = evaluator.day_estimate()
                 if interval_spec is not None:
                     interval = bca_bootstrap(evaluator.resampler(), interval_spec,
-                                             seed=(*prefix, day), point=record.unclipped,
-                                             workspace=workspace)
+                                             seed=(*prefix, day), point=record.unclipped)
                     record.lo, record.hi = interval.lo, interval.hi
             else:
                 raise ValueError(f"unknown estimator kind {kind!r}")

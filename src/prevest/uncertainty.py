@@ -10,10 +10,9 @@ step that clips an endpoint to [0, 1].  The bootstrap and its jackknife stream t
 resamples through the estimator a chunk of rows at a time, and each chunk's totals take one
 counting pass: ``np.add.at`` of its int32 draws into a units x rows count block, then one
 product with the features, for the bootstrap; a ``bincount`` of (block, column) keys over
-the features' nonzeros for the jackknife.  A :class:`ResampleWorkspace` passed to
-:func:`bca_bootstrap` holds every chunk's totals, the count block and whatever the
-estimator keeps in its arena, for a whole series of intervals, so that their pages fault in
-once per series rather than once per call; without one, each call allocates its own.
+the features' nonzeros for the jackknife.  Every chunk's totals, the count block and the
+push solve's gathered code counts lie in the calling thread's :class:`ResampleWorkspace`,
+so that their pages fault in once per thread rather than once per call.
 
 Importing the module loads no scipy: each interval imports the ``scipy.special`` functions
 it evaluates on first use, so a run that computes no interval never loads it.
@@ -22,6 +21,7 @@ it evaluates on first use, so a run that computes no interval never loads it.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -122,24 +122,23 @@ class BcaInterval:
     n_undefined: int = 0           # bootstrap and jackknife statistics that were nan
 
 
-class ResampleWorkspace:
-    """Scratch memory that one series of bootstrap intervals reuses, chunk after chunk and
-    day after day: the totals of a chunk of bootstrap or jackknife rows (:meth:`totals`),
+class ResampleWorkspace(threading.local):
+    """Scratch memory that a thread reuses, chunk after chunk, day after day and series
+    after series: the totals of a chunk of bootstrap or jackknife rows (:meth:`totals`),
     and an arena (:meth:`arena`) that holds first :func:`_bootstrap_totals`' count block
-    and then, while the estimator's ``batch`` reads those totals, the estimator's own
-    scratch (the push solve's normalised code counts, ``estimators._PushSolve.ratios``):
-    two arrays that are never live at once.
+    and then, while the estimator's ``batch`` reads those totals, the push solve's
+    normalised code counts (``estimators._PushSolve.ratios``, the point table's too): two
+    arrays that are never live at once.  Each thread sees its own buffers, made on its
+    first request and freed when the thread ends.
 
     A fresh array is a fresh mapping whenever glibc's dynamic mmap threshold sits below its
     size, and its pages then fault in again on every call.  Here each buffer is kept, and
-    is replaced only when a request outgrows it, by one of at least twice its size and at
-    least ``_RESAMPLE_BLOCK_BYTES``, so the small early days of a series share their first
-    mapping and later days grow it a few times.  Pages are touched only as far as requests
-    reach, so what stays resident is the series' largest chunk, which the callers' byte
-    budgets (``_RESAMPLE_BLOCK_BYTES``, ``estimators._SOLVE_BLOCK_BYTES``) already bound.
-    A view is valid until the next request for its buffer: no caller keeps one, and an
-    estimator's ``batch`` must not return a view of its totals.  Not thread-safe: each
-    series, and so each thread, owns its own.
+    is replaced only when a request outgrows it, by one of at least twice its size.  Pages
+    are touched only as far as requests reach, so what stays resident is the thread's
+    largest chunk, which the callers' byte budgets (``_RESAMPLE_BLOCK_BYTES``,
+    ``estimators._SOLVE_BLOCK_BYTES``) already bound.  A view is valid until the next
+    request for its buffer: no caller keeps one, and an estimator's ``batch`` must not
+    return a view of its totals.
     """
 
     def __init__(self):
@@ -158,13 +157,15 @@ class ResampleWorkspace:
         nbytes = math.prod(shape) * dtype.itemsize
         memory = self._memory[name]
         if memory.size < nbytes:
-            memory = self._memory[name] = np.empty(
-                max(nbytes, 2 * memory.size, _RESAMPLE_BLOCK_BYTES), np.uint8)
+            memory = self._memory[name] = np.empty(max(nbytes, 2 * memory.size), np.uint8)
         return memory[:nbytes].view(dtype).reshape(shape)
 
 
-def _bootstrap_totals(features, rng: np.random.Generator, rows: int,
-                      workspace: Optional[ResampleWorkspace] = None) -> np.ndarray:
+# The resample scratch of every thread, looked up at each call.
+_workspace = ResampleWorkspace()
+
+
+def _bootstrap_totals(features, rng: np.random.Generator, rows: int) -> np.ndarray:
     """``counts @ features`` for the next ``rows`` resamples of ``rng``, each a row of
     ``rng.integers(0, n, ...)`` draws, which numpy gives alike in one call or in chunks of
     rows and as int32 or int64 (both pinned by a test).
@@ -173,10 +174,10 @@ def _bootstrap_totals(features, rng: np.random.Generator, rows: int,
     most max(n, 2^17), fits) and keyed unit-major in place (unit ``i`` of row ``b`` counts
     into ``i * rows + b``), so one ``np.add.at`` of ones counts them straight into the units
     x rows block, in the features' dtype, that the product over units reads contiguously.
-    Every chunk counts into one block, zeroed per chunk, and the totals fill one array:
-    both allocated once per call, or, given a ``workspace``, its arena and totals buffer, so
-    that a series passing one maps no fresh pages for either whatever the allocator's mmap
-    threshold.  For 0/1 float32 features every count and total is an integer at most
+    Every chunk counts into one block, zeroed per chunk, in the thread's workspace arena,
+    and the totals fill its totals buffer, so that a thread maps no fresh pages for either
+    whatever the allocator's mmap threshold: the result is valid until the next request for
+    that buffer.  For 0/1 float32 features every count and total is an integer at most
     n <= 2^24, so exact.
     """
     n_units, m = features.shape
@@ -184,10 +185,7 @@ def _bootstrap_totals(features, rng: np.random.Generator, rows: int,
     one = features.dtype.type(1)  # a Python 1 would send add.at down its slow casting loop
     step = max(1, _RESAMPLE_BLOCK_BYTES // (8 * n_units))
     cells = n_units * min(step, rows)
-    if workspace is None:
-        totals, buffer = np.empty((rows, m)), np.empty(cells, dtype=features.dtype)
-    else:
-        totals, buffer = workspace.totals(rows, m), workspace.arena((cells,), features.dtype)
+    totals, buffer = _workspace.totals(rows, m), _workspace.arena((cells,), features.dtype)
     for first in range(0, rows, step):
         size = min(step, rows - first)
         keys = rng.integers(0, n_units, size=(size, n_units), dtype=np.int32)
@@ -201,32 +199,29 @@ def _bootstrap_totals(features, rng: np.random.Generator, rows: int,
 
 
 def _jackknife_totals(features, order: np.ndarray, size: int, column_totals: np.ndarray,
-                      step: int, workspace: Optional[ResampleWorkspace] = None
-                      ) -> Iterator[np.ndarray]:
+                      step: int) -> Iterator[np.ndarray]:
     """Leave-block-out totals, ``step`` blocks at a time: ``column_totals`` minus each
     block's totals, where block ``k`` holds the units ``order[k * size : (k + 1) * size]``
     (the last block short).
 
     Each nonzero of ``features`` is keyed by its unit's block and its column, so a chunk's
-    block totals are one ``bincount`` of the keys that fall in it.  An ndarray's nonzeros
-    come from ``np.nonzero``; a scipy sparse matrix is read through its CSC arrays (no
-    copy for the evaluator's CSC features), each column index repeated over its stored
-    entries.  Each chunk scans the keys once and holds ``step`` x m totals, so a day whose
-    blocks fit one chunk costs O(nnz + blocks x m).  Given a ``workspace``, each chunk's
-    totals are written into its totals buffer, where the bootstrap's lie, and the block
-    sums are freed before the chunk is yielded; a yielded chunk is then valid until the
-    next is asked for.
+    block totals are one ``bincount`` of the keys that fall in it.  Any matrix, dense or
+    sparse, is read through its CSC arrays (no copy for the evaluator's CSC features), each
+    column index repeated over its stored entries; a key's units are summed in ascending
+    order either way.  Each chunk scans the keys once and holds ``step`` x m totals, so a
+    day whose blocks fit one chunk costs O(nnz + blocks x m).  Each chunk's totals are
+    written into the thread's totals buffer, where the bootstrap's lie, and the block sums
+    are freed before the chunk is yielded; a yielded chunk is valid until the next is asked
+    for.
     """
+    from scipy import sparse
+
     n, m = features.shape
     block = np.empty(n, dtype=np.intp)
     block[order] = np.arange(n) // size
-    if isinstance(features, np.ndarray):
-        units, columns = np.nonzero(features)
-        values = features[units, columns]
-    else:
-        by_column = features.tocsc()
-        units, values = by_column.indices, by_column.data
-        columns = np.repeat(np.arange(m), np.diff(by_column.indptr))
+    by_column = sparse.csc_matrix(features)
+    units, values = by_column.indices, by_column.data
+    columns = np.repeat(np.arange(m), np.diff(by_column.indptr))
     keys = block[units] * m + columns
     n_blocks = -(-n // size)
     for first in range(0, n_blocks, step):
@@ -235,7 +230,7 @@ def _jackknife_totals(features, order: np.ndarray, size: int, column_totals: np.
         sums = np.bincount(keys[inside] - lo, values[inside], minlength=hi - lo)
         # float even for a chunk of units without nonzeros, where bincount returns ints
         sums = sums.astype(float, copy=False).reshape(-1, m)
-        totals = sums if workspace is None else workspace.totals(len(sums), m)
+        totals = _workspace.totals(len(sums), m)
         np.subtract(column_totals, sums, out=totals)
         del sums
         yield totals
@@ -246,7 +241,6 @@ def bca_bootstrap(
     spec: IntervalSpec,
     seed: int,
     point: Optional[float] = None,
-    workspace: Optional[ResampleWorkspace] = None,
 ) -> BcaInterval:
     """BCa interval for a statistic of resampled units (whole individual histories).
 
@@ -267,10 +261,8 @@ def bca_bootstrap(
     distribution with no finite value (the interval is nan), or whose spread is within
     1e-12 of its largest magnitude (or of 1), is degenerate and collapses to its first
     value.  The endpoints are quantiles of the unrestricted bootstrap distribution, never
-    clipped.  Every chunk's totals, and the bootstrap's count block, lie in ``workspace``
-    when one is given (:class:`ResampleWorkspace`; the caller may share it with the
-    estimator's own scratch), so a series of intervals that passes one keeps its pages;
-    without one, each chunk allocates its own.  The interval is the same bits either way.
+    clipped.  Every chunk's totals, and the bootstrap's count block, lie in the calling
+    thread's :class:`ResampleWorkspace`, so ``batch`` receives a view it must not return.
     """
     from scipy.special import ndtr, ndtri
 
@@ -282,8 +274,7 @@ def bca_bootstrap(
     b_iter, step = spec.bootstrap_iterations, estimator.chunk_rows
     rng, jack_rng = (np.random.Generator(np.random.PCG64(stream))
                      for stream in np.random.SeedSequence(entropy=seed).spawn(2))
-    thetas = np.concatenate([batch(_bootstrap_totals(features, rng, min(step, b_iter - first),
-                                                     workspace))
+    thetas = np.concatenate([batch(_bootstrap_totals(features, rng, min(step, b_iter - first)))
                              for first in range(0, b_iter, step)])
     thetas = thetas[~np.isnan(thetas)]
     n_undefined = b_iter - thetas.size
@@ -297,8 +288,7 @@ def bca_bootstrap(
     z0 = float(ndtri(frac))
 
     jack = np.concatenate([batch(totals) for totals in _jackknife_totals(
-        features, jack_rng.permutation(n_units), spec.block_size(n_units), column_totals, step,
-        workspace)])
+        features, jack_rng.permutation(n_units), spec.block_size(n_units), column_totals, step)])
     n_undefined += int(np.isnan(jack).sum())
     jack = jack[~np.isnan(jack)]
     centered = (jack.mean() if jack.size else 0.0) - jack

@@ -279,7 +279,7 @@ def per_stratum_ht_known(panel, day, tests, weight_for):
 
 
 def dense_contribution_scan(panel, day, strata):
-    """``DayEvaluator._code_space``, ``(codes, bounds, individuals, starts)``, from a dense
+    """``DayEvaluator._code_space``, ``(codes, individuals, starts)``, from a dense
     scan of the panel.
 
     Scans every (row day s <= day, individual) cell of the (day + 1) x n
@@ -300,10 +300,9 @@ def dense_contribution_scan(panel, day, strata):
     values = np.minimum(panel.next_test[cell_s, cell_i], t + 1)
     codes, code_col = np.unique((slot_of[c] * width + (cell_s - c)) * width + values,
                                 return_inverse=True)
-    bounds = np.searchsorted(codes, np.arange(len(strata) + 1) * width * width)
     order = np.lexsort((cell_i, code_col))
     starts = np.searchsorted(code_col[order], np.arange(codes.size + 1))
-    return codes, bounds, cell_i[order], starts
+    return codes, cell_i[order], starts
 
 
 def hstack_features(ev):
@@ -321,7 +320,7 @@ def hstack_features(ev):
     column = np.where(panel.assumed_well[t, nonremoved], 0, 1 + 4 * slot + kind)
     classes = sparse.csc_matrix((np.ones(nonremoved.size), (nonremoved, column)),
                                 shape=(panel.n_individuals, 1 + 4 * len(ev.strata)))
-    codes, _, individuals, starts = ev._code_space
+    codes, individuals, starts = ev._code_space
     contrib = sparse.csc_matrix((np.ones(individuals.size), individuals, starts),
                                 shape=(panel.n_individuals, codes.size))
     return sparse.hstack([classes, contrib], format="csc",
@@ -646,8 +645,10 @@ def count_matrix_probabilities(ev, counts, nu):
     or the tail indicator when it has none, and ``_ratio_terms`` gives num and den."""
     from prevest.estimators import _EPS, _ratio_terms
 
-    codes, bounds = ev._code_space[:2]
+    codes = ev._code_space[0]
     t, width = ev.day, ev.day + 2
+    # stratum j owns the contiguous slice bounds[j]:bounds[j + 1] of the codes
+    bounds = np.searchsorted(codes, np.arange(len(ev.strata) + 1) * width * width)
     rows = counts.shape[0]
     probs = np.zeros((rows, len(ev.strata)))
     for j, c in enumerate(ev.strata.tolist()):

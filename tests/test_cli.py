@@ -269,7 +269,7 @@ class TestScenarioCommand:
         assert (out1 / "simple-random.csv").read_bytes() == (out2 / "simple-random.csv").read_bytes()
 
     def test_jobs_do_not_change_intervals(self, tmp_path):
-        """Each thread's series owns its resample workspace, so bootstrap intervals run on
+        """Each thread owns its resample workspace, so bootstrap intervals run on
         two threads, or on more threads than cores (up to 16 cores), write the bytes one
         thread does.  A short switch interval interleaves the threads often enough that a
         buffer shared between them would mix their resamples.  Every job count gets at

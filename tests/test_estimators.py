@@ -36,6 +36,7 @@ from prevest.scenarios import estimate_panel_series
 from prevest.simulate import ScenarioConfig, HazardModel, ExternalHazard, simulate
 from prevest.uncertainty import (
     IntervalSpec,
+    ResampleWorkspace,
     _bootstrap_totals,
     _jackknife_totals,
     bca_bootstrap,
@@ -452,7 +453,7 @@ class TestDayEvaluatorMatchesReference:
 
     @staticmethod
     def observed_counts(ev):
-        codes, _, _, starts = ev._code_space
+        codes, _, starts = ev._code_space
         return dict(zip(codes.tolist(), np.diff(starts).tolist()))
 
     def test_contribution_counts_on_simulation(self):
@@ -479,13 +480,13 @@ class TestDayEvaluatorMatchesReference:
             ev = DayEvaluator(panel, day, STUDY, min_stratum_size=min_size)
             ref = copy.copy(ev)
             ref._code_space = dense_contribution_scan(panel, day, ev.strata)
-            codes, bounds, individuals, starts = ev._code_space
-            for got, want in zip((codes, bounds, starts), ref._code_space[:2] + ref._code_space[3:]):
+            codes, individuals, starts = ev._code_space
+            for got, want in zip((codes, starts), ref._code_space[::2]):
                 np.testing.assert_array_equal(got, want)
             # the dense scan lists each code's individuals ascending
             column = np.repeat(np.arange(codes.size), np.diff(starts))
             np.testing.assert_array_equal(individuals[np.lexsort((individuals, column))],
-                                          ref._code_space[2])
+                                          ref._code_space[1])
             assert_same_evaluation(ev.estimate(), ref.estimate())
             assert_same_evaluation(ev._estimate_totals(rows @ ev.features),
                                    ref._estimate_totals(rows @ ref.features))
@@ -600,8 +601,10 @@ class TestPackedSolveMatchesDenseBlock:
     @staticmethod
     def dense_probs(ev, counts, nu):
         """Per (row, stratum slot) testing probability through the dense transposed block."""
-        codes, bounds, _, _ = ev._code_space
+        codes = ev._code_space[0]
         t, width = ev.day, ev.day + 2
+        # stratum j owns the contiguous slice bounds[j]:bounds[j + 1] of the codes
+        bounds = np.searchsorted(codes, np.arange(len(ev.strata) + 1) * width * width)
         probs = np.zeros((counts.shape[0], len(ev.strata)))
         for j, c in enumerate(ev.strata.tolist()):
             span = t - c + 1
@@ -625,21 +628,22 @@ class TestPackedSolveMatchesDenseBlock:
     @given(case=panels_and_days(max_n=20), nu=st.sampled_from([1.0, 0.992, 0.7, 0.35]),
            rows=st.integers(1, 6), seed=st.integers(0, 2**16), held=st.integers(0, 1 << 21))
     def test_random_counts(self, case, nu, rows, seed, held):
-        """Against the dense blocks; and the solve that gathers its code counts into a
-        workspace's arena, one some earlier call left ``held`` bytes long and poisoned at
-        every request, gives the allocating solve's bits."""
+        """Against the dense blocks; and the solve that gathers its code counts into the
+        arena of a thread workspace that some earlier call left ``held`` bytes long, poisoned
+        at every request, gives a fresh workspace's bits."""
         panel, day = case
         ev = DayEvaluator(panel, day, TestCharacteristics(0.9, nu))
         counts = self.random_counts(ev, rows, seed)
         need = np.ones((rows, len(ev.strata)), dtype=bool)
         need[np.random.default_rng(seed + 1).random(need.shape) < 0.2] = False
         want = np.where(need, self.dense_probs(ev, counts, nu), 0.0)
-        got = ev._stratum_probs(counts.copy(), need)
+        with mock.patch.object(uncertainty, "_workspace", ResampleWorkspace()):
+            got = ev._stratum_probs(counts.copy(), need)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-        workspace = PoisonedWorkspace()
-        workspace.arena((held,), np.uint8)
-        reused = DayEvaluator(panel, day, TestCharacteristics(0.9, nu), workspace=workspace)
-        assert reused._stratum_probs(counts.copy(), need).tobytes() == got.tobytes()
+        poisoned = PoisonedWorkspace()
+        poisoned.arena((held,), np.uint8)
+        with mock.patch.object(uncertainty, "_workspace", poisoned):
+            assert ev._stratum_probs(counts.copy(), need).tobytes() == got.tobytes()
 
     @settings(max_examples=80)
     @given(case=panels_and_days(max_n=20, max_horizon=10),
@@ -810,31 +814,34 @@ class TestResampleTotalsMatchDenseRoute:
         blocks = [order[i : i + size] for i in range(0, n, size)]
         step = data.draw(st.integers(1, len(blocks) + 1), label="blocks a chunk")
 
-        # a workspace that an earlier call left with buffers of these sizes, poisoned at
-        # every request: its bootstrap and jackknife totals must be the allocating route's
-        workspace = PoisonedWorkspace()
-        workspace.totals(data.draw(st.integers(0, 2 * b_iter), label="rows held"),
-                         features.shape[1])
-        workspace.arena((data.draw(st.integers(0, 8 * n * b_iter), label="bytes held"),),
-                        np.uint8)
+        # a thread workspace that an earlier call left with buffers of these sizes, poisoned
+        # at every request: its bootstrap and jackknife totals must be a fresh one's
+        poisoned = PoisonedWorkspace()
+        poisoned.totals(data.draw(st.integers(0, 2 * b_iter), label="rows held"),
+                        features.shape[1])
+        poisoned.arena((data.draw(st.integers(0, 8 * n * b_iter), label="bytes held"),),
+                       np.uint8)
 
-        with mock.patch.object(uncertainty, "_RESAMPLE_BLOCK_BYTES", budget):
-            boot = _bootstrap_totals(features, np.random.default_rng(seed), b_iter)
-            reused = _bootstrap_totals(features, np.random.default_rng(seed), b_iter,
-                                       workspace)
+        def totals(workspace):
+            """The bootstrap totals and, per form of the features, the jackknife's."""
+            with mock.patch.object(uncertainty, "_workspace", workspace):
+                boot = _bootstrap_totals(features, np.random.default_rng(seed), b_iter).copy()
+                # a yielded chunk lives until the next is asked for
+                return boot, [np.concatenate([chunk.copy() for chunk in _jackknife_totals(
+                    form, order, size, column_totals, step)]) for form in copies]
+
         column_totals = np.asarray(features.sum(axis=0), dtype=float).ravel()
-        counts, keep = self.dense_rows(n, draws, blocks)
-        self.check(boot, counts, features, kind != "normal dense")
-        assert reused.shape == boot.shape and reused.tobytes() == boot.tobytes()
         # a sparse input of any format is read through its CSC arrays
         copies = [features] if "dense" in kind else [features, features.tocsr(), features.tocoo()]
-        for form in copies:
-            jack = np.concatenate(list(_jackknife_totals(form, order, size, column_totals, step)))
+        with mock.patch.object(uncertainty, "_RESAMPLE_BLOCK_BYTES", budget):
+            boot, jacks = totals(ResampleWorkspace())
+            reused_boot, reused_jacks = totals(poisoned)
+        counts, keep = self.dense_rows(n, draws, blocks)
+        self.check(boot, counts, features, kind != "normal dense")
+        assert reused_boot.shape == boot.shape and reused_boot.tobytes() == boot.tobytes()
+        for jack, reused in zip(jacks, reused_jacks, strict=True):
             self.check(jack, keep, features, kind != "normal dense")
-            # a yielded chunk in the workspace lives until the next is asked for
-            reused = [chunk.copy() for chunk in _jackknife_totals(
-                form, order, size, column_totals, step, workspace)]
-            assert np.concatenate(reused).tobytes() == jack.tobytes()
+            assert reused.tobytes() == jack.tobytes()
 
     @pytest.mark.parametrize("kind", FEATURES[:3])
     def test_simulated_panel_at_every_budget_and_step(self, kind):
@@ -854,7 +861,7 @@ class TestResampleTotalsMatchDenseRoute:
         column_totals = np.asarray(features.sum(axis=0), dtype=float).ravel()
         for step in (1, 5, len(keep) - 1, len(keep)):
             jack = _jackknife_totals(features, order, size, column_totals, step)
-            self.check(np.concatenate(list(jack)), keep, features, True)
+            self.check(np.concatenate([chunk.copy() for chunk in jack]), keep, features, True)
 
     @pytest.mark.parametrize("n_units, dtype", [
         (1, np.float32), (1 << 24, np.float32), ((1 << 24) + 1, np.float64)])

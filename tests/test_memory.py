@@ -6,6 +6,7 @@ is what the run holds at once, apart from the import footprint and the allocator
 
 import math
 import tracemalloc
+from unittest import mock
 
 import pytest
 
@@ -16,16 +17,18 @@ from prevest.uncertainty import IntervalSpec
 
 
 def traced_run(run):
-    """``run()``'s result and its traced peak in bytes."""
+    """``run()``'s result and its traced peak in bytes, from a fresh resample workspace, so
+    that the peak counts the workspace's buffers too."""
     import scipy.sparse  # noqa: F401 -- imported first, so that the trace holds arrays only
     import scipy.special  # noqa: F401
 
-    tracemalloc.start()
-    try:
-        result = run()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    with mock.patch.object(uncertainty, "_workspace", uncertainty.ResampleWorkspace()):
+        tracemalloc.start()
+        try:
+            result = run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
     return result, peak
 
 

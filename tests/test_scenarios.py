@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prevest import estimators, scenarios
+from prevest import estimators, scenarios, uncertainty
 from prevest.core import EventHistory, TestCharacteristics
 from prevest.estimators import DayEvaluator, Panel
 from prevest.regimens import ConfigError, Overlays, RegimenConfig
@@ -24,7 +24,7 @@ from prevest.scenarios import (
     run_scenario,
 )
 from prevest.simulate import replicate_bytes, seed_prefix, simulate
-from prevest.uncertainty import IntervalSpec, bca_bootstrap
+from prevest.uncertainty import IntervalSpec, ResampleWorkspace, bca_bootstrap
 
 from _oracles import testing_process_oracle
 from test_estimators import panels_and_days
@@ -243,11 +243,10 @@ class TestSeriesAssembly:
 
 
     def test_reused_workspace_gives_the_fresh_buffer_intervals(self, monkeypatch):
-        """One workspace serves every chunk and day of a series.  On a multi-stratum panel
-        whose chunks grow and shrink (a small solve budget splits the 39 resamples into
-        chunks of 1 to 39 rows as the days lengthen), a workspace poisoned with NaN at every
-        request gives every ``ht-e`` interval the bits of the route that allocates each
-        buffer afresh."""
+        """One thread workspace serves every chunk and day of a series.  On a multi-stratum
+        panel whose chunks grow and shrink (a small solve budget splits the 39 resamples
+        into chunks of 1 to 39 rows as the days lengthen), a workspace poisoned with NaN at
+        every request gives every ``ht-e`` interval the bits of a fresh one."""
         bundle = build_scenario("min-max", population_size=400, horizon_days=120)
         panel = simulate(bundle.config, seed=(6, 0)).panel()
         spec = IntervalSpec(bootstrap_iterations=39)
@@ -259,22 +258,22 @@ class TestSeriesAssembly:
             return batch(ev, totals)
 
         def intervals(workspace):
-            monkeypatch.setattr(scenarios, "ResampleWorkspace", workspace)
+            monkeypatch.setattr(uncertainty, "_workspace", workspace)
             records = estimate_panel_series(panel, bundle.assumed_tests, ("ht-e",), spec,
                                             seed=3).records
             return np.array([(r.unclipped, r.lo, r.hi) for r in records])
 
         monkeypatch.setattr(DayEvaluator, "batch", counted)
         monkeypatch.setattr(estimators, "_SOLVE_BLOCK_BYTES", 1 << 17)
-        fresh = intervals(lambda: None)
+        fresh = intervals(ResampleWorkspace())
         assert min(rows) == 1 and 39 in rows and len(set(rows)) > 5
-        poisoned = intervals(PoisonedWorkspace)
+        poisoned = intervals(PoisonedWorkspace())
         assert np.isfinite(fresh).all() and (fresh[:, 1] < fresh[:, 2]).sum() > 100
         assert poisoned.tobytes() == fresh.tobytes()
 
     def test_days_share_one_workspace(self, monkeypatch):
-        """Day 2's bootstrap totals lie in the memory of day 1's: the series keeps one
-        workspace for all its days, not a buffer per call."""
+        """Day 2's bootstrap totals lie in the memory of day 1's: the thread keeps one
+        workspace for all the series' days, not a buffer per call."""
         bundle = build_scenario("min-max", population_size=200)
         panel = simulate(bundle.config, seed=(3, 0)).panel()
         first = {}
@@ -288,6 +287,27 @@ class TestSeriesAssembly:
         estimate_panel_series(panel, bundle.assumed_tests, ("ht-e",),
                               IntervalSpec(bootstrap_iterations=19))
         assert np.shares_memory(first[1], first[2])
+
+    def test_consecutive_series_share_one_workspace(self, monkeypatch):
+        """The second of two series run on one thread takes its first totals from the
+        memory the first series' last totals used: the workspace outlives the series."""
+        bundle = build_scenario("min-max", population_size=200)
+        panel = simulate(bundle.config, seed=(3, 0)).panel()
+        seen = []
+        batch = DayEvaluator.batch
+
+        def kept(ev, totals):
+            seen.append(totals)  # held, so no later array can reuse its memory
+            return batch(ev, totals)
+
+        monkeypatch.setattr(uncertainty, "_workspace", ResampleWorkspace())
+        monkeypatch.setattr(DayEvaluator, "batch", kept)
+        spec = IntervalSpec(bootstrap_iterations=19)
+        estimate_panel_series(panel, bundle.assumed_tests, ("ht-e",), spec)
+        last = seen[-1]
+        seen.clear()
+        estimate_panel_series(panel, bundle.assumed_tests, ("ht-e",), spec)
+        assert np.shares_memory(last, seen[0])
 
     def test_cached_terms_follow_their_key(self):
         """One panel estimated under minimum stratum sizes 5 then 10, and under test

@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import sparse, stats
 from scipy.special import betaincinv, ndtr, ndtri
 
+from prevest import uncertainty
 from prevest.core import ConfigError, TestCharacteristics
 from prevest.estimators import DayEvaluator
 from prevest.scenarios import build_scenario
@@ -231,7 +233,7 @@ class TestBcaBootstrap:
             np.testing.assert_array_equal(np.concatenate(got), want, err_msg=str(dtype))
         totals = stream()
         identity = sparse.identity(n_units, format="csc")
-        got = [_bootstrap_totals(identity, totals, min(step, 399 - first))
+        got = [_bootstrap_totals(identity, totals, min(step, 399 - first)).copy()
                for first in range(0, 399, step)]
         want = np.array([np.bincount(row, minlength=n_units) for row in want], dtype=float)
         np.testing.assert_array_equal(np.concatenate(got), want)
@@ -333,8 +335,9 @@ class TestBcaBootstrap:
             hits += out.lo <= 0.5 <= out.hi
         assert 0.90 <= hits / trials <= 0.99
 
-    def test_memory_stays_bounded_at_large_n(self):
+    def test_memory_stays_bounded_at_large_n(self, monkeypatch):
         # a keep matrix of the jackknife rows alone would be n x n/10 floats: 305 MiB
+        monkeypatch.setattr(uncertainty, "_workspace", ResampleWorkspace())  # traced too
         n = 20_000
         est = MeanEstimator(np.random.default_rng(6).random(n))
         spec = IntervalSpec(bootstrap_iterations=19, jackknife_block_size=10)
@@ -347,7 +350,7 @@ class TestBcaBootstrap:
         assert not out.degenerate and out.acceleration != 0.0
         assert peak < 32 * 2**20, peak / 2**20
 
-    def test_evaluator_resamples_stream_under_one_budget(self):
+    def test_evaluator_resamples_stream_under_one_budget(self, monkeypatch):
         # n=4000, T=60, day 60: 4309 total columns, so the 400 jackknife rows alone are
         # 13 MiB of totals; dense, they and the whole draw peaked at 36 MiB above the
         # evaluator's own arrays, and streamed under the solve budget they peak at 23 MiB
@@ -355,6 +358,7 @@ class TestBcaBootstrap:
         panel = simulate(bundle.config, seed=0).panel()
         ev = DayEvaluator(panel, 60, bundle.config.tests)
         ev.features  # built once per evaluator, like the panel's own index
+        monkeypatch.setattr(uncertainty, "_workspace", ResampleWorkspace())  # traced too
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -364,3 +368,19 @@ class TestBcaBootstrap:
             tracemalloc.stop()
         assert not out.degenerate and out.lo < out.hi
         assert peak < 28 * 2**20, peak / 2**20
+
+    def test_threads_never_share_totals(self, monkeypatch):
+        """Each thread draws into its own workspace: totals made on another thread share
+        no memory with the main thread's, and leave them as they were."""
+        monkeypatch.setattr(uncertainty, "_workspace", ResampleWorkspace())
+        features = sparse.identity(50, format="csc")
+        mine = _bootstrap_totals(features, np.random.default_rng(0), 7)
+        want = mine.copy()
+        theirs = []
+        worker = threading.Thread(target=lambda: theirs.append(
+            _bootstrap_totals(features, np.random.default_rng(1), 7)))
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive() and len(theirs) == 1
+        assert not np.shares_memory(mine, theirs[0])
+        assert mine.tobytes() == want.tobytes()
